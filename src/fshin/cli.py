@@ -192,6 +192,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimit:
         print("error: node budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

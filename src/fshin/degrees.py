@@ -87,7 +87,7 @@ class Ineq(enum.Enum):
 
     @property
     def positive(self) -> bool:
-        return self in (Ineq.GE, Ineq.GT)
+        return self is Ineq.GE or self is Ineq.GT
 
     @property
     def negative(self) -> bool:
@@ -95,7 +95,7 @@ class Ineq(enum.Enum):
 
     @property
     def strict(self) -> bool:
-        return self in (Ineq.GT, Ineq.LT)
+        return self is Ineq.GT or self is Ineq.LT
 
     def holds(self, lhs: Degree, rhs: Degree) -> bool:
         """Whether "lhs <self> rhs" is true."""

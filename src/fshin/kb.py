@@ -27,10 +27,6 @@ class CyclicTBox(Exception):
     pass
 
 
-class DuplicateDefinition(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ConceptAssertion:
     individual: str
@@ -172,6 +168,14 @@ class RBox:
     inclusions: set[tuple[Role, Role]] = field(default_factory=set)
     # reflexive-transitive, inverse-closed role hierarchy; None until computed
     closure: Optional[dict[Role, frozenset[Role]]] = None
+    # tables read off the closure, filled on first use; the closure is not
+    # changed once set
+    _subroles: dict[Role, frozenset[Role]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _transitive_subroles: dict[Role, tuple[Role, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _need_closure(self) -> dict[Role, frozenset[Role]]:
         if self.closure is None:
@@ -182,7 +186,20 @@ class RBox:
         return self._need_closure().get(r, frozenset([r]))
 
     def subroles(self, r: Role) -> frozenset[Role]:
-        return frozenset(p for p, supers in self._need_closure().items() if r in supers) | {r}
+        subs = self._subroles.get(r)
+        if subs is None:
+            closure = self._need_closure()
+            subs = frozenset(p for p, supers in closure.items() if r in supers) | {r}
+            self._subroles[r] = subs
+        return subs
+
+    def transitive_subroles(self, r: Role) -> tuple[Role, ...]:
+        """The transitive roles at or below r, ordered by name."""
+        subs = self._transitive_subroles.get(r)
+        if subs is None:
+            subs = tuple(sorted((p for p in self.subroles(r) if self.is_transitive(p)), key=str))
+            self._transitive_subroles[r] = subs
+        return subs
 
     def includes(self, p: Role, r: Role) -> bool:
         """p is a sub-role of r under the reflexive-transitive closure."""
@@ -276,18 +293,27 @@ def detect_mode(kb: FuzzyKB) -> str:
     return "si"
 
 
+def non_simple_restrictions(kb: FuzzyKB, rbox: RBox) -> list[Concept]:
+    """The number restrictions in kb whose role is not simple in the closed
+    rbox; f-SHIN is decidable only without them."""
+    return [
+        d
+        for c in kb.concepts()
+        for d in subconcepts(c)
+        if isinstance(d, (AtLeast, AtMost)) and not rbox.simple(d.role)
+    ]
+
+
 def validate(kb: FuzzyKB) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     rbox = kb.rbox if kb.rbox.closure is not None else hierarchy_closure(kb.rbox)
-    for c in kb.concepts():
-        for d in subconcepts(c):
-            if isinstance(d, (AtLeast, AtMost)) and not rbox.simple(d.role):
-                out.append(
-                    Diagnostic(
-                        "non-simple-role-in-number-restriction",
-                        f"number restriction over non-simple role {d.role}",
-                    )
-                )
+    for d in non_simple_restrictions(kb, rbox):
+        out.append(
+            Diagnostic(
+                "non-simple-role-in-number-restriction",
+                f"number restriction over non-simple role {d.role}",
+            )
+        )
     if kb.tbox.gcis:
         out.append(Diagnostic("gci-mode", "TBox contains general inclusions"))
     elif not kb.tbox.is_unfoldable():

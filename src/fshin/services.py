@@ -26,6 +26,7 @@ from .kb import (
     detect_mode,
     expand_concept,
     hierarchy_closure,
+    non_simple_restrictions,
     normalize_for_gci,
     unfold,
 )
@@ -75,6 +76,12 @@ def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
     if mode in ("si", "shin") and not kb.tbox.is_unfoldable():
         raise ModeError(f"mode {mode!r} requires an unfoldable TBox; use 'gci'")
     rbox = hierarchy_closure(kb.rbox)
+    bad = non_simple_restrictions(kb, rbox)
+    if bad:
+        raise ModeError(
+            f"number restriction {bad[0]} is over the non-simple role "
+            f"{bad[0].role}; f-SHIN allows only simple roles there"
+        )
     if resolved == "gci":
         gcis: list[tuple[Concept, Concept]] = []
         for name, (kind, body) in kb.tbox.definitions.items():

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Union
-
-if TYPE_CHECKING:
-    from .kb import RBox
+from typing import Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -178,38 +175,6 @@ def subconcepts(c: Concept) -> Iterator[Concept]:
         yield from subconcepts(c.right)
     elif isinstance(c, (Exists, Forall)):
         yield from subconcepts(c.body)
-
-
-def concept_roles(c: Concept) -> Iterator[Role]:
-    for d in subconcepts(c):
-        if isinstance(d, (Exists, Forall, AtLeast, AtMost)):
-            yield d.role
-
-
-def sub_closure(d: Concept, rbox: "RBox") -> frozenset[Concept]:
-    """Sub-concepts of d, closed under quantifier instantiation along the
-    role hierarchy: a quantifier over S spawns the same quantifier over
-    every sub-role R of S."""
-    out: set[Concept] = set()
-    work = [d]
-    while work:
-        c = work.pop()
-        if c in out:
-            continue
-        out.add(c)
-        work.extend(x for x in subconcepts(c) if x is not c)
-        if isinstance(c, (Exists, Forall)):
-            ctor = type(c)
-            for r in rbox.subroles(c.role):
-                inst = ctor(r, c.body)
-                if inst not in out:
-                    work.append(inst)
-    return frozenset(out)
-
-
-def concept_key(c: Concept) -> str:
-    """Total order key for deterministic iteration over concept sets."""
-    return concept_text(c)
 
 
 Subject = Union[Concept, Role]

@@ -11,13 +11,36 @@ then deterministic decompositions, then propagations, then merges, then
 generators, then the remaining nondeterministic splits.  Nodes are always
 scanned oldest-first and label sets in a canonical order, so identical
 input yields identical behaviour.
+
+The canonical order of triples is by subject text, then INEQ_ORDER, then
+degree (Triple.key).  The forest keeps its derived views current as it
+changes rather than recomputing them on every call:
+
+- a Triple caches its order key, hash, unary clash, rule kind and the
+  triples the rules derive from it;
+- a Node keeps its label in canonical order (what Forest.sorted_label
+  returns), a may_clash flag that is set once the label holds a triple that
+  clashes on its own or a conjugated pair, and, rebuilt on demand, its
+  triples grouped by rule kind;
+- a Forest keeps, per node, the keys of the edges at it and its
+  neighbour_bounds results, and the set of node pairs whose edges clash;
+- the closed RBox memoises sub-roles and transitive sub-roles.
+
+These hold because labels only grow, except that a root merge empties the
+merged node (Node.clear); edges change only through set_edge, pop_edge and
+union_edge; and node ids are handed out in increasing order and never
+removed.  clone copies the mutable indexes and shares the rest.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
+from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from .degrees import (
     Degree,
@@ -60,29 +83,180 @@ class Triple:
     ineq: Ineq
     degree: Degree
 
+    # Derived values are cached on the instance the first time they are
+    # read (cached_property writes the instance dict, which a frozen
+    # dataclass allows); they are not fields, so equality, repr and the
+    # hash's value are those of (subject, ineq, degree).
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.subject, self.ineq, self.degree))
+
+    @cached_property
+    def key(self) -> tuple[str, int, Degree]:
+        """Canonical order: subject text, then INEQ_ORDER, then degree."""
+        return (str(self.subject), INEQ_ORDER[self.ineq], self.degree)
+
+    @cached_property
+    def unary_clash(self) -> Optional[str]:
+        """Kind of clash this triple is on its own ("bottom", "top",
+        "interval"), or None."""
+        c, k, n = self.subject, self.ineq, self.degree
+        if isinstance(c, Bottom) and (k is Ineq.GE and n > ZERO or k is Ineq.GT):
+            return "bottom"
+        if isinstance(c, Top) and (k is Ineq.LE and n < ONE or k is Ineq.LT):
+            return "top"
+        if (
+            k is Ineq.LT and n == ZERO
+            or k is Ineq.GT and n == ONE
+            or k is Ineq.LE and n < ZERO
+            or k is Ineq.GE and n > ONE
+        ):
+            return "interval"
+        return None
+
+    @cached_property
+    def kind(self) -> Optional[str]:
+        """The group of rules that reads this triple, or None for atoms."""
+        c, positive = self.subject, self.ineq.positive
+        if isinstance(c, Not):
+            return "not"
+        if isinstance(c, (And, Or)):
+            return "decompose" if isinstance(c, And) == positive else "split"
+        if isinstance(c, Forall):
+            return "forall+" if positive else "forall-"
+        if isinstance(c, Exists):
+            return "exists+" if positive else "exists-"
+        if isinstance(c, (AtLeast, AtMost)):
+            return "count"
+        return None
+
+    @cached_property
+    def parts(self) -> tuple["Triple", ...]:
+        """The triples the concept rules derive from this one: the pushed
+        negation, both operands of a conjunction or disjunction, or a
+        quantifier's body."""
+        c, k, n = self.subject, self.ineq, self.degree
+        if isinstance(c, Not):
+            return (Triple(c.arg, reflect(k), neg_lukasiewicz(n)),)
+        if isinstance(c, (And, Or)):
+            return (Triple(c.left, k, n), Triple(c.right, k, n))
+        if isinstance(c, (Exists, Forall)):
+            return (Triple(c.body, k, n),)
+        return ()
+
+    def over(self, r: Role) -> "Triple":
+        """This quantifier triple with its role replaced by r."""
+        out = self._over.get(r)
+        if out is None:
+            c = self.subject
+            out = self._over[r] = Triple(type(c)(r, c.body), self.ineq, self.degree)
+        return out
+
+    @cached_property
+    def _over(self) -> dict[Role, "Triple"]:
+        return {}
+
+    @cached_property
+    def inverse(self) -> "Triple":
+        """The same role triple read in the other direction."""
+        assert isinstance(self.subject, Role)
+        return Triple(inv(self.subject), self.ineq, self.degree)
+
+    def __getstate__(self) -> dict:
+        # the caches stay behind: a str hash differs between processes
+        return {"subject": self.subject, "ineq": self.ineq, "degree": self.degree}
+
     def bound(self) -> SignedBound:
+        return self._bound
+
+    @cached_property
+    def _bound(self) -> SignedBound:
         return SignedBound(self.ineq, self.degree)
+
+    @cached_property
+    def reflected(self) -> SignedBound:
+        """The bound with reflected inequality and degree 1 - n: what an
+        edge must conjugate for a universal to apply, or carry for a
+        negated universal's witness."""
+        return SignedBound(reflect(self.ineq), neg_lukasiewicz(self.degree))
 
     def __str__(self) -> str:
         return f"<{self.subject},{self.ineq},{format_degree(self.degree)}>"
 
 
-def triple_key(t: Triple) -> tuple[str, int, Degree]:
-    return (str(t.subject), INEQ_ORDER[t.ineq], t.degree)
+triple_key = attrgetter("key")
 
 
-def inv_triple(t: Triple) -> Triple:
-    assert isinstance(t.subject, Role)
-    return Triple(inv(t.subject), t.ineq, t.degree)
-
-
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     label: set[Triple]
     is_root: bool
     parent: Optional[int] = None
     root_name: Optional[str] = None
+    # kept in step with `label` by add(): the label in canonical order, and
+    # whether it holds a triple that clashes on its own or a conjugated pair
+    ordered: list[Triple] = field(init=False, repr=False, compare=False)
+    may_clash: bool = field(init=False, repr=False, compare=False)
+    # kind -> triples of that kind in canonical order; rebuilt on first read
+    # after a change, never changed in place, so copies may share it
+    _kinds: Optional[dict[str, list[Triple]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        given = self.label
+        self.clear()
+        for t in given:
+            self.add(t)
+
+    def of_kind(self, kind: str) -> list[Triple]:
+        """The label's triples whose Triple.kind is `kind`, in canonical
+        order."""
+        if self._kinds is None:
+            kinds: dict[str, list[Triple]] = {}
+            for t in self.ordered:
+                if t.kind:
+                    kinds.setdefault(t.kind, []).append(t)
+            self._kinds = kinds
+        return self._kinds.get(kind, [])
+
+    def add(self, t: Triple) -> None:
+        self.label.add(t)
+        self._kinds = None
+        ordered = self.ordered
+        insort(ordered, t, key=triple_key)
+        if self.may_clash:
+            return
+        if t.unary_clash:
+            self.may_clash = True
+            return
+        # equal subjects have equal text, so the triples on t's subject lie
+        # in the run of equal text around t in the canonical order
+        text, bound = t.key[0], t.bound()
+        lo = hi = bisect_left(ordered, t.key, key=triple_key)
+        while lo > 0 and ordered[lo - 1].key[0] == text:
+            lo -= 1
+        while hi < len(ordered) and ordered[hi].key[0] == text:
+            hi += 1
+        self.may_clash = any(
+            u.subject == t.subject and conjugates(u.bound(), bound) for u in ordered[lo:hi]
+        )
+
+    def clear(self) -> None:
+        self.label = set()
+        self.ordered = []
+        self.may_clash = False
+        self._kinds = None
+
+    def copy(self) -> "Node":
+        n = Node.__new__(Node)
+        n.id, n.is_root, n.parent, n.root_name = self.id, self.is_root, self.parent, self.root_name
+        n.label, n.ordered = set(self.label), list(self.ordered)
+        n.may_clash, n._kinds = self.may_clash, self._kinds
+        return n
 
 
 @dataclass(frozen=True)
@@ -140,12 +314,27 @@ class Forest:
         self.xa = xa
         self.ell = ell
         self.nodes: dict[int, Node] = {}
-        self.edges: dict[tuple[int, int], set[Triple]] = {}
+        # edge labels, adjacency sets and neighbour tables are replaced,
+        # never changed in place, so a clone may share them
+        self.edges: dict[tuple[int, int], frozenset[Triple]] = {}
+        # node id -> keys of the edges that start or end at it
+        self.adjacent: dict[int, frozenset[tuple[int, int]]] = {}
+        # node id -> role -> neighbour_bounds result, dropped when an edge
+        # at the node changes
+        self._neighbours: dict[int, dict[Role, list[tuple[int, SignedBound]]]] = {}
+        # the (min, max) node pairs whose role triples clash
+        self.clashing_pairs: set[tuple[int, int]] = set()
         self.neq: set[frozenset[int]] = set()
         self.merged: dict[int, int] = {}
         self.next_id = 0
         # direct-block map from the previous scan, for block/unblock tracing
         self._last_blocks: dict[int, int] = {}
+        # the inclusion split's triples (lhs <= n - ell, rhs >= n) in scan order
+        self.gci_splits: tuple[tuple[int, Degree, Triple, Triple], ...] = tuple(
+            (idx, n, Triple(lhs, Ineq.LE, n - ell), Triple(rhs, Ineq.GE, n))
+            for n in xa
+            for idx, (lhs, rhs) in enumerate(gcis)
+        )
 
     # --- construction and copying ---
 
@@ -153,29 +342,36 @@ class Forest:
         self.budget.charge()
         node = Node(self.next_id, set(), is_root, parent, root_name)
         self.nodes[node.id] = node
+        self.adjacent[node.id] = frozenset()
         self.next_id += 1
         return node
 
     def clone(self) -> "Forest":
-        g = Forest(self.mode, self.rbox, self.budget, self.trace, self.gcis, self.xa, self.ell)
-        g.nodes = {
-            i: Node(n.id, set(n.label), n.is_root, n.parent, n.root_name)
-            for i, n in self.nodes.items()
-        }
-        g.edges = {k: set(v) for k, v in self.edges.items()}
+        # shares rbox, budget, trace and the GCI tables with self; edge
+        # labels, adjacency sets and neighbour tables are replaced rather
+        # than changed, so copying their dicts is enough
+        g = copy.copy(self)
+        g.nodes = {i: n.copy() for i, n in self.nodes.items()}
+        g.edges = dict(self.edges)
+        g.adjacent = dict(self.adjacent)
+        g._neighbours = dict(self._neighbours)
+        g.clashing_pairs = set(self.clashing_pairs)
         g.neq = set(self.neq)
         g.merged = dict(self.merged)
-        g.next_id = self.next_id
         g._last_blocks = dict(self._last_blocks)
         return g
 
     # --- basic accessors ---
 
     def ordered_nodes(self) -> list[Node]:
-        return [self.nodes[i] for i in sorted(self.nodes)]
+        # ids are handed out in increasing order and nodes are never
+        # removed, so insertion order is id order
+        return list(self.nodes.values())
 
     def sorted_label(self, node: Node) -> list[Triple]:
-        return sorted(node.label, key=triple_key)
+        """The node's label in canonical order; callers must not keep it
+        across a change to the label."""
+        return node.ordered
 
     def is_ancestor(self, a: int, x: int) -> bool:
         cur = self.nodes[x].parent
@@ -196,38 +392,74 @@ class Forest:
         if t in node.label:
             return False
         self.budget.charge()
-        node.label.add(t)
+        node.add(t)
         self.trace.append(("add", rule, node_id, t))
         return True
 
-    def union_edge(self, a: int, b: int, triples: set[Triple]) -> None:
+    # every change to self.edges goes through these three methods, which
+    # keep the adjacency index, the neighbour tables and the clashing pairs
+    # in step
+
+    def set_edge(self, a: int, b: int, triples: Iterable[Triple]) -> None:
+        """Create edge (a, b), or replace its label."""
+        key = (a, b)
+        self.edges[key] = frozenset(triples)
+        for end in key:
+            if key not in self.adjacent[end]:
+                self.adjacent[end] = self.adjacent[end] | {key}
+        self._edge_changed(a, b)
+
+    def pop_edge(self, key: tuple[int, int]) -> frozenset[Triple]:
+        for end in key:
+            self.adjacent[end] = self.adjacent[end] - {key}
+        triples = self.edges.pop(key)
+        self._edge_changed(*key)
+        return triples
+
+    def _edge_changed(self, a: int, b: int) -> None:
+        self._neighbours.pop(a, None)
+        self._neighbours.pop(b, None)
+        pair = (min(a, b), max(a, b))
+        if _pair_clash(self, *pair):
+            self.clashing_pairs.add(pair)
+        else:
+            self.clashing_pairs.discard(pair)
+
+    def union_edge(self, a: int, b: int, triples: AbstractSet[Triple]) -> None:
         """Add role triples between a and b, reusing an existing edge in
         either orientation (inverting as needed)."""
         if (a, b) in self.edges:
-            self.edges[(a, b)] |= triples
+            self.set_edge(a, b, self.edges[(a, b)] | triples)
         elif (b, a) in self.edges:
-            self.edges[(b, a)] |= {inv_triple(t) for t in triples}
+            self.set_edge(b, a, self.edges[(b, a)] | {t.inverse for t in triples})
         else:
-            self.edges[(a, b)] = set(triples)
+            self.set_edge(a, b, triples)
 
     # --- neighbours ---
 
     def neighbour_bounds(self, x: int, r: Role) -> list[tuple[int, SignedBound]]:
         """All (y, bound) with y an r-neighbour of x through that bound:
         successor edges carry a sub-role of r, predecessor edges a sub-role
-        of Inv(r)."""
+        of Inv(r).  The list is shared: callers must not change it."""
+        known = self._neighbours.get(x, {})
+        out = known.get(r)
+        if out is not None:
+            return out
         out = []
         rinv = inv(r)
-        for (a, b), lab in self.edges.items():
+        includes = self.rbox.includes
+        for a, b in self.adjacent[x]:
+            lab = self.edges[(a, b)]
             if a == x:
                 for t in lab:
-                    if self.rbox.includes(t.subject, r):
+                    if includes(t.subject, r):
                         out.append((b, t.bound()))
             if b == x:
                 for t in lab:
-                    if self.rbox.includes(t.subject, rinv):
+                    if includes(t.subject, rinv):
                         out.append((a, t.bound()))
         out.sort(key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
+        self._neighbours[x] = {**known, r: out}
         return out
 
     def conjugated_neighbours(self, x: int, r: Role, probe: SignedBound) -> list[int]:
@@ -251,7 +483,6 @@ class Forest:
         """Status map for every node, computed top-down (parents have
         smaller ids than their children throughout)."""
         status: dict[int, tuple[str, Optional[int]]] = {}
-        labels = {i: frozenset(n.label) for i, n in self.nodes.items()}
         for node in self.ordered_nodes():
             if node.is_root:
                 status[node.id] = (UNBLOCKED, None)
@@ -265,33 +496,34 @@ class Forest:
             if in_edge is not None and not in_edge:
                 status[node.id] = (INDIRECT, None)
                 continue
-            blocker = self._direct_blocker(node, labels)
+            blocker = self._direct_blocker(node)
             if blocker is not None:
                 status[node.id] = (DIRECT, blocker)
             else:
                 status[node.id] = (UNBLOCKED, None)
         return status
 
-    def _direct_blocker(self, node: Node, labels: dict[int, frozenset]) -> Optional[int]:
+    def _direct_blocker(self, node: Node) -> Optional[int]:
+        nodes = self.nodes
         if self.mode == "si":
             for anc in self.ancestors(node.id):
-                if labels[anc] == labels[node.id]:
+                if nodes[anc].label == node.label:
                     return anc
             return None
         # pair-wise blocking: equal labels, equal parent labels, equal
         # connecting edge labels; the blocker must not be a root
         parent = node.parent
         assert parent is not None
-        own_edge = frozenset(self.edges.get((parent, node.id), set()))
+        own_edge = self.edges.get((parent, node.id), set())
         for y in self.ancestors(node.id):
-            ynode = self.nodes[y]
+            ynode = nodes[y]
             if ynode.is_root or ynode.parent is None:
                 continue
-            if labels[y] != labels[node.id]:
+            if ynode.label != node.label:
                 continue
-            if labels[ynode.parent] != labels[parent]:
+            if nodes[ynode.parent].label != nodes[parent].label:
                 continue
-            if frozenset(self.edges.get((ynode.parent, y), set())) != own_edge:
+            if self.edges.get((ynode.parent, y), set()) != own_edge:
                 continue
             return y
         return None
@@ -352,27 +584,19 @@ def init_forest(
 
 
 def _concept_clash(f: Forest, node: Node) -> Optional[Clash]:
-    label = f.sorted_label(node)
+    if not node.may_clash:
+        return None
+    label = node.ordered
     for t in label:
-        c, n = t.subject, t.degree
-        if isinstance(c, Bottom) and t.ineq is Ineq.GE and n > ZERO:
-            return Clash("bottom", node.id, (t,))
-        if isinstance(c, Bottom) and t.ineq is Ineq.GT:
-            return Clash("bottom", node.id, (t,))
-        if isinstance(c, Top) and t.ineq is Ineq.LE and n < ONE:
-            return Clash("top", node.id, (t,))
-        if isinstance(c, Top) and t.ineq is Ineq.LT:
-            return Clash("top", node.id, (t,))
-        if t.ineq is Ineq.LT and n == ZERO:
-            return Clash("interval", node.id, (t,))
-        if t.ineq is Ineq.GT and n == ONE:
-            return Clash("interval", node.id, (t,))
-        if t.ineq is Ineq.LE and n < ZERO:
-            return Clash("interval", node.id, (t,))
-        if t.ineq is Ineq.GE and n > ONE:
-            return Clash("interval", node.id, (t,))
+        if t.unary_clash:
+            return Clash(t.unary_clash, node.id, (t,))
+    # equal subjects have equal text, so each one's triples form a run of
+    # the canonical order; pairs are tried in the all-pairs order
     for i, t1 in enumerate(label):
-        for t2 in label[i + 1 :]:
+        text = t1.key[0]
+        for t2 in itertools.islice(label, i + 1, None):
+            if t2.key[0] != text:
+                break
             if t1.subject == t2.subject and conjugates(t1.bound(), t2.bound()):
                 return Clash("conjugated-pair", node.id, (t1, t2))
     return None
@@ -380,32 +604,31 @@ def _concept_clash(f: Forest, node: Node) -> Optional[Clash]:
 
 def _directed_edge_triples(f: Forest, a: int, b: int) -> list[Triple]:
     out = list(f.edges.get((a, b), ()))
-    out.extend(inv_triple(t) for t in f.edges.get((b, a), ()))
+    out.extend(t.inverse for t in f.edges.get((b, a), ()))
     return sorted(out, key=triple_key)
 
 
-def _edge_clash(f: Forest) -> Optional[Clash]:
-    pairs = sorted({(min(a, b), max(a, b)) for a, b in f.edges})
-    for a, b in pairs:
-        ts = _directed_edge_triples(f, a, b)
-        for t in ts:
-            n = t.degree
-            if (
-                t.ineq is Ineq.LT and n == ZERO
-                or t.ineq is Ineq.GT and n == ONE
-                or t.ineq is Ineq.LE and n < ZERO
-                or t.ineq is Ineq.GE and n > ONE
-            ):
-                return Clash("interval", (a, b), (t,))
-        for t1 in ts:
-            if not t1.ineq.positive:
+def _pair_clash(f: Forest, a: int, b: int) -> Optional[Clash]:
+    """The first clash among the role triples between a and b (a <= b)."""
+    ts = _directed_edge_triples(f, a, b)
+    for t in ts:
+        if t.unary_clash:
+            return Clash(t.unary_clash, (a, b), (t,))
+    for t1 in ts:
+        if not t1.ineq.positive:
+            continue
+        for t2 in ts:
+            if t2.ineq.positive:
                 continue
-            for t2 in ts:
-                if t2.ineq.positive:
-                    continue
-                if f.rbox.includes(t1.subject, t2.subject) and conjugates(t1.bound(), t2.bound()):
-                    return Clash("edge", (a, b), (t1, t2))
+            if f.rbox.includes(t1.subject, t2.subject) and conjugates(t1.bound(), t2.bound()):
+                return Clash("edge", (a, b), (t1, t2))
     return None
+
+
+def _edge_clash(f: Forest) -> Optional[Clash]:
+    if not f.clashing_pairs:
+        return None
+    return _pair_clash(f, *min(f.clashing_pairs))
 
 
 def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
@@ -420,10 +643,10 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
 
 
 def _counting_clash(f: Forest, node: Node) -> Optional[Clash]:
-    for t in f.sorted_label(node):
+    for t in node.of_kind("count"):
         c = t.subject
         if isinstance(c, AtMost) and t.ineq.positive:
-            probe = SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree))
+            probe = t.reflected
             members = f.conjugated_neighbours(node.id, c.role, probe)
             if _has_pairwise_distinct(f, members, c.count + 1):
                 return Clash("at-most", node.id, (t,))
@@ -463,38 +686,30 @@ def find_clash(f: Forest) -> Optional[Clash]:
 
 
 def _rule_negation(f: Forest, status, node: Node) -> bool:
-    for t in f.sorted_label(node):
-        if isinstance(t.subject, Not):
-            derived = Triple(t.subject.arg, reflect(t.ineq), neg_lukasiewicz(t.degree))
-            if derived not in node.label:
-                return f.add_triple(node.id, derived, "negation")
+    for t in node.of_kind("not"):
+        derived = t.parts[0]
+        if derived not in node.label:
+            return f.add_triple(node.id, derived, "negation")
     return False
 
 
 def _rule_decompose(f: Forest, status, node: Node) -> bool:
     if status[node.id][0] == INDIRECT:
         return False
-    for t in f.sorted_label(node):
-        c = t.subject
-        if isinstance(c, And) and t.ineq.positive or isinstance(c, Or) and t.ineq.negative:
-            for part in (c.left, c.right):
-                derived = Triple(part, t.ineq, t.degree)
-                if derived not in node.label:
-                    rule = "and-pos" if isinstance(c, And) else "or-neg"
-                    return f.add_triple(node.id, derived, rule)
+    for t in node.of_kind("decompose"):
+        for derived in t.parts:
+            if derived not in node.label:
+                rule = "and-pos" if isinstance(t.subject, And) else "or-neg"
+                return f.add_triple(node.id, derived, rule)
     return False
 
 
 def _rule_forall_pos(f: Forest, status, node: Node) -> bool:
     if status[node.id][0] == INDIRECT:
         return False
-    for t in f.sorted_label(node):
-        c = t.subject
-        if not (isinstance(c, Forall) and t.ineq.positive):
-            continue
-        probe = SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree))
-        derived = Triple(c.body, t.ineq, t.degree)
-        for y, b in f.neighbour_bounds(node.id, c.role):
+    for t in node.of_kind("forall+"):
+        probe, derived = t.reflected, t.parts[0]
+        for y, b in f.neighbour_bounds(node.id, t.subject.role):
             if conjugates(b, probe) and derived not in f.nodes[y].label:
                 return f.add_triple(y, derived, "forall-pos")
     return False
@@ -503,35 +718,21 @@ def _rule_forall_pos(f: Forest, status, node: Node) -> bool:
 def _rule_exists_neg(f: Forest, status, node: Node) -> bool:
     if status[node.id][0] == INDIRECT:
         return False
-    for t in f.sorted_label(node):
-        c = t.subject
-        if not (isinstance(c, Exists) and t.ineq.negative):
-            continue
-        probe = SignedBound(t.ineq, t.degree)
-        derived = Triple(c.body, t.ineq, t.degree)
-        for y, b in f.neighbour_bounds(node.id, c.role):
+    for t in node.of_kind("exists-"):
+        probe, derived = t.bound(), t.parts[0]
+        for y, b in f.neighbour_bounds(node.id, t.subject.role):
             if conjugates(b, probe) and derived not in f.nodes[y].label:
                 return f.add_triple(y, derived, "exists-neg")
     return False
 
 
-def _transitive_subroles(f: Forest, s: Role) -> list[Role]:
-    return sorted(
-        (r for r in f.rbox.subroles(s) if f.rbox.is_transitive(r)),
-        key=str,
-    )
-
-
 def _rule_forall_trans(f: Forest, status, node: Node) -> bool:
     if status[node.id][0] == INDIRECT:
         return False
-    for t in f.sorted_label(node):
-        c = t.subject
-        if not (isinstance(c, Forall) and t.ineq.positive):
-            continue
-        probe = SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree))
-        for r in _transitive_subroles(f, c.role):
-            derived = Triple(Forall(r, c.body), t.ineq, t.degree)
+    for t in node.of_kind("forall+"):
+        probe = t.reflected
+        for r in f.rbox.transitive_subroles(t.subject.role):
+            derived = t.over(r)
             for y, b in f.neighbour_bounds(node.id, r):
                 if conjugates(b, probe) and derived not in f.nodes[y].label:
                     return f.add_triple(y, derived, "forall-trans")
@@ -541,13 +742,10 @@ def _rule_forall_trans(f: Forest, status, node: Node) -> bool:
 def _rule_exists_trans(f: Forest, status, node: Node) -> bool:
     if status[node.id][0] == INDIRECT:
         return False
-    for t in f.sorted_label(node):
-        c = t.subject
-        if not (isinstance(c, Exists) and t.ineq.negative):
-            continue
-        probe = SignedBound(t.ineq, t.degree)
-        for r in _transitive_subroles(f, c.role):
-            derived = Triple(Exists(r, c.body), t.ineq, t.degree)
+    for t in node.of_kind("exists-"):
+        probe = t.bound()
+        for r in f.rbox.transitive_subroles(t.subject.role):
+            derived = t.over(r)
             for y, b in f.neighbour_bounds(node.id, r):
                 if conjugates(b, probe) and derived not in f.nodes[y].label:
                     return f.add_triple(y, derived, "exists-trans")
@@ -556,8 +754,8 @@ def _rule_exists_trans(f: Forest, status, node: Node) -> bool:
 
 def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) -> None:
     y = f.new_node(is_root=False, parent=x)
-    f.edges[(x, y.id)] = {edge}
-    y.label.add(label)
+    f.set_edge(x, y.id, {edge})
+    y.add(label)
     f.trace.append(("new-node", rule, x, y.id, edge, label))
 
 
@@ -565,13 +763,9 @@ def _rule_exists_pos(f: Forest, status) -> bool:
     for node in f.ordered_nodes():
         if status[node.id][0] != UNBLOCKED:
             continue
-        for t in f.sorted_label(node):
-            c = t.subject
-            if not (isinstance(c, Exists) and t.ineq.positive):
-                continue
-            bound = SignedBound(t.ineq, t.degree)
-            derived = Triple(c.body, t.ineq, t.degree)
-            if f.has_exact_neighbour(node.id, c.role, bound, derived):
+        for t in node.of_kind("exists+"):
+            c, derived = t.subject, t.parts[0]
+            if f.has_exact_neighbour(node.id, c.role, t.bound(), derived):
                 continue
             f.budget.charge()
             _generate_node(f, node.id, Triple(c.role, t.ineq, t.degree), derived, "exists-pos")
@@ -583,12 +777,8 @@ def _rule_forall_neg(f: Forest, status) -> bool:
     for node in f.ordered_nodes():
         if status[node.id][0] != UNBLOCKED:
             continue
-        for t in f.sorted_label(node):
-            c = t.subject
-            if not (isinstance(c, Forall) and t.ineq.negative):
-                continue
-            edge_bound = SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree))
-            derived = Triple(c.body, t.ineq, t.degree)
+        for t in node.of_kind("forall-"):
+            c, edge_bound, derived = t.subject, t.reflected, t.parts[0]
             if f.has_exact_neighbour(node.id, c.role, edge_bound, derived):
                 continue
             f.budget.charge()
@@ -606,13 +796,13 @@ def _rule_forall_neg(f: Forest, status) -> bool:
 def _atleast_instances(f: Forest, node: Node) -> Iterator[tuple[Triple, AtLeast, SignedBound, str]]:
     """Positive at-least triples plus negative at-most triples rewritten to
     their at-least counterpart (the <=-neg rule delegates to >=-pos)."""
-    for t in f.sorted_label(node):
+    for t in node.of_kind("count"):
         c = t.subject
         if isinstance(c, AtLeast) and t.ineq.positive and c.count >= 1:
-            yield t, c, SignedBound(t.ineq, t.degree), "atleast-pos"
+            yield t, c, t.bound(), "atleast-pos"
         if isinstance(c, AtMost) and t.ineq.negative:
             synth = AtLeast(c.count + 1, c.role)
-            yield t, synth, SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree)), "atmost-neg"
+            yield t, synth, t.reflected, "atmost-neg"
 
 
 def _rule_atleast(f: Forest, status) -> bool:
@@ -630,7 +820,7 @@ def _rule_atleast(f: Forest, status) -> bool:
             for _ in range(c.count):
                 f.budget.charge()
                 y = f.new_node(is_root=False, parent=node.id)
-                f.edges[(node.id, y.id)] = {Triple(c.role, bound.ineq, bound.degree)}
+                f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
                 created.append(y.id)
             for u, v in itertools.combinations(created, 2):
                 f.neq.add(frozenset((u, v)))
@@ -645,13 +835,13 @@ def _rule_atleast(f: Forest, status) -> bool:
 def _atmost_instances(f: Forest, node: Node) -> Iterator[tuple[AtMost, SignedBound, str]]:
     """Positive at-most triples plus negative at-least triples rewritten to
     their at-most counterpart (the >=-neg rule delegates to <=-pos)."""
-    for t in f.sorted_label(node):
+    for t in node.of_kind("count"):
         c = t.subject
         if isinstance(c, AtMost) and t.ineq.positive:
-            yield c, SignedBound(t.ineq, t.degree), "atmost-merge"
+            yield c, t.bound(), "atmost-merge"
         if isinstance(c, AtLeast) and t.ineq.negative and c.count >= 1:
             synth = AtMost(c.count - 1, c.role)
-            yield synth, SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree)), "atleast-merge"
+            yield synth, t.reflected, "atleast-merge"
 
 
 def _merge_pairs(
@@ -696,12 +886,18 @@ def _merge_choice(f: Forest, status) -> Optional[ChoicePoint]:
     return None
 
 
+def _merge_labels(ynode: Node, znode: Node) -> None:
+    for t in ynode.ordered:
+        if t not in znode.label:
+            znode.add(t)
+
+
 def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:
     ynode, znode = f.nodes[y], f.nodes[z]
-    znode.label |= ynode.label
+    _merge_labels(ynode, znode)
     xy = f.edges[(x, y)]
-    f.union_edge(x, z, set(xy))
-    f.edges[(x, y)] = set()
+    f.union_edge(x, z, xy)
+    f.set_edge(x, y, ())
     for pair in [p for p in f.neq if y in p]:
         others = set(pair) - {y}
         f.neq.add(frozenset(others | {z}))
@@ -710,9 +906,9 @@ def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:
 
 def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
     ynode, znode = f.nodes[y], f.nodes[z]
-    znode.label |= ynode.label
-    for (a, b) in [e for e in list(f.edges) if y in e]:
-        ts = f.edges.pop((a, b))
+    _merge_labels(ynode, znode)
+    for (a, b) in [e for e in f.edges if y in e]:
+        ts = f.pop_edge((a, b))
         if a == y and b == y:
             f.union_edge(z, z, ts)
         elif a == y:
@@ -722,7 +918,7 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
     for node in f.nodes.values():
         if node.parent == y:
             node.parent = z
-    ynode.label = set()
+    ynode.clear()
     for pair in [p for p in f.neq if y in p]:
         others = set(pair) - {y}
         f.neq.add(frozenset(others | {z}))
@@ -737,17 +933,12 @@ def _split_choice(f: Forest, status) -> Optional[ChoicePoint]:
     for node in f.ordered_nodes():
         if status[node.id][0] == INDIRECT:
             continue
-        for t in f.sorted_label(node):
-            c = t.subject
-            if isinstance(c, Or) and t.ineq.positive or isinstance(c, And) and t.ineq.negative:
-                alts = (
-                    ("add", node.id, Triple(c.left, t.ineq, t.degree)),
-                    ("add", node.id, Triple(c.right, t.ineq, t.degree)),
-                )
-                if any(a[2] in node.label for a in alts):
-                    continue
-                rule = "or-pos" if isinstance(c, Or) else "and-neg"
-                return ChoicePoint(rule, node.id, t, alts)
+        for t in node.of_kind("split"):
+            if any(part in node.label for part in t.parts):
+                continue
+            alts = tuple(("add", node.id, part) for part in t.parts)
+            rule = "or-pos" if isinstance(t.subject, Or) else "and-neg"
+            return ChoicePoint(rule, node.id, t, alts)
     return None
 
 
@@ -757,14 +948,11 @@ def _gci_choice(f: Forest, status) -> Optional[ChoicePoint]:
     for node in f.ordered_nodes():
         if node.id in f.merged or status[node.id][0] == INDIRECT:
             continue
-        for n in f.xa:
-            for idx, (lhs, rhs) in enumerate(f.gcis):
-                t1 = Triple(lhs, Ineq.LE, n - f.ell)
-                t2 = Triple(rhs, Ineq.GE, n)
-                if t1 in node.label or t2 in node.label:
-                    continue
-                alts = (("add", node.id, t1), ("add", node.id, t2))
-                return ChoicePoint("gci", node.id, (idx, n), alts)
+        for idx, n, t1, t2 in f.gci_splits:
+            if t1 in node.label or t2 in node.label:
+                continue
+            alts = (("add", node.id, t1), ("add", node.id, t2))
+            return ChoicePoint("gci", node.id, (idx, n), alts)
     return None
 
 
@@ -1002,12 +1190,12 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 ):
                     out.append(f"split unresolved at {node.id}: {t}")
             if isinstance(c, Forall) and t.ineq.positive:
-                probe = SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree))
+                probe = t.reflected
                 want = Triple(c.body, t.ineq, t.degree)
                 for y, b in f.neighbour_bounds(node.id, c.role):
                     if conjugates(b, probe) and want not in f.nodes[y].label:
                         out.append(f"universal not propagated from {node.id} to {y}: {t}")
-                for r in _transitive_subroles(f, c.role):
+                for r in f.rbox.transitive_subroles(c.role):
                     want_r = Triple(Forall(r, c.body), t.ineq, t.degree)
                     for y, b in f.neighbour_bounds(node.id, r):
                         if conjugates(b, probe) and want_r not in f.nodes[y].label:
@@ -1020,7 +1208,7 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 for y, b in f.neighbour_bounds(node.id, c.role):
                     if conjugates(b, probe) and want not in f.nodes[y].label:
                         out.append(f"negated existential not propagated from {node.id} to {y}: {t}")
-                for r in _transitive_subroles(f, c.role):
+                for r in f.rbox.transitive_subroles(c.role):
                     want_r = Triple(Exists(r, c.body), t.ineq, t.degree)
                     for y, b in f.neighbour_bounds(node.id, r):
                         if conjugates(b, probe) and want_r not in f.nodes[y].label:
@@ -1036,7 +1224,7 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 ):
                     out.append(f"existential without witness at {node.id}: {t}")
             if isinstance(c, Forall) and t.ineq.negative:
-                bound = SignedBound(reflect(t.ineq), neg_lukasiewicz(t.degree))
+                bound = t.reflected
                 if not f.has_exact_neighbour(
                     node.id, c.role, bound, Triple(c.body, t.ineq, t.degree)
                 ):
@@ -1058,12 +1246,9 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                     ):
                         out.append(f"at-most merge still applicable at {node.id}")
             if f.gcis and node.id not in f.merged:
-                for n in f.xa:
-                    for lhs, rhs in f.gcis:
-                        t1 = Triple(lhs, Ineq.LE, n - f.ell)
-                        t2 = Triple(rhs, Ineq.GE, n)
-                        if t1 not in node.label and t2 not in node.label:
-                            out.append(f"inclusion split unresolved at {node.id} for degree {n}")
+                for _, n, t1, t2 in f.gci_splits:
+                    if t1 not in node.label and t2 not in node.label:
+                        out.append(f"inclusion split unresolved at {node.id} for degree {n}")
 
     if abox is not None:
         roots = {

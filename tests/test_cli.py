@@ -142,3 +142,23 @@ def test_example_fixtures_match_acceptance_kbs():
         with open(ex(name + ".fkb")) as f:
             assert f.read().strip() == text.strip(), name
     assert os.path.getsize(ex("empty.fkb")) == 0
+
+
+def test_non_simple_number_restriction_exit_2(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("trans r.\nassert a : >= 2 r >= 0.5.\n"))
+    code, out, err = run(["check", "-"], capsys)
+    assert code == 2 and out == ""
+    assert "non-simple" in err
+
+
+def test_deep_nesting_exit_2(capsys, monkeypatch):
+    import io
+
+    text = "assert a : " + "not " * 3000 + "A >= 0.5.\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(["check", "-"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: input nested too deeply\n"
+    assert "Traceback" not in err

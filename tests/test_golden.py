@@ -1,0 +1,136 @@
+"""Golden behaviour of the tableau on a fixed corpus.
+
+For every knowledge base the file golden_traces.json holds the verdict (or
+ResourceLimit), the work budget used, the number of trace events, a SHA-256
+of the trace and a SHA-256 of the final (or first clashing) forest dump.
+Any change to the search (rule order, choice order, budget charges, trace
+or dump rendering) shows up here, so an optimisation of the engine must
+leave this test passing without re-recording.
+
+Re-record only for an intended change of behaviour:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from fshin.parser import parse_kb
+from fshin.services import prepare
+from fshin.tableau import Budget, ResourceLimit, init_forest, solve
+
+from genkb import random_alc_kb, random_shin_kb
+from test_acceptance import BLOCKING, EXAMPLE1, GCI
+
+GOLDEN = Path(__file__).with_name("golden_traces.json")
+BUDGET = 20_000
+RANDOM_KBS = 40
+
+# small KBs for what the random corpora rarely reach: pair-wise blocking
+# over cyclic inclusions, SI blocking, and merges of named, generated and
+# root successors
+EXTRA = {
+    "gci-exists": "implies C some r.C.\nassert a : C >= 0.5.\nassert a : some r.C <= 0.25.\n",
+    "gci-back": (
+        "implies C some r.C.\nimplies some r.C D.\n"
+        "assert a : C >= 0.5.\nassert a : D <= 0.25.\n"
+    ),
+    "gci-forall": (
+        "implies C all r.D.\ntrans r.\n"
+        "assert (a, b): r >= 0.5.\nassert (b, c): r >= 0.75.\n"
+        "assert a : C >= 0.5.\nassert c : D < 0.5.\n"
+    ),
+    "merge-named": (
+        "assert (a,b): s >= 0.9.\nassert (a,c): s >= 0.9.\n"
+        "assert a : <= 1 s >= 0.8.\nassert b : A >= 0.5.\nassert c : A < 0.25.\n"
+    ),
+    "merge-generated": (
+        "assert a : >= 2 s >= 0.8.\nassert a : some s.A >= 0.7.\n"
+        "assert a : <= 2 s >= 0.6.\nassert a : all s.B >= 0.5.\n"
+    ),
+    "merge-roots": (
+        "assert (a,b): s >= 0.9.\nassert (a,c): s >= 0.9.\nassert (a,d): s >= 0.7.\n"
+        "assert a : <= 1 s >= 0.8.\ndistinct b c.\nassert d : some s-.A >= 0.6.\n"
+    ),
+    "merge-inverse": (
+        "assert (b,a): s- >= 0.9.\nassert a : some s.B >= 0.6.\n"
+        "assert a : <= 1 s >= 0.5.\nassert a : all s.(not B or A) >= 0.75.\n"
+        "assert b : A < 0.5.\n"
+    ),
+    "si-chain": (
+        "trans r.\nassert a : some r.(some r.A) >= 0.6.\n"
+        "assert a : all r.(some r.A) >= 0.6.\n"
+    ),
+    "gci-cycle": (
+        "implies C some r.C.\nimplies C all r.D.\n"
+        "assert a : C >= 0.25.\nassert a : D <= 1.\n"
+    ),
+}
+
+
+def corpus():
+    """(name, FuzzyKB) pairs in a fixed order."""
+    out = [("EXAMPLE1", parse_kb(EXAMPLE1)), ("BLOCKING", parse_kb(BLOCKING)), ("GCI", parse_kb(GCI))]
+    out += [(name, parse_kb(text)) for name, text in EXTRA.items()]
+    rng = random.Random(1001)
+    out += [(f"alc-{i}", random_alc_kb(rng)) for i in range(RANDOM_KBS)]
+    rng = random.Random(1002)
+    out += [(f"shin-{i}", random_shin_kb(rng)) for i in range(RANDOM_KBS)]
+    return out
+
+
+def render(x) -> str:
+    """str() of a trace element, descending into tuples so that no repr of
+    an engine object is part of the text."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(render(i) for i in x) + ")"
+    return str(x)
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def observe(kb) -> dict:
+    prepared = prepare(kb)
+    trace: list = []
+    budget = Budget(BUDGET)
+    f = init_forest(
+        prepared.abox, prepared.rbox, prepared.mode, budget=budget, trace=trace,
+        gcis=prepared.gcis, xa=prepared.xa, ell=prepared.ell,
+    )
+    try:
+        result = solve(f)
+    except ResourceLimit:
+        verdict, dump = "ResourceLimit", ""
+    else:
+        verdict = "consistent" if result.consistent else "inconsistent"
+        final = result.forest if result.consistent else result.first_clash_forest
+        dump = final.dump() if final is not None else ""
+    return {
+        "mode": prepared.mode,
+        "verdict": verdict,
+        "budget_used": budget.used,
+        "trace_events": len(trace),
+        "trace_sha256": sha("\n".join(render(ev) for ev in trace)),
+        "dump_sha256": sha(dump),
+    }
+
+
+def test_golden_traces():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    seen = {name: observe(kb) for name, kb in corpus()}
+    assert list(seen) == list(golden)
+    for name, expected in golden.items():
+        assert seen[name] == expected, name
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(__doc__)
+    record = {name: observe(kb) for name, kb in corpus()}
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(record)} knowledge bases in {GOLDEN}")

@@ -44,6 +44,26 @@ def test_prepare_mode_errors():
     assert prepare(kb, "auto").mode == "gci"
 
 
+def test_prepare_refuses_non_simple_number_restriction():
+    # f-SHIN is decidable only with simple roles in number restrictions
+    for text in (
+        "trans r.\nassert a : >= 2 r >= 0.5.",
+        "trans r.\nassert a : <= 1 r- > 0.25.",
+        "trans p.\nsubrole p r.\nassert a : all s.(<= 1 r) >= 0.5.",
+        "trans r.\nimplies A >= 1 r.\nassert a : A >= 0.5.",
+    ):
+        kb = parse_kb(text)
+        with pytest.raises(ModeError, match="non-simple"):
+            prepare(kb)
+        with pytest.raises(ModeError):
+            consistency(kb)
+    # a sub-role of a transitive role is simple while nothing transitive
+    # lies below it
+    kb = parse_kb("trans r.\nsubrole s r.\nassert a : <= 1 s >= 0.5.")
+    assert prepare(kb).mode == "shin"
+    assert consistency(kb).consistent
+
+
 def test_entails_example():
     kb = parse_kb(EXAMPLE1)
     q, b = parse_query(

@@ -1,9 +1,31 @@
+from fractions import Fraction
+
 import pytest
 
+from fshin.degrees import INEQ_ORDER, ONE, Ineq, conjugates
+from fshin.kb import RBox, hierarchy_closure
+from fshin.oracle import satisfies_kb
 from fshin.parser import parse_kb
 from fshin.services import consistency
-from fshin.tableau import ResourceLimit, audit_properties, extract_model
-from fshin.oracle import satisfies_kb
+from fshin.syntax import TOP, AtLeast, Exists, Forall, Name, Not, Or, Role, inv
+from fshin.tableau import (
+    Budget,
+    Clash,
+    Forest,
+    Node,
+    ResourceLimit,
+    Triple,
+    _apply_merge,
+    _apply_root_merge,
+    _concept_clash,
+    _edge_clash,
+    _generate_node,
+    _pair_clash,
+    _rule_atleast,
+    audit_properties,
+    extract_model,
+    triple_key,
+)
 
 
 def run(text, mode="auto", budget=10**6):
@@ -202,3 +224,133 @@ def test_audit_on_clash_free_forests():
         res = run(text)
         assert res.consistent
         assert audit_properties(res.forest) == [], text
+
+
+# --- index invariants -------------------------------------------------------
+#
+# The forest keeps derived views up to date as it changes: each node's label
+# in canonical order, grouped by rule kind, and its may-clash flag, the
+# per-node adjacency index, cached neighbour lists and the set of clashing
+# edge pairs.  The reference
+# versions below recompute each view by scanning, as the engine once did.
+
+F = Fraction
+S, R = Role("s"), Role("r")
+KINDS = ("not", "decompose", "split", "forall+", "forall-", "exists+", "exists-", "count")
+
+
+def scan_neighbour_bounds(f, x, r):
+    out = []
+    for (a, b), lab in f.edges.items():
+        if a == x:
+            out += [(b, t.bound()) for t in lab if f.rbox.includes(t.subject, r)]
+        if b == x:
+            out += [(a, t.bound()) for t in lab if f.rbox.includes(t.subject, inv(r))]
+    return sorted(out, key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
+
+
+def scan_concept_clash(node):
+    label = sorted(node.label, key=triple_key)
+    for t in label:
+        if t.unary_clash:
+            return Clash(t.unary_clash, node.id, (t,))
+    for i, t1 in enumerate(label):
+        for t2 in label[i + 1:]:
+            if t1.subject == t2.subject and conjugates(t1.bound(), t2.bound()):
+                return Clash("conjugated-pair", node.id, (t1, t2))
+    return None
+
+
+def scan_edge_clash(f):
+    for a, b in sorted({(min(k), max(k)) for k in f.edges}):
+        clash = _pair_clash(f, a, b)
+        if clash:
+            return clash
+    return None
+
+
+def check_indexes(f):
+    for node in f.ordered_nodes():
+        label = sorted(node.label, key=triple_key)
+        assert f.sorted_label(node) == label
+        for kind in KINDS:
+            assert node.of_kind(kind) == [t for t in label if t.kind == kind]
+        assert _concept_clash(f, node) == scan_concept_clash(node)
+        assert f.adjacent[node.id] == {k for k in f.edges if node.id in k}
+        for r in (S, inv(S), R, inv(R)):
+            assert f.neighbour_bounds(node.id, r) == scan_neighbour_bounds(f, node.id, r)
+    assert _edge_clash(f) == scan_edge_clash(f)
+
+
+def small_forest():
+    rbox = hierarchy_closure(RBox(transitive={"r"}, inclusions={(S, R)}))
+    f = Forest("shin", rbox, Budget(10**6))
+    a, b, c = (f.new_node(is_root=True, parent=None, root_name=n).id for n in "abc")
+    return f, a, b, c
+
+
+def test_index_invariants_under_every_mutation():
+    f, a, b, c = small_forest()
+    check_indexes(f)
+    for t in (
+        Triple(Name("B"), Ineq.LE, F(1, 2)),
+        Triple(Name("A"), Ineq.GE, F(3, 4)),
+        Triple(Exists(S, Name("A")), Ineq.GE, F(3, 5)),
+        Triple(Forall(R, Not(Name("B"))), Ineq.GE, F(1, 2)),
+        Triple(AtLeast(2, S), Ineq.GE, F(7, 10)),
+        Triple(Name("A"), Ineq.LE, F(4, 5)),
+    ):
+        f.add_triple(a, t, "test")
+        check_indexes(f)
+    assert not f.nodes[a].may_clash
+    f.add_triple(c, Triple(Name("A"), Ineq.LT, F(1, 2)), "test")
+    f.add_triple(c, Triple(Name("A"), Ineq.GE, F(1, 2)), "test")
+    assert f.nodes[c].may_clash
+    check_indexes(f)
+
+    f.union_edge(a, b, {Triple(S, Ineq.GE, F(9, 10))})
+    f.union_edge(b, a, {Triple(inv(S), Ineq.GE, F(1, 2))})  # joins edge (a, b)
+    f.union_edge(c, a, {Triple(R, Ineq.GE, F(4, 5))})
+    check_indexes(f)
+    f.union_edge(a, c, {Triple(inv(R), Ineq.LT, F(1, 2))})  # edge clash
+    assert _edge_clash(f) is not None
+    check_indexes(f)
+
+    _generate_node(f, a, Triple(S, Ineq.GE, F(3, 5)), Triple(Name("A"), Ineq.GE, F(3, 5)), "test")
+    check_indexes(f)
+    assert _rule_atleast(f, f.blocking())
+    check_indexes(f)
+    y, z = sorted(i for i, n in f.nodes.items() if n.parent == a)[-2:]
+    f.neq.clear()
+    _apply_merge(f, a, y, z)
+    check_indexes(f)
+
+    g = f.clone()
+    check_indexes(g)
+    g.add_triple(z, Triple(Name("B"), Ineq.GT, F(1, 5)), "test")
+    g.add_triple(z, Triple(Or(Name("A"), Name("B")), Ineq.GE, F(1, 5)), "test")
+    g.union_edge(z, b, {Triple(S, Ineq.GE, F(1, 4))})
+    _generate_node(g, b, Triple(R, Ineq.GE, F(1, 2)), Triple(Name("B"), Ineq.GE, F(1, 2)), "test")
+    check_indexes(g)
+    check_indexes(f)
+    assert len(g.nodes) == len(f.nodes) + 1
+    assert f.sorted_label(f.nodes[z]) != g.sorted_label(g.nodes[z])
+
+    _apply_root_merge(f, a, c, b)
+    assert f.nodes[c].label == set() and f.adjacent[c] == set()
+    check_indexes(f)
+    f.add_triple(b, Triple(Name("B"), Ineq.GE, F(1, 4)), "test")
+    check_indexes(f)
+    check_indexes(g)
+
+
+def test_node_built_with_a_label_is_indexed():
+    label = {
+        Triple(Name("A"), Ineq.GE, F(1, 2)),
+        Triple(Name("A"), Ineq.LE, F(1, 4)),
+        Triple(TOP, Ineq.GE, ONE),
+    }
+    node = Node(0, set(label), is_root=True)
+    assert node.ordered == sorted(label, key=triple_key)
+    assert node.may_clash
+    assert node.copy().ordered == node.ordered
