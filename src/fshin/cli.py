@@ -7,9 +7,9 @@ import sys
 from typing import Optional
 
 from . import services
-from .degrees import ONE, ZERO, format_degree, to_degree
+from .degrees import format_degree
 from .kb import FuzzyKB
-from .parser import ParseError, parse_concept, parse_kb, parse_query
+from .parser import ParseError, parse_concept, parse_degree, parse_kb, parse_query
 from .tableau import ResourceLimit
 
 EXIT_YES = 0
@@ -83,9 +83,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb) if args.kb else FuzzyKB()
     concept = parse_concept(args.concept)
     if args.degree is not None:
-        n = to_degree(args.degree)
-        if not ZERO <= n <= ONE:
-            raise ParseError("degree must lie in [0, 1]", None)
+        n = parse_degree(args.degree)
         ok = services.n_satisfiable(concept, n, kb, args.mode, args.budget_nodes)
     else:
         ok = services.satisfiable(concept, kb, args.mode, args.budget_nodes)
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["auto", "si", "shin", "gci"], default="auto")
         p.add_argument("--budget-nodes", type=int, default=services.DEFAULT_BUDGET)
         p.add_argument("--oracle", action="store_true", help="cross-check with the model-search oracle")
-        p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("check", help="decide ABox consistency")

@@ -281,16 +281,21 @@ class Diagnostic:
     message: str
 
 
+def uses_shin_features(kb: FuzzyKB) -> bool:
+    """Whether kb has role inclusions, inequality assertions or number
+    restrictions, which SI mode cannot handle."""
+    if kb.rbox.inclusions or kb.abox.inequalities:
+        return True
+    return any(
+        isinstance(d, (AtLeast, AtMost)) for c in kb.concepts() for d in subconcepts(c)
+    )
+
+
 def detect_mode(kb: FuzzyKB) -> str:
     """auto mode resolution: gci > shin > si."""
     if not kb.tbox.is_unfoldable():
         return "gci"
-    if kb.rbox.inclusions or kb.abox.inequalities:
-        return "shin"
-    for c in kb.concepts():
-        if any(isinstance(d, (AtLeast, AtMost)) for d in subconcepts(c)):
-            return "shin"
-    return "si"
+    return "shin" if uses_shin_features(kb) else "si"
 
 
 def non_simple_restrictions(kb: FuzzyKB, rbox: RBox) -> list[Concept]:
@@ -321,16 +326,6 @@ def validate(kb: FuzzyKB) -> list[Diagnostic]:
     return out
 
 
-@dataclass(frozen=True)
-class RelativeDegrees:
-    """The relative membership degree set for the GCI technique."""
-
-    xs: tuple[Degree, ...]
-
-    def __iter__(self) -> Iterator[Degree]:
-        return iter(self.xs)
-
-
 def compute_ell(degrees: Iterable[Degree]) -> Degree:
     """Half the minimum positive gap among the degrees, their complements,
     and {0, 1/2, 1}; small enough to preserve all strict/non-strict
@@ -344,9 +339,10 @@ def compute_ell(degrees: Iterable[Degree]) -> Degree:
     return gap / 2
 
 
-def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, RelativeDegrees]:
+def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, tuple[Degree, ...]]:
     """Strict bounds become non-strict shifted by ell; the relative degree
-    set collects {0, 1/2, 1} plus every normalized degree and complement."""
+    set, returned sorted, collects {0, 1/2, 1} plus every normalized degree
+    and complement."""
 
     def norm(b: SignedBound) -> SignedBound:
         if b.ineq is Ineq.GT:
@@ -364,4 +360,4 @@ def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, RelativeDegrees]:
     for d in out.degrees():
         pool.add(d)
         pool.add(neg_lukasiewicz(d))
-    return out, RelativeDegrees(tuple(sorted(pool)))
+    return out, tuple(sorted(pool))

@@ -136,6 +136,10 @@ def tokenize(text: str) -> list[Token]:
 
 _CMP = {">=": Ineq.GE, ">": Ineq.GT, "<=": Ineq.LE, "<": Ineq.LT}
 
+# int() refuses digits other than 0-9 in some scripts (isdigit() accepts
+# "²") and numerals longer than sys.get_int_max_str_digits()
+_NUMERAL_ERROR = "numeral is too long or uses digits other than 0-9"
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -169,21 +173,32 @@ class _Parser:
 
     def degree(self) -> Degree:
         tok = self.peek()
-        if tok.kind == "decimal":
-            self.next()
-            value = Fraction(tok.text)
-        elif tok.kind == "int":
-            self.next()
-            value = Fraction(int(tok.text))
-            if self.at("sym", "/"):
+        try:
+            if tok.kind == "decimal":
                 self.next()
-                den = self.expect("int")
-                value = value / int(den.text)
-        else:
-            raise self.fail("expected a degree")
+                value = Fraction(tok.text)
+            elif tok.kind == "int":
+                self.next()
+                value = Fraction(self.integer(tok))
+                if self.at("sym", "/"):
+                    self.next()
+                    value = value / self.integer(self.expect("int"))
+            else:
+                raise self.fail("expected a degree")
+        except ZeroDivisionError:
+            raise ParseError("degree has a zero denominator", tok.span) from None
+        except ValueError:
+            raise ParseError(_NUMERAL_ERROR, tok.span) from None
         if not ZERO <= value <= ONE:
             raise ParseError(f"degree {format_degree(value)} outside [0,1]", tok.span)
         return value
+
+    @staticmethod
+    def integer(tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(_NUMERAL_ERROR, tok.span) from None
 
     def role(self) -> Role:
         name = self.expect("name")
@@ -235,11 +250,9 @@ class _Parser:
             return inner
         if tok.kind == "sym" and tok.text in (">=", "<="):
             self.next()
-            count = self.expect("int")
+            count = self.integer(self.expect("int"))
             role = self.role()
-            if tok.text == ">=":
-                return AtLeast(int(count.text), role)
-            return AtMost(int(count.text), role)
+            return AtLeast(count, role) if tok.text == ">=" else AtMost(count, role)
         raise self.fail(f"expected a concept, found {tok.text or 'end of input'!r}")
 
     def bounds(self) -> list[SignedBound]:
@@ -325,6 +338,15 @@ class _Parser:
 
 def parse_kb(text: str) -> FuzzyKB:
     return _Parser(text).kb()
+
+
+def parse_degree(text: str) -> Degree:
+    """A degree in [0, 1] written as in a .fkb file: decimal, integer or
+    p/q."""
+    p = _Parser(text)
+    d = p.degree()
+    p.expect("eof")
+    return d
 
 
 def parse_concept(text: str) -> Concept:

@@ -29,8 +29,9 @@ from .kb import (
     non_simple_restrictions,
     normalize_for_gci,
     unfold,
+    uses_shin_features,
 )
-from .syntax import AtLeast, AtMost, Concept, Name, Role, nnf, subconcepts
+from .syntax import Concept, Name, Role, nnf
 from .tableau import (
     Budget,
     Forest,
@@ -58,17 +59,9 @@ class Prepared:
     ell: Optional[Degree]
 
 
-def _needs_shin(kb: FuzzyKB) -> bool:
-    if kb.rbox.inclusions or kb.abox.inequalities:
-        return True
-    return any(
-        isinstance(d, (AtLeast, AtMost)) for c in kb.concepts() for d in subconcepts(c)
-    )
-
-
 def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
     resolved = detect_mode(kb) if mode == "auto" else mode
-    if mode == "si" and _needs_shin(kb):
+    if mode == "si" and uses_shin_features(kb):
         raise ModeError(
             "mode 'si' cannot handle number restrictions, role inclusions, "
             "or inequality assertions"
@@ -100,7 +93,7 @@ def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
         )
         ell = compute_ell(abox.degrees())
         abox, xa = normalize_for_gci(abox, ell)
-        return Prepared("gci", abox, rbox, None, tuple(gcis), tuple(xa), ell)
+        return Prepared("gci", abox, rbox, None, tuple(gcis), xa, ell)
     unfolded = unfold(kb.tbox)
     abox = ABox(
         [

@@ -30,6 +30,38 @@ These hold because labels only grow, except that a root merge empties the
 merged node (Node.clear); edges change only through set_edge, pop_edge and
 union_edge; and node ids are handed out in increasing order and never
 removed.  clone copies the mutable indexes and shares the rest.
+
+Settled nodes.  Each scan over the nodes (the deterministic rules as one
+group in node-major order, each generator, the two merge passes, the
+disjunction and inclusion splits, and the counting clash) goes through
+_first, which skips the nodes it has already found nothing to do at:
+
+- stamp: Node.stamp is bumped by Node.add and Node.clear, and at both ends
+  of an edge by Forest._edge_changed, so it changes whenever the node's
+  label or an edge at it changes;
+- settled: Forest.settled[group][x] is the key (stamp, blocking status,
+  extra) that node x had when the group last found nothing to do at x;
+  extra is len(neq) for the counting clash and None for the rest.  A node
+  whose key is unchanged still has nothing to do, so it is skipped, and
+  the first (node, rule) found is the one a full scan would find.
+
+A group's result at x depends on x's label, the edges at x, x's blocking
+status and, beyond those, only on the labels and parents of x's
+neighbours, the neq pairs and the merged map.  These others can only
+switch a group off at x, never on:
+
+- a neighbour's label only grows, and a grown label only satisfies a
+  propagation, a witness or a split that was missing; the one label that
+  empties, a root merged away by Node.clear, first loses every edge, so
+  each former neighbour is re-stamped;
+- neq and merged only grow, and a new distinct pair only rules out a
+  merge pair or satisfies an at-least, and a merged node takes no more
+  inclusion splits; a new distinct pair can make a counting clash appear,
+  which is why that group keys on len(neq);
+- a neighbour's parent changes only when its root parent is merged into
+  another root, which re-links the neighbour's edge and so re-stamps x
+  when x is either root; whether one non-root neighbour is an ancestor of
+  another never changes, since only children of roots are re-parented.
 """
 
 from __future__ import annotations
@@ -205,9 +237,12 @@ class Node:
     # kind -> triples of that kind in canonical order; rebuilt on first read
     # after a change, never changed in place, so copies may share it
     _kinds: Optional[dict[str, list[Triple]]] = field(init=False, repr=False, compare=False)
+    # bumped whenever the label or an edge at the node changes
+    stamp: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         given = self.label
+        self.stamp = 0
         self.clear()
         for t in given:
             self.add(t)
@@ -226,6 +261,7 @@ class Node:
     def add(self, t: Triple) -> None:
         self.label.add(t)
         self._kinds = None
+        self.stamp += 1
         ordered = self.ordered
         insort(ordered, t, key=triple_key)
         if self.may_clash:
@@ -250,12 +286,13 @@ class Node:
         self.ordered = []
         self.may_clash = False
         self._kinds = None
+        self.stamp += 1
 
     def copy(self) -> "Node":
         n = Node.__new__(Node)
         n.id, n.is_root, n.parent, n.root_name = self.id, self.is_root, self.parent, self.root_name
         n.label, n.ordered = set(self.label), list(self.ordered)
-        n.may_clash, n._kinds = self.may_clash, self._kinds
+        n.may_clash, n._kinds, n.stamp = self.may_clash, self._kinds, self.stamp
         return n
 
 
@@ -329,6 +366,9 @@ class Forest:
         self.next_id = 0
         # direct-block map from the previous scan, for block/unblock tracing
         self._last_blocks: dict[int, int] = {}
+        # scan group -> node id -> the node's key when the group last found
+        # nothing to do there (see _first)
+        self.settled: dict[object, dict[int, tuple]] = {}
         # the inclusion split's triples (lhs <= n - ell, rhs >= n) in scan order
         self.gci_splits: tuple[tuple[int, Degree, Triple, Triple], ...] = tuple(
             (idx, n, Triple(lhs, Ineq.LE, n - ell), Triple(rhs, Ineq.GE, n))
@@ -359,6 +399,7 @@ class Forest:
         g.neq = set(self.neq)
         g.merged = dict(self.merged)
         g._last_blocks = dict(self._last_blocks)
+        g.settled = {group: dict(keys) for group, keys in self.settled.items()}
         return g
 
     # --- basic accessors ---
@@ -417,6 +458,8 @@ class Forest:
         return triples
 
     def _edge_changed(self, a: int, b: int) -> None:
+        self.nodes[a].stamp += 1
+        self.nodes[b].stamp += 1
         self._neighbours.pop(a, None)
         self._neighbours.pop(b, None)
         pair = (min(a, b), max(a, b))
@@ -642,7 +685,7 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
     return False
 
 
-def _counting_clash(f: Forest, node: Node) -> Optional[Clash]:
+def _counting_clash(f: Forest, status, node: Node) -> Optional[Clash]:
     for t in node.of_kind("count"):
         c = t.subject
         if isinstance(c, AtMost) and t.ineq.positive:
@@ -663,7 +706,7 @@ def _counting_clash(f: Forest, node: Node) -> Optional[Clash]:
     return None
 
 
-def find_clash(f: Forest) -> Optional[Clash]:
+def find_clash(f: Forest, status: dict[int, tuple[str, Optional[int]]]) -> Optional[Clash]:
     for pair in f.neq:
         if len(pair) == 1:
             return Clash("distinct-self", next(iter(pair)), ())
@@ -675,10 +718,26 @@ def find_clash(f: Forest) -> Optional[Clash]:
     if clash:
         return clash
     if f.mode in ("shin", "gci"):
-        for node in f.ordered_nodes():
-            clash = _counting_clash(f, node)
-            if clash:
-                return clash
+        # a new distinct pair can complete a counting clash
+        return _first(f, _counting_clash, status, len(f.neq))
+    return None
+
+
+def _first(f: Forest, at, status, extra=None):
+    """The first truthy at(f, status, node), oldest node first.
+
+    Skips each node whose key (stamp, blocking status, extra) is the one
+    recorded when `at` last gave nothing there, and records the key of each
+    node it passes; `at` must change nothing when it gives nothing."""
+    settled = f.settled.setdefault(at, {})
+    # no copy of the node list: `at` adds nodes only when it gives a result
+    for node in f.nodes.values():
+        key = (node.stamp, status[node.id][0], extra)
+        if settled.get(node.id) != key:
+            out = at(f, status, node)
+            if out:
+                return out
+            settled[node.id] = key
     return None
 
 
@@ -759,37 +818,35 @@ def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) ->
     f.trace.append(("new-node", rule, x, y.id, edge, label))
 
 
-def _rule_exists_pos(f: Forest, status) -> bool:
-    for node in f.ordered_nodes():
-        if status[node.id][0] != UNBLOCKED:
+def _rule_exists_pos(f: Forest, status, node: Node) -> bool:
+    if status[node.id][0] != UNBLOCKED:
+        return False
+    for t in node.of_kind("exists+"):
+        c, derived = t.subject, t.parts[0]
+        if f.has_exact_neighbour(node.id, c.role, t.bound(), derived):
             continue
-        for t in node.of_kind("exists+"):
-            c, derived = t.subject, t.parts[0]
-            if f.has_exact_neighbour(node.id, c.role, t.bound(), derived):
-                continue
-            f.budget.charge()
-            _generate_node(f, node.id, Triple(c.role, t.ineq, t.degree), derived, "exists-pos")
-            return True
+        f.budget.charge()
+        _generate_node(f, node.id, Triple(c.role, t.ineq, t.degree), derived, "exists-pos")
+        return True
     return False
 
 
-def _rule_forall_neg(f: Forest, status) -> bool:
-    for node in f.ordered_nodes():
-        if status[node.id][0] != UNBLOCKED:
+def _rule_forall_neg(f: Forest, status, node: Node) -> bool:
+    if status[node.id][0] != UNBLOCKED:
+        return False
+    for t in node.of_kind("forall-"):
+        c, edge_bound, derived = t.subject, t.reflected, t.parts[0]
+        if f.has_exact_neighbour(node.id, c.role, edge_bound, derived):
             continue
-        for t in node.of_kind("forall-"):
-            c, edge_bound, derived = t.subject, t.reflected, t.parts[0]
-            if f.has_exact_neighbour(node.id, c.role, edge_bound, derived):
-                continue
-            f.budget.charge()
-            _generate_node(
-                f,
-                node.id,
-                Triple(c.role, edge_bound.ineq, edge_bound.degree),
-                derived,
-                "forall-neg",
-            )
-            return True
+        f.budget.charge()
+        _generate_node(
+            f,
+            node.id,
+            Triple(c.role, edge_bound.ineq, edge_bound.degree),
+            derived,
+            "forall-neg",
+        )
+        return True
     return False
 
 
@@ -805,27 +862,24 @@ def _atleast_instances(f: Forest, node: Node) -> Iterator[tuple[Triple, AtLeast,
             yield t, synth, t.reflected, "atmost-neg"
 
 
-def _rule_atleast(f: Forest, status) -> bool:
-    if f.mode not in ("shin", "gci"):
+def _rule_atleast(f: Forest, status, node: Node) -> bool:
+    if f.mode not in ("shin", "gci") or status[node.id][0] != UNBLOCKED:
         return False
-    for node in f.ordered_nodes():
-        if status[node.id][0] != UNBLOCKED:
+    for _, c, bound, rule in _atleast_instances(f, node):
+        members = [y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound]
+        members = sorted(set(members))
+        if _has_pairwise_distinct(f, members, c.count):
             continue
-        for _, c, bound, rule in _atleast_instances(f, node):
-            members = [y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound]
-            members = sorted(set(members))
-            if _has_pairwise_distinct(f, members, c.count):
-                continue
-            created = []
-            for _ in range(c.count):
-                f.budget.charge()
-                y = f.new_node(is_root=False, parent=node.id)
-                f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
-                created.append(y.id)
-            for u, v in itertools.combinations(created, 2):
-                f.neq.add(frozenset((u, v)))
-            f.trace.append(("new-nodes", rule, node.id, tuple(created)))
-            return True
+        created = []
+        for _ in range(c.count):
+            f.budget.charge()
+            y = f.new_node(is_root=False, parent=node.id)
+            f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
+            created.append(y.id)
+        for u, v in itertools.combinations(created, 2):
+            f.neq.add(frozenset((u, v)))
+        f.trace.append(("new-nodes", rule, node.id, tuple(created)))
+        return True
     return False
 
 
@@ -869,21 +923,23 @@ def _merge_pairs(
     return out
 
 
-def _merge_choice(f: Forest, status) -> Optional[ChoicePoint]:
-    for roots_only in (False, True):
-        for node in f.ordered_nodes():
-            if status[node.id][0] == INDIRECT:
-                continue
-            for c, bound, rule in _atmost_instances(f, node):
-                probe = SignedBound(reflect(bound.ineq), neg_lukasiewicz(bound.degree))
-                members = f.conjugated_neighbours(node.id, c.role, probe)
-                if len(members) <= c.count:
-                    continue
-                pairs = _merge_pairs(f, node.id, members, roots_only)
-                if pairs:
-                    name = rule + ("-roots" if roots_only else "")
-                    return ChoicePoint(name, node.id, (c, bound), tuple(pairs))
+def _merge_at(f: Forest, status, node: Node, roots_only: bool = False) -> Optional[ChoicePoint]:
+    if status[node.id][0] == INDIRECT:
+        return None
+    for c, bound, rule in _atmost_instances(f, node):
+        probe = SignedBound(reflect(bound.ineq), neg_lukasiewicz(bound.degree))
+        members = f.conjugated_neighbours(node.id, c.role, probe)
+        if len(members) <= c.count:
+            continue
+        pairs = _merge_pairs(f, node.id, members, roots_only)
+        if pairs:
+            name = rule + ("-roots" if roots_only else "")
+            return ChoicePoint(name, node.id, (c, bound), tuple(pairs))
     return None
+
+
+def _merge_roots_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
+    return _merge_at(f, status, node, roots_only=True)
 
 
 def _merge_labels(ynode: Node, znode: Node) -> None:
@@ -929,30 +985,26 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
 # --- nondeterministic concept choices ---
 
 
-def _split_choice(f: Forest, status) -> Optional[ChoicePoint]:
-    for node in f.ordered_nodes():
-        if status[node.id][0] == INDIRECT:
+def _split_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
+    if status[node.id][0] == INDIRECT:
+        return None
+    for t in node.of_kind("split"):
+        if any(part in node.label for part in t.parts):
             continue
-        for t in node.of_kind("split"):
-            if any(part in node.label for part in t.parts):
-                continue
-            alts = tuple(("add", node.id, part) for part in t.parts)
-            rule = "or-pos" if isinstance(t.subject, Or) else "and-neg"
-            return ChoicePoint(rule, node.id, t, alts)
+        alts = tuple(("add", node.id, part) for part in t.parts)
+        rule = "or-pos" if isinstance(t.subject, Or) else "and-neg"
+        return ChoicePoint(rule, node.id, t, alts)
     return None
 
 
-def _gci_choice(f: Forest, status) -> Optional[ChoicePoint]:
-    if not f.gcis:
+def _gci_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
+    if node.id in f.merged or status[node.id][0] == INDIRECT:
         return None
-    for node in f.ordered_nodes():
-        if node.id in f.merged or status[node.id][0] == INDIRECT:
+    for idx, n, t1, t2 in f.gci_splits:
+        if t1 in node.label or t2 in node.label:
             continue
-        for idx, n, t1, t2 in f.gci_splits:
-            if t1 in node.label or t2 in node.label:
-                continue
-            alts = (("add", node.id, t1), ("add", node.id, t2))
-            return ChoicePoint("gci", node.id, (idx, n), alts)
+        alts = (("add", node.id, t1), ("add", node.id, t2))
+        return ChoicePoint("gci", node.id, (idx, n), alts)
     return None
 
 
@@ -967,6 +1019,12 @@ _DETERMINISTIC = (
     _rule_forall_trans,
     _rule_exists_trans,
 )
+
+
+def _propagate(f: Forest, status, node: Node) -> bool:
+    """Apply the first deterministic rule that applies at the node."""
+    return any(rule(f, status, node) for rule in _DETERMINISTIC)
+
 
 _GENERATORS = (_rule_exists_pos, _rule_forall_neg, _rule_atleast)
 
@@ -985,24 +1043,20 @@ def expand(f: Forest) -> ExpandResult:
         f.budget.charge()
         status = f.blocking()
         f._trace_block_changes(status)
-        clash = find_clash(f)
+        clash = find_clash(f, status)
         if clash:
             f.trace.append(("clash", clash))
             return ExpandResult("clash", clash=clash)
         # node-major: exhaust one node's propagations before the next node's
-        if any(
-            rule(f, status, node)
-            for node in f.ordered_nodes()
-            for rule in _DETERMINISTIC
-        ):
+        if _first(f, _propagate, status):
             continue
         if f.mode in ("shin", "gci"):
-            cp = _merge_choice(f, status)
+            cp = _first(f, _merge_at, status) or _first(f, _merge_roots_at, status)
             if cp:
                 return ExpandResult("choice", choice=cp)
-        if any(rule(f, status) for rule in _GENERATORS):
+        if any(_first(f, rule, status) for rule in _GENERATORS):
             continue
-        cp = _split_choice(f, status) or _gci_choice(f, status)
+        cp = _first(f, _split_at, status) or (f.gcis and _first(f, _gci_at, status))
         if cp:
             return ExpandResult("choice", choice=cp)
         return ExpandResult("complete")
@@ -1166,7 +1220,7 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
     non-blocked nodes.  Returns human-readable violations (empty = pass)."""
     out: list[str] = []
     status = f.blocking()
-    clash = find_clash(f)
+    clash = find_clash(f, status)
     if clash:
         out.append(f"clash present: {clash}")
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fshin
 from fshin.cli import main
@@ -162,3 +168,92 @@ def test_deep_nesting_exit_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error: input nested too deeply\n"
     assert "Traceback" not in err
+
+
+# longer than Python's default limit of 4300 digits for int() of a string
+LONG = "1" * 5000
+
+BAD_KB_DEGREES = {
+    "zero-denominator": "assert a : A >= 1/0.\n",
+    "long-decimal": f"assert a : A >= 0.{LONG}.\n",
+    "long-denominator": f"assert a : A >= 1/{LONG}.\n",
+    "long-count": f"assert a : >= {LONG} r >= 0.5.\n",
+    "superscript-count": "assert a : >= \u00b2 r >= 0.5.\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_KB_DEGREES.values(), ids=BAD_KB_DEGREES.keys())
+def test_bad_numeral_in_kb_exit_2(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(["check", "-"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1:") and err.count("\n") == 1
+
+
+BAD_SAT_DEGREES = {"word": "abc", "zero-denominator": "1/0", "long": LONG, "above-one": "2"}
+
+
+@pytest.mark.parametrize("degree", BAD_SAT_DEGREES.values(), ids=BAD_SAT_DEGREES.keys())
+def test_bad_sat_degree_exit_2(capsys, degree):
+    code, out, err = run(["sat", "--concept", "A", "--degree", degree], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- fuzzing the command line ---
+
+NUMERALS = ["0", "1", "2", "0.5", "0.25", "3/4", "1/0", "0/0", "7/2", LONG, "0." + LONG]
+WORDS = [
+    "assert", "implies", "define", "subsumed-by", "equiv", "trans", "subrole",
+    "distinct", "top", "bottom", "not", "and", "or", "some", "all",
+    "a", "b", "A", "B", "r", "s", "r-", "s-", ":", ".", ",", "(", ")",
+    ">=", "<=", ">", "<", "=", "-", "/", "#", "\n",
+] + NUMERALS
+
+names = st.sampled_from(["A", "B", "C"])
+roles = st.sampled_from(["r", "s", "r-", "s-"])
+degrees = st.sampled_from(NUMERALS)
+concepts = st.recursive(
+    names | st.sampled_from(["top", "bottom"]),
+    lambda inner: st.one_of(
+        st.builds("not {}".format, inner),
+        st.builds("({} and {})".format, inner, inner),
+        st.builds("({} or {})".format, inner, inner),
+        st.builds("some {}.{}".format, roles, inner),
+        st.builds("all {}.{}".format, roles, inner),
+        st.builds("({} {} {})".format, st.sampled_from([">=", "<="]), st.integers(0, 3), roles),
+        st.builds("{}{}".format, st.sampled_from(["not " * 20, "not not "]), inner),
+    ),
+    max_leaves=6,
+)
+cmps = st.sampled_from([">=", ">", "<=", "<", "="])
+statements = st.one_of(
+    st.builds("assert {} : {} {} {}.".format, st.sampled_from("ab"), concepts, cmps, degrees),
+    st.builds("assert ({}, {}): {} {} {}.".format, st.sampled_from("ab"), st.sampled_from("ab"), roles, cmps, degrees),
+    st.builds("implies {} {}.".format, concepts, concepts),
+    st.builds("define {} {} {}.".format, names, st.sampled_from(["equiv", "subsumed-by"]), concepts),
+    st.builds("trans {}.".format, roles),
+    st.builds("subrole {} {}.".format, roles, roles),
+    st.just("distinct a b."),
+)
+kb_texts = st.one_of(
+    st.lists(statements, max_size=5).map("\n".join),
+    st.lists(st.sampled_from(WORDS), max_size=25).map(" ".join),
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kb_texts, st.sampled_from(["check", "dump-forest"]))
+def test_cli_fuzz_exits_with_a_code(text, command):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-", "--budget-nodes", "2000"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

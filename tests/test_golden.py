@@ -16,6 +16,7 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from fshin.parser import parse_kb
@@ -71,6 +72,59 @@ EXTRA = {
 }
 
 
+# the shapes of the benchmark workloads, rebuilt here from fixed seeds
+
+CHAIN_SIZES = (10, 30, 60)
+
+
+def chain_text(rng: random.Random, n: int, planted: bool) -> str:
+    """A chain a0 -> ... -> a(n-1) over transitive r and its subrole s, with
+    `all r.A` at the head, `some r-.(not A)` at the tail and `<= 1 s` in
+    the middle; planted adds `A < 3/10` at the tail, which the universal
+    contradicts along the chain."""
+
+    def grid(lo: int) -> Fraction:
+        return Fraction(rng.randint(lo, 20), 20)
+
+    lines = ["trans r.", "subrole s r."]
+    for i in range(n - 1):
+        lines.append(f"assert (a{i}, a{i + 1}): {rng.choice('rs')} >= {grid(11)}.")
+    lines.append(f"assert a0 : all r.A >= {grid(12)}.")
+    lines.append(f"assert a{n - 1} : some r-.(not A) >= {grid(11)}.")
+    lines.append(f"assert a{n // 2} : <= 1 s >= {grid(1)}.")
+    if planted:
+        lines.append(f"assert a{n - 1} : A < 3/10.")
+    return "\n".join(lines) + "\n"
+
+
+GCI_AXIOMS = {
+    "exists": "implies C some r.C.",
+    "forall": "implies C all r.D.",
+    "back": "implies some r.C D.",
+}
+
+
+def gci_cells() -> dict[str, str]:
+    """Every cell of the cyclic-inclusion workload: `a : C >= p` under a set
+    of axioms, alone or with `D <= q` or `some r.C <= q`."""
+    quarter, half, one = Fraction(1, 4), Fraction(1, 2), Fraction(1)
+    out = {}
+    for p, axiom_sets in (
+        (half, (("exists",), ("exists", "forall"), ("exists", "back"), ("exists", "forall", "back"))),
+        (quarter, (("exists",), ("exists", "forall"))),
+    ):
+        for axioms in axiom_sets:
+            head = "".join(GCI_AXIOMS[ax] + "\n" for ax in axioms) + f"assert a : C >= {p}.\n"
+            name = f"cycle-{'+'.join(axioms)}-{p}"
+            out[name] = head
+            for subject in ("D", "some r.C"):
+                for q in (quarter, half, one):
+                    if subject == "D" and q < p and "back" not in axioms:
+                        continue
+                    out[f"{name}-{subject.split()[0]}-{q}"] = head + f"assert a : {subject} <= {q}.\n"
+    return out
+
+
 def corpus():
     """(name, FuzzyKB) pairs in a fixed order."""
     out = [("EXAMPLE1", parse_kb(EXAMPLE1)), ("BLOCKING", parse_kb(BLOCKING)), ("GCI", parse_kb(GCI))]
@@ -79,6 +133,13 @@ def corpus():
     out += [(f"alc-{i}", random_alc_kb(rng)) for i in range(RANDOM_KBS)]
     rng = random.Random(1002)
     out += [(f"shin-{i}", random_shin_kb(rng)) for i in range(RANDOM_KBS)]
+    rng = random.Random(1003)
+    out += [
+        (f"chain-{n}" + ("-planted" if planted else ""), parse_kb(chain_text(rng, n, planted)))
+        for n in CHAIN_SIZES
+        for planted in (False, True)
+    ]
+    out += [(name, parse_kb(text)) for name, text in gci_cells().items()]
     return out
 
 

@@ -131,3 +131,4 @@ def test_normalize_for_gci():
         Fraction(0), Fraction(9, 20), Fraction(11, 20), Fraction(1, 2), Fraction(1)
     }
     assert expected <= set(xa)
+    assert xa == tuple(sorted(set(xa)))

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fshin import tableau
 from fshin.degrees import INEQ_ORDER, ONE, Ineq, conjugates
 from fshin.kb import RBox, hierarchy_closure
 from fshin.oracle import satisfies_kb
 from fshin.parser import parse_kb
-from fshin.services import consistency
+from fshin.services import consistency, prepare
 from fshin.syntax import TOP, AtLeast, Exists, Forall, Name, Not, Or, Role, inv
 from fshin.tableau import (
     Budget,
@@ -18,14 +20,26 @@ from fshin.tableau import (
     _apply_merge,
     _apply_root_merge,
     _concept_clash,
+    _counting_clash,
     _edge_clash,
+    _gci_at,
     _generate_node,
+    _merge_at,
+    _merge_roots_at,
     _pair_clash,
+    _propagate,
     _rule_atleast,
+    _rule_exists_pos,
+    _rule_forall_neg,
+    _split_at,
     audit_properties,
     extract_model,
+    init_forest,
+    solve,
     triple_key,
 )
+
+from test_golden import corpus
 
 
 def run(text, mode="auto", budget=10**6):
@@ -318,7 +332,7 @@ def test_index_invariants_under_every_mutation():
 
     _generate_node(f, a, Triple(S, Ineq.GE, F(3, 5)), Triple(Name("A"), Ineq.GE, F(3, 5)), "test")
     check_indexes(f)
-    assert _rule_atleast(f, f.blocking())
+    assert _rule_atleast(f, f.blocking(), f.nodes[a])
     check_indexes(f)
     y, z = sorted(i for i, n in f.nodes.items() if n.parent == a)[-2:]
     f.neq.clear()
@@ -354,3 +368,62 @@ def test_node_built_with_a_label_is_indexed():
     assert node.ordered == sorted(label, key=triple_key)
     assert node.may_clash
     assert node.copy().ordered == node.ordered
+
+
+# --- settled-node memo ---
+
+SETTLED_GROUPS = (
+    _counting_clash, _propagate, _merge_at, _merge_roots_at, _rule_exists_pos,
+    _rule_forall_neg, _rule_atleast, _split_at, _gci_at,
+)
+
+# root merges of roots that already have generated children, which are
+# re-parented, and a generated successor merged before a root merge
+ROOT_MERGE_KBS = (
+    "assert (a,b): s >= 0.9.\nassert (a,c): s >= 0.9.\nassert b : some s.A >= 0.6.\n"
+    "assert c : some s.B >= 0.6.\nassert a : (<= 1 s) or bottom >= 0.8.\n",
+    "assert (a,b): s >= 0.9.\nassert (a,c): s >= 0.9.\nassert b : some s.A >= 0.6.\n"
+    "assert c : all s.(not A) >= 0.7.\nassert a : (<= 1 s) or bottom >= 0.8.\n",
+    "assert (a,b): s >= 0.9.\nassert (c,b): s >= 0.9.\nassert b : some s-.(>= 2 s) >= 0.6.\n"
+    "assert a : A or B >= 0.5.\nassert b : (<= 1 s-) or bottom >= 0.8.\n",
+)
+
+
+def check_settled(f, status, checked):
+    """Reference for the memo: at every node whose key is the one its group
+    recorded, the group itself, run un-memoised on a clone with a budget and
+    trace of its own, finds nothing to do."""
+    g = f.clone()
+    g.budget, g.trace = Budget(10**9), []
+    for at, keys in f.settled.items():
+        extra = len(f.neq) if at is _counting_clash else None
+        for x, key in keys.items():
+            if key == (f.nodes[x].stamp, status[x][0], extra):
+                assert not at(g, status, g.nodes[x]), (at.__name__, x)
+                checked[at.__name__] += 1
+
+
+def test_settled_nodes_have_nothing_to_do(monkeypatch):
+    checked = Counter()
+    real_find_clash = tableau.find_clash
+
+    def find_clash(f, status):
+        # expand calls this once per iteration, right after blocking
+        check_settled(f, status, checked)
+        return real_find_clash(f, status)
+
+    monkeypatch.setattr(tableau, "find_clash", find_clash)
+    kbs = [kb for _, kb in corpus()] + [parse_kb(text) for text in ROOT_MERGE_KBS]
+    merged_roots = 0
+    for kb in kbs:
+        prepared = prepare(kb)
+        if prepared.mode not in ("shin", "gci"):
+            continue
+        f = init_forest(
+            prepared.abox, prepared.rbox, prepared.mode, budget=Budget(20_000),
+            gcis=prepared.gcis, xa=prepared.xa, ell=prepared.ell,
+        )
+        trace = solve(f).trace
+        merged_roots += sum(ev[0] == "merge-root" for ev in trace)
+    assert merged_roots >= 3
+    assert set(checked) == {at.__name__ for at in SETTLED_GROUPS}
