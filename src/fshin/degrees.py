@@ -1,4 +1,5 @@
-"""Exact degree arithmetic, fuzzy operators, inequality algebra, conjugation.
+"""Exact degree arithmetic, the Lukasiewicz complement, inequality algebra,
+conjugation.
 
 Degrees are exact rationals (fractions.Fraction).  Floating point is never
 used: whether two bounds conjugate can hinge on exact equality of degrees
@@ -64,19 +65,6 @@ def format_degree(d: Degree) -> str:
 def neg_lukasiewicz(d: Degree) -> Degree:
     """Lukasiewicz complement: 1 - d, exactly."""
     return ONE - d
-
-
-def tnorm_min(a: Degree, b: Degree) -> Degree:
-    return min(a, b)
-
-
-def tconorm_max(a: Degree, b: Degree) -> Degree:
-    return max(a, b)
-
-
-def impl_kd(a: Degree, b: Degree) -> Degree:
-    """Kleene-Dienes implication: max(1 - a, b)."""
-    return max(ONE - a, b)
 
 
 class Ineq(enum.Enum):

@@ -326,23 +326,27 @@ def validate(kb: FuzzyKB) -> list[Diagnostic]:
     return out
 
 
-def compute_ell(degrees: Iterable[Degree]) -> Degree:
-    """Half the minimum positive gap among the degrees, their complements,
-    and {0, 1/2, 1}; small enough to preserve all strict/non-strict
-    distinctions when strict bounds are shifted by it."""
+def relative_degrees(degrees: Iterable[Degree]) -> set[Degree]:
+    """{0, 1/2, 1} with every degree and its complement."""
     pool = {ZERO, HALF, ONE}
     for d in degrees:
         pool.add(d)
         pool.add(neg_lukasiewicz(d))
-    ordered = sorted(pool)
+    return pool
+
+
+def compute_ell(degrees: Iterable[Degree]) -> Degree:
+    """Half the minimum positive gap among the relative degrees; small
+    enough to preserve all strict/non-strict distinctions when strict
+    bounds are shifted by it."""
+    ordered = sorted(relative_degrees(degrees))
     gap = min(b - a for a, b in zip(ordered, ordered[1:]) if b > a)
     return gap / 2
 
 
 def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, tuple[Degree, ...]]:
-    """Strict bounds become non-strict shifted by ell; the relative degree
-    set, returned sorted, collects {0, 1/2, 1} plus every normalized degree
-    and complement."""
+    """Strict bounds become non-strict shifted by ell; also returns the
+    relative degrees of the normalized ABox, sorted."""
 
     def norm(b: SignedBound) -> SignedBound:
         if b.ineq is Ineq.GT:
@@ -356,8 +360,4 @@ def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, tuple[Degree, ...]
         [replace(ra, bound=norm(ra.bound)) for ra in abox.role_assertions],
         set(abox.inequalities),
     )
-    pool = {ZERO, HALF, ONE}
-    for d in out.degrees():
-        pool.add(d)
-        pool.add(neg_lukasiewicz(d))
-    return out, tuple(sorted(pool))
+    return out, tuple(sorted(relative_degrees(out.degrees())))

@@ -12,7 +12,6 @@ from .degrees import (
     ONE,
     SignedBound,
     ZERO,
-    neg_lukasiewicz,
     negate,
 )
 from .kb import (
@@ -28,6 +27,7 @@ from .kb import (
     hierarchy_closure,
     non_simple_restrictions,
     normalize_for_gci,
+    relative_degrees,
     unfold,
     uses_shin_features,
 )
@@ -199,14 +199,10 @@ class InconsistentKB(Exception):
 
 
 def _candidate_degrees(kb: FuzzyKB, mode: str) -> list[Degree]:
-    pool = {ZERO, HALF, ONE}
-    for d in kb.abox.degrees():
-        pool.add(d)
-        pool.add(neg_lukasiewicz(d))
+    pool = relative_degrees(kb.abox.degrees())
     if mode == "gci" or (mode == "auto" and detect_mode(kb) == "gci"):
-        prepared = prepare(kb, mode)
-        pool.update(prepared.xa)
-        pool.update(neg_lukasiewicz(d) for d in prepared.xa)
+        # the GCI degree set, which already holds each complement
+        pool.update(prepare(kb, mode).xa)
     return sorted(d for d in pool if ZERO <= d <= ONE)
 
 
@@ -215,14 +211,7 @@ def glb(
 ) -> Degree:
     """Greatest lower bound: the largest candidate degree n with
     KB |= query >= n.  Raises InconsistentKB when the KB has no model."""
-    if not consistency(kb, mode, budget).consistent:
-        raise InconsistentKB()
-    best = ZERO
-    for n in reversed(_candidate_degrees(kb, mode)):
-        if entails(kb, query, SignedBound(Ineq.GE, n), mode, budget):
-            best = n
-            break
-    return best
+    return _tightest_bound(kb, query, Ineq.GE, mode, budget)
 
 
 def lub(
@@ -230,14 +219,22 @@ def lub(
 ) -> Degree:
     """Least upper bound: the smallest candidate degree n with
     KB |= query <= n."""
+    return _tightest_bound(kb, query, Ineq.LE, mode, budget)
+
+
+def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, mode: str, budget: int) -> Degree:
+    """The first candidate n, largest first for >= and smallest first for
+    <=, with KB |= query <ineq> n."""
     if not consistency(kb, mode, budget).consistent:
         raise InconsistentKB()
-    best = ONE
-    for n in _candidate_degrees(kb, mode):
-        if entails(kb, query, SignedBound(Ineq.LE, n), mode, budget):
-            best = n
-            break
-    return best
+    candidates = _candidate_degrees(kb, mode)
+    if ineq.positive:
+        candidates.reverse()
+    for n in candidates:
+        if entails(kb, query, SignedBound(ineq, n), mode, budget):
+            return n
+    # not reached: the last candidate, 0 or 1, is a bound every KB entails
+    return candidates[-1]
 
 
 def subsumes(

@@ -10,7 +10,11 @@ Rule priority (fixed, deterministic): clash check, then negation pushing,
 then deterministic decompositions, then propagations, then merges, then
 generators, then the remaining nondeterministic splits.  Nodes are always
 scanned oldest-first and label sets in a canonical order, so identical
-input yields identical behaviour.
+input yields identical behaviour.  Each rule is written once: _propagate
+holds negation, decomposition and the table _PROPAGATIONS (universal,
+negated existential, and their transitive forms), _generate both witness
+generators, and _atmost_instances the at-most view that the merges, the
+counting clash and the audit read.
 
 The canonical order of triples is by subject text, then INEQ_ORDER, then
 degree (Triple.key).  The forest keeps its derived views current as it
@@ -198,6 +202,18 @@ class Triple:
         assert isinstance(self.subject, Role)
         return Triple(inv(self.subject), self.ineq, self.degree)
 
+    @cached_property
+    def atmost(self) -> Optional[tuple[AtMost, SignedBound, str]]:
+        """(at-most concept, probe, merge rule) when this triple caps its
+        neighbours (see _atmost_instances), else None."""
+        c = self.subject
+        if isinstance(c, AtMost) and self.ineq.positive:
+            return c, self.reflected, "atmost-merge"
+        # a negative (>= m R) caps at m - 1, so (>= 0 R) caps nothing
+        if isinstance(c, AtLeast) and self.ineq.negative and c.count >= 1:
+            return AtMost(c.count - 1, c.role), self._bound, "atleast-merge"
+        return None
+
     def __getstate__(self) -> dict:
         # the caches stay behind: a str hash differs between processes
         return {"subject": self.subject, "ineq": self.ineq, "degree": self.degree}
@@ -322,7 +338,6 @@ class Budget:
 class ChoicePoint:
     rule: str
     node: int
-    info: object
     alternatives: tuple  # each alternative is ("add", node, Triple) or
     #                      ("merge"/"merge_root", x, y, z)
 
@@ -414,14 +429,6 @@ class Forest:
         across a change to the label."""
         return node.ordered
 
-    def is_ancestor(self, a: int, x: int) -> bool:
-        cur = self.nodes[x].parent
-        while cur is not None:
-            if cur == a:
-                return True
-            cur = self.nodes[cur].parent
-        return False
-
     def ancestors(self, x: int) -> Iterator[int]:
         cur = self.nodes[x].parent
         while cur is not None:
@@ -508,11 +515,7 @@ class Forest:
     def conjugated_neighbours(self, x: int, r: Role, probe: SignedBound) -> list[int]:
         """The members of R^F_C(x, probe): r-neighbours whose connecting
         bound conjugates with the probe."""
-        out = []
-        for y, b in self.neighbour_bounds(x, r):
-            if y not in out and conjugates(b, probe):
-                out.append(y)
-        return sorted(out)
+        return sorted({y for y, b in self.neighbour_bounds(x, r) if conjugates(b, probe)})
 
     def has_exact_neighbour(self, x: int, r: Role, bound: SignedBound, required: Optional[Triple]) -> bool:
         for y, b in self.neighbour_bounds(x, r):
@@ -675,8 +678,16 @@ def _edge_clash(f: Forest) -> Optional[Clash]:
 
 
 def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
-    if k <= 0:
-        return True
+    """Whether k of the members are pairwise distinct under neq."""
+    if k <= 1:
+        return len(members) >= k
+    # each member of such a k-set has k - 1 distinct partners among the
+    # others, so a member with fewer can be dropped, and again until none is
+    kept = [
+        u for u in members if sum(u != v and frozenset((u, v)) in f.neq for v in members) >= k - 1
+    ]
+    if len(kept) < len(members):
+        return _has_pairwise_distinct(f, kept, k)
     if len(members) < k:
         return False
     for combo in itertools.combinations(members, k):
@@ -686,23 +697,20 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
 
 
 def _counting_clash(f: Forest, status, node: Node) -> Optional[Clash]:
+    # the count triples in label order, as _atmost_instances gives them, with
+    # a negative (>= 0 R), which caps nothing, tested in its place among them
     for t in node.of_kind("count"):
         c = t.subject
-        if isinstance(c, AtMost) and t.ineq.positive:
-            probe = t.reflected
-            members = f.conjugated_neighbours(node.id, c.role, probe)
-            if _has_pairwise_distinct(f, members, c.count + 1):
-                return Clash("at-most", node.id, (t,))
-        if isinstance(c, AtLeast) and t.ineq.negative:
-            if c.count == 0:
-                # (>= 0 R) is identically 1
-                if not t.ineq.holds(ONE, t.degree):
-                    return Clash("at-least", node.id, (t,))
-                continue
-            probe = SignedBound(t.ineq, t.degree)
-            members = f.conjugated_neighbours(node.id, c.role, probe)
-            if _has_pairwise_distinct(f, members, c.count):
+        if isinstance(c, AtLeast) and c.count == 0 and t.ineq.negative:
+            # (>= 0 R) is identically 1
+            if not t.ineq.holds(ONE, t.degree):
                 return Clash("at-least", node.id, (t,))
+        elif t.atmost:
+            cap, probe, _ = t.atmost
+            members = f.conjugated_neighbours(node.id, cap.role, probe)
+            if _has_pairwise_distinct(f, members, cap.count + 1):
+                kind = "at-most" if isinstance(c, AtMost) else "at-least"
+                return Clash(kind, node.id, (t,))
     return None
 
 
@@ -744,15 +752,27 @@ def _first(f: Forest, at, status, extra=None):
 # --- deterministic rules ---
 
 
-def _rule_negation(f: Forest, status, node: Node) -> bool:
+# the propagations in rule priority order: (triple kind, probe the connecting
+# bound must conjugate, over the transitive sub-roles?, trace name).  A
+# universal and a negated existential are one rule read through inequality
+# duality; the transitive forms pass the quantifier itself on along each
+# transitive sub-role.
+_reflected = attrgetter("reflected")
+_PROPAGATIONS = (
+    ("forall+", _reflected, False, "forall-pos"),
+    ("exists-", Triple.bound, False, "exists-neg"),
+    ("forall+", _reflected, True, "forall-trans"),
+    ("exists-", Triple.bound, True, "exists-trans"),
+)
+
+
+def _propagate(f: Forest, status, node: Node) -> bool:
+    """Apply the first deterministic rule that applies at the node:
+    negation, then decomposition, then the propagations."""
     for t in node.of_kind("not"):
         derived = t.parts[0]
         if derived not in node.label:
             return f.add_triple(node.id, derived, "negation")
-    return False
-
-
-def _rule_decompose(f: Forest, status, node: Node) -> bool:
     if status[node.id][0] == INDIRECT:
         return False
     for t in node.of_kind("decompose"):
@@ -760,54 +780,14 @@ def _rule_decompose(f: Forest, status, node: Node) -> bool:
             if derived not in node.label:
                 rule = "and-pos" if isinstance(t.subject, And) else "or-neg"
                 return f.add_triple(node.id, derived, rule)
-    return False
-
-
-def _rule_forall_pos(f: Forest, status, node: Node) -> bool:
-    if status[node.id][0] == INDIRECT:
-        return False
-    for t in node.of_kind("forall+"):
-        probe, derived = t.reflected, t.parts[0]
-        for y, b in f.neighbour_bounds(node.id, t.subject.role):
-            if conjugates(b, probe) and derived not in f.nodes[y].label:
-                return f.add_triple(y, derived, "forall-pos")
-    return False
-
-
-def _rule_exists_neg(f: Forest, status, node: Node) -> bool:
-    if status[node.id][0] == INDIRECT:
-        return False
-    for t in node.of_kind("exists-"):
-        probe, derived = t.bound(), t.parts[0]
-        for y, b in f.neighbour_bounds(node.id, t.subject.role):
-            if conjugates(b, probe) and derived not in f.nodes[y].label:
-                return f.add_triple(y, derived, "exists-neg")
-    return False
-
-
-def _rule_forall_trans(f: Forest, status, node: Node) -> bool:
-    if status[node.id][0] == INDIRECT:
-        return False
-    for t in node.of_kind("forall+"):
-        probe = t.reflected
-        for r in f.rbox.transitive_subroles(t.subject.role):
-            derived = t.over(r)
-            for y, b in f.neighbour_bounds(node.id, r):
-                if conjugates(b, probe) and derived not in f.nodes[y].label:
-                    return f.add_triple(y, derived, "forall-trans")
-    return False
-
-
-def _rule_exists_trans(f: Forest, status, node: Node) -> bool:
-    if status[node.id][0] == INDIRECT:
-        return False
-    for t in node.of_kind("exists-"):
-        probe = t.bound()
-        for r in f.rbox.transitive_subroles(t.subject.role):
-            derived = t.over(r)
-            for y, b in f.neighbour_bounds(node.id, r):
-                if conjugates(b, probe) and derived not in f.nodes[y].label:
-                    return f.add_triple(y, derived, "exists-trans")
+    for kind, probe_of, transitive, rule in _PROPAGATIONS:
+        for t in node.of_kind(kind):
+            probe, role = probe_of(t), t.subject.role
+            for r in f.rbox.transitive_subroles(role) if transitive else (role,):
+                derived = t.over(r) if transitive else t.parts[0]
+                for y, b in f.neighbour_bounds(node.id, r):
+                    if conjugates(b, probe) and derived not in f.nodes[y].label:
+                        return f.add_triple(y, derived, rule)
     return False
 
 
@@ -818,36 +798,30 @@ def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) ->
     f.trace.append(("new-node", rule, x, y.id, edge, label))
 
 
-def _rule_exists_pos(f: Forest, status, node: Node) -> bool:
+def _generate(f: Forest, status, node: Node, kind: str, edge_bound, rule: str) -> bool:
+    """Give the first triple of the kind that lacks one a witness: a new
+    successor whose edge carries edge_bound(triple) and whose label holds
+    the triple's body."""
     if status[node.id][0] != UNBLOCKED:
         return False
-    for t in node.of_kind("exists+"):
-        c, derived = t.subject, t.parts[0]
-        if f.has_exact_neighbour(node.id, c.role, t.bound(), derived):
+    for t in node.of_kind(kind):
+        c, bound, derived = t.subject, edge_bound(t), t.parts[0]
+        if f.has_exact_neighbour(node.id, c.role, bound, derived):
             continue
         f.budget.charge()
-        _generate_node(f, node.id, Triple(c.role, t.ineq, t.degree), derived, "exists-pos")
+        _generate_node(f, node.id, Triple(c.role, bound.ineq, bound.degree), derived, rule)
         return True
     return False
+
+
+# the generators stay separate functions: the settled-node memo keys on the
+# function
+def _rule_exists_pos(f: Forest, status, node: Node) -> bool:
+    return _generate(f, status, node, "exists+", Triple.bound, "exists-pos")
 
 
 def _rule_forall_neg(f: Forest, status, node: Node) -> bool:
-    if status[node.id][0] != UNBLOCKED:
-        return False
-    for t in node.of_kind("forall-"):
-        c, edge_bound, derived = t.subject, t.reflected, t.parts[0]
-        if f.has_exact_neighbour(node.id, c.role, edge_bound, derived):
-            continue
-        f.budget.charge()
-        _generate_node(
-            f,
-            node.id,
-            Triple(c.role, edge_bound.ineq, edge_bound.degree),
-            derived,
-            "forall-neg",
-        )
-        return True
-    return False
+    return _generate(f, status, node, "forall-", _reflected, "forall-neg")
 
 
 def _atleast_instances(f: Forest, node: Node) -> Iterator[tuple[Triple, AtLeast, SignedBound, str]]:
@@ -886,16 +860,13 @@ def _rule_atleast(f: Forest, status, node: Node) -> bool:
 # --- merge choice points ---
 
 
-def _atmost_instances(f: Forest, node: Node) -> Iterator[tuple[AtMost, SignedBound, str]]:
-    """Positive at-most triples plus negative at-least triples rewritten to
-    their at-most counterpart (the >=-neg rule delegates to <=-pos)."""
+def _atmost_instances(node: Node) -> Iterator[tuple[Triple, AtMost, SignedBound, str]]:
+    """(triple, at-most concept, probe, rule) for each triple of the label
+    that caps the neighbours whose bound conjugates the probe: a positive
+    at-most, and a negative at-least read as its at-most counterpart."""
     for t in node.of_kind("count"):
-        c = t.subject
-        if isinstance(c, AtMost) and t.ineq.positive:
-            yield c, t.bound(), "atmost-merge"
-        if isinstance(c, AtLeast) and t.ineq.negative and c.count >= 1:
-            synth = AtMost(c.count - 1, c.role)
-            yield synth, t.reflected, "atleast-merge"
+        if t.atmost:
+            yield (t, *t.atmost)
 
 
 def _merge_pairs(
@@ -917,7 +888,7 @@ def _merge_pairs(
                 # transferred and emptied
                 if ny.parent != x:
                     continue
-                if f.is_ancestor(y, z):
+                if y in f.ancestors(z):
                     continue
                 out.append(("merge", x, y, z))
     return out
@@ -926,15 +897,14 @@ def _merge_pairs(
 def _merge_at(f: Forest, status, node: Node, roots_only: bool = False) -> Optional[ChoicePoint]:
     if status[node.id][0] == INDIRECT:
         return None
-    for c, bound, rule in _atmost_instances(f, node):
-        probe = SignedBound(reflect(bound.ineq), neg_lukasiewicz(bound.degree))
+    for _, c, probe, rule in _atmost_instances(node):
         members = f.conjugated_neighbours(node.id, c.role, probe)
         if len(members) <= c.count:
             continue
         pairs = _merge_pairs(f, node.id, members, roots_only)
         if pairs:
             name = rule + ("-roots" if roots_only else "")
-            return ChoicePoint(name, node.id, (c, bound), tuple(pairs))
+            return ChoicePoint(name, node.id, tuple(pairs))
     return None
 
 
@@ -942,27 +912,26 @@ def _merge_roots_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
     return _merge_at(f, status, node, roots_only=True)
 
 
-def _merge_labels(ynode: Node, znode: Node) -> None:
-    for t in ynode.ordered:
+def _merge_into(f: Forest, y: int, z: int) -> None:
+    """z takes over y's label and y's distinct pairs."""
+    znode = f.nodes[z]
+    for t in f.nodes[y].ordered:
         if t not in znode.label:
             znode.add(t)
+    for pair in [p for p in f.neq if y in p]:
+        f.neq.add(pair - {y} | {z})
 
 
 def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:
-    ynode, znode = f.nodes[y], f.nodes[z]
-    _merge_labels(ynode, znode)
+    _merge_into(f, y, z)
     xy = f.edges[(x, y)]
     f.union_edge(x, z, xy)
     f.set_edge(x, y, ())
-    for pair in [p for p in f.neq if y in p]:
-        others = set(pair) - {y}
-        f.neq.add(frozenset(others | {z}))
     f.trace.append(("merge", x, y, z))
 
 
 def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
-    ynode, znode = f.nodes[y], f.nodes[z]
-    _merge_labels(ynode, znode)
+    _merge_into(f, y, z)
     for (a, b) in [e for e in f.edges if y in e]:
         ts = f.pop_edge((a, b))
         if a == y and b == y:
@@ -974,10 +943,7 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
     for node in f.nodes.values():
         if node.parent == y:
             node.parent = z
-    ynode.clear()
-    for pair in [p for p in f.neq if y in p]:
-        others = set(pair) - {y}
-        f.neq.add(frozenset(others | {z}))
+    f.nodes[y].clear()
     f.merged[y] = z
     f.trace.append(("merge-root", x, y, z))
 
@@ -993,52 +959,31 @@ def _split_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
             continue
         alts = tuple(("add", node.id, part) for part in t.parts)
         rule = "or-pos" if isinstance(t.subject, Or) else "and-neg"
-        return ChoicePoint(rule, node.id, t, alts)
+        return ChoicePoint(rule, node.id, alts)
     return None
 
 
 def _gci_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
     if node.id in f.merged or status[node.id][0] == INDIRECT:
         return None
-    for idx, n, t1, t2 in f.gci_splits:
+    for _, _, t1, t2 in f.gci_splits:
         if t1 in node.label or t2 in node.label:
             continue
         alts = (("add", node.id, t1), ("add", node.id, t2))
-        return ChoicePoint("gci", node.id, (idx, n), alts)
+        return ChoicePoint("gci", node.id, alts)
     return None
 
 
 # --- search ---
 
 
-_DETERMINISTIC = (
-    _rule_negation,
-    _rule_decompose,
-    _rule_forall_pos,
-    _rule_exists_neg,
-    _rule_forall_trans,
-    _rule_exists_trans,
-)
-
-
-def _propagate(f: Forest, status, node: Node) -> bool:
-    """Apply the first deterministic rule that applies at the node."""
-    return any(rule(f, status, node) for rule in _DETERMINISTIC)
-
-
 _GENERATORS = (_rule_exists_pos, _rule_forall_neg, _rule_atleast)
 
 
-@dataclass
-class ExpandResult:
-    kind: str  # "complete", "clash", "choice"
-    clash: Optional[Clash] = None
-    choice: Optional[ChoicePoint] = None
-
-
-def expand(f: Forest) -> ExpandResult:
+def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
     """Run deterministic rules to fixpoint; stop at a clash or at the first
-    nondeterministic choice in priority order."""
+    nondeterministic choice in priority order.  None means the forest is
+    complete."""
     while True:
         f.budget.charge()
         status = f.blocking()
@@ -1046,20 +991,17 @@ def expand(f: Forest) -> ExpandResult:
         clash = find_clash(f, status)
         if clash:
             f.trace.append(("clash", clash))
-            return ExpandResult("clash", clash=clash)
+            return clash
         # node-major: exhaust one node's propagations before the next node's
         if _first(f, _propagate, status):
             continue
         if f.mode in ("shin", "gci"):
             cp = _first(f, _merge_at, status) or _first(f, _merge_roots_at, status)
             if cp:
-                return ExpandResult("choice", choice=cp)
+                return cp
         if any(_first(f, rule, status) for rule in _GENERATORS):
             continue
-        cp = _first(f, _split_at, status) or (f.gcis and _first(f, _gci_at, status))
-        if cp:
-            return ExpandResult("choice", choice=cp)
-        return ExpandResult("complete")
+        return _first(f, _split_at, status) or (_first(f, _gci_at, status) if f.gcis else None)
 
 
 def apply_alternative(f: Forest, alt: tuple) -> None:
@@ -1092,11 +1034,10 @@ def solve(f: Forest) -> SolveResult:
     current = f
     while True:
         result = expand(current)
-        if result.kind == "complete":
+        if result is None:
             return SolveResult(True, current, first_clash, current.trace)
-        if result.kind == "choice":
-            cp = result.choice
-            stack.append([current, cp, 0])
+        if isinstance(result, ChoicePoint):
+            stack.append([current, result, 0])
         else:  # clash
             if first_clash is None:
                 first_clash = current
@@ -1291,8 +1232,7 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 if not _has_pairwise_distinct(f, members, c.count):
                     out.append(f"at-least unsatisfied at {node.id}: >= {c.count} {c.role}")
         if blocked_kind != INDIRECT:
-            for c, bound, _ in _atmost_instances(f, node):
-                probe = SignedBound(reflect(bound.ineq), neg_lukasiewicz(bound.degree))
+            for _, c, probe, _ in _atmost_instances(node):
                 members = f.conjugated_neighbours(node.id, c.role, probe)
                 if len(members) > c.count:
                     if _merge_pairs(f, node.id, members, False) or _merge_pairs(

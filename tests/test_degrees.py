@@ -12,14 +12,13 @@ from fshin.degrees import (
     ZERO,
     conjugates,
     format_degree,
-    impl_kd,
     neg_lukasiewicz,
     negate,
     reflect,
-    tconorm_max,
-    tnorm_min,
     to_degree,
 )
+from fshin.oracle import FuzzyInterpretation, eval_concept
+from fshin.syntax import And, Forall, Name, Not, Or, Role
 
 degrees = st.fractions(min_value=0, max_value=1, max_denominator=20)
 
@@ -49,22 +48,36 @@ def test_complement_involution(d):
     assert neg_lukasiewicz(neg_lukasiewicz(d)) == d
 
 
+A, B = Name("A"), Name("B")
+
+
+def interpretation(a, b):
+    """Elements 0 and 1, each with A = a and B = b, and r(0, 1) = a."""
+    concepts = {(name, e): d for e in (0, 1) for name, d in (("A", a), ("B", b))}
+    return FuzzyInterpretation((0, 1), concepts, {("r", 0, 1): a}, {})
+
+
 @given(degrees, degrees)
 def test_de_morgan(a, b):
-    assert neg_lukasiewicz(tnorm_min(a, b)) == tconorm_max(
-        neg_lukasiewicz(a), neg_lukasiewicz(b)
-    )
+    i = interpretation(a, b)
+    value = eval_concept(i, Not(And(A, B)), 0)
+    assert value == eval_concept(i, Or(Not(A), Not(B)), 0)
+    assert value == neg_lukasiewicz(min(a, b))
 
 
 @given(degrees, degrees)
 def test_kd_implication_is_material(a, b):
-    assert impl_kd(a, b) == tconorm_max(neg_lukasiewicz(a), b)
+    # the universal's implication r(0, d) -> B(d) is Kleene-Dienes: at
+    # d = 1 it is max(1 - a, b), and at d = 0, where r is 0, it is 1
+    i = interpretation(a, b)
+    assert eval_concept(i, Forall(Role("r"), B), 0) == eval_concept(i, Or(Not(A), B), 0)
 
 
 @given(degrees)
 def test_idempotency(d):
-    assert tnorm_min(d, d) == d
-    assert tconorm_max(d, d) == d
+    i = interpretation(d, d)
+    assert eval_concept(i, And(A, A), 0) == d
+    assert eval_concept(i, Or(A, A), 0) == d
 
 
 def test_reflect_negate_involutions():

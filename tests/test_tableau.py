@@ -1,5 +1,9 @@
+import itertools
+import random
+import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +28,7 @@ from fshin.tableau import (
     _edge_clash,
     _gci_at,
     _generate_node,
+    _has_pairwise_distinct,
     _merge_at,
     _merge_roots_at,
     _pair_clash,
@@ -174,6 +179,49 @@ def test_atmost_distinct_successors_clash():
         "distinct b c.\n"
     )
     assert not r.consistent
+
+
+@pytest.mark.parametrize(
+    "bound, consistent", [("<= 0.5", False), ("<= 1", True), ("< 1", False)]
+)
+def test_at_least_zero_under_a_negative_bound(bound, consistent):
+    # (>= 0 r) is 1 everywhere, so only a bound that admits 1 is satisfiable
+    r = run(f"assert a : >= 0 r {bound}.")
+    assert r.consistent == consistent
+    clashes = [ev[1].kind for ev in r.trace if ev[0] == "clash"]
+    assert clashes == ([] if consistent else ["at-least"])
+
+
+def brute_force_distinct(neq, members, k):
+    return any(
+        all(frozenset(pair) in neq for pair in itertools.combinations(combo, 2))
+        for combo in itertools.combinations(members, k)
+    )
+
+
+def test_pairwise_distinct_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        members = rng.sample(range(12), n)
+        p = rng.random()
+        neq = {
+            frozenset(pair) for pair in itertools.combinations(range(12), 2) if rng.random() < p
+        }
+        f = SimpleNamespace(neq=neq)
+        for k in range(n + 2):
+            assert _has_pairwise_distinct(f, members, k) == brute_force_distinct(neq, members, k)
+
+
+def test_many_successors_under_at_most_answer_quickly():
+    # 26 named r-successors, none known distinct, under (<= 12 r): trying
+    # every 13-subset for 13 pairwise distinct ones took about 28 s
+    lines = [f"assert (a, b{i}): r >= 0.9." for i in range(26)]
+    kb = parse_kb("\n".join(lines) + "\nassert a : <= 12 r >= 0.9.\n")
+    start = time.perf_counter()
+    r = consistency(kb, budget=2000)
+    assert time.perf_counter() - start < 1.0
+    assert r.consistent
 
 
 def test_role_inclusion_propagation():
