@@ -27,52 +27,84 @@ changes rather than recomputing them on every call:
   clashes on its own or a conjugated pair, and, rebuilt on demand, its
   triples grouped by rule kind;
 - a Forest keeps, per node, the keys of the edges at it and its
-  neighbour_bounds results, and the set of node pairs whose edges clash;
+  neighbour_bounds results, the set of node pairs whose edges clash and
+  the set of nodes whose may_clash is set;
 - the closed RBox memoises sub-roles and transitive sub-roles.
 
-These hold because labels only grow, except that a root merge empties the
-merged node (Node.clear); edges change only through set_edge, pop_edge and
-union_edge; and node ids are handed out in increasing order and never
-removed.  clone copies the mutable indexes and shares the rest.
+These hold because every change goes through the Forest methods that keep
+them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
+set_parent, add_neq, set_merged); labels only grow, except that a root
+merge empties the merged node and undo takes triples back; and node ids are
+handed out in increasing order and only the newest node is ever removed,
+by undo.  clone copies the mutable indexes and shares the rest.
 
-Settled nodes.  Each scan over the nodes (the deterministic rules as one
-group in node-major order, each generator, the two merge passes, the
+Undo trail.  solve backtracks on one forest.  Once mark() has been called,
+each of those methods, blocking, the block tracing and _first append to
+Forest.trail a record (function, arguments) that reverses their change.
+Each frame of solve's stack holds the trail length at its choice point,
+and each further alternative starts with undo(mark), which runs the newer
+records newest first.  Each record puts back exactly what its change
+found, so after undo(mark) every field is as it was at the mark.  The
+derived views are saved and put back with the change that moved them,
+by reference, because they are replaced, never changed in place.  A
+neighbour table filled after the mark is not logged: it holds for as long
+as the edges at its node do, and a change to those edges saves the table
+it drops.  What undo does not restore is dict and set order: a popped edge
+comes back at the end of Forest.edges, and the order of neq depends on its
+history.  So the two results that followed such an order take an explicit
+one: find_clash's distinct-self clash names the least node, and a root
+merge moves y's edges in key order.  first_clash_forest is the one clone,
+taken at the first clash while a choice point is open.
+
+Dirty scan groups.  Each scan over the nodes (the deterministic rules as
+one group in node-major order, each generator, the two merge passes, the
 disjunction and inclusion splits, and the counting clash) goes through
-_first, which skips the nodes it has already found nothing to do at:
-
-- stamp: Node.stamp is bumped by Node.add and Node.clear, and at both ends
-  of an edge by Forest._edge_changed, so it changes whenever the node's
-  label or an edge at it changes;
-- settled: Forest.settled[group][x] is the key (stamp, blocking status,
-  extra) that node x had when the group last found nothing to do at x;
-  extra is len(neq) for the counting clash and None for the rest.  A node
-  whose key is unchanged still has nothing to do, so it is skipped, and
-  the first (node, rule) found is the one a full scan would find.
+_first, which skips the nodes whose bit for the group is clear in
+Node.dirty and clears the bit of each node where the group finds nothing.
+A node gets all its bits when it is created, when its label, its parent or
+an edge at it changes (Forest._changed), and when its blocking status
+changes kind; every node gets the counting clash's bit when neq grows.
+Setting a bit without need is always safe: the group runs there and finds
+nothing.  The bits roll back with the trail, so after an undo a clear bit
+still means the group found nothing in the state the undo put back.
 
 A group's result at x depends on x's label, the edges at x, x's blocking
 status and, beyond those, only on the labels and parents of x's
 neighbours, the neq pairs and the merged map.  These others can only
-switch a group off at x, never on:
+switch a group off at x, never on, except where a bit is set for them:
 
 - a neighbour's label only grows, and a grown label only satisfies a
   propagation, a witness or a split that was missing; the one label that
-  empties, a root merged away by Node.clear, first loses every edge, so
-  each former neighbour is re-stamped;
+  empties, a root merged away, first loses every edge, so each former
+  neighbour gets its bits;
 - neq and merged only grow, and a new distinct pair only rules out a
   merge pair or satisfies an at-least, and a merged node takes no more
-  inclusion splits; a new distinct pair can make a counting clash appear,
-  which is why that group keys on len(neq);
+  inclusion splits; a new distinct pair can complete a counting clash,
+  which is why neq growth sets that group's bit at every node;
 - a neighbour's parent changes only when its root parent is merged into
-  another root, which re-links the neighbour's edge and so re-stamps x
+  another root, which re-links the neighbour's edge and so sets x's bits
   when x is either root; whether one non-root neighbour is an ancestor of
   another never changes, since only children of roots are re-parented.
+
+Incremental blocking.  Forest.status holds every node's blocking status
+as of the last blocking() call, and Forest._recheck the nodes whose label,
+parent or edges changed since.  blocking() checks those nodes and their
+descendants again, in id order, and no others.  A node's status depends on
+its parent's status, its in-edge, and the labels and in-edges of itself
+and its ancestors (the blocker candidates and their parents), all of
+which lie on its path to the root; so a change that can move it marks the
+node or an ancestor, and the node is a descendant of what was marked.
+Parents have smaller ids than their children, so the pass in id order
+sees a parent's new status before its children.  Block events are traced
+for the nodes whose status changed, oldest first, blocks before unblocks:
+the events a comparison of the whole old and new maps would give.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -253,12 +285,12 @@ class Node:
     # kind -> triples of that kind in canonical order; rebuilt on first read
     # after a change, never changed in place, so copies may share it
     _kinds: Optional[dict[str, list[Triple]]] = field(init=False, repr=False, compare=False)
-    # bumped whenever the label or an edge at the node changes
-    stamp: int = field(init=False, repr=False, compare=False)
+    # one bit per scan group that may have something to do here (see _first)
+    dirty: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         given = self.label
-        self.stamp = 0
+        self.dirty = 0
         self.clear()
         for t in given:
             self.add(t)
@@ -274,21 +306,22 @@ class Node:
             self._kinds = kinds
         return self._kinds.get(kind, [])
 
-    def add(self, t: Triple) -> None:
+    def add(self, t: Triple) -> int:
+        """Add t, which the label lacks; returns its place in `ordered`."""
         self.label.add(t)
         self._kinds = None
-        self.stamp += 1
         ordered = self.ordered
-        insort(ordered, t, key=triple_key)
+        i = bisect_right(ordered, t.key, key=triple_key)
+        ordered.insert(i, t)
         if self.may_clash:
-            return
+            return i
         if t.unary_clash:
             self.may_clash = True
-            return
+            return i
         # equal subjects have equal text, so the triples on t's subject lie
         # in the run of equal text around t in the canonical order
         text, bound = t.key[0], t.bound()
-        lo = hi = bisect_left(ordered, t.key, key=triple_key)
+        lo, hi = i, i + 1
         while lo > 0 and ordered[lo - 1].key[0] == text:
             lo -= 1
         while hi < len(ordered) and ordered[hi].key[0] == text:
@@ -296,19 +329,19 @@ class Node:
         self.may_clash = any(
             u.subject == t.subject and conjugates(u.bound(), bound) for u in ordered[lo:hi]
         )
+        return i
 
     def clear(self) -> None:
         self.label = set()
         self.ordered = []
         self.may_clash = False
         self._kinds = None
-        self.stamp += 1
 
     def copy(self) -> "Node":
         n = Node.__new__(Node)
         n.id, n.is_root, n.parent, n.root_name = self.id, self.is_root, self.parent, self.root_name
         n.label, n.ordered = set(self.label), list(self.ordered)
-        n.may_clash, n._kinds, n.stamp = self.may_clash, self._kinds, self.stamp
+        n.may_clash, n._kinds, n.dirty = self.may_clash, self._kinds, self.dirty
         return n
 
 
@@ -345,6 +378,8 @@ class ChoicePoint:
 UNBLOCKED = "unblocked"
 DIRECT = "direct"
 INDIRECT = "indirect"
+_UNBLOCKED_STATUS = (UNBLOCKED, None)
+_INDIRECT_STATUS = (INDIRECT, None)
 
 
 class Forest:
@@ -367,7 +402,7 @@ class Forest:
         self.ell = ell
         self.nodes: dict[int, Node] = {}
         # edge labels, adjacency sets and neighbour tables are replaced,
-        # never changed in place, so a clone may share them
+        # never changed in place, so a clone or an undo record may share them
         self.edges: dict[tuple[int, int], frozenset[Triple]] = {}
         # node id -> keys of the edges that start or end at it
         self.adjacent: dict[int, frozenset[tuple[int, int]]] = {}
@@ -376,14 +411,22 @@ class Forest:
         self._neighbours: dict[int, dict[Role, list[tuple[int, SignedBound]]]] = {}
         # the (min, max) node pairs whose role triples clash
         self.clashing_pairs: set[tuple[int, int]] = set()
+        # the ids of the nodes whose may_clash is set
+        self.clashing_nodes: set[int] = set()
         self.neq: set[frozenset[int]] = set()
         self.merged: dict[int, int] = {}
         self.next_id = 0
-        # direct-block map from the previous scan, for block/unblock tracing
+        # blocking status of every node as of the last blocking() call, the
+        # ids whose label, edges or parent changed since, and the ids whose
+        # status changed and are not yet traced
+        self.status: dict[int, tuple[str, Optional[int]]] = {}
+        self._recheck: set[int] = set()
+        self._unreported: list[int] = []
+        # direct-block map as last traced, for block/unblock events
         self._last_blocks: dict[int, int] = {}
-        # scan group -> node id -> the node's key when the group last found
-        # nothing to do there (see _first)
-        self.settled: dict[object, dict[int, tuple]] = {}
+        # undo records (function, arguments) since the first choice point;
+        # None until mark() is called, and again once solve returns
+        self.trail: Optional[list[tuple]] = None
         # the inclusion split's triples (lhs <= n - ell, rhs >= n) in scan order
         self.gci_splits: tuple[tuple[int, Degree, Triple, Triple], ...] = tuple(
             (idx, n, Triple(lhs, Ineq.LE, n - ell), Triple(rhs, Ineq.GE, n))
@@ -396,32 +439,86 @@ class Forest:
     def new_node(self, is_root: bool, parent: Optional[int], root_name: Optional[str] = None) -> Node:
         self.budget.charge()
         node = Node(self.next_id, set(), is_root, parent, root_name)
-        self.nodes[node.id] = node
-        self.adjacent[node.id] = frozenset()
+        x = node.id
+        self.nodes[x] = node
+        self.adjacent[x] = frozenset()
         self.next_id += 1
+        node.dirty = _ALL
+        self._recheck.add(x)
+        if self.trail is not None:
+            self.trail.append((self._unnew, (x,)))
         return node
 
+    def _unnew(self, x: int) -> None:
+        del self.nodes[x], self.adjacent[x]
+        self._neighbours.pop(x, None)
+        self._recheck.discard(x)
+        self.next_id -= 1
+
     def clone(self) -> "Forest":
-        # shares rbox, budget, trace and the GCI tables with self; edge
-        # labels, adjacency sets and neighbour tables are replaced rather
-        # than changed, so copying their dicts is enough
+        """An independent copy, without the trail; shares rbox, budget,
+        trace and the GCI tables with self.  Edge labels, adjacency sets and
+        neighbour tables are replaced rather than changed, so copying their
+        dicts is enough."""
         g = copy.copy(self)
         g.nodes = {i: n.copy() for i, n in self.nodes.items()}
         g.edges = dict(self.edges)
         g.adjacent = dict(self.adjacent)
         g._neighbours = dict(self._neighbours)
         g.clashing_pairs = set(self.clashing_pairs)
+        g.clashing_nodes = set(self.clashing_nodes)
         g.neq = set(self.neq)
         g.merged = dict(self.merged)
+        g.status = dict(self.status)
+        g._recheck = set(self._recheck)
+        g._unreported = list(self._unreported)
         g._last_blocks = dict(self._last_blocks)
-        g.settled = {group: dict(keys) for group, keys in self.settled.items()}
+        g.trail = None
         return g
+
+    # --- the undo trail ---
+
+    def mark(self) -> int:
+        """Start recording undo records if not yet; undo(mark()) later puts
+        the forest back as it is now."""
+        if self.trail is None:
+            self.trail = []
+        return len(self.trail)
+
+    def undo(self, mark: int) -> None:
+        trail = self.trail
+        while len(trail) > mark:
+            fn, args = trail.pop()
+            fn(*args)
+
+    def _log(self, fn, *args) -> None:
+        if self.trail is not None:
+            self.trail.append((fn, args))
+
+    # --- dirty scan groups ---
+
+    def _mark(self, node: Node, bits: int) -> None:
+        """Set `bits` in node.dirty."""
+        old = node.dirty
+        if old | bits != old:
+            node.dirty = old | bits
+            if self.trail is not None:
+                self.trail.append((_set_dirty, (node, old)))
+
+    def _changed(self, node: Node) -> None:
+        """The node's label, its parent or an edge at it changed: every
+        scan group and blocking look at it again."""
+        self._mark(node, _ALL)
+        if node.id not in self._recheck:
+            self._recheck.add(node.id)
+            if self.trail is not None:
+                self.trail.append((self._recheck.discard, (node.id,)))
 
     # --- basic accessors ---
 
     def ordered_nodes(self) -> list[Node]:
-        # ids are handed out in increasing order and nodes are never
-        # removed, so insertion order is id order
+        # ids are handed out in increasing order and only the newest node is
+        # ever removed (by undo), so insertion order is id order
         return list(self.nodes.values())
 
     def sorted_label(self, node: Node) -> list[Triple]:
@@ -440,17 +537,69 @@ class Forest:
         if t in node.label:
             return False
         self.budget.charge()
-        node.add(t)
+        self.add_label(node, t)
         self.trace.append(("add", rule, node_id, t))
         return True
 
-    # every change to self.edges goes through these three methods, which
-    # keep the adjacency index, the neighbour tables and the clashing pairs
-    # in step
+    # every change to a label, an edge, a parent, neq or merged goes through
+    # the methods below, which keep the indexes in step and log the undo
+
+    def add_label(self, node: Node, t: Triple) -> None:
+        """Add t, which the label lacks, to the node's label."""
+        kinds, may_clash = node._kinds, node.may_clash
+        i = node.add(t)
+        if self.trail is not None:
+            self.trail.append((self._unadd, (node, t, i, kinds, may_clash)))
+        if node.may_clash:
+            self.clashing_nodes.add(node.id)
+        self._changed(node)
+
+    def _unadd(self, node: Node, t: Triple, i: int, kinds, may_clash: bool) -> None:
+        node.label.remove(t)
+        del node.ordered[i]
+        node._kinds = kinds
+        if not may_clash:
+            node.may_clash = False
+            self.clashing_nodes.discard(node.id)
+
+    def clear_label(self, node: Node) -> None:
+        self._log(self._unclear, node, node.label, node.ordered, node.may_clash, node._kinds)
+        node.clear()
+        self.clashing_nodes.discard(node.id)
+        self._changed(node)
+
+    def _unclear(self, node: Node, label, ordered, may_clash: bool, kinds) -> None:
+        node.label, node.ordered, node.may_clash, node._kinds = label, ordered, may_clash, kinds
+        if may_clash:
+            self.clashing_nodes.add(node.id)
+
+    def set_parent(self, node: Node, parent: int) -> None:
+        self._log(setattr, node, "parent", node.parent)
+        node.parent = parent
+        self._changed(node)
+
+    def add_neq(self, pairs: Iterable[frozenset[int]]) -> None:
+        """Add distinct pairs; a new one can complete a counting clash at
+        any node."""
+        grew = False
+        for pair in pairs:
+            if pair not in self.neq:
+                self.neq.add(pair)
+                self._log(self.neq.remove, pair)
+                grew = True
+        if grew:
+            for node in self.nodes.values():
+                self._mark(node, _COUNTING)
+
+    def set_merged(self, y: int, z: int) -> None:
+        """Record that root y was merged into root z."""
+        self.merged[y] = z
+        self._log(self.merged.pop, y)
 
     def set_edge(self, a: int, b: int, triples: Iterable[Triple]) -> None:
         """Create edge (a, b), or replace its label."""
         key = (a, b)
+        self._save_edge(key)
         self.edges[key] = frozenset(triples)
         for end in key:
             if key not in self.adjacent[end]:
@@ -458,15 +607,45 @@ class Forest:
         self._edge_changed(a, b)
 
     def pop_edge(self, key: tuple[int, int]) -> frozenset[Triple]:
+        self._save_edge(key)
         for end in key:
             self.adjacent[end] = self.adjacent[end] - {key}
         triples = self.edges.pop(key)
         self._edge_changed(*key)
         return triples
 
+    def _save_edge(self, key: tuple[int, int]) -> None:
+        if self.trail is not None:
+            a, b = key
+            pair = (min(a, b), max(a, b))
+            self._log(
+                self._restore_edge, key, self.edges.get(key), self.adjacent[a], self.adjacent[b],
+                self._neighbours.get(a), self._neighbours.get(b), pair in self.clashing_pairs,
+            )
+
+    def _restore_edge(self, key, label, adjacent_a, adjacent_b, neighbours_a, neighbours_b, clashing) -> None:
+        # a popped edge comes back at the end of self.edges: nothing may
+        # depend on the order of that dict
+        a, b = key
+        if label is None:
+            del self.edges[key]
+        else:
+            self.edges[key] = label
+        self.adjacent[b], self.adjacent[a] = adjacent_b, adjacent_a
+        for end, table in ((b, neighbours_b), (a, neighbours_a)):
+            if table is None:
+                self._neighbours.pop(end, None)
+            else:
+                self._neighbours[end] = table
+        pair = (min(a, b), max(a, b))
+        if clashing:
+            self.clashing_pairs.add(pair)
+        else:
+            self.clashing_pairs.discard(pair)
+
     def _edge_changed(self, a: int, b: int) -> None:
-        self.nodes[a].stamp += 1
-        self.nodes[b].stamp += 1
+        self._changed(self.nodes[a])
+        self._changed(self.nodes[b])
         self._neighbours.pop(a, None)
         self._neighbours.pop(b, None)
         pair = (min(a, b), max(a, b))
@@ -509,6 +688,8 @@ class Forest:
                     if includes(t.subject, rinv):
                         out.append((a, t.bound()))
         out.sort(key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
+        # not logged: the table holds for as long as the edges at x do, and
+        # undoing an edge change puts back the tables of both ends
         self._neighbours[x] = {**known, r: out}
         return out
 
@@ -526,28 +707,45 @@ class Forest:
     # --- blocking ---
 
     def blocking(self) -> dict[int, tuple[str, Optional[int]]]:
-        """Status map for every node, computed top-down (parents have
-        smaller ids than their children throughout)."""
-        status: dict[int, tuple[str, Optional[int]]] = {}
-        for node in self.ordered_nodes():
-            if node.is_root:
-                status[node.id] = (UNBLOCKED, None)
+        """Status map for every node.  Only the nodes whose label, edges or
+        parent changed since the last call, and their descendants, are
+        checked again, top-down (parents have smaller ids than their
+        children throughout).  The map is the forest's own: it holds until
+        the next change."""
+        recheck, status = self._recheck, self.status
+        if not recheck:
+            return status
+        self._log(setattr, self, "_recheck", recheck)
+        self._recheck = set()
+        redo = set(recheck)
+        for node in itertools.islice(self.nodes.values(), min(recheck), None):
+            x = node.id
+            if x not in redo and node.parent not in redo:
                 continue
-            parent = node.parent
-            assert parent is not None
-            if status[parent][0] != UNBLOCKED:
-                status[node.id] = (INDIRECT, None)
-                continue
-            in_edge = self.edges.get((parent, node.id))
-            if in_edge is not None and not in_edge:
-                status[node.id] = (INDIRECT, None)
-                continue
-            blocker = self._direct_blocker(node)
-            if blocker is not None:
-                status[node.id] = (DIRECT, blocker)
-            else:
-                status[node.id] = (UNBLOCKED, None)
+            redo.add(x)
+            new = self._status_of(node, status)
+            old = status.get(x)
+            if new != old:
+                if self.trail is not None:
+                    self.trail.append((_restore_entry, (status, x, old)))
+                status[x] = new
+                self._unreported.append(x)
+                if old is not None and old[0] != new[0]:
+                    self._mark(node, _ALL)
         return status
+
+    def _status_of(self, node: Node, status) -> tuple[str, Optional[int]]:
+        if node.is_root:
+            return _UNBLOCKED_STATUS
+        parent = node.parent
+        assert parent is not None
+        if status[parent][0] != UNBLOCKED:
+            return _INDIRECT_STATUS
+        in_edge = self.edges.get((parent, node.id))
+        if in_edge is not None and not in_edge:
+            return _INDIRECT_STATUS
+        blocker = self._direct_blocker(node)
+        return _UNBLOCKED_STATUS if blocker is None else (DIRECT, blocker)
 
     def _direct_blocker(self, node: Node) -> Optional[int]:
         nodes = self.nodes
@@ -575,14 +773,22 @@ class Forest:
         return None
 
     def _trace_block_changes(self, status: dict[int, tuple[str, Optional[int]]]) -> None:
-        blocks = {i: s[1] for i, s in status.items() if s[0] == DIRECT}
-        for x, y in blocks.items():
-            if self._last_blocks.get(x) != y:
-                self.trace.append(("block", x, y))
-        for x in self._last_blocks:
-            if x not in blocks:
-                self.trace.append(("unblock", x))
-        self._last_blocks = blocks
+        """Trace, oldest node first, each node newly directly blocked (or by
+        a new blocker), then each node no longer directly blocked."""
+        last, unblocked = self._last_blocks, []
+        for x in sorted(set(self._unreported)):
+            kind, y = status[x]
+            if kind == DIRECT:
+                if last.get(x) != y:
+                    self.trace.append(("block", x, y))
+                    self._log(_restore_entry, last, x, last.get(x))
+                    last[x] = y
+            elif x in last:
+                unblocked.append(x)
+        for x in unblocked:
+            self.trace.append(("unblock", x))
+            self._log(_restore_entry, last, x, last.pop(x))
+        self._unreported = []
 
     # --- rendering ---
 
@@ -599,6 +805,14 @@ class Forest:
             body = " ".join(f"⟨{t.subject},{t.ineq},{t.degree}⟩" for t in ts)
             lines.append(f"edge {a} -> {b} {{{body}}}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _restore_entry(d: dict, key, old) -> None:
+    """Undo a change to d[key]; old is None when the key was absent."""
+    if old is None:
+        del d[key]
+    else:
+        d[key] = old
 
 
 def init_forest(
@@ -621,8 +835,7 @@ def init_forest(
         t = Triple(ra.role, ra.bound.ineq, ra.bound.degree)
         a, b = roots[ra.subject], roots[ra.object]
         f.union_edge(a, b, {t})
-    for pair in abox.inequalities:
-        f.neq.add(frozenset(roots[i] for i in pair))
+    f.add_neq(frozenset(roots[i] for i in pair) for pair in abox.inequalities)
     return f
 
 
@@ -678,20 +891,38 @@ def _edge_clash(f: Forest) -> Optional[Clash]:
 
 
 def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
-    """Whether k of the members are pairwise distinct under neq."""
+    """Whether k of the (distinct) members are pairwise distinct under neq,
+    that is, whether the neq graph on the members has a k-clique."""
     if k <= 1:
         return len(members) >= k
-    # each member of such a k-set has k - 1 distinct partners among the
-    # others, so a member with fewer can be dropped, and again until none is
-    kept = [
-        u for u in members if sum(u != v and frozenset((u, v)) in f.neq for v in members) >= k - 1
-    ]
-    if len(kept) < len(members):
-        return _has_pairwise_distinct(f, kept, k)
-    if len(members) < k:
-        return False
-    for combo in itertools.combinations(members, k):
-        if all(frozenset((u, v)) in f.neq for u, v in itertools.combinations(combo, 2)):
+    partners = {u: {v for v in members if v != u and frozenset((u, v)) in f.neq} for u in members}
+    return _has_clique(partners, list(members), 0, k)
+
+
+def _has_clique(partners: dict[int, set[int]], candidates: list[int], size: int, k: int) -> bool:
+    """Whether size + the largest clique among the candidates reaches k.
+
+    Branch and bound after Tomita & Seki (DMTCS 2003): a greedy colouring
+    puts each candidate in the first class that holds none of its
+    partners, and a clique has at most one member of each class, so a
+    clique among the candidates up to one of colour c has at most c
+    members."""
+    classes: list[list[int]] = []
+    for v in candidates:
+        for cls in classes:
+            if partners[v].isdisjoint(cls):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    order = [(colour, v) for colour, cls in enumerate(classes, 1) for v in cls]
+    while order:
+        colour, v = order.pop()
+        if size + colour < k:
+            return False
+        if size + 1 >= k:
+            return True
+        if _has_clique(partners, [u for _, u in order if u in partners[v]], size + 1, k):
             return True
     return False
 
@@ -715,38 +946,41 @@ def _counting_clash(f: Forest, status, node: Node) -> Optional[Clash]:
 
 
 def find_clash(f: Forest, status: dict[int, tuple[str, Optional[int]]]) -> Optional[Clash]:
-    for pair in f.neq:
-        if len(pair) == 1:
-            return Clash("distinct-self", next(iter(pair)), ())
-    for node in f.ordered_nodes():
-        clash = _concept_clash(f, node)
-        if clash:
-            return clash
+    selves = [x for pair in f.neq if len(pair) == 1 for x in pair]
+    if selves:
+        return Clash("distinct-self", min(selves), ())
+    if f.clashing_nodes:
+        return _concept_clash(f, f.nodes[min(f.clashing_nodes)])
     clash = _edge_clash(f)
     if clash:
         return clash
     if f.mode in ("shin", "gci"):
-        # a new distinct pair can complete a counting clash
-        return _first(f, _counting_clash, status, len(f.neq))
+        return _first(f, _counting_clash, status)
     return None
 
 
-def _first(f: Forest, at, status, extra=None):
+def _first(f: Forest, at, status):
     """The first truthy at(f, status, node), oldest node first.
 
-    Skips each node whose key (stamp, blocking status, extra) is the one
-    recorded when `at` last gave nothing there, and records the key of each
-    node it passes; `at` must change nothing when it gives nothing."""
-    settled = f.settled.setdefault(at, {})
+    Skips the nodes whose bit for `at` is clear in Node.dirty, and clears
+    the bit of each node where `at` gives nothing; `at` must change nothing
+    when it gives nothing."""
+    bit = _GROUP_BITS[at]
+    trail = f.trail
     # no copy of the node list: `at` adds nodes only when it gives a result
     for node in f.nodes.values():
-        key = (node.stamp, status[node.id][0], extra)
-        if settled.get(node.id) != key:
+        if node.dirty & bit:
             out = at(f, status, node)
             if out:
                 return out
-            settled[node.id] = key
+            if trail is not None:
+                trail.append((_set_dirty, (node, node.dirty)))
+            node.dirty ^= bit
     return None
+
+
+def _set_dirty(node: Node, dirty: int) -> None:
+    node.dirty = dirty
 
 
 # --- deterministic rules ---
@@ -794,7 +1028,7 @@ def _propagate(f: Forest, status, node: Node) -> bool:
 def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) -> None:
     y = f.new_node(is_root=False, parent=x)
     f.set_edge(x, y.id, {edge})
-    y.add(label)
+    f.add_label(y, label)
     f.trace.append(("new-node", rule, x, y.id, edge, label))
 
 
@@ -814,8 +1048,7 @@ def _generate(f: Forest, status, node: Node, kind: str, edge_bound, rule: str) -
     return False
 
 
-# the generators stay separate functions: the settled-node memo keys on the
-# function
+# the generators stay separate functions: each is a scan group of its own
 def _rule_exists_pos(f: Forest, status, node: Node) -> bool:
     return _generate(f, status, node, "exists+", Triple.bound, "exists-pos")
 
@@ -850,8 +1083,7 @@ def _rule_atleast(f: Forest, status, node: Node) -> bool:
             y = f.new_node(is_root=False, parent=node.id)
             f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
             created.append(y.id)
-        for u, v in itertools.combinations(created, 2):
-            f.neq.add(frozenset((u, v)))
+        f.add_neq(frozenset(pair) for pair in itertools.combinations(created, 2))
         f.trace.append(("new-nodes", rule, node.id, tuple(created)))
         return True
     return False
@@ -917,9 +1149,8 @@ def _merge_into(f: Forest, y: int, z: int) -> None:
     znode = f.nodes[z]
     for t in f.nodes[y].ordered:
         if t not in znode.label:
-            znode.add(t)
-    for pair in [p for p in f.neq if y in p]:
-        f.neq.add(pair - {y} | {z})
+            f.add_label(znode, t)
+    f.add_neq([pair - {y} | {z} for pair in f.neq if y in pair])
 
 
 def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:
@@ -932,7 +1163,9 @@ def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:
 
 def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
     _merge_into(f, y, z)
-    for (a, b) in [e for e in f.edges if y in e]:
+    # y's edges in key order, so that which orientation a joined edge keeps
+    # does not depend on the history of f.edges
+    for (a, b) in sorted(f.adjacent[y]):
         ts = f.pop_edge((a, b))
         if a == y and b == y:
             f.union_edge(z, z, ts)
@@ -942,9 +1175,9 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
             f.union_edge(a, z, ts)
     for node in f.nodes.values():
         if node.parent == y:
-            node.parent = z
-    f.nodes[y].clear()
-    f.merged[y] = z
+            f.set_parent(node, z)
+    f.clear_label(f.nodes[y])
+    f.set_merged(y, z)
     f.trace.append(("merge-root", x, y, z))
 
 
@@ -978,6 +1211,14 @@ def _gci_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
 
 
 _GENERATORS = (_rule_exists_pos, _rule_forall_neg, _rule_atleast)
+
+# the scan groups, each with its bit in Node.dirty (see _first)
+_GROUPS = (
+    _propagate, _merge_at, _merge_roots_at, *_GENERATORS, _split_at, _gci_at, _counting_clash,
+)
+_GROUP_BITS = {at: 1 << i for i, at in enumerate(_GROUPS)}
+_ALL = (1 << len(_GROUPS)) - 1
+_COUNTING = _GROUP_BITS[_counting_clash]
 
 
 def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
@@ -1027,30 +1268,37 @@ class SolveResult:
 
 
 def solve(f: Forest) -> SolveResult:
-    """Depth-first chronological backtracking over choice points."""
+    """Depth-first chronological backtracking over choice points, on the
+    one forest f: each choice point keeps a trail mark, and each further
+    alternative starts from undoing back to it."""
     first_clash: Optional[Forest] = None
-    # frames: [base forest, choice point, index of next alternative]
+    # frames: [trail mark, choice point, index of next alternative]
     stack: list[list] = []
-    current = f
-    while True:
-        result = expand(current)
-        if result is None:
-            return SolveResult(True, current, first_clash, current.trace)
-        if isinstance(result, ChoicePoint):
-            stack.append([current, result, 0])
-        else:  # clash
-            if first_clash is None:
-                first_clash = current
-            while stack and stack[-1][2] >= len(stack[-1][1].alternatives):
-                stack.pop()
-            if not stack:
-                f.trace.append(("exhausted",))
-                return SolveResult(False, None, first_clash, f.trace)
-        base, cp, idx = stack[-1]
-        stack[-1][2] = idx + 1
-        current = base.clone()
-        current.trace.append(("branch", cp.rule, cp.node, idx, cp.alternatives[idx]))
-        apply_alternative(current, cp.alternatives[idx])
+    try:
+        while True:
+            result = expand(f)
+            if result is None:
+                return SolveResult(True, f, first_clash, f.trace)
+            if isinstance(result, ChoicePoint):
+                stack.append([f.mark(), result, 0])
+            else:  # clash
+                if first_clash is None:
+                    # with no choice point open the search ends here, and f with it
+                    first_clash = f.clone() if stack else f
+                while stack and stack[-1][2] >= len(stack[-1][1].alternatives):
+                    stack.pop()
+                if not stack:
+                    f.trace.append(("exhausted",))
+                    return SolveResult(False, None, first_clash, f.trace)
+            mark, cp, idx = stack[-1]
+            stack[-1][2] = idx + 1
+            f.undo(mark)
+            f.trace.append(("branch", cp.rule, cp.node, idx, cp.alternatives[idx]))
+            apply_alternative(f, cp.alternatives[idx])
+    finally:
+        # the undo records refer back to f, so keeping them would leave f to
+        # the cycle collector
+        f.trail = None
 
 
 # --- model extraction (SI soundness construction) ---

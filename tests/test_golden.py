@@ -5,7 +5,10 @@ ResourceLimit), the work budget used, the number of trace events, a SHA-256
 of the trace and a SHA-256 of the final (or first clashing) forest dump.
 Any change to the search (rule order, choice order, budget charges, trace
 or dump rendering) shows up here, so an optimisation of the engine must
-leave this test passing without re-recording.
+leave both tests passing without re-recording.  test_golden_verdicts reads
+only the verdict (and mode) of each entry, test_golden_traces the budget,
+the trace length and both hashes: a change that alters the search on
+purpose may re-record those, never the verdicts.
 
 Re-record only for an intended change of behaviour:
 
@@ -18,6 +21,8 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from fshin.parser import parse_kb
 from fshin.services import prepare
@@ -181,12 +186,34 @@ def observe(kb) -> dict:
     }
 
 
-def test_golden_traces():
+@pytest.fixture(scope="module")
+def observed():
+    """(golden record, observation) for the whole corpus, run once."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     seen = {name: observe(kb) for name, kb in corpus()}
     assert list(seen) == list(golden)
+    return golden, seen
+
+
+def test_golden_verdicts(observed):
+    """The verdict column, and the mode it was reached in, which no change
+    to the search may move."""
+    golden, seen = observed
     for name, expected in golden.items():
-        assert seen[name] == expected, name
+        for column in ("mode", "verdict"):
+            assert seen[name][column] == expected[column], (name, column)
+
+
+TRACE_COLUMNS = ("budget_used", "trace_events", "trace_sha256", "dump_sha256")
+
+
+def test_golden_traces(observed):
+    """The budget, trace length and hash columns, which only a change that
+    alters the search on purpose may re-record."""
+    golden, seen = observed
+    for name, expected in golden.items():
+        for column in TRACE_COLUMNS:
+            assert seen[name][column] == expected[column], (name, column)
 
 
 if __name__ == "__main__":

@@ -201,10 +201,12 @@ def brute_force_distinct(neq, members, k):
 
 def test_pairwise_distinct_matches_brute_force():
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(0, 8)
+    # sparse to complete graphs, then dense ones, where the answer rests on
+    # the colouring bound rather than on missing partners
+    densities = [rng.random() for _ in range(300)] + [rng.uniform(0.7, 1) for _ in range(300)]
+    for p in densities:
+        n = rng.randint(0, 8) if p < 0.7 or rng.random() < 0.5 else rng.randint(9, 12)
         members = rng.sample(range(12), n)
-        p = rng.random()
         neq = {
             frozenset(pair) for pair in itertools.combinations(range(12), 2) if rng.random() < p
         }
@@ -222,6 +224,24 @@ def test_many_successors_under_at_most_answer_quickly():
     r = consistency(kb, budget=2000)
     assert time.perf_counter() - start < 1.0
     assert r.consistent
+
+
+@pytest.mark.parametrize("n, cap, consistent", [(20, 10, True), (26, 13, True), (20, 9, False)])
+def test_dense_distinct_successors_answer_quickly(n, cap, consistent):
+    # n named r-successors, pairwise distinct except within n/2 fixed pairs:
+    # every member has n - 2 distinct partners, so pruning members by their
+    # partner count keeps them all, and the largest distinct set has n/2
+    # members, one of each pair, so trying every (cap + 1)-subset is
+    # exponential in n.
+    lines = [f"assert (a, b{i}): r >= 0.9." for i in range(n)]
+    lines += [
+        f"distinct b{i} b{j}." for i, j in itertools.combinations(range(n), 2) if i // 2 != j // 2
+    ]
+    kb = parse_kb("\n".join(lines) + f"\nassert a : <= {cap} r >= 0.9.\n")
+    start = time.perf_counter()
+    r = consistency(kb, budget=2000)
+    assert time.perf_counter() - start < 1.0
+    assert r.consistent == consistent
 
 
 def test_role_inclusion_propagation():
@@ -338,6 +358,7 @@ def check_indexes(f):
         for kind in KINDS:
             assert node.of_kind(kind) == [t for t in label if t.kind == kind]
         assert _concept_clash(f, node) == scan_concept_clash(node)
+        assert (node.id in f.clashing_nodes) == node.may_clash
         assert f.adjacent[node.id] == {k for k in f.edges if node.id in k}
         for r in (S, inv(S), R, inv(R)):
             assert f.neighbour_bounds(node.id, r) == scan_neighbour_bounds(f, node.id, r)
@@ -418,9 +439,9 @@ def test_node_built_with_a_label_is_indexed():
     assert node.copy().ordered == node.ordered
 
 
-# --- settled-node memo ---
+# --- dirty scan groups and the undo trail ---
 
-SETTLED_GROUPS = (
+SCAN_GROUPS = (
     _counting_clash, _propagate, _merge_at, _merge_roots_at, _rule_exists_pos,
     _rule_forall_neg, _rule_atleast, _split_at, _gci_at,
 )
@@ -434,19 +455,51 @@ ROOT_MERGE_KBS = (
     "assert c : all s.(not A) >= 0.7.\nassert a : (<= 1 s) or bottom >= 0.8.\n",
     "assert (a,b): s >= 0.9.\nassert (c,b): s >= 0.9.\nassert b : some s-.(>= 2 s) >= 0.6.\n"
     "assert a : A or B >= 0.5.\nassert b : (<= 1 s-) or bottom >= 0.8.\n",
+    # merging y into z at x makes z and w distinct, which closes a counting
+    # clash at v although no edge at v changes
+    "assert (x,y): s >= 0.9.\nassert (x,z): s >= 0.9.\nassert (v,z): r >= 0.9.\n"
+    "assert (v,w): r >= 0.9.\nassert x : <= 1 s >= 0.8.\nassert v : <= 1 r >= 0.8.\n"
+    "distinct y w.\n",
 )
 
 
-def check_settled(f, status, checked):
-    """Reference for the memo: at every node whose key is the one its group
-    recorded, the group itself, run un-memoised on a clone with a budget and
+# random GCI KBs whose search undoes block events (the first) and distinct
+# pairs (the second), which the golden corpus never does
+UNDO_KBS = (
+    "implies all r.A some s.(some r.A).\ntrans r.\nassert b : (bottom and A) >= 0.\n"
+    "assert a : all r.(not top or some r.top) >= 1.\nassert (c,c) : s >= 0.75.\n",
+    "implies <= 1 s some r.top.\nimplies all r.B some s.(bottom or not B).\ntrans r.\n"
+    "subrole r q.\nassert b : some r.(some r.(not A) or some s.top) <= 0.5.\n"
+    "assert a : all s.(some r.A) < 1.\nassert c : A <= 0.25.\nassert (a,a) : s < 0.75.\n"
+    "distinct b c.\n",
+)
+
+
+def shin_and_gci_runs(extra=()):
+    """A fresh forest for each golden SHIN/GCI KB and each root-merge KB,
+    then for each of `extra` under a smaller budget."""
+    kbs = [(kb, 20_000) for _, kb in corpus()]
+    kbs += [(parse_kb(text), 20_000) for text in ROOT_MERGE_KBS]
+    kbs += [(parse_kb(text), 1_000) for text in extra]
+    for kb, budget in kbs:
+        prepared = prepare(kb)
+        if prepared.mode in ("shin", "gci"):
+            yield init_forest(
+                prepared.abox, prepared.rbox, prepared.mode, budget=Budget(budget),
+                gcis=prepared.gcis, xa=prepared.xa, ell=prepared.ell,
+            )
+
+
+def check_clean(f, status, checked):
+    """Reference for the dirty bits: at every node whose bit for a scan
+    group is clear, the group itself, run on a clone with a budget and
     trace of its own, finds nothing to do."""
     g = f.clone()
     g.budget, g.trace = Budget(10**9), []
-    for at, keys in f.settled.items():
-        extra = len(f.neq) if at is _counting_clash else None
-        for x, key in keys.items():
-            if key == (f.nodes[x].stamp, status[x][0], extra):
+    for at in SCAN_GROUPS:
+        bit = tableau._GROUP_BITS[at]
+        for x, node in f.nodes.items():
+            if not node.dirty & bit:
                 assert not at(g, status, g.nodes[x]), (at.__name__, x)
                 checked[at.__name__] += 1
 
@@ -457,21 +510,80 @@ def test_settled_nodes_have_nothing_to_do(monkeypatch):
 
     def find_clash(f, status):
         # expand calls this once per iteration, right after blocking
-        check_settled(f, status, checked)
+        check_clean(f, status, checked)
         return real_find_clash(f, status)
 
     monkeypatch.setattr(tableau, "find_clash", find_clash)
-    kbs = [kb for _, kb in corpus()] + [parse_kb(text) for text in ROOT_MERGE_KBS]
     merged_roots = 0
-    for kb in kbs:
-        prepared = prepare(kb)
-        if prepared.mode not in ("shin", "gci"):
-            continue
-        f = init_forest(
-            prepared.abox, prepared.rbox, prepared.mode, budget=Budget(20_000),
-            gcis=prepared.gcis, xa=prepared.xa, ell=prepared.ell,
-        )
+    for f in shin_and_gci_runs():
         trace = solve(f).trace
         merged_roots += sum(ev[0] == "merge-root" for ev in trace)
     assert merged_roots >= 3
-    assert set(checked) == {at.__name__ for at in SETTLED_GROUPS}
+    assert set(checked) == {at.__name__ for at in SCAN_GROUPS}
+
+
+def assert_same_forest(f, g):
+    """f equals g in its dump, in every index and in its search state."""
+    assert f.dump() == g.dump()
+    check_indexes(f)
+    assert f.next_id == g.next_id and list(f.nodes) == list(g.nodes)
+    for x, node in f.nodes.items():
+        other = g.nodes[x]
+        assert (node.parent, node.is_root, node.root_name) == (other.parent, other.is_root, other.root_name)
+        assert node.ordered == other.ordered and node.label == other.label
+        assert node.may_clash == other.may_clash
+        for kind in KINDS:
+            assert node.of_kind(kind) == other.of_kind(kind)
+        assert node.dirty == other.dirty, x
+    assert f.edges == g.edges and f.adjacent == g.adjacent
+    assert f.clashing_pairs == g.clashing_pairs and f.clashing_nodes == g.clashing_nodes
+    assert f.neq == g.neq and f.merged == g.merged
+    assert f.status == g.status and f._recheck == g._recheck
+    assert f._last_blocks == g._last_blocks
+
+
+def test_undo_gives_back_each_choice_points_forest(monkeypatch):
+    """At every choice point, clone the forest, as the engine once did for
+    each branch; before each alternative, the forest undone to the choice
+    point's mark must equal that clone."""
+    real_expand, real_apply, real_undo = tableau.expand, tableau.apply_alternative, Forest.undo
+    snapshots = {}  # id(alternative) -> (alternative, clone)
+    undone = Counter()
+
+    def expand(f):
+        out = real_expand(f)
+        if isinstance(out, tableau.ChoicePoint):
+            # the first alternative is applied with nothing to undo
+            g = f.clone()
+            for alt in out.alternatives[1:]:
+                snapshots[id(alt)] = (alt, g)
+        return out
+
+    def apply_alternative(f, alt):
+        if id(alt) in snapshots:
+            assert_same_forest(f, snapshots.pop(id(alt))[1])
+            undone["alternatives"] += 1
+        real_apply(f, alt)
+
+    def undo(f, mark):
+        for fn, args in f.trail[mark:]:
+            if fn is tableau._restore_entry:
+                undone["status" if args[0] is f.status else "last blocks"] += 1
+            undone[fn.__name__] += 1
+        real_undo(f, mark)
+
+    monkeypatch.setattr(tableau, "expand", expand)
+    monkeypatch.setattr(tableau, "apply_alternative", apply_alternative)
+    monkeypatch.setattr(Forest, "undo", undo)
+    for f in shin_and_gci_runs(UNDO_KBS):
+        snapshots.clear()
+        try:
+            solve(f)
+        except ResourceLimit:
+            pass
+    # every kind of undo record was exercised
+    assert undone["alternatives"] > 500
+    assert {
+        "_unadd", "_unclear", "_unnew", "_restore_edge", "setattr", "discard", "remove", "pop",
+        "_set_dirty", "status", "last blocks",
+    } <= set(undone)
