@@ -36,24 +36,18 @@ def to_degree(value: DegreeLike) -> Degree:
 
 def format_degree(d: Degree) -> str:
     """Shortest exact rendering: decimal when terminating, else p/q."""
-    den = d.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den != 1:
-        return f"{d.numerator}/{d.denominator}"
-    if d.denominator == 1:
-        return str(d.numerator)
-    # terminating decimal: places = max multiplicity of 2 and 5 in the denominator
-    twos = fives = 0
-    den = d.denominator
+    # a terminating decimal has max(twos, fives) places
+    den, twos, fives = d.denominator, 0, 0
     while den % 2 == 0:
         den //= 2
         twos += 1
     while den % 5 == 0:
         den //= 5
         fives += 1
+    if den != 1:
+        return f"{d.numerator}/{d.denominator}"
+    if d.denominator == 1:
+        return str(d.numerator)
     places = max(twos, fives)
     scaled = d * 10**places
     assert scaled.denominator == 1

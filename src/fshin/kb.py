@@ -275,12 +275,6 @@ class FuzzyKB:
             yield rhs
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-
-
 def uses_shin_features(kb: FuzzyKB) -> bool:
     """Whether kb has role inclusions, inequality assertions or number
     restrictions, which SI mode cannot handle."""
@@ -307,23 +301,6 @@ def non_simple_restrictions(kb: FuzzyKB, rbox: RBox) -> list[Concept]:
         for d in subconcepts(c)
         if isinstance(d, (AtLeast, AtMost)) and not rbox.simple(d.role)
     ]
-
-
-def validate(kb: FuzzyKB) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    rbox = kb.rbox if kb.rbox.closure is not None else hierarchy_closure(kb.rbox)
-    for d in non_simple_restrictions(kb, rbox):
-        out.append(
-            Diagnostic(
-                "non-simple-role-in-number-restriction",
-                f"number restriction over non-simple role {d.role}",
-            )
-        )
-    if kb.tbox.gcis:
-        out.append(Diagnostic("gci-mode", "TBox contains general inclusions"))
-    elif not kb.tbox.is_unfoldable():
-        out.append(Diagnostic("gci-mode", "TBox is cyclic or has duplicate definitions"))
-    return out
 
 
 def relative_degrees(degrees: Iterable[Degree]) -> set[Degree]:

@@ -16,13 +16,26 @@ quantifier bodies bind tightly (write "some r.(A and B)" for a complex
 body).  Roles are NAME or NAME- (inverse).  CMP is >=, >, <=, < or =,
 where "=" stores the >=/<= pair.  Degrees are decimals, integers, or p/q
 fractions, all read exactly.  Comments run from "#" to end of line.
+
+Tokens, after any run of whitespace and comments:
+
+    decimal   DIGITS "." DIGITS
+    int       DIGITS
+    word      "subsumed-by", or a letter or "_" followed by any run of
+              str.isalnum characters and "_" (a keyword or a name)
+    sym       >=  <=  ⊑  ≡  (  )  :  ,  .  -  >  <  =  /
+
+DIGITS are Unicode decimal digits (str.isdecimal), a letter is as
+str.isalpha, and whitespace is as str.isspace.  A ParseError's span gives
+the line and column of an offset, where only "\n" starts a new line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, format_degree
 from .kb import ConceptAssertion, FuzzyKB, RoleAssertion
@@ -49,6 +62,11 @@ class SourceSpan:
     column: int
     offset: int
 
+    @classmethod
+    def at(cls, text: str, offset: int) -> SourceSpan:
+        line_start = text.rfind("\n", 0, offset) + 1
+        return cls(text.count("\n", 0, offset) + 1, offset - line_start + 1, offset)
+
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
@@ -65,140 +83,114 @@ KEYWORDS = {
     "assert", "distinct", "top", "bottom", "not", "and", "or", "some", "all",
 }
 
-_SYMBOLS = (">=", "<=", "⊑", "≡", "(", ")", ":", ",", ".", "-", ">", "<", "=", "/")
+# \w is str.isalnum or "_", so a word may also start with a numeral such as
+# "½"; tokenize refuses those
+_TOKEN = re.compile(
+    r"""
+    (?: \s | \#[^\n]* )*
+    (?: (?P<decimal> \d+ \. \d+ )
+      | (?P<int> \d+ )
+      | (?P<word> subsumed-by | [^\W\d]\w* )
+      | (?P<sym> [<>]= | [⊑≡():,.\-<>=/] )
+      | (?P<eof> \Z )
+      | (?P<bad> . )
+    )
+    """,
+    re.X,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "keyword", "int", "decimal", "sym", "eof"
     text: str
-    span: SourceSpan
+    offset: int
+
+
+# builds a Token in C; Token(...) would run NamedTuple's __new__ in Python
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        span = SourceSpan(line, col, i)
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("decimal", text[i:j], span))
-            else:
-                toks.append(Token("int", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_"):
-                j += 1
-            # the one hyphenated keyword
-            if text[i:j] == "subsumed" and text[j : j + 3] == "-by":
-                j += 3
-            word = text[i:j]
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, start = m[kind], m.start(kind)
+        if kind == "word":
             kind = "keyword" if word in KEYWORDS else "name"
-            toks.append(Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, span))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", span)
-    toks.append(Token("eof", "", SourceSpan(line, col, n)))
+        if kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", SourceSpan.at(text, start))
+        toks.append(_new_token(Token, (kind, word, start)))
+        if kind == "eof":
+            break
     return toks
 
 
 _CMP = {">=": Ineq.GE, ">": Ineq.GT, "<=": Ineq.LE, "<": Ineq.LT}
 
-# int() refuses digits other than 0-9 in some scripts (isdigit() accepts
-# "²") and numerals longer than sys.get_int_max_str_digits()
+# int() and Fraction() refuse numerals longer than
+# sys.get_int_max_str_digits()
 _NUMERAL_ERROR = "numeral is too long or uses digits other than 0-9"
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+        self.tok = self.toks[0]  # the next token
 
     def next(self) -> Token:
-        tok = self.toks[self.pos]
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
+    def fail(self, message: str, tok: Optional[Token] = None) -> ParseError:
+        """An error at tok, by default the next token."""
+        return ParseError(message, SourceSpan.at(self.text, (tok or self.tok).offset))
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             raise self.fail(f"expected {want!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok.kind == kind and (text is None or tok.text == text)
 
     # --- degrees, roles, concepts ---
 
     def degree(self) -> Degree:
-        tok = self.peek()
+        tok = self.tok
         try:
             if tok.kind == "decimal":
                 self.next()
                 value = Fraction(tok.text)
             elif tok.kind == "int":
                 self.next()
-                value = Fraction(self.integer(tok))
+                num, den = self.integer(tok), 1
                 if self.at("sym", "/"):
                     self.next()
-                    value = value / self.integer(self.expect("int"))
+                    den = self.integer(self.expect("int"))
+                value = Fraction(num, den)
             else:
                 raise self.fail("expected a degree")
         except ZeroDivisionError:
-            raise ParseError("degree has a zero denominator", tok.span) from None
+            raise self.fail("degree has a zero denominator", tok) from None
         except ValueError:
-            raise ParseError(_NUMERAL_ERROR, tok.span) from None
+            raise self.fail(_NUMERAL_ERROR, tok) from None
         if not ZERO <= value <= ONE:
-            raise ParseError(f"degree {format_degree(value)} outside [0,1]", tok.span)
+            raise self.fail(f"degree {format_degree(value)} outside [0,1]", tok)
         return value
 
-    @staticmethod
-    def integer(tok: Token) -> int:
+    def integer(self, tok: Token) -> int:
         try:
             return int(tok.text)
         except ValueError:
-            raise ParseError(_NUMERAL_ERROR, tok.span) from None
+            raise self.fail(_NUMERAL_ERROR, tok) from None
 
     def role(self) -> Role:
         name = self.expect("name")
@@ -222,7 +214,7 @@ class _Parser:
         return left
 
     def primary(self) -> Concept:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "keyword":
             if tok.text == "top":
                 self.next()
@@ -256,7 +248,7 @@ class _Parser:
         raise self.fail(f"expected a concept, found {tok.text or 'end of input'!r}")
 
     def bounds(self) -> list[SignedBound]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "sym" and tok.text in _CMP:
             self.next()
             return [SignedBound(_CMP[tok.text], self.degree())]
@@ -276,7 +268,7 @@ class _Parser:
         return out
 
     def statement(self, out: FuzzyKB) -> None:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "keyword":
             raise self.fail(f"expected a statement, found {tok.text or 'end of input'!r}")
         if tok.text == "define":
@@ -288,9 +280,9 @@ class _Parser:
             elif (kind_tok.kind, kind_tok.text) in (("keyword", "equiv"), ("sym", "≡")):
                 kind = "equiv"
             else:
-                raise ParseError("expected 'subsumed-by' or 'equiv'", kind_tok.span)
+                raise self.fail("expected 'subsumed-by' or 'equiv'", kind_tok)
             if name.text in out.tbox.definitions:
-                raise ParseError(f"duplicate definition of {name.text!r}", name.span)
+                raise self.fail(f"duplicate definition of {name.text!r}", name)
             out.tbox.definitions[name.text] = (kind, self.concept())
         elif tok.text == "implies":
             self.next()
@@ -383,7 +375,7 @@ def parse_query(text: str) -> tuple[Query, Optional[SignedBound]]:
         subject = (a.text, p.concept())
     bound: Optional[SignedBound] = None
     if not p.at("eof"):
-        tok = p.peek()
+        tok = p.tok
         if tok.kind == "sym" and tok.text in _CMP:
             p.next()
             bound = SignedBound(_CMP[tok.text], p.degree())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .degrees import (
@@ -83,27 +84,24 @@ def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
                 gcis.append((nnf(body), Name(name)))
         for lhs, rhs in kb.tbox.gcis:
             gcis.append((nnf(lhs), nnf(rhs)))
-        abox = ABox(
-            [
-                ConceptAssertion(ca.individual, nnf(ca.concept), ca.bound)
-                for ca in kb.abox.concept_assertions
-            ],
-            list(kb.abox.role_assertions),
-            set(kb.abox.inequalities),
-        )
-        ell = compute_ell(abox.degrees())
-        abox, xa = normalize_for_gci(abox, ell)
-        return Prepared("gci", abox, rbox, None, tuple(gcis), xa, ell)
-    unfolded = unfold(kb.tbox)
+        unfolded = None
+        mapped = nnf
+    else:
+        unfolded = unfold(kb.tbox)
+        mapped = partial(expand_concept, unfolded=unfolded)
     abox = ABox(
         [
-            ConceptAssertion(ca.individual, expand_concept(ca.concept, unfolded), ca.bound)
+            ConceptAssertion(ca.individual, mapped(ca.concept), ca.bound)
             for ca in kb.abox.concept_assertions
         ],
         list(kb.abox.role_assertions),
         set(kb.abox.inequalities),
     )
-    return Prepared(resolved, abox, rbox, unfolded, (), (), None)
+    if resolved != "gci":
+        return Prepared(resolved, abox, rbox, unfolded, (), (), None)
+    ell = compute_ell(abox.degrees())
+    abox, xa = normalize_for_gci(abox, ell)
+    return Prepared("gci", abox, rbox, None, tuple(gcis), xa, ell)
 
 
 @dataclass

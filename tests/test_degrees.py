@@ -36,6 +36,13 @@ def test_format_degree():
     assert format_degree(ZERO) == "0"
     assert format_degree(ONE) == "1"
     assert format_degree(Fraction(1, 20)) == "0.05"
+    # GCI normalization writes <= n - ell, so degrees can be negative
+    assert format_degree(Fraction(-1, 4)) == "-0.25"
+    assert format_degree(Fraction(1, 8)) == "0.125"
+    assert format_degree(Fraction(7, 2)) == "3.5"
+    assert format_degree(Fraction(-2)) == "-2"
+    assert format_degree(Fraction(-1, 3)) == "-1/3"
+    assert format_degree(Fraction(3, 1000)) == "0.003"
 
 
 @given(degrees)

@@ -17,9 +17,8 @@ from fshin.kb import (
     hierarchy_closure,
     normalize_for_gci,
     unfold,
-    validate,
 )
-from fshin.syntax import And, AtLeast, AtMost, Exists, Name, Not, Role, inv
+from fshin.syntax import And, AtLeast, Exists, Name, Not, Role, inv
 
 
 def bound(op, d):
@@ -89,18 +88,6 @@ def test_detect_mode():
     assert detect_mode(kb) == "shin"
     kb = FuzzyKB(tbox=TBox(gcis=[(Name("A"), Name("B"))]))
     assert detect_mode(kb) == "gci"
-
-
-def test_validate_flags_non_simple_number_restriction():
-    r, s = Role("r"), Role("s")
-    kb = FuzzyKB(
-        rbox=RBox(transitive={"r"}, inclusions={(r, s)}),
-        abox=ABox(concept_assertions=[
-            ConceptAssertion("a", AtMost(1, s), bound(Ineq.GE, "1/2"))
-        ]),
-    )
-    codes = {d.code for d in validate(kb)}
-    assert "non-simple-role-in-number-restriction" in codes
 
 
 def test_individual_order_first_appearance():

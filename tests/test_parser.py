@@ -12,6 +12,7 @@ from fshin.parser import (
     parse_kb,
     parse_query,
     serialize_kb,
+    tokenize,
 )
 from fshin.syntax import (
     And,
@@ -91,9 +92,22 @@ def test_statements():
 
 
 def test_errors_carry_spans():
-    with pytest.raises(ParseError) as e:
-        parse_kb("assert a : A >= 1.5.")
-    assert e.value.span is not None
+    cases = [
+        # (text, message, (line, column, offset))
+        ("assert a : A >= 1.5.", "degree 1.5 outside [0,1]", (1, 17, 16)),
+        ("assert a : A >= 0.5.\nassert b B >= 1.", "expected ':', found 'B'", (2, 10, 30)),
+        # end of input after a comment, with and without a newline before it
+        ("assert a : A >= 0.5 # c", "expected '.', found 'end of input'", (1, 24, 23)),
+        ("assert a : A >= 0.5\n# c", "expected '.', found 'end of input'", (2, 4, 23)),
+        ("assert a : A >= 0.5.\n  @ b", "unexpected character '@'", (2, 3, 23)),
+        ("assert a : A >= 1/0.", "degree has a zero denominator", (1, 17, 16)),
+    ]
+    for text, message, where in cases:
+        with pytest.raises(ParseError) as e:
+            parse_kb(text)
+        assert e.value.message == message
+        assert (e.value.span.line, e.value.span.column, e.value.span.offset) == where
+        assert str(e.value) == f"{where[0]}:{where[1]}: {message}"
     with pytest.raises(ParseError):
         parse_concept("and A")
     with pytest.raises(ParseError):
@@ -177,3 +191,43 @@ def kbs(draw):
 @given(kbs())
 def test_round_trip(kb):
     assert parse_kb(serialize_kb(kb)) == kb
+
+
+# --- tokens tile the input ---
+
+
+def _blank(gap: str, at_end: bool) -> bool:
+    """Whether gap holds only whitespace and comments; a comment must end
+    at a newline unless the gap runs to the end of the input."""
+    lines = gap.split("\n")
+    if any(line.partition("#")[0].strip() for line in lines):
+        return False
+    return at_end or "#" not in lines[-1]
+
+
+INSERTS = [" ", "\n", "\t", "\u2028", "\x1c", "# note\n", "#", "  # c >= 1.\n"]
+
+
+@st.composite
+def commented_kb_texts(draw):
+    text = serialize_kb(draw(kbs()))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(INSERTS)) + text[i:]
+    return text
+
+
+@given(st.one_of(st.text(), commented_kb_texts()))
+def test_tokens_tile_the_input(source):
+    try:
+        toks = tokenize(source)
+    except ParseError:
+        return
+    assert toks[-1].kind == "eof" and toks[-1].offset == len(source)
+    end = 0
+    for tok in toks:
+        assert tok.offset >= end
+        assert tok.text == source[tok.offset : tok.offset + len(tok.text)]
+        assert _blank(source[end : tok.offset], tok.kind == "eof")
+        end = tok.offset + len(tok.text)
+    assert [t.kind for t in toks].count("eof") == 1
