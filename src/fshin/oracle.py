@@ -5,6 +5,11 @@ semantics over a finite domain, checks knowledge bases exactly, and searches
 for models by exhaustive enumeration over a degree grid.  A found model
 proves consistency; exhaustion refutes it only on fragments where a model
 within the searched grid and domain bound is guaranteed to exist.
+
+The evaluator works on intervals, so that the search can prune partial
+assignments with the same code that checks a finished one: an
+interpretation may leave names and role pairs open within an interval,
+and on a complete interpretation every interval is a point.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .degrees import Degree, Ineq, ONE, ZERO, neg_lukasiewicz
+from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, neg_lukasiewicz
 from .kb import FuzzyKB
 from .syntax import (
     And,
@@ -31,6 +36,8 @@ from .syntax import (
     subconcepts,
 )
 
+Interval = tuple[Degree, Degree]
+
 
 class UnknownName(Exception):
     pass
@@ -42,121 +49,39 @@ class BudgetExceeded(Exception):
 
 @dataclass
 class FuzzyInterpretation:
+    """A finite fuzzy interpretation.  With `unknown` None it is complete: a
+    missing role pair reads 0 and a missing name raises UnknownName.  With
+    `unknown` set it is partial: every missing name or role pair may take any
+    degree in that interval."""
+
     domain: tuple[int, ...]
     concept_map: dict[tuple[str, int], Degree]
     role_map: dict[tuple[str, int, int], Degree]
     individual_map: dict[str, int]
+    unknown: Optional[Interval] = None
 
-    def concept_degree(self, name: str, e: int) -> Degree:
-        try:
-            return self.concept_map[(name, e)]
-        except KeyError:
-            raise UnknownName(f"concept {name!r} not interpreted at {e}") from None
+    def concept_degree(self, name: str, e: int) -> Optional[Degree]:
+        """The degree of `name` at e, or None if it is open."""
+        v = self.concept_map.get((name, e))
+        if v is None and self.unknown is None:
+            raise UnknownName(f"concept {name!r} not interpreted at {e}")
+        return v
 
-    def role_degree(self, r: Role, a: int, b: int) -> Degree:
+    def role_degree(self, r: Role, a: int, b: int) -> Optional[Degree]:
+        """The degree of r from a to b, or None if it is open."""
         if r.inverted:
             a, b = b, a
-        return self.role_map.get((r.name, a, b), ZERO)
+        return self.role_map.get((r.name, a, b), ZERO if self.unknown is None else None)
+
+    def interval(self, v: Optional[Degree]) -> Interval:
+        """The interval of a degree read with the two methods above."""
+        return (v, v) if v is not None else self.unknown
 
 
-def eval_concept(i: FuzzyInterpretation, c: Concept, e: int) -> Degree:
-    if isinstance(c, Top):
-        return ONE
-    if isinstance(c, Bottom):
-        return ZERO
-    if isinstance(c, Name):
-        return i.concept_degree(c.id, e)
-    if isinstance(c, Not):
-        return neg_lukasiewicz(eval_concept(i, c.arg, e))
-    if isinstance(c, And):
-        return min(eval_concept(i, c.left, e), eval_concept(i, c.right, e))
-    if isinstance(c, Or):
-        return max(eval_concept(i, c.left, e), eval_concept(i, c.right, e))
-    if isinstance(c, Exists):
-        return max(
-            min(i.role_degree(c.role, e, d), eval_concept(i, c.body, d)) for d in i.domain
-        )
-    if isinstance(c, Forall):
-        return min(
-            max(neg_lukasiewicz(i.role_degree(c.role, e, d)), eval_concept(i, c.body, d))
-            for d in i.domain
-        )
-    if isinstance(c, AtLeast):
-        # sup over p pairwise-distinct fillers of the minimum role degree:
-        # the p-th largest outgoing degree
-        if c.count == 0:
-            return ONE
-        degs = sorted((i.role_degree(c.role, e, d) for d in i.domain), reverse=True)
-        if len(degs) < c.count:
-            return ZERO
-        return degs[c.count - 1]
-    if isinstance(c, AtMost):
-        # inf over p+1 pairwise-distinct fillers of the maximum complement:
-        # 1 minus the (p+1)-th largest outgoing degree
-        degs = sorted((i.role_degree(c.role, e, d) for d in i.domain), reverse=True)
-        if len(degs) < c.count + 1:
-            return ONE
-        return neg_lukasiewicz(degs[c.count])
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def satisfies_kb(i: FuzzyInterpretation, kb: FuzzyKB) -> bool:
-    for ca in kb.abox.concept_assertions:
-        e = i.individual_map[ca.individual]
-        if not ca.bound.ineq.holds(eval_concept(i, ca.concept, e), ca.bound.degree):
-            return False
-    for ra in kb.abox.role_assertions:
-        a, b = i.individual_map[ra.subject], i.individual_map[ra.object]
-        if not ra.bound.ineq.holds(i.role_degree(ra.role, a, b), ra.bound.degree):
-            return False
-    for pair in kb.abox.inequalities:
-        elems = {i.individual_map[x] for x in pair}
-        if len(elems) < 2:
-            return False
-    for name in kb.rbox.transitive:
-        r = Role(name)
-        for a, b, c in itertools.product(i.domain, repeat=3):
-            if i.role_degree(r, a, c) < min(i.role_degree(r, a, b), i.role_degree(r, b, c)):
-                return False
-    for sub, sup in kb.rbox.inclusions:
-        for a, b in itertools.product(i.domain, repeat=2):
-            if i.role_degree(sub, a, b) > i.role_degree(sup, a, b):
-                return False
-    for name, (kind, body) in kb.tbox.definitions.items():
-        for e in i.domain:
-            lhs = i.concept_degree(name, e)
-            rhs = eval_concept(i, body, e)
-            if kind == "sub" and lhs > rhs:
-                return False
-            if kind == "equiv" and lhs != rhs:
-                return False
-    for lhs_c, rhs_c in kb.tbox.gcis:
-        for e in i.domain:
-            if eval_concept(i, lhs_c, e) > eval_concept(i, rhs_c, e):
-                return False
-    return True
-
-
-# --- interval evaluation for search pruning ---
-
-Interval = tuple[Degree, Degree]
-
-
-def _ival_concept(
-    part_c: dict[tuple[str, int], Degree],
-    part_r: dict[tuple[str, int, int], Degree],
-    lo_hi: Interval,
-    domain: tuple[int, ...],
-    c: Concept,
-    e: int,
-) -> Interval:
-    glo, ghi = lo_hi
-
-    def role_ival(r: Role, a: int, b: int) -> Interval:
-        if r.inverted:
-            a, b = b, a
-        v = part_r.get((r.name, a, b))
-        return (v, v) if v is not None else (glo, ghi)
+def concept_interval(i: FuzzyInterpretation, c: Concept, e: int) -> Interval:
+    """The least and greatest degree of c at e over every way of closing the
+    open names and role pairs of i."""
+    domain = i.domain
 
     def go(c: Concept, e: int) -> Interval:
         if isinstance(c, Top):
@@ -164,8 +89,7 @@ def _ival_concept(
         if isinstance(c, Bottom):
             return (ZERO, ZERO)
         if isinstance(c, Name):
-            v = part_c.get((c.id, e))
-            return (v, v) if v is not None else (glo, ghi)
+            return i.interval(i.concept_degree(c.id, e))
         if isinstance(c, Not):
             lo, hi = go(c.arg, e)
             return (ONE - hi, ONE - lo)
@@ -180,30 +104,35 @@ def _ival_concept(
         if isinstance(c, Exists):
             los, his = [], []
             for d in domain:
-                rl, rh = role_ival(c.role, e, d)
+                rl, rh = i.interval(i.role_degree(c.role, e, d))
                 bl, bh = go(c.body, d)
                 los.append(min(rl, bl))
                 his.append(min(rh, bh))
             return (max(los), max(his))
         if isinstance(c, Forall):
+            # Kleene-Dienes: inf over d of max(1 - r(e, d), body(d))
             los, his = [], []
             for d in domain:
-                rl, rh = role_ival(c.role, e, d)
+                rl, rh = i.interval(i.role_degree(c.role, e, d))
                 bl, bh = go(c.body, d)
                 los.append(max(ONE - rh, bl))
                 his.append(max(ONE - rl, bh))
             return (min(los), min(his))
         if isinstance(c, AtLeast):
+            # sup over p pairwise-distinct fillers of the minimum role degree:
+            # the p-th largest outgoing degree
             if c.count == 0:
                 return (ONE, ONE)
-            pairs = [role_ival(c.role, e, d) for d in domain]
+            pairs = [i.interval(i.role_degree(c.role, e, d)) for d in domain]
             if len(pairs) < c.count:
                 return (ZERO, ZERO)
             los = sorted((p[0] for p in pairs), reverse=True)
             his = sorted((p[1] for p in pairs), reverse=True)
             return (los[c.count - 1], his[c.count - 1])
         if isinstance(c, AtMost):
-            pairs = [role_ival(c.role, e, d) for d in domain]
+            # inf over p+1 pairwise-distinct fillers of the maximum complement:
+            # 1 minus the (p+1)-th largest outgoing degree
+            pairs = [i.interval(i.role_degree(c.role, e, d)) for d in domain]
             if len(pairs) < c.count + 1:
                 return (ONE, ONE)
             los = sorted((p[0] for p in pairs), reverse=True)
@@ -214,8 +143,17 @@ def _ival_concept(
     return go(c, e)
 
 
-def _bound_possible(ival: Interval, ineq: Ineq, n: Degree) -> bool:
+def eval_concept(i: FuzzyInterpretation, c: Concept, e: int) -> Degree:
+    """The degree of c at e; i must determine it (a complete i always does)."""
+    lo, hi = concept_interval(i, c, e)
+    if lo != hi:
+        raise UnknownName(f"degree of {c} at {e} is open: [{lo}, {hi}]")
+    return lo
+
+
+def _may_hold(ival: Interval, bound: SignedBound) -> bool:
     lo, hi = ival
+    ineq, n = bound.ineq, bound.degree
     if ineq is Ineq.GE:
         return hi >= n
     if ineq is Ineq.GT:
@@ -223,6 +161,49 @@ def _bound_possible(ival: Interval, ineq: Ineq, n: Degree) -> bool:
     if ineq is Ineq.LE:
         return lo <= n
     return lo < n
+
+
+def satisfies_kb(i: FuzzyInterpretation, kb: FuzzyKB) -> bool:
+    """Whether i can still satisfy kb: on a complete interpretation, whether
+    it does.  On a partial one the answer is True whenever some closing of
+    the open degrees satisfies kb, and may be True otherwise: transitivity
+    is checked only where all three degrees are known, a role inclusion
+    only where both are, and a definition only where the defined name is."""
+    imap = i.individual_map
+    for ca in kb.abox.concept_assertions:
+        if not _may_hold(concept_interval(i, ca.concept, imap[ca.individual]), ca.bound):
+            return False
+    for ra in kb.abox.role_assertions:
+        v = i.role_degree(ra.role, imap[ra.subject], imap[ra.object])
+        if not _may_hold(i.interval(v), ra.bound):
+            return False
+    for pair in kb.abox.inequalities:
+        if len({imap[x] for x in pair}) < 2:
+            return False
+    for name in kb.rbox.transitive:
+        r = Role(name)
+        for a, b, c in itertools.product(i.domain, repeat=3):
+            ac, ab, bc = i.role_degree(r, a, c), i.role_degree(r, a, b), i.role_degree(r, b, c)
+            if ac is not None and ab is not None and bc is not None and ac < min(ab, bc):
+                return False
+    for sub, sup in kb.rbox.inclusions:
+        for a, b in itertools.product(i.domain, repeat=2):
+            vs, vp = i.role_degree(sub, a, b), i.role_degree(sup, a, b)
+            if vs is not None and vp is not None and vs > vp:
+                return False
+    for name, (kind, body) in kb.tbox.definitions.items():
+        for e in i.domain:
+            v = i.concept_degree(name, e)
+            if v is None:
+                continue
+            lo, hi = concept_interval(i, body, e)
+            if v > hi or (kind == "equiv" and v < lo):
+                return False
+    for lhs, rhs in kb.tbox.gcis:
+        for e in i.domain:
+            if concept_interval(i, lhs, e)[0] > concept_interval(i, rhs, e)[1]:
+                return False
+    return True
 
 
 def kb_concept_names(kb: FuzzyKB) -> list[str]:
@@ -275,7 +256,6 @@ def search_model(
     degrees drawn from the grid.  Deterministic: domain size ascending,
     individual maps and degree assignments in lexicographic order."""
     grid = tuple(sorted(set(degree_grid))) if degree_grid is not None else default_grid(kb)
-    glo, ghi = grid[0], grid[-1]
     cnames = kb_concept_names(kb)
     rnames = kb_role_names(kb)
     individuals = kb.abox.individuals()
@@ -289,134 +269,62 @@ def search_model(
                 len({imap[x] for x in pair}) < 2 for pair in kb.abox.inequalities
             ):
                 continue
-            variables: list[tuple] = []
-            for name in rnames:
-                for a, b in itertools.product(domain, repeat=2):
-                    variables.append(("r", name, a, b))
-            for name in cnames:
-                for e in domain:
-                    variables.append(("c", name, e))
-            feasible = {var: grid for var in variables}
-            found = _dfs(kb, domain, imap, feasible, {}, {}, (glo, ghi), counter, budget)
+            part = FuzzyInterpretation(domain, {}, {}, imap, (grid[0], grid[-1]))
+            # a variable is a map, a key still missing from it, and the
+            # values left for that key
+            variables = [
+                (part.role_map, (name, a, b), grid)
+                for name in rnames
+                for a, b in itertools.product(domain, repeat=2)
+            ]
+            variables += [(part.concept_map, (name, e), grid) for name in cnames for e in domain]
+            found = _dfs(kb, part, variables, counter, budget)
             if found is not None:
                 return found
     return None
 
 
-def _partial_ok(
-    kb: FuzzyKB,
-    domain: tuple[int, ...],
-    imap: dict[str, int],
-    part_c: dict,
-    part_r: dict,
-    lo_hi: Interval,
-) -> bool:
-    for ca in kb.abox.concept_assertions:
-        ival = _ival_concept(part_c, part_r, lo_hi, domain, ca.concept, imap[ca.individual])
-        if not _bound_possible(ival, ca.bound.ineq, ca.bound.degree):
-            return False
-    for ra in kb.abox.role_assertions:
-        a, b = imap[ra.subject], imap[ra.object]
-        if ra.role.inverted:
-            a, b = b, a
-        v = part_r.get((ra.role.name, a, b))
-        ival = (v, v) if v is not None else lo_hi
-        if not _bound_possible(ival, ra.bound.ineq, ra.bound.degree):
-            return False
-    for name in kb.rbox.transitive:
-        for a, b, c in itertools.product(domain, repeat=3):
-            ac = part_r.get((name, a, c))
-            ab = part_r.get((name, a, b))
-            bc = part_r.get((name, b, c))
-            if ac is not None and ab is not None and bc is not None:
-                if ac < min(ab, bc):
-                    return False
-    for sub, sup in kb.rbox.inclusions:
-        for a, b in itertools.product(domain, repeat=2):
-            pa, pb = (b, a) if sub.inverted else (a, b)
-            qa, qb = (b, a) if sup.inverted else (a, b)
-            vs = part_r.get((sub.name, pa, pb))
-            vp = part_r.get((sup.name, qa, qb))
-            if vs is not None and vp is not None and vs > vp:
-                return False
-    for name, (kind, body) in kb.tbox.definitions.items():
-        for e in domain:
-            lv = part_c.get((name, e))
-            if lv is None:
-                continue
-            blo, bhi = _ival_concept(part_c, part_r, lo_hi, domain, body, e)
-            if kind == "sub" and lv > bhi:
-                return False
-            if kind == "equiv" and (lv > bhi or lv < blo):
-                return False
-    for lhs, rhs in kb.tbox.gcis:
-        for e in domain:
-            llo, _ = _ival_concept(part_c, part_r, lo_hi, domain, lhs, e)
-            _, rhi = _ival_concept(part_c, part_r, lo_hi, domain, rhs, e)
-            if llo > rhi:
-                return False
-    return True
-
-
-def _assign(part_c: dict, part_r: dict, var: tuple, value: Degree) -> None:
-    if var[0] == "r":
-        part_r[(var[1], var[2], var[3])] = value
-    else:
-        part_c[(var[1], var[2])] = value
-
-
-def _unassign(part_c: dict, part_r: dict, var: tuple) -> None:
-    if var[0] == "r":
-        del part_r[(var[1], var[2], var[3])]
-    else:
-        del part_c[(var[1], var[2])]
-
-
 def _dfs(
     kb: FuzzyKB,
-    domain: tuple[int, ...],
-    imap: dict[str, int],
-    feasible: dict[tuple, tuple],
-    part_c: dict,
-    part_r: dict,
-    lo_hi: Interval,
+    part: FuzzyInterpretation,
+    variables: list[tuple[dict, tuple, tuple]],
     counter: list[int],
     budget: int,
 ) -> Optional[FuzzyInterpretation]:
     counter[0] += 1
     if counter[0] > budget:
         raise BudgetExceeded(f"model search budget of {budget} exceeded")
-    if not _partial_ok(kb, domain, imap, part_c, part_r, lo_hi):
+    if not satisfies_kb(part, kb):
         return None
-    if not feasible:
-        i = FuzzyInterpretation(domain, dict(part_c), dict(part_r), dict(imap))
-        if satisfies_kb(i, kb):
-            return i
-        return None
+    if not variables:
+        i = FuzzyInterpretation(
+            part.domain, dict(part.concept_map), dict(part.role_map), dict(part.individual_map)
+        )
+        return i if satisfies_kb(i, kb) else None
     # forward checking with minimum-remaining-values: narrow every variable's
     # candidate set against the current partial assignment, fail on a wipeout,
     # then branch on the tightest variable
-    narrowed: dict[tuple, tuple] = {}
-    best_var = None
-    for var, values in feasible.items():
+    narrowed = []
+    best = None
+    for target, key, values in variables:
         kept = []
         for v in values:
             counter[0] += 1
-            _assign(part_c, part_r, var, v)
-            ok = _partial_ok(kb, domain, imap, part_c, part_r, lo_hi)
-            _unassign(part_c, part_r, var)
-            if ok:
+            target[key] = v
+            if satisfies_kb(part, kb):
                 kept.append(v)
+            del target[key]
         if not kept:
             return None
-        narrowed[var] = tuple(kept)
-        if best_var is None or len(kept) < len(narrowed[best_var]):
-            best_var = var
-    rest = {var: vals for var, vals in narrowed.items() if var != best_var}
-    for v in narrowed[best_var]:
-        _assign(part_c, part_r, best_var, v)
-        found = _dfs(kb, domain, imap, rest, part_c, part_r, lo_hi, counter, budget)
+        narrowed.append((target, key, tuple(kept)))
+        if best is None or len(kept) < len(best[2]):
+            best = narrowed[-1]
+    rest = [var for var in narrowed if var is not best]
+    target, key, values = best
+    for v in values:
+        target[key] = v
+        found = _dfs(kb, part, rest, counter, budget)
         if found is not None:
             return found
-        _unassign(part_c, part_r, best_var)
+        del target[key]
     return None

@@ -127,9 +127,9 @@ def tokenize(text: str) -> list[Token]:
 
 _CMP = {">=": Ineq.GE, ">": Ineq.GT, "<=": Ineq.LE, "<": Ineq.LT}
 
-# int() and Fraction() refuse numerals longer than
-# sys.get_int_max_str_digits()
-_NUMERAL_ERROR = "numeral is too long or uses digits other than 0-9"
+# the only numerals that int() and Fraction() refuse once the tokenizer has
+# matched them
+_NUMERAL_ERROR = "numeral has more digits than sys.get_int_max_str_digits() allows"
 
 
 class _Parser:

@@ -32,7 +32,7 @@ from .kb import (
     unfold,
     uses_shin_features,
 )
-from .syntax import Concept, Name, Role, nnf
+from .syntax import Concept, Name, Role, nnf, subconcepts
 from .tableau import (
     Budget,
     Forest,
@@ -123,16 +123,7 @@ def consistency(
     kb: FuzzyKB, mode: str = "auto", budget: int = DEFAULT_BUDGET
 ) -> ConsistencyResult:
     prepared = prepare(kb, mode)
-    forest = init_forest(
-        prepared.abox,
-        prepared.rbox,
-        prepared.mode,
-        budget=Budget(budget),
-        gcis=prepared.gcis,
-        xa=prepared.xa,
-        ell=prepared.ell,
-    )
-    result = solve(forest)
+    result = solve(init_forest(prepared, Budget(budget)))
     return ConsistencyResult(result.consistent, prepared, result)
 
 
@@ -257,7 +248,8 @@ def subsumes(
 
 def model_for(result: ConsistencyResult):
     """Finite interpretation for a consistent SI verdict, with the original
-    KB's defined concept names interpreted through their unfoldings."""
+    KB's defined concept names interpreted through their unfoldings.  A name
+    of the unfolded TBox that no label bounds is free, and reads 0."""
     from .oracle import eval_concept
 
     if not result.consistent or result.forest is None:
@@ -265,6 +257,11 @@ def model_for(result: ConsistencyResult):
     model = extract_model(result.forest)
     unfolded = result.prepared.unfolded
     if unfolded is not None:
+        for _, body in unfolded.definitions.values():
+            for sub in subconcepts(body):
+                if isinstance(sub, Name):
+                    for e in model.domain:
+                        model.concept_map.setdefault((sub.id, e), ZERO)
         for name, (_, body) in unfolded.definitions.items():
             for e in model.domain:
                 model.concept_map[(name, e)] = eval_concept(model, body, e)

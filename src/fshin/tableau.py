@@ -108,7 +108,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
 from .degrees import (
     Degree,
@@ -138,6 +138,9 @@ from .syntax import (
     Top,
     inv,
 )
+
+if TYPE_CHECKING:
+    from .services import Prepared
 
 
 class ResourceLimit(Exception):
@@ -816,16 +819,15 @@ def _restore_entry(d: dict, key, old) -> None:
 
 
 def init_forest(
-    abox: ABox,
-    rbox: RBox,
-    mode: str,
-    budget: Optional[Budget] = None,
-    trace: Optional[list] = None,
-    gcis: tuple = (),
-    xa: tuple = (),
-    ell: Optional[Degree] = None,
+    prepared: Prepared, budget: Optional[Budget] = None, trace: Optional[list] = None
 ) -> Forest:
-    f = Forest(mode, rbox, budget or Budget(10**6), trace, gcis, xa, ell)
+    """The initial forest of a prepared KB: a root per individual, labelled
+    with its assertions."""
+    f = Forest(
+        prepared.mode, prepared.rbox, budget or Budget(10**6), trace,
+        prepared.gcis, prepared.xa, prepared.ell,
+    )
+    abox = prepared.abox
     roots: dict[str, int] = {}
     for ind in abox.individuals():
         roots[ind] = f.new_node(is_root=True, parent=None, root_name=ind).id

@@ -164,10 +164,7 @@ def observe(kb) -> dict:
     prepared = prepare(kb)
     trace: list = []
     budget = Budget(BUDGET)
-    f = init_forest(
-        prepared.abox, prepared.rbox, prepared.mode, budget=budget, trace=trace,
-        gcis=prepared.gcis, xa=prepared.xa, ell=prepared.ell,
-    )
+    f = init_forest(prepared, budget, trace)
     try:
         result = solve(f)
     except ResourceLimit:

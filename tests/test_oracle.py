@@ -1,9 +1,15 @@
+import itertools
+import random
 from fractions import Fraction
 
+from fshin.kb import ABox, FuzzyKB, TBox
 from fshin.oracle import (
     FuzzyInterpretation,
+    concept_interval,
     default_grid,
     eval_concept,
+    kb_concept_names,
+    kb_role_names,
     satisfies_kb,
     search_model,
 )
@@ -21,7 +27,10 @@ from fshin.syntax import (
     Role,
     TOP,
     inv,
+    subconcepts,
 )
+
+from genkb import GRID, random_alc_kb, random_shin_concept, random_shin_kb, random_tbox_kb
 
 F = Fraction
 
@@ -126,3 +135,75 @@ def test_search_model_needs_second_element():
     m = search_model(kb, max_domain=2)
     assert m is not None and satisfies_kb(m, kb)
     assert len(m.domain) == 2
+
+
+def complete_interpretation(rng, kb):
+    """A random complete interpretation of kb and of genkb's names on 1-3
+    elements, made to satisfy kb's definitions, transitivity and role
+    inclusions, so that it often satisfies the whole KB."""
+    domain = tuple(range(rng.randint(1, 3)))
+    names = set(kb_concept_names(kb)) | {"A", "B"}
+    roles = set(kb_role_names(kb)) | {"r", "s"}
+    cmap = {(n, e): rng.choice(GRID) for n in sorted(names) for e in domain}
+    rmap = {(r, a, b): rng.choice(GRID) for r in sorted(roles) for a in domain for b in domain}
+    imap = {x: rng.choice(domain) for x in kb.abox.individuals()}
+    i = FuzzyInterpretation(domain, cmap, rmap, imap)
+    # genkb writes each definition after the ones its body names
+    for name, (kind, body) in kb.tbox.definitions.items():
+        for e in domain:
+            v = eval_concept(i, body, e)
+            cmap[(name, e)] = v if kind == "equiv" else min(v, cmap[(name, e)])
+    for name in sorted(kb.rbox.transitive):
+        for _ in domain:
+            for a, b, c in itertools.product(domain, repeat=3):
+                through = min(rmap[(name, a, b)], rmap[(name, b, c)])
+                rmap[(name, a, c)] = max(rmap[(name, a, c)], through)
+    for sub, sup in kb.rbox.inclusions:
+        for a, b in itertools.product(domain, repeat=2):
+            key = (sup.name, a, b)
+            rmap[key] = max(rmap[key], rmap[(sub.name, a, b)])
+    return i
+
+
+def single_axioms(kb):
+    """A KB for each assertion, definition and inclusion of kb; its RBox
+    axioms hold in every interpretation made above."""
+    for ca in kb.abox.concept_assertions:
+        yield FuzzyKB(abox=ABox([ca]))
+    for ra in kb.abox.role_assertions:
+        yield FuzzyKB(abox=ABox([], [ra]))
+    for name, definition in kb.tbox.definitions.items():
+        yield FuzzyKB(tbox=TBox({name: definition}))
+    for gci in kb.tbox.gcis:
+        yield FuzzyKB(tbox=TBox(gcis=[gci]))
+
+
+def test_partial_interpretation_bounds_every_completion():
+    """The search prunes with the interval of a partial interpretation, so
+    the interval must hold the exact value of every completion, and a KB
+    that a completion satisfies must still be possible."""
+    rng = random.Random(5)
+    generators = [random_alc_kb, random_shin_kb, random_tbox_kb, random_tbox_kb]
+    satisfied = 0
+    for n in range(400):
+        kb = generators[n % 4](rng)
+        i = complete_interpretation(rng, kb)
+        concepts = [d for c in kb.concepts() for d in subconcepts(c)]
+        concepts.append(random_shin_concept(rng))
+        holding = [one for one in [kb, *single_axioms(kb)] if satisfies_kb(i, one)]
+        satisfied += len(holding)
+        for keep in (0.25, 0.5, 0.75):
+            part = FuzzyInterpretation(
+                i.domain,
+                {k: v for k, v in i.concept_map.items() if rng.random() < keep},
+                {k: v for k, v in i.role_map.items() if rng.random() < keep},
+                i.individual_map,
+                (F(0), F(1)),
+            )
+            for c in concepts:
+                for e in i.domain:
+                    lo, hi = concept_interval(part, c, e)
+                    assert lo <= eval_concept(i, c, e) <= hi, (c, e)
+            for one in holding:
+                assert satisfies_kb(part, one), one
+    assert satisfied >= 800

@@ -91,6 +91,10 @@ def test_statements():
     assert frozenset({"a", "b"}) in kb.abox.inequalities
 
 
+LONG = "1" * 5000
+NUMERAL_ERROR = "numeral has more digits than sys.get_int_max_str_digits() allows"
+
+
 def test_errors_carry_spans():
     cases = [
         # (text, message, (line, column, offset))
@@ -101,6 +105,9 @@ def test_errors_carry_spans():
         ("assert a : A >= 0.5\n# c", "expected '.', found 'end of input'", (2, 4, 23)),
         ("assert a : A >= 0.5.\n  @ b", "unexpected character '@'", (2, 3, 23)),
         ("assert a : A >= 1/0.", "degree has a zero denominator", (1, 17, 16)),
+        # numerals past int()'s default limit of 4300 digits
+        (f"assert a : A >= 0.{LONG}.", NUMERAL_ERROR, (1, 17, 16)),
+        (f"assert a : >= {LONG} r >= 0.5.", NUMERAL_ERROR, (1, 15, 14)),
     ]
     for text, message, where in cases:
         with pytest.raises(ParseError) as e:

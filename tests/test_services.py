@@ -21,7 +21,7 @@ from fshin.services import (
 )
 from fshin.syntax import Forall, Name, Not, Role
 
-from genkb import random_alc_kb
+from genkb import random_alc_kb, random_tbox_kb
 
 F = Fraction
 
@@ -154,12 +154,30 @@ def test_subsumes_uses_tbox():
     assert subsumes(parse_concept("A"), parse_concept("C"), kb)
 
 
+MODEL_KBS = [
+    "define C equiv some r.A.\nassert a : C >= 0.6.\nassert a : B >= 0.3.",
+    # TBox names that no label bounds: A, and the fresh primitive D_prim
+    "define D equiv A.\nassert a : B >= 0.5.",
+    "define D subsumed-by some r.A.\nassert a : B >= 0.5.",
+]
+
+
 def test_model_for_consistent_kb():
-    kb = parse_kb("define C equiv some r.A.\nassert a : C >= 0.6.\nassert a : B >= 0.3.")
-    res = consistency(kb)
-    assert res.consistent
-    model = model_for(res)
-    assert satisfies_kb(model, kb)
+    """model_for's model satisfies every consistent SI KB with definitions."""
+    kbs = [parse_kb(text) for text in MODEL_KBS]
+    for kb in kbs:
+        assert consistency(kb).consistent
+    rng = random.Random(11)
+    # inclusions would make the KB GCI, where model_for does not apply
+    kbs += [kb for kb in (random_tbox_kb(rng) for _ in range(200)) if not kb.tbox.gcis]
+    checked = 0
+    for kb in kbs:
+        res = consistency(kb)
+        if res.consistent:
+            assert res.prepared.mode == "si"
+            assert satisfies_kb(model_for(res), kb)
+            checked += 1
+    assert checked >= 40
 
 
 def test_entailment_antitone_in_degree():

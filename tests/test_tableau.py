@@ -484,10 +484,7 @@ def shin_and_gci_runs(extra=()):
     for kb, budget in kbs:
         prepared = prepare(kb)
         if prepared.mode in ("shin", "gci"):
-            yield init_forest(
-                prepared.abox, prepared.rbox, prepared.mode, budget=Budget(budget),
-                gcis=prepared.gcis, xa=prepared.xa, ell=prepared.ell,
-            )
+            yield init_forest(prepared, Budget(budget))
 
 
 def check_clean(f, status, checked):
