@@ -47,7 +47,7 @@ def _oracle_check(kb: FuzzyKB, expected: bool) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
-    result = services.consistency(kb, args.mode, args.budget_nodes)
+    result = services.consistency(kb, args.budget_nodes)
     if args.oracle:
         _oracle_check(kb, result.consistent)
     _emit(args, "consistent" if result.consistent else "inconsistent")
@@ -59,7 +59,7 @@ def _cmd_entail(args: argparse.Namespace) -> int:
     query, bound = parse_query(args.assertion)
     if bound is None:
         raise ParseError("entail requires a bounded assertion, e.g. '... >= 0.5'", None)
-    holds = services.entails(kb, query, bound, args.mode, args.budget_nodes)
+    holds = services.entails(kb, query, bound, args.budget_nodes)
     _emit(args, "entailed" if holds else "not-entailed")
     return EXIT_YES if holds else EXIT_NO
 
@@ -71,7 +71,7 @@ def _cmd_degree(args: argparse.Namespace, which: str) -> int:
         raise ParseError(f"{which} takes an unbounded assertion, e.g. 'a : C'", None)
     fn = services.glb if which == "glb" else services.lub
     try:
-        value = fn(kb, query, args.mode, args.budget_nodes)
+        value = fn(kb, query, args.budget_nodes)
     except services.InconsistentKB:
         _emit(args, "inconsistent-kb")
         return EXIT_NO
@@ -84,9 +84,9 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     concept = parse_concept(args.concept)
     if args.degree is not None:
         n = parse_degree(args.degree)
-        ok = services.n_satisfiable(concept, n, kb, args.mode, args.budget_nodes)
+        ok = services.n_satisfiable(concept, n, kb, args.budget_nodes)
     else:
-        ok = services.satisfiable(concept, kb, args.mode, args.budget_nodes)
+        ok = services.satisfiable(concept, kb, args.budget_nodes)
     _emit(args, "satisfiable" if ok else "unsatisfiable")
     return EXIT_YES if ok else EXIT_NO
 
@@ -95,14 +95,14 @@ def _cmd_subsumes(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb) if args.kb else FuzzyKB()
     sub = parse_concept(args.sub)
     sup = parse_concept(args.super)
-    holds = services.subsumes(sup, sub, kb, args.mode, args.budget_nodes)
+    holds = services.subsumes(sup, sub, kb, args.budget_nodes)
     _emit(args, "subsumed" if holds else "not-subsumed")
     return EXIT_YES if holds else EXIT_NO
 
 
 def _cmd_dump_forest(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
-    result = services.consistency(kb, args.mode, args.budget_nodes)
+    result = services.consistency(kb, args.budget_nodes)
     forest = result.forest or result.solve_result.first_clash_forest
     text = forest.dump() if forest is not None else ""
     if args.out:
@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("kb", help=".fkb file, or '-' for stdin")
         else:
             p.add_argument("kb", nargs="?", default=None, help=".fkb file, or '-' for stdin")
-        p.add_argument("--mode", choices=["auto", "si", "shin", "gci"], default="auto")
         p.add_argument("--budget-nodes", type=int, default=services.DEFAULT_BUDGET)
         p.add_argument("--oracle", action="store_true", help="cross-check with the model-search oracle")
         p.add_argument("--quiet", action="store_true")

@@ -388,10 +388,6 @@ def parse_query(text: str) -> tuple[Query, Optional[SignedBound]]:
 # --- serialization ---
 
 
-def _role_text(r: Role) -> str:
-    return str(r)
-
-
 def serialize_kb(kb: FuzzyKB) -> str:
     lines: list[str] = []
     for name, (kind, body) in kb.tbox.definitions.items():
@@ -402,7 +398,7 @@ def serialize_kb(kb: FuzzyKB) -> str:
     for name in sorted(kb.rbox.transitive):
         lines.append(f"trans {name}.")
     for sub, sup in sorted(kb.rbox.inclusions, key=lambda p: (str(p[0]), str(p[1]))):
-        lines.append(f"subrole {_role_text(sub)} {_role_text(sup)}.")
+        lines.append(f"subrole {sub} {sup}.")
     for ca in kb.abox.concept_assertions:
         lines.append(
             f"assert {ca.individual} : {concept_text(ca.concept)} "
@@ -410,7 +406,7 @@ def serialize_kb(kb: FuzzyKB) -> str:
         )
     for ra in kb.abox.role_assertions:
         lines.append(
-            f"assert ({ra.subject},{ra.object}) : {_role_text(ra.role)} "
+            f"assert ({ra.subject},{ra.object}) : {ra.role} "
             f"{ra.bound.ineq} {format_degree(ra.bound.degree)}."
         )
     for pair in sorted(kb.abox.inequalities, key=sorted):

@@ -30,10 +30,10 @@ from .kb import (
     normalize_for_gci,
     relative_degrees,
     unfold,
-    uses_shin_features,
 )
 from .syntax import Concept, Name, Role, nnf, subconcepts
 from .tableau import (
+    DEFAULT_BUDGET,
     Budget,
     Forest,
     SolveResult,
@@ -42,11 +42,9 @@ from .tableau import (
     solve,
 )
 
-DEFAULT_BUDGET = 10**6
-
 
 class ModeError(Exception):
-    """The requested engine mode cannot handle the knowledge base."""
+    """The knowledge base lies outside the decidable fragment."""
 
 
 @dataclass
@@ -60,15 +58,10 @@ class Prepared:
     ell: Optional[Degree]
 
 
-def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
-    resolved = detect_mode(kb) if mode == "auto" else mode
-    if mode == "si" and uses_shin_features(kb):
-        raise ModeError(
-            "mode 'si' cannot handle number restrictions, role inclusions, "
-            "or inequality assertions"
-        )
-    if mode in ("si", "shin") and not kb.tbox.is_unfoldable():
-        raise ModeError(f"mode {mode!r} requires an unfoldable TBox; use 'gci'")
+def prepare(kb: FuzzyKB) -> Prepared:
+    """The KB made ready for the tableau, in the fragment its constructors
+    need (detect_mode)."""
+    mode = detect_mode(kb)
     rbox = hierarchy_closure(kb.rbox)
     bad = non_simple_restrictions(kb, rbox)
     if bad:
@@ -76,7 +69,7 @@ def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
             f"number restriction {bad[0]} is over the non-simple role "
             f"{bad[0].role}; f-SHIN allows only simple roles there"
         )
-    if resolved == "gci":
+    if mode == "gci":
         gcis: list[tuple[Concept, Concept]] = []
         for name, (kind, body) in kb.tbox.definitions.items():
             gcis.append((Name(name), nnf(body)))
@@ -97,11 +90,11 @@ def prepare(kb: FuzzyKB, mode: str = "auto") -> Prepared:
         list(kb.abox.role_assertions),
         set(kb.abox.inequalities),
     )
-    if resolved != "gci":
-        return Prepared(resolved, abox, rbox, unfolded, (), (), None)
+    if mode != "gci":
+        return Prepared(mode, abox, rbox, unfolded, (), (), None)
     ell = compute_ell(abox.degrees())
     abox, xa = normalize_for_gci(abox, ell)
-    return Prepared("gci", abox, rbox, None, tuple(gcis), xa, ell)
+    return Prepared(mode, abox, rbox, None, tuple(gcis), xa, ell)
 
 
 @dataclass
@@ -119,10 +112,8 @@ class ConsistencyResult:
         return self.solve_result.forest
 
 
-def consistency(
-    kb: FuzzyKB, mode: str = "auto", budget: int = DEFAULT_BUDGET
-) -> ConsistencyResult:
-    prepared = prepare(kb, mode)
+def consistency(kb: FuzzyKB, budget: int = DEFAULT_BUDGET) -> ConsistencyResult:
+    prepared = prepare(kb)
     result = solve(init_forest(prepared, Budget(budget)))
     return ConsistencyResult(result.consistent, prepared, result)
 
@@ -137,20 +128,17 @@ def _fresh_individual(kb: FuzzyKB) -> str:
     return name
 
 
-def satisfiable(
-    c: Concept, kb: Optional[FuzzyKB] = None, mode: str = "auto", budget: int = DEFAULT_BUDGET
-) -> bool:
+def satisfiable(c: Concept, kb: Optional[FuzzyKB] = None, budget: int = DEFAULT_BUDGET) -> bool:
     kb = kb or FuzzyKB()
     a = _fresh_individual(kb)
     probe = kb.with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.GT, ZERO)))
-    return consistency(probe, mode, budget).consistent
+    return consistency(probe, budget).consistent
 
 
 def n_satisfiable(
     c: Concept,
     n: Degree,
     kb: Optional[FuzzyKB] = None,
-    mode: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     kb = kb or FuzzyKB()
@@ -158,7 +146,7 @@ def n_satisfiable(
     probe = kb.with_concept_assertion(
         ConceptAssertion(a, c, SignedBound(Ineq.GE, n))
     ).with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.LE, n)))
-    return consistency(probe, mode, budget).consistent
+    return consistency(probe, budget).consistent
 
 
 Query = Union[tuple[str, Concept], tuple[str, str, Role]]
@@ -177,58 +165,45 @@ def entails(
     kb: FuzzyKB,
     query: Query,
     bound: SignedBound,
-    mode: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    return not consistency(_with_negated(kb, query, bound), mode, budget).consistent
+    return not consistency(_with_negated(kb, query, bound), budget).consistent
 
 
 class InconsistentKB(Exception):
     """Degree bounds are not meaningful over an inconsistent KB."""
 
 
-def _candidate_degrees(kb: FuzzyKB, mode: str) -> list[Degree]:
-    pool = relative_degrees(kb.abox.degrees())
-    if mode == "gci" or (mode == "auto" and detect_mode(kb) == "gci"):
-        # the GCI degree set, which already holds each complement
-        pool.update(prepare(kb, mode).xa)
-    return sorted(d for d in pool if ZERO <= d <= ONE)
-
-
-def glb(
-    kb: FuzzyKB, query: Query, mode: str = "auto", budget: int = DEFAULT_BUDGET
-) -> Degree:
+def glb(kb: FuzzyKB, query: Query, budget: int = DEFAULT_BUDGET) -> Degree:
     """Greatest lower bound: the largest candidate degree n with
     KB |= query >= n.  Raises InconsistentKB when the KB has no model."""
-    return _tightest_bound(kb, query, Ineq.GE, mode, budget)
+    return _tightest_bound(kb, query, Ineq.GE, budget)
 
 
-def lub(
-    kb: FuzzyKB, query: Query, mode: str = "auto", budget: int = DEFAULT_BUDGET
-) -> Degree:
+def lub(kb: FuzzyKB, query: Query, budget: int = DEFAULT_BUDGET) -> Degree:
     """Least upper bound: the smallest candidate degree n with
     KB |= query <= n."""
-    return _tightest_bound(kb, query, Ineq.LE, mode, budget)
+    return _tightest_bound(kb, query, Ineq.LE, budget)
 
 
-def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, mode: str, budget: int) -> Degree:
+def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degree:
     """The first candidate n, largest first for >= and smallest first for
     <=, with KB |= query <ineq> n."""
-    if not consistency(kb, mode, budget).consistent:
+    result = consistency(kb, budget)
+    if not result.consistent:
         raise InconsistentKB()
-    candidates = _candidate_degrees(kb, mode)
-    if ineq.positive:
-        candidates.reverse()
+    # with the GCI degree set, which already holds each complement
+    pool = relative_degrees(kb.abox.degrees()) | set(result.prepared.xa)
+    candidates = sorted((d for d in pool if ZERO <= d <= ONE), reverse=ineq.positive)
     for n in candidates:
-        if entails(kb, query, SignedBound(ineq, n), mode, budget):
+        if entails(kb, query, SignedBound(ineq, n), budget):
             return n
     # not reached: the last candidate, 0 or 1, is a bound every KB entails
     return candidates[-1]
 
 
 def subsumes(
-    d: Concept, c: Concept, kb: Optional[FuzzyKB] = None, mode: str = "auto",
-    budget: int = DEFAULT_BUDGET,
+    d: Concept, c: Concept, kb: Optional[FuzzyKB] = None, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Crisp subsumption c (= d w.r.t. the KB's TBox and RBox: both probe
     ABoxes {(a:c) >= n, (a:d) < n}, n in {1/2, 1}, must be inconsistent."""
@@ -241,7 +216,7 @@ def subsumes(
             ]
         )
         probe = FuzzyKB(kb.tbox, kb.rbox, abox)
-        if consistency(probe, mode, budget).consistent:
+        if consistency(probe, budget).consistent:
             return False
     return True
 

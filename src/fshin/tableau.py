@@ -4,7 +4,8 @@ Decides fuzzy ABox consistency by expanding a forest of labelled nodes and
 edges under the completion rules, backtracking depth-first over the
 nondeterministic choices (disjunction splits, merge picks, general-inclusion
 splits).  Blocking keeps branches finite: label-equality blocking with
-un/re-blocking in SI mode, pair-wise blocking in SHIN and GCI modes.
+un/re-blocking for f-SI KBs; for f-SHIN and GCI KBs, Forest.pairwise turns
+on pair-wise blocking and the number-restriction rules.
 
 Rule priority (fixed, deterministic): clash check, then negation pushing,
 then deterministic decompositions, then propagations, then merges, then
@@ -13,8 +14,9 @@ scanned oldest-first and label sets in a canonical order, so identical
 input yields identical behaviour.  Each rule is written once: _propagate
 holds negation, decomposition and the table _PROPAGATIONS (universal,
 negated existential, and their transitive forms), _generate both witness
-generators, and _atmost_instances the at-most view that the merges, the
-counting clash and the audit read.
+generators, and Triple.atmost and Triple.atleast the views of a count
+triple that the merges, the counting clash, the at-least generator and the
+audit read.
 
 The canonical order of triples is by subject text, then INEQ_ORDER, then
 degree (Triple.key).  The forest keeps its derived views current as it
@@ -239,14 +241,28 @@ class Triple:
 
     @cached_property
     def atmost(self) -> Optional[tuple[AtMost, SignedBound, str]]:
-        """(at-most concept, probe, merge rule) when this triple caps its
-        neighbours (see _atmost_instances), else None."""
+        """(at-most concept, probe, merge rule) when this triple caps the
+        neighbours whose bound conjugates the probe: a positive at-most, or
+        a negative at-least read as its at-most counterpart; else None."""
         c = self.subject
         if isinstance(c, AtMost) and self.ineq.positive:
             return c, self.reflected, "atmost-merge"
         # a negative (>= m R) caps at m - 1, so (>= 0 R) caps nothing
         if isinstance(c, AtLeast) and self.ineq.negative and c.count >= 1:
             return AtMost(c.count - 1, c.role), self._bound, "atleast-merge"
+        return None
+
+    @cached_property
+    def atleast(self) -> Optional[tuple[AtLeast, SignedBound, str]]:
+        """(at-least concept, edge bound, generator rule) when this triple
+        asks for neighbours through that bound: a positive at-least, or a
+        negative at-most read as its at-least counterpart (the <=-neg rule
+        delegates to >=-pos); else None."""
+        c = self.subject
+        if isinstance(c, AtLeast) and self.ineq.positive and c.count >= 1:
+            return c, self._bound, "atleast-pos"
+        if isinstance(c, AtMost) and self.ineq.negative:
+            return AtLeast(c.count + 1, c.role), self.reflected, "atmost-neg"
         return None
 
     def __getstate__(self) -> dict:
@@ -359,6 +375,9 @@ class Clash:
         return f"{self.kind} at {self.where}: {ts}"
 
 
+DEFAULT_BUDGET = 10**6
+
+
 @dataclass
 class Budget:
     limit: int
@@ -388,21 +407,21 @@ _INDIRECT_STATUS = (INDIRECT, None)
 class Forest:
     def __init__(
         self,
-        mode: str,
+        pairwise: bool,
         rbox: RBox,
         budget: Budget,
         trace: Optional[list] = None,
-        gcis: tuple = (),
-        xa: tuple = (),
-        ell: Optional[Degree] = None,
+        gci_splits: tuple[tuple[Degree, Triple, Triple], ...] = (),
     ):
-        self.mode = mode
+        # pair-wise blocking, the at-least generator, the merges and the
+        # counting clash: the f-SHIN procedure, which GCI KBs use as well
+        self.pairwise = pairwise
         self.rbox = rbox
         self.budget = budget
         self.trace: list = trace if trace is not None else []
-        self.gcis = gcis
-        self.xa = xa
-        self.ell = ell
+        # (n, lhs <= n - ell, rhs >= n) for each degree n of the GCI degree
+        # set and each inclusion lhs (= rhs, in scan order
+        self.gci_splits = gci_splits
         self.nodes: dict[int, Node] = {}
         # edge labels, adjacency sets and neighbour tables are replaced,
         # never changed in place, so a clone or an undo record may share them
@@ -430,12 +449,6 @@ class Forest:
         # undo records (function, arguments) since the first choice point;
         # None until mark() is called, and again once solve returns
         self.trail: Optional[list[tuple]] = None
-        # the inclusion split's triples (lhs <= n - ell, rhs >= n) in scan order
-        self.gci_splits: tuple[tuple[int, Degree, Triple, Triple], ...] = tuple(
-            (idx, n, Triple(lhs, Ineq.LE, n - ell), Triple(rhs, Ineq.GE, n))
-            for n in xa
-            for idx, (lhs, rhs) in enumerate(gcis)
-        )
 
     # --- construction and copying ---
 
@@ -460,7 +473,7 @@ class Forest:
 
     def clone(self) -> "Forest":
         """An independent copy, without the trail; shares rbox, budget,
-        trace and the GCI tables with self.  Edge labels, adjacency sets and
+        trace and the GCI splits with self.  Edge labels, adjacency sets and
         neighbour tables are replaced rather than changed, so copying their
         dicts is enough."""
         g = copy.copy(self)
@@ -752,7 +765,7 @@ class Forest:
 
     def _direct_blocker(self, node: Node) -> Optional[int]:
         nodes = self.nodes
-        if self.mode == "si":
+        if not self.pairwise:
             for anc in self.ancestors(node.id):
                 if nodes[anc].label == node.label:
                     return anc
@@ -823,9 +836,13 @@ def init_forest(
 ) -> Forest:
     """The initial forest of a prepared KB: a root per individual, labelled
     with its assertions."""
+    splits = tuple(
+        (n, Triple(lhs, Ineq.LE, n - prepared.ell), Triple(rhs, Ineq.GE, n))
+        for n in prepared.xa
+        for lhs, rhs in prepared.gcis
+    )
     f = Forest(
-        prepared.mode, prepared.rbox, budget or Budget(10**6), trace,
-        prepared.gcis, prepared.xa, prepared.ell,
+        prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), trace, splits
     )
     abox = prepared.abox
     roots: dict[str, int] = {}
@@ -895,8 +912,17 @@ def _edge_clash(f: Forest) -> Optional[Clash]:
 def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
     """Whether k of the (distinct) members are pairwise distinct under neq,
     that is, whether the neq graph on the members has a k-clique."""
-    if k <= 1:
+    if k <= 1 or len(members) < k:
         return len(members) >= k
+    # a greedy clique first: it settles the common case, members made
+    # pairwise distinct together by the at-least rule, without building the
+    # partner sets or the search, whose recursion is as deep as its clique
+    kept: list[int] = []
+    for v in members:
+        if all(frozenset((u, v)) in f.neq for u in kept):
+            kept.append(v)
+            if len(kept) >= k:
+                return True
     partners = {u: {v for v in members if v != u and frozenset((u, v)) in f.neq} for u in members}
     return _has_clique(partners, list(members), 0, k)
 
@@ -930,8 +956,8 @@ def _has_clique(partners: dict[int, set[int]], candidates: list[int], size: int,
 
 
 def _counting_clash(f: Forest, status, node: Node) -> Optional[Clash]:
-    # the count triples in label order, as _atmost_instances gives them, with
-    # a negative (>= 0 R), which caps nothing, tested in its place among them
+    # the count triples in label order, with a negative (>= 0 R), which caps
+    # nothing, tested in its place among them
     for t in node.of_kind("count"):
         c = t.subject
         if isinstance(c, AtLeast) and c.count == 0 and t.ineq.negative:
@@ -956,7 +982,7 @@ def find_clash(f: Forest, status: dict[int, tuple[str, Optional[int]]]) -> Optio
     clash = _edge_clash(f)
     if clash:
         return clash
-    if f.mode in ("shin", "gci"):
+    if f.pairwise:
         return _first(f, _counting_clash, status)
     return None
 
@@ -1059,22 +1085,10 @@ def _rule_forall_neg(f: Forest, status, node: Node) -> bool:
     return _generate(f, status, node, "forall-", _reflected, "forall-neg")
 
 
-def _atleast_instances(f: Forest, node: Node) -> Iterator[tuple[Triple, AtLeast, SignedBound, str]]:
-    """Positive at-least triples plus negative at-most triples rewritten to
-    their at-least counterpart (the <=-neg rule delegates to >=-pos)."""
-    for t in node.of_kind("count"):
-        c = t.subject
-        if isinstance(c, AtLeast) and t.ineq.positive and c.count >= 1:
-            yield t, c, t.bound(), "atleast-pos"
-        if isinstance(c, AtMost) and t.ineq.negative:
-            synth = AtLeast(c.count + 1, c.role)
-            yield t, synth, t.reflected, "atmost-neg"
-
-
 def _rule_atleast(f: Forest, status, node: Node) -> bool:
-    if f.mode not in ("shin", "gci") or status[node.id][0] != UNBLOCKED:
+    if not f.pairwise or status[node.id][0] != UNBLOCKED:
         return False
-    for _, c, bound, rule in _atleast_instances(f, node):
+    for c, bound, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
         members = [y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound]
         members = sorted(set(members))
         if _has_pairwise_distinct(f, members, c.count):
@@ -1092,15 +1106,6 @@ def _rule_atleast(f: Forest, status, node: Node) -> bool:
 
 
 # --- merge choice points ---
-
-
-def _atmost_instances(node: Node) -> Iterator[tuple[Triple, AtMost, SignedBound, str]]:
-    """(triple, at-most concept, probe, rule) for each triple of the label
-    that caps the neighbours whose bound conjugates the probe: a positive
-    at-most, and a negative at-least read as its at-most counterpart."""
-    for t in node.of_kind("count"):
-        if t.atmost:
-            yield (t, *t.atmost)
 
 
 def _merge_pairs(
@@ -1131,7 +1136,7 @@ def _merge_pairs(
 def _merge_at(f: Forest, status, node: Node, roots_only: bool = False) -> Optional[ChoicePoint]:
     if status[node.id][0] == INDIRECT:
         return None
-    for _, c, probe, rule in _atmost_instances(node):
+    for c, probe, rule in (t.atmost for t in node.of_kind("count") if t.atmost):
         members = f.conjugated_neighbours(node.id, c.role, probe)
         if len(members) <= c.count:
             continue
@@ -1201,7 +1206,7 @@ def _split_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
 def _gci_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
     if node.id in f.merged or status[node.id][0] == INDIRECT:
         return None
-    for _, _, t1, t2 in f.gci_splits:
+    for _, t1, t2 in f.gci_splits:
         if t1 in node.label or t2 in node.label:
             continue
         alts = (("add", node.id, t1), ("add", node.id, t2))
@@ -1238,13 +1243,13 @@ def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
         # node-major: exhaust one node's propagations before the next node's
         if _first(f, _propagate, status):
             continue
-        if f.mode in ("shin", "gci"):
+        if f.pairwise:
             cp = _first(f, _merge_at, status) or _first(f, _merge_roots_at, status)
             if cp:
                 return cp
         if any(_first(f, rule, status) for rule in _GENERATORS):
             continue
-        return _first(f, _split_at, status) or (_first(f, _gci_at, status) if f.gcis else None)
+        return _first(f, _split_at, status) or (_first(f, _gci_at, status) if f.gci_splits else None)
 
 
 def apply_alternative(f: Forest, alt: tuple) -> None:
@@ -1330,7 +1335,7 @@ def extract_model(f: Forest):
     from .oracle import FuzzyInterpretation
     from .syntax import subconcepts
 
-    if f.mode != "si":
+    if f.pairwise:
         raise NotApplicable("model extraction requires an SI-mode forest")
     status = f.blocking()
     domain = tuple(i for i in sorted(f.nodes) if status[i][0] == UNBLOCKED)
@@ -1475,22 +1480,22 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 ):
                     out.append(f"negated universal without witness at {node.id}: {t}")
         if blocked_kind == UNBLOCKED:
-            for _, c, bound, _ in _atleast_instances(f, node):
+            for c, bound, _ in (t.atleast for t in node.of_kind("count") if t.atleast):
                 members = sorted(
                     {y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound}
                 )
                 if not _has_pairwise_distinct(f, members, c.count):
                     out.append(f"at-least unsatisfied at {node.id}: >= {c.count} {c.role}")
         if blocked_kind != INDIRECT:
-            for _, c, probe, _ in _atmost_instances(node):
+            for c, probe, _ in (t.atmost for t in node.of_kind("count") if t.atmost):
                 members = f.conjugated_neighbours(node.id, c.role, probe)
                 if len(members) > c.count:
                     if _merge_pairs(f, node.id, members, False) or _merge_pairs(
                         f, node.id, members, True
                     ):
                         out.append(f"at-most merge still applicable at {node.id}")
-            if f.gcis and node.id not in f.merged:
-                for _, n, t1, t2 in f.gci_splits:
+            if node.id not in f.merged:
+                for n, t1, t2 in f.gci_splits:
                     if t1 not in node.label and t2 not in node.label:
                         out.append(f"inclusion split unresolved at {node.id} for degree {n}")
 

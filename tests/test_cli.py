@@ -94,9 +94,10 @@ def test_missing_file_exit_2(capsys):
     assert code == 2 and err
 
 
-def test_mode_si_downgrade_refused(capsys):
+def test_mode_option_is_gone(capsys):
+    """The KB's constructors pick the fragment; there is no --mode."""
     code, _, err = run(["check", ex("gci.fkb"), "--mode", "si"], capsys)
-    assert code == 2 and "si" in err
+    assert code == 2 and "unrecognized arguments: --mode" in err
 
 
 def test_budget_exit_3(capsys, tmp_path):

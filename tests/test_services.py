@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fshin.degrees import Ineq, ONE, SignedBound
+from fshin.kb import detect_mode
 from fshin.oracle import satisfies_kb
 from fshin.parser import parse_concept, parse_kb, parse_query
 from fshin.services import (
@@ -20,10 +22,12 @@ from fshin.services import (
     subsumes,
 )
 from fshin.syntax import Forall, Name, Not, Role
+from fshin.tableau import ResourceLimit
 
 from genkb import random_alc_kb, random_tbox_kb
 
 F = Fraction
+EXAMPLES = Path(__file__).parent.parent / "examples"
 
 EXAMPLE1 = """
 trans isPartOf.
@@ -34,14 +38,15 @@ assert o2 : Body >= 0.85.
 """
 
 
-def test_prepare_mode_errors():
-    kb = parse_kb("subrole p r.\nassert a : A >= 0.5.")
-    with pytest.raises(ModeError):
-        prepare(kb, "si")
+def test_prepare_picks_the_fragment():
+    """prepare runs the procedure of the fragment detect_mode gives."""
     kb = parse_kb("implies A B.\nassert a : A >= 0.5.")
-    with pytest.raises(ModeError):
-        prepare(kb, "shin")
-    assert prepare(kb, "auto").mode == "gci"
+    assert prepare(kb).mode == "gci"
+    paths = sorted(EXAMPLES.glob("*.fkb"))
+    assert paths
+    for path in paths:
+        kb = parse_kb(path.read_text(encoding="utf-8"))
+        assert prepare(kb).mode == detect_mode(kb), path.name
 
 
 def test_prepare_refuses_non_simple_number_restriction():
@@ -95,6 +100,18 @@ def test_glb_lub():
     assert lub(kb, q) == F(1, 4)
 
 
+def test_glb_lub_gci():
+    # the candidates of a KB with inclusions include the GCI degree set
+    for text, query, low, high in (
+        ("implies A B.\nassert a : A > 0.5.", "a : B", F(1, 2), ONE),
+        ("implies A B.\nassert a : A >= 0.5.", "a : B", F(1, 2), ONE),
+        ("implies A B.\nassert a : B < 0.3.", "a : A", F(0), F(3, 10)),
+    ):
+        kb = parse_kb(text)
+        q, _ = parse_query(query)
+        assert (glb(kb, q), lub(kb, q)) == (low, high), text
+
+
 def test_glb_raises_on_inconsistent_kb():
     kb = parse_kb("assert a : A >= 0.8.\nassert a : A < 0.5.")
     q, _ = parse_query("a : A")
@@ -113,6 +130,26 @@ def test_duality_random():
         c = Name(rng.choice(["A", "B"]))
         ind = kb.abox.individuals()[0]
         assert lub(kb, (ind, Not(c))) == ONE - glb(kb, (ind, c))
+
+
+def test_duality_random_gci():
+    rng = random.Random(3)
+    checked = tried = 0
+    while tried < 16:
+        kb = random_tbox_kb(rng)
+        if not kb.tbox.gcis:
+            continue
+        tried += 1
+        c = Name(rng.choice(["A", "B"]))
+        ind = kb.abox.individuals()[0]
+        try:
+            low = glb(kb, (ind, c), budget=3000)
+            high = lub(kb, (ind, Not(c)), budget=3000)
+        except (InconsistentKB, ResourceLimit):
+            continue
+        assert high == ONE - low
+        checked += 1
+    assert checked >= 5
 
 
 def test_satisfiable():

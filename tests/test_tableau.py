@@ -47,8 +47,8 @@ from fshin.tableau import (
 from test_golden import corpus
 
 
-def run(text, mode="auto", budget=10**6):
-    return consistency(parse_kb(text), mode, budget)
+def run(text, budget=10**6):
+    return consistency(parse_kb(text), budget)
 
 
 def test_trivial_consistent():
@@ -244,6 +244,16 @@ def test_dense_distinct_successors_answer_quickly(n, cap, consistent):
     assert r.consistent == consistent
 
 
+def test_large_at_least_answers():
+    # the rule's 1,000 new successors are pairwise distinct, which must be
+    # seen without a search as deep as the clique (Python's recursion limit)
+    kb = parse_kb("assert a : >= 1000 r >= 0.5.")
+    start = time.perf_counter()
+    r = consistency(kb)
+    assert time.perf_counter() - start < 5.0
+    assert r.consistent and len(r.forest.nodes) == 1001
+
+
 def test_role_inclusion_propagation():
     r = run(
         "subrole p r.\n"
@@ -367,7 +377,7 @@ def check_indexes(f):
 
 def small_forest():
     rbox = hierarchy_closure(RBox(transitive={"r"}, inclusions={(S, R)}))
-    f = Forest("shin", rbox, Budget(10**6))
+    f = Forest(True, rbox, Budget(10**6))
     a, b, c = (f.new_node(is_root=True, parent=None, root_name=n).id for n in "abc")
     return f, a, b, c
 
