@@ -125,7 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("kb", help=".fkb file, or '-' for stdin")
         else:
             p.add_argument("kb", nargs="?", default=None, help=".fkb file, or '-' for stdin")
-        p.add_argument("--budget-nodes", type=int, default=services.DEFAULT_BUDGET)
+        p.add_argument(
+            "--budget-nodes",
+            type=int,
+            default=services.DEFAULT_BUDGET,
+            help="work units per consistency check: one per new node, label triple, "
+            "generator step and expand iteration; entail, glb, lub, sat and subsumes "
+            "spend it afresh on each check they run (default %(default)s)",
+        )
         p.add_argument("--oracle", action="store_true", help="cross-check with the model-search oracle")
         p.add_argument("--quiet", action="store_true")
 

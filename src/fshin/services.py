@@ -188,18 +188,27 @@ def lub(kb: FuzzyKB, query: Query, budget: int = DEFAULT_BUDGET) -> Degree:
 
 def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degree:
     """The first candidate n, largest first for >= and smallest first for
-    <=, with KB |= query <ineq> n."""
-    result = consistency(kb, budget)
-    if not result.consistent:
-        raise InconsistentKB()
+    <=, with KB |= query <ineq> n.
+
+    KB |= q >= n is antitone in n and KB |= q <= n monotone (Straccia, JAIR
+    2001), so the entailed candidates form a suffix of the list, and its
+    last element, 0 or 1, is entailed by every KB: a binary search finds
+    the suffix's first element in ceil(log2 k) probes.  A probe that is not
+    entailed found a model of the KB plus the negated query, so the KB is
+    consistent; only when every probe is entailed must the KB be checked."""
     # with the GCI degree set, which already holds each complement
-    pool = relative_degrees(kb.abox.degrees()) | set(result.prepared.xa)
+    pool = relative_degrees(kb.abox.degrees()) | set(prepare(kb).xa)
     candidates = sorted((d for d in pool if ZERO <= d <= ONE), reverse=ineq.positive)
-    for n in candidates:
-        if entails(kb, query, SignedBound(ineq, n), budget):
-            return n
-    # not reached: the last candidate, 0 or 1, is a bound every KB entails
-    return candidates[-1]
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if entails(kb, query, SignedBound(ineq, candidates[mid]), budget):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == 0 and not consistency(kb, budget).consistent:
+        raise InconsistentKB()
+    return candidates[lo]
 
 
 def subsumes(

@@ -108,7 +108,6 @@ import copy
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
@@ -148,6 +147,26 @@ if TYPE_CHECKING:
 class ResourceLimit(Exception):
     """Raised when the configured work budget is exhausted; distinct from
     both verdicts."""
+
+
+class cached_property:
+    """functools.cached_property without its lock (which Python 3.11 takes
+    on every first read; the engine is single-threaded): the first read
+    writes the value into the instance dict, which later reads find before
+    this non-data descriptor."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -914,17 +933,36 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
     that is, whether the neq graph on the members has a k-clique."""
     if k <= 1 or len(members) < k:
         return len(members) >= k
-    # a greedy clique first: it settles the common case, members made
-    # pairwise distinct together by the at-least rule, without building the
-    # partner sets or the search, whose recursion is as deep as its clique
+    neq = f.neq
+    partners: dict[int, set[int]] = {u: set() for u in members}
+    for u, v in itertools.combinations(members, 2):
+        if frozenset((u, v)) in neq:
+            partners[u].add(v)
+            partners[v].add(u)
+    # a member of a k-clique has k - 1 partners in it: drop, until none is
+    # left, each member with fewer partners among the members not dropped
+    degree = {u: len(p) for u, p in partners.items()}
+    weak = [u for u in members if degree[u] < k - 1]
+    dropped = set(weak)
+    while weak:
+        for v in partners[weak.pop()]:
+            degree[v] -= 1
+            if degree[v] < k - 1 and v not in dropped:
+                dropped.add(v)
+                weak.append(v)
+    live = [u for u in members if u not in dropped]
+    if len(live) < k:
+        return False
+    # a greedy clique next: it settles the common case, members made
+    # pairwise distinct together by the at-least rule, without the search,
+    # whose recursion is as deep as its clique
     kept: list[int] = []
-    for v in members:
-        if all(frozenset((u, v)) in f.neq for u in kept):
+    for v in live:
+        if all(u in partners[v] for u in kept):
             kept.append(v)
             if len(kept) >= k:
                 return True
-    partners = {u: {v for v in members if v != u and frozenset((u, v)) in f.neq} for u in members}
-    return _has_clique(partners, list(members), 0, k)
+    return _has_clique(partners, live, 0, k)
 
 
 def _has_clique(partners: dict[int, set[int]], candidates: list[int], size: int, k: int) -> bool:

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from fshin import services
 from fshin.degrees import Ineq, ONE, SignedBound
-from fshin.kb import detect_mode
+from fshin.kb import ABox, FuzzyKB, detect_mode, relative_degrees
 from fshin.oracle import satisfies_kb
 from fshin.parser import parse_concept, parse_kb, parse_query
 from fshin.services import (
@@ -24,7 +25,7 @@ from fshin.services import (
 from fshin.syntax import Forall, Name, Not, Role
 from fshin.tableau import ResourceLimit
 
-from genkb import random_alc_kb, random_tbox_kb
+from genkb import random_alc_concept, random_alc_kb, random_tbox_kb
 
 F = Fraction
 EXAMPLES = Path(__file__).parent.parent / "examples"
@@ -119,6 +120,117 @@ def test_glb_raises_on_inconsistent_kb():
         glb(kb, q)
     with pytest.raises(InconsistentKB):
         lub(kb, q)
+
+
+def candidate_degrees(kb, ineq):
+    pool = relative_degrees(kb.abox.degrees()) | set(prepare(kb).xa)
+    return sorted((d for d in pool if 0 <= d <= 1), reverse=ineq.positive)
+
+
+def linear_bound(kb, query, ineq, budget=services.DEFAULT_BUDGET):
+    """glb (ineq >=) or lub (ineq <=) by a linear scan: the KB's own check,
+    then the candidates in order until one is entailed."""
+    if not consistency(kb, budget).consistent:
+        raise InconsistentKB()
+    for n in candidate_degrees(kb, ineq):
+        if entails(kb, query, SignedBound(ineq, n), budget):
+            return n
+    raise AssertionError("every KB entails q >= 0 and q <= 1")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InconsistentKB:
+        return "inconsistent"
+
+
+def part_of_chain(rng, n):
+    """A transitive isPartOf chain o1 -> ... -> on with o1 : A, and the
+    degree of (on): some isPartOf-.A, the least of the chain's degrees."""
+    degrees = [F(rng.randint(1, 19), 20) for _ in range(n)]
+    lines = ["trans isPartOf."]
+    lines += [f"assert (o{i}, o{i + 1}): isPartOf >= {degrees[i]}." for i in range(1, n)]
+    lines.append(f"assert o1 : A >= {degrees[0]}.")
+    return parse_kb("\n".join(lines)), min(degrees)
+
+
+def assert_matches_linear_scan(kb, query, budget=services.DEFAULT_BUDGET):
+    assert outcome(glb, kb, query, budget) == outcome(linear_bound, kb, query, Ineq.GE, budget)
+    assert outcome(lub, kb, query, budget) == outcome(linear_bound, kb, query, Ineq.LE, budget)
+
+
+def test_glb_lub_match_linear_scan_random():
+    # criterion 8's KB/concept pairs, inconsistent KBs included, and a
+    # query on an asserted concept of each KB, whose bounds are seldom 0 or 1
+    rng = random.Random(8)
+    for _ in range(100):
+        kb = random_alc_kb(rng)
+        c = random_alc_concept(rng, depth=2)
+        assert_matches_linear_scan(kb, (kb.abox.individuals()[0], c))
+        ca = rng.choice(kb.abox.concept_assertions)
+        assert_matches_linear_scan(kb, (ca.individual, ca.concept))
+
+
+def test_glb_lub_match_linear_scan_part_of_chains():
+    rng = random.Random(10)
+    for n in (3, 5, 8, 12):
+        kb, g = part_of_chain(rng, n)
+        q = (f"o{n}", parse_concept("some isPartOf-.A"))
+        assert_matches_linear_scan(kb, q)
+        assert glb(kb, q) == g
+        assert lub(kb, (q[0], Not(q[1]))) == 1 - g
+
+
+def test_glb_lub_match_linear_scan_gci():
+    # KBs with inclusions (GCI mode, where the candidates take in the
+    # normalized degree set); one concept assertion is kept, and queried, so
+    # that fewer of them are inconsistent
+    rng = random.Random(5)
+    answers = []
+    tried = 0
+    while tried < 24:
+        kb = random_tbox_kb(rng)
+        if not kb.tbox.gcis:
+            continue
+        tried += 1
+        ca = rng.choice(kb.abox.concept_assertions)
+        kb = FuzzyKB(kb.tbox, kb.rbox, ABox([ca], list(kb.abox.role_assertions)))
+        q = (ca.individual, ca.concept)
+        try:
+            assert_matches_linear_scan(kb, q, budget=3000)
+        except ResourceLimit:
+            continue
+        answers.append(outcome(glb, kb, q, 3000))
+    assert len(answers) >= 16
+    assert sum(a != "inconsistent" for a in answers) >= 6
+
+
+def test_glb_lub_probe_count(monkeypatch):
+    """A glb or lub over k candidates makes at most ceil(log2 k) + 1
+    consistency checks, on an inconsistent KB too."""
+    calls = []
+    check = services.consistency
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(services, "consistency", counted)
+    kb, _ = part_of_chain(random.Random(4), 12)
+    cases = [
+        (parse_kb(EXAMPLE1), parse_query("(o3): (some isPartOf-.Body) and (some isPartOf-.Arm)")[0]),
+        (parse_kb(EXAMPLE1), parse_query("o1 : not Arm")[0]),
+        (kb, ("o12", parse_concept("some isPartOf-.A"))),
+        (parse_kb("implies A B.\nassert a : A > 0.5."), ("a", Name("B"))),
+        (parse_kb("assert a : A >= 0.8.\nassert a : A < 0.5."), ("a", Name("A"))),
+    ]
+    for kb, q in cases:
+        for fn, ineq in ((glb, Ineq.GE), (lub, Ineq.LE)):
+            k = len(candidate_degrees(kb, ineq))
+            calls.clear()
+            outcome(fn, kb, q)
+            assert 1 <= len(calls) <= (k - 1).bit_length() + 1, (fn.__name__, q, k, len(calls))
 
 
 def test_duality_random():
