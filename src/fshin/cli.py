@@ -183,7 +183,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, services.ModeError, FileNotFoundError) as exc:
+    except (ParseError, services.ModeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit:

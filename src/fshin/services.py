@@ -195,9 +195,21 @@ def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degre
     last element, 0 or 1, is entailed by every KB: a binary search finds
     the suffix's first element in ceil(log2 k) probes.  A probe that is not
     entailed found a model of the KB plus the negated query, so the KB is
-    consistent; only when every probe is entailed must the KB be checked."""
-    # with the GCI degree set, which already holds each complement
-    pool = relative_degrees(kb.abox.degrees()) | set(prepare(kb).xa)
+    consistent; only when every probe is entailed must the KB be checked.
+
+    The candidates are the relative degrees R of the ABox, which hold 0,
+    1/2 and 1 and are closed under 1 - x; the TBox and the query carry no
+    degrees.  Let a model give the query a value v in an open gap of R,
+    and w be in the same gap.  A strictly increasing map g of [0, 1] that
+    fixes R, sends v to w and has g(1 - x) = 1 - g(x) (v's gap and its
+    mirror differ, as 1/2 is in R) commutes with min, max, sup, inf and
+    1 - x, and keeps every comparison, strict or not, with a degree of R.
+    Applied to every degree it gives a model, witnessed if the first was,
+    where the query's value is w.
+    So a gap holding one value of the query holds them all, and neither
+    the infimum of the values (the greatest n with KB |= q >= n) nor the
+    supremum (the least n with KB |= q <= n) lies inside a gap."""
+    pool = relative_degrees(kb.abox.degrees())
     candidates = sorted((d for d in pool if ZERO <= d <= ONE), reverse=ineq.positive)
     lo, hi = 0, len(candidates) - 1
     while lo < hi:

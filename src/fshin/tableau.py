@@ -22,15 +22,14 @@ The canonical order of triples is by subject text, then INEQ_ORDER, then
 degree (Triple.key).  The forest keeps its derived views current as it
 changes rather than recomputing them on every call:
 
-- a Triple caches its order key, hash, unary clash, rule kind and the
-  triples the rules derive from it;
+- a Triple caches its order key, hash, bound, unary clash, rule kind and
+  the triples the rules derive from it;
 - a Node keeps its label in canonical order (what Forest.sorted_label
-  returns), a may_clash flag that is set once the label holds a triple that
-  clashes on its own or a conjugated pair, and, rebuilt on demand, its
-  triples grouped by rule kind;
+  returns) and, rebuilt on demand, its triples grouped by rule kind;
 - a Forest keeps, per node, the keys of the edges at it and its
   neighbour_bounds results, the set of node pairs whose edges clash and
-  the set of nodes whose may_clash is set;
+  the set of nodes whose label holds a triple that clashes on its own or a
+  conjugated pair;
 - the closed RBox memoises sub-roles and transitive sub-roles.
 
 These hold because every change goes through the Forest methods that keep
@@ -41,22 +40,22 @@ handed out in increasing order and only the newest node is ever removed,
 by undo.  clone copies the mutable indexes and shares the rest.
 
 Undo trail.  solve backtracks on one forest.  Once mark() has been called,
-each of those methods, blocking, the block tracing and _first append to
-Forest.trail a record (function, arguments) that reverses their change.
-Each frame of solve's stack holds the trail length at its choice point,
-and each further alternative starts with undo(mark), which runs the newer
-records newest first.  Each record puts back exactly what its change
-found, so after undo(mark) every field is as it was at the mark.  The
-derived views are saved and put back with the change that moved them,
-by reference, because they are replaced, never changed in place.  A
-neighbour table filled after the mark is not logged: it holds for as long
-as the edges at its node do, and a change to those edges saves the table
-it drops.  What undo does not restore is dict and set order: a popped edge
-comes back at the end of Forest.edges, and the order of neq depends on its
-history.  So the two results that followed such an order take an explicit
-one: find_clash's distinct-self clash names the least node, and a root
-merge moves y's edges in key order.  first_clash_forest is the one clone,
-taken at the first clash while a choice point is open.
+each of those methods, blocking and _first append to Forest.trail a record
+(function, arguments) that reverses their change.  Each frame of solve's
+stack holds the trail length at its choice point, and each further
+alternative starts with undo(mark), which runs the newer records newest
+first.  Each record puts back exactly what its change found, so after
+undo(mark) every field is as it was at the mark.  The derived views are
+saved and put back with the change that moved them, by reference, because
+they are replaced, never changed in place.  A neighbour table filled after
+the mark is not logged: it holds for as long as the edges at its node do,
+and a change to those edges saves the table it drops.  What undo does not
+restore is dict and set order: a popped edge comes back at the end of
+Forest.edges, and the order of neq depends on its history.  So the two
+results that followed such an order take an explicit one: find_clash's
+distinct-self clash names the least node, and a root merge moves y's edges
+in key order.  first_clash_forest is the one clone, taken at the first
+clash while a choice point is open.
 
 Dirty scan groups.  Each scan over the nodes (the deterministic rules as
 one group in node-major order, each generator, the two merge passes, the
@@ -97,8 +96,8 @@ and its ancestors (the blocker candidates and their parents), all of
 which lie on its path to the root; so a change that can move it marks the
 node or an ancestor, and the node is a descendant of what was marked.
 Parents have smaller ids than their children, so the pass in id order
-sees a parent's new status before its children.  Block events are traced
-for the nodes whose status changed, oldest first, blocks before unblocks:
+sees a parent's new status before its children.  blocking() traces the
+block events as the statuses change, oldest first, blocks before unblocks:
 the events a comparison of the whole old and new maps would give.
 """
 
@@ -268,7 +267,7 @@ class Triple:
             return c, self.reflected, "atmost-merge"
         # a negative (>= m R) caps at m - 1, so (>= 0 R) caps nothing
         if isinstance(c, AtLeast) and self.ineq.negative and c.count >= 1:
-            return AtMost(c.count - 1, c.role), self._bound, "atleast-merge"
+            return AtMost(c.count - 1, c.role), self.bound, "atleast-merge"
         return None
 
     @cached_property
@@ -279,7 +278,7 @@ class Triple:
         delegates to >=-pos); else None."""
         c = self.subject
         if isinstance(c, AtLeast) and self.ineq.positive and c.count >= 1:
-            return c, self._bound, "atleast-pos"
+            return c, self.bound, "atleast-pos"
         if isinstance(c, AtMost) and self.ineq.negative:
             return AtLeast(c.count + 1, c.role), self.reflected, "atmost-neg"
         return None
@@ -288,11 +287,8 @@ class Triple:
         # the caches stay behind: a str hash differs between processes
         return {"subject": self.subject, "ineq": self.ineq, "degree": self.degree}
 
-    def bound(self) -> SignedBound:
-        return self._bound
-
     @cached_property
-    def _bound(self) -> SignedBound:
+    def bound(self) -> SignedBound:
         return SignedBound(self.ineq, self.degree)
 
     @cached_property
@@ -312,26 +308,21 @@ triple_key = attrgetter("key")
 @dataclass(slots=True)
 class Node:
     id: int
-    label: set[Triple]
-    is_root: bool
     parent: Optional[int] = None
     root_name: Optional[str] = None
-    # kept in step with `label` by add(): the label in canonical order, and
-    # whether it holds a triple that clashes on its own or a conjugated pair
-    ordered: list[Triple] = field(init=False, repr=False, compare=False)
-    may_clash: bool = field(init=False, repr=False, compare=False)
+    # the label changes only through add() and clear(), which keep
+    # `ordered`, the label in canonical order, in step with it
+    label: set[Triple] = field(default_factory=set)
+    ordered: list[Triple] = field(default_factory=list, repr=False, compare=False)
     # kind -> triples of that kind in canonical order; rebuilt on first read
     # after a change, never changed in place, so copies may share it
-    _kinds: Optional[dict[str, list[Triple]]] = field(init=False, repr=False, compare=False)
+    _kinds: Optional[dict[str, list[Triple]]] = field(default=None, repr=False, compare=False)
     # one bit per scan group that may have something to do here (see _first)
-    dirty: int = field(init=False, repr=False, compare=False)
+    dirty: int = field(default=0, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        given = self.label
-        self.dirty = 0
-        self.clear()
-        for t in given:
-            self.add(t)
+    @property
+    def is_root(self) -> bool:
+        return self.parent is None
 
     def of_kind(self, kind: str) -> list[Triple]:
         """The label's triples whose Triple.kind is `kind`, in canonical
@@ -348,39 +339,37 @@ class Node:
         """Add t, which the label lacks; returns its place in `ordered`."""
         self.label.add(t)
         self._kinds = None
+        i = bisect_right(self.ordered, t.key, key=triple_key)
+        self.ordered.insert(i, t)
+        return i
+
+    def clashes_at(self, i: int) -> bool:
+        """Whether the triple at place i of `ordered` clashes on its own or
+        with a conjugated triple on the same subject."""
         ordered = self.ordered
-        i = bisect_right(ordered, t.key, key=triple_key)
-        ordered.insert(i, t)
-        if self.may_clash:
-            return i
+        t = ordered[i]
         if t.unary_clash:
-            self.may_clash = True
-            return i
+            return True
         # equal subjects have equal text, so the triples on t's subject lie
         # in the run of equal text around t in the canonical order
-        text, bound = t.key[0], t.bound()
+        text, bound = t.key[0], t.bound
         lo, hi = i, i + 1
         while lo > 0 and ordered[lo - 1].key[0] == text:
             lo -= 1
         while hi < len(ordered) and ordered[hi].key[0] == text:
             hi += 1
-        self.may_clash = any(
-            u.subject == t.subject and conjugates(u.bound(), bound) for u in ordered[lo:hi]
-        )
-        return i
+        return any(u.subject == t.subject and conjugates(u.bound, bound) for u in ordered[lo:hi])
 
     def clear(self) -> None:
         self.label = set()
         self.ordered = []
-        self.may_clash = False
         self._kinds = None
 
     def copy(self) -> "Node":
-        n = Node.__new__(Node)
-        n.id, n.is_root, n.parent, n.root_name = self.id, self.is_root, self.parent, self.root_name
-        n.label, n.ordered = set(self.label), list(self.ordered)
-        n.may_clash, n._kinds, n.dirty = self.may_clash, self._kinds, self.dirty
-        return n
+        return Node(
+            self.id, self.parent, self.root_name, set(self.label), list(self.ordered),
+            self._kinds, self.dirty,
+        )
 
 
 @dataclass(frozen=True)
@@ -402,8 +391,8 @@ class Budget:
     limit: int
     used: int = 0
 
-    def charge(self, n: int = 1) -> None:
-        self.used += n
+    def charge(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise ResourceLimit(f"work budget of {self.limit} exceeded")
 
@@ -452,33 +441,27 @@ class Forest:
         self._neighbours: dict[int, dict[Role, list[tuple[int, SignedBound]]]] = {}
         # the (min, max) node pairs whose role triples clash
         self.clashing_pairs: set[tuple[int, int]] = set()
-        # the ids of the nodes whose may_clash is set
+        # the ids of the nodes whose label clashes
         self.clashing_nodes: set[int] = set()
         self.neq: set[frozenset[int]] = set()
         self.merged: dict[int, int] = {}
-        self.next_id = 0
-        # blocking status of every node as of the last blocking() call, the
-        # ids whose label, edges or parent changed since, and the ids whose
-        # status changed and are not yet traced
+        # blocking status of every node as of the last blocking() call, and
+        # the ids whose label, edges or parent changed since
         self.status: dict[int, tuple[str, Optional[int]]] = {}
         self._recheck: set[int] = set()
-        self._unreported: list[int] = []
-        # direct-block map as last traced, for block/unblock events
-        self._last_blocks: dict[int, int] = {}
         # undo records (function, arguments) since the first choice point;
         # None until mark() is called, and again once solve returns
         self.trail: Optional[list[tuple]] = None
 
     # --- construction and copying ---
 
-    def new_node(self, is_root: bool, parent: Optional[int], root_name: Optional[str] = None) -> Node:
+    def new_node(self, parent: Optional[int], root_name: Optional[str] = None) -> Node:
         self.budget.charge()
-        node = Node(self.next_id, set(), is_root, parent, root_name)
-        x = node.id
-        self.nodes[x] = node
+        # ids are handed out in increasing order and only the newest node is
+        # ever removed (by undo), so the next id is the number of nodes
+        x = len(self.nodes)
+        node = self.nodes[x] = Node(x, parent, root_name, dirty=_ALL)
         self.adjacent[x] = frozenset()
-        self.next_id += 1
-        node.dirty = _ALL
         self._recheck.add(x)
         if self.trail is not None:
             self.trail.append((self._unnew, (x,)))
@@ -488,7 +471,6 @@ class Forest:
         del self.nodes[x], self.adjacent[x]
         self._neighbours.pop(x, None)
         self._recheck.discard(x)
-        self.next_id -= 1
 
     def clone(self) -> "Forest":
         """An independent copy, without the trail; shares rbox, budget,
@@ -506,8 +488,6 @@ class Forest:
         g.merged = dict(self.merged)
         g.status = dict(self.status)
         g._recheck = set(self._recheck)
-        g._unreported = list(self._unreported)
-        g._last_blocks = dict(self._last_blocks)
         g.trail = None
         return g
 
@@ -551,11 +531,6 @@ class Forest:
 
     # --- basic accessors ---
 
-    def ordered_nodes(self) -> list[Node]:
-        # ids are handed out in increasing order and only the newest node is
-        # ever removed (by undo), so insertion order is id order
-        return list(self.nodes.values())
-
     def sorted_label(self, node: Node) -> list[Triple]:
         """The node's label in canonical order; callers must not keep it
         across a change to the label."""
@@ -581,31 +556,30 @@ class Forest:
 
     def add_label(self, node: Node, t: Triple) -> None:
         """Add t, which the label lacks, to the node's label."""
-        kinds, may_clash = node._kinds, node.may_clash
+        kinds, clashing = node._kinds, node.id in self.clashing_nodes
         i = node.add(t)
         if self.trail is not None:
-            self.trail.append((self._unadd, (node, t, i, kinds, may_clash)))
-        if node.may_clash:
+            self.trail.append((self._unadd, (node, t, i, kinds, clashing)))
+        if not clashing and node.clashes_at(i):
             self.clashing_nodes.add(node.id)
         self._changed(node)
 
-    def _unadd(self, node: Node, t: Triple, i: int, kinds, may_clash: bool) -> None:
+    def _unadd(self, node: Node, t: Triple, i: int, kinds, clashing: bool) -> None:
         node.label.remove(t)
         del node.ordered[i]
         node._kinds = kinds
-        if not may_clash:
-            node.may_clash = False
+        if not clashing:
             self.clashing_nodes.discard(node.id)
 
     def clear_label(self, node: Node) -> None:
-        self._log(self._unclear, node, node.label, node.ordered, node.may_clash, node._kinds)
+        self._log(self._unclear, node, node.label, node.ordered, node._kinds, node.id in self.clashing_nodes)
         node.clear()
         self.clashing_nodes.discard(node.id)
         self._changed(node)
 
-    def _unclear(self, node: Node, label, ordered, may_clash: bool, kinds) -> None:
-        node.label, node.ordered, node.may_clash, node._kinds = label, ordered, may_clash, kinds
-        if may_clash:
+    def _unclear(self, node: Node, label, ordered, kinds, clashing: bool) -> None:
+        node.label, node.ordered, node._kinds = label, ordered, kinds
+        if clashing:
             self.clashing_nodes.add(node.id)
 
     def set_parent(self, node: Node, parent: int) -> None:
@@ -717,11 +691,11 @@ class Forest:
             if a == x:
                 for t in lab:
                     if includes(t.subject, r):
-                        out.append((b, t.bound()))
+                        out.append((b, t.bound))
             if b == x:
                 for t in lab:
                     if includes(t.subject, rinv):
-                        out.append((a, t.bound()))
+                        out.append((a, t.bound))
         out.sort(key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
         # not logged: the table holds for as long as the edges at x do, and
         # undoing an edge change puts back the tables of both ends
@@ -745,14 +719,17 @@ class Forest:
         """Status map for every node.  Only the nodes whose label, edges or
         parent changed since the last call, and their descendants, are
         checked again, top-down (parents have smaller ids than their
-        children throughout).  The map is the forest's own: it holds until
-        the next change."""
+        children throughout).  Traces a block event for each node newly
+        directly blocked, or by a new blocker, in id order, then an unblock
+        event for each node no longer directly blocked.  The map is the
+        forest's own: it holds until the next change."""
         recheck, status = self._recheck, self.status
         if not recheck:
             return status
         self._log(setattr, self, "_recheck", recheck)
         self._recheck = set()
         redo = set(recheck)
+        unblocked = []
         for node in itertools.islice(self.nodes.values(), min(recheck), None):
             x = node.id
             if x not in redo and node.parent not in redo:
@@ -762,18 +739,23 @@ class Forest:
             old = status.get(x)
             if new != old:
                 if self.trail is not None:
-                    self.trail.append((_restore_entry, (status, x, old)))
+                    undo = (status.pop, (x,)) if old is None else (status.__setitem__, (x, old))
+                    self.trail.append(undo)
                 status[x] = new
-                self._unreported.append(x)
+                if new[0] == DIRECT:
+                    self.trace.append(("block", x, new[1]))
+                elif old is not None and old[0] == DIRECT:
+                    unblocked.append(x)
                 if old is not None and old[0] != new[0]:
                     self._mark(node, _ALL)
+        for x in unblocked:
+            self.trace.append(("unblock", x))
         return status
 
     def _status_of(self, node: Node, status) -> tuple[str, Optional[int]]:
-        if node.is_root:
-            return _UNBLOCKED_STATUS
         parent = node.parent
-        assert parent is not None
+        if parent is None:
+            return _UNBLOCKED_STATUS
         if status[parent][0] != UNBLOCKED:
             return _INDIRECT_STATUS
         in_edge = self.edges.get((parent, node.id))
@@ -796,7 +778,7 @@ class Forest:
         own_edge = self.edges.get((parent, node.id), set())
         for y in self.ancestors(node.id):
             ynode = nodes[y]
-            if ynode.is_root or ynode.parent is None:
+            if ynode.is_root:
                 continue
             if ynode.label != node.label:
                 continue
@@ -807,29 +789,11 @@ class Forest:
             return y
         return None
 
-    def _trace_block_changes(self, status: dict[int, tuple[str, Optional[int]]]) -> None:
-        """Trace, oldest node first, each node newly directly blocked (or by
-        a new blocker), then each node no longer directly blocked."""
-        last, unblocked = self._last_blocks, []
-        for x in sorted(set(self._unreported)):
-            kind, y = status[x]
-            if kind == DIRECT:
-                if last.get(x) != y:
-                    self.trace.append(("block", x, y))
-                    self._log(_restore_entry, last, x, last.get(x))
-                    last[x] = y
-            elif x in last:
-                unblocked.append(x)
-        for x in unblocked:
-            self.trace.append(("unblock", x))
-            self._log(_restore_entry, last, x, last.pop(x))
-        self._unreported = []
-
     # --- rendering ---
 
     def dump(self) -> str:
         lines = []
-        for node in self.ordered_nodes():
+        for node in self.nodes.values():
             body = " ".join(
                 f"⟨{t.subject},{t.ineq},{t.degree}⟩" for t in self.sorted_label(node)
             )
@@ -840,14 +804,6 @@ class Forest:
             body = " ".join(f"⟨{t.subject},{t.ineq},{t.degree}⟩" for t in ts)
             lines.append(f"edge {a} -> {b} {{{body}}}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _restore_entry(d: dict, key, old) -> None:
-    """Undo a change to d[key]; old is None when the key was absent."""
-    if old is None:
-        del d[key]
-    else:
-        d[key] = old
 
 
 def init_forest(
@@ -866,7 +822,7 @@ def init_forest(
     abox = prepared.abox
     roots: dict[str, int] = {}
     for ind in abox.individuals():
-        roots[ind] = f.new_node(is_root=True, parent=None, root_name=ind).id
+        roots[ind] = f.new_node(None, ind).id
     for ca in abox.concept_assertions:
         f.add_triple(roots[ca.individual], Triple(ca.concept, ca.bound.ineq, ca.bound.degree), "init")
     for ra in abox.role_assertions:
@@ -881,8 +837,6 @@ def init_forest(
 
 
 def _concept_clash(f: Forest, node: Node) -> Optional[Clash]:
-    if not node.may_clash:
-        return None
     label = node.ordered
     for t in label:
         if t.unary_clash:
@@ -894,7 +848,7 @@ def _concept_clash(f: Forest, node: Node) -> Optional[Clash]:
         for t2 in itertools.islice(label, i + 1, None):
             if t2.key[0] != text:
                 break
-            if t1.subject == t2.subject and conjugates(t1.bound(), t2.bound()):
+            if t1.subject == t2.subject and conjugates(t1.bound, t2.bound):
                 return Clash("conjugated-pair", node.id, (t1, t2))
     return None
 
@@ -917,7 +871,7 @@ def _pair_clash(f: Forest, a: int, b: int) -> Optional[Clash]:
         for t2 in ts:
             if t2.ineq.positive:
                 continue
-            if f.rbox.includes(t1.subject, t2.subject) and conjugates(t1.bound(), t2.bound()):
+            if f.rbox.includes(t1.subject, t2.subject) and conjugates(t1.bound, t2.bound):
                 return Clash("edge", (a, b), (t1, t2))
     return None
 
@@ -1057,12 +1011,12 @@ def _set_dirty(node: Node, dirty: int) -> None:
 # universal and a negated existential are one rule read through inequality
 # duality; the transitive forms pass the quantifier itself on along each
 # transitive sub-role.
-_reflected = attrgetter("reflected")
+_bound, _reflected = attrgetter("bound"), attrgetter("reflected")
 _PROPAGATIONS = (
     ("forall+", _reflected, False, "forall-pos"),
-    ("exists-", Triple.bound, False, "exists-neg"),
+    ("exists-", _bound, False, "exists-neg"),
     ("forall+", _reflected, True, "forall-trans"),
-    ("exists-", Triple.bound, True, "exists-trans"),
+    ("exists-", _bound, True, "exists-trans"),
 )
 
 
@@ -1092,7 +1046,7 @@ def _propagate(f: Forest, status, node: Node) -> bool:
 
 
 def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) -> None:
-    y = f.new_node(is_root=False, parent=x)
+    y = f.new_node(x)
     f.set_edge(x, y.id, {edge})
     f.add_label(y, label)
     f.trace.append(("new-node", rule, x, y.id, edge, label))
@@ -1116,7 +1070,7 @@ def _generate(f: Forest, status, node: Node, kind: str, edge_bound, rule: str) -
 
 # the generators stay separate functions: each is a scan group of its own
 def _rule_exists_pos(f: Forest, status, node: Node) -> bool:
-    return _generate(f, status, node, "exists+", Triple.bound, "exists-pos")
+    return _generate(f, status, node, "exists+", _bound, "exists-pos")
 
 
 def _rule_forall_neg(f: Forest, status, node: Node) -> bool:
@@ -1134,7 +1088,7 @@ def _rule_atleast(f: Forest, status, node: Node) -> bool:
         created = []
         for _ in range(c.count):
             f.budget.charge()
-            y = f.new_node(is_root=False, parent=node.id)
+            y = f.new_node(node.id)
             f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
             created.append(y.id)
         f.add_neq(frozenset(pair) for pair in itertools.combinations(created, 2))
@@ -1273,7 +1227,6 @@ def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
     while True:
         f.budget.charge()
         status = f.blocking()
-        f._trace_block_changes(status)
         clash = find_clash(f, status)
         if clash:
             f.trace.append(("clash", clash))
@@ -1397,7 +1350,7 @@ def extract_model(f: Forest):
     }
     for e in domain:
         for name in cnames:
-            bounds = [t.bound() for t in f.nodes[e].label if t.subject == Name(name)]
+            bounds = [t.bound for t in f.nodes[e].label if t.subject == Name(name)]
             if bounds:
                 concept_map[(name, e)] = _glb_value(bounds, eps)
 
@@ -1419,7 +1372,7 @@ def extract_model(f: Forest):
         for t in lab:
             role = t.subject
             pair = (target, u) if role.inverted else (u, target)
-            bounds_by_pair.setdefault((role.name, *pair), []).append(t.bound())
+            bounds_by_pair.setdefault((role.name, *pair), []).append(t.bound)
 
     role_map: dict[tuple[str, int, int], Degree] = {
         (name, a, b): ZERO for name in rnames for a in domain for b in domain
@@ -1458,7 +1411,7 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
     if clash:
         out.append(f"clash present: {clash}")
 
-    for node in f.ordered_nodes():
+    for node in f.nodes.values():
         blocked_kind = status[node.id][0]
         for t in f.sorted_label(node):
             c = t.subject
@@ -1508,7 +1461,7 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 continue
             if isinstance(c, Exists) and t.ineq.positive:
                 if not f.has_exact_neighbour(
-                    node.id, c.role, t.bound(), Triple(c.body, t.ineq, t.degree)
+                    node.id, c.role, t.bound, Triple(c.body, t.ineq, t.degree)
                 ):
                     out.append(f"existential without witness at {node.id}: {t}")
             if isinstance(c, Forall) and t.ineq.negative:

@@ -89,9 +89,22 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2 and "1:" in err
 
 
-def test_missing_file_exit_2(capsys):
-    code, _, err = run(["check", "no-such-file.fkb"], capsys)
-    assert code == 2 and err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "no-such-file.fkb"],
+        ["check", "{tmp}"],
+        ["check", "{tmp}/utf16.fkb"],
+        ["dump-forest", ex("example1.fkb"), "--out", "{tmp}"],
+    ],
+    ids=["missing", "directory", "not-utf8", "out-directory"],
+)
+def test_missing_file_exit_2(argv, capsys, tmp_path):
+    """A file that cannot be read or written is a usage error, not a
+    traceback or the "no" exit code."""
+    (tmp_path / "utf16.fkb").write_bytes(b"\xff\xfe\x00")
+    code, _, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_mode_option_is_gone(capsys):

@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark harness.
+
+perfbench/run.py --trace 1 wraps engine functions by name (Forest.clone,
+Forest.blocking, Forest.sorted_label, Forest.neighbour_bounds,
+tableau.expand, apply_alternative, find_clash) and reads SolveResult.trace
+and first_clash_forest.  A refactor that renames one of them breaks the
+benchmark, not the engine, so each workload is run here once for a single
+traced pass."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["abox-chain", "gci-cycle", "degree-query"])
+def test_traced_pass_answers_correctly(workload):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload]
+    argv += ["--seed", "1", "--seconds", "0", "--trace", "1"]
+    run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

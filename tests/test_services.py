@@ -102,7 +102,8 @@ def test_glb_lub():
 
 
 def test_glb_lub_gci():
-    # the candidates of a KB with inclusions include the GCI degree set
+    # KBs with inclusions: the bounds are relative degrees of the ABox,
+    # not the GCI degree set's shifted strict bounds
     for text, query, low, high in (
         ("implies A B.\nassert a : A > 0.5.", "a : B", F(1, 2), ONE),
         ("implies A B.\nassert a : A >= 0.5.", "a : B", F(1, 2), ONE),
@@ -123,6 +124,7 @@ def test_glb_raises_on_inconsistent_kb():
 
 
 def candidate_degrees(kb, ineq):
+    # the GCI degree set too, which glb and lub leave out
     pool = relative_degrees(kb.abox.degrees()) | set(prepare(kb).xa)
     return sorted((d for d in pool if 0 <= d <= 1), reverse=ineq.positive)
 

@@ -18,7 +18,6 @@ from fshin.tableau import (
     Budget,
     Clash,
     Forest,
-    Node,
     ResourceLimit,
     Triple,
     _apply_merge,
@@ -326,9 +325,9 @@ def test_audit_on_clash_free_forests():
 # --- index invariants -------------------------------------------------------
 #
 # The forest keeps derived views up to date as it changes: each node's label
-# in canonical order, grouped by rule kind, and its may-clash flag, the
-# per-node adjacency index, cached neighbour lists and the set of clashing
-# edge pairs.  The reference
+# in canonical order and grouped by rule kind, the set of nodes whose label
+# clashes, the per-node adjacency index, cached neighbour lists and the set
+# of clashing edge pairs.  The reference
 # versions below recompute each view by scanning, as the engine once did.
 
 F = Fraction
@@ -340,9 +339,9 @@ def scan_neighbour_bounds(f, x, r):
     out = []
     for (a, b), lab in f.edges.items():
         if a == x:
-            out += [(b, t.bound()) for t in lab if f.rbox.includes(t.subject, r)]
+            out += [(b, t.bound) for t in lab if f.rbox.includes(t.subject, r)]
         if b == x:
-            out += [(a, t.bound()) for t in lab if f.rbox.includes(t.subject, inv(r))]
+            out += [(a, t.bound) for t in lab if f.rbox.includes(t.subject, inv(r))]
     return sorted(out, key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
 
 
@@ -353,7 +352,7 @@ def scan_concept_clash(node):
             return Clash(t.unary_clash, node.id, (t,))
     for i, t1 in enumerate(label):
         for t2 in label[i + 1:]:
-            if t1.subject == t2.subject and conjugates(t1.bound(), t2.bound()):
+            if t1.subject == t2.subject and conjugates(t1.bound, t2.bound):
                 return Clash("conjugated-pair", node.id, (t1, t2))
     return None
 
@@ -367,13 +366,14 @@ def scan_edge_clash(f):
 
 
 def check_indexes(f):
-    for node in f.ordered_nodes():
+    for node in f.nodes.values():
         label = sorted(node.label, key=triple_key)
         assert f.sorted_label(node) == label
         for kind in KINDS:
             assert node.of_kind(kind) == [t for t in label if t.kind == kind]
-        assert _concept_clash(f, node) == scan_concept_clash(node)
-        assert (node.id in f.clashing_nodes) == node.may_clash
+        clash = scan_concept_clash(node)
+        assert _concept_clash(f, node) == clash
+        assert (node.id in f.clashing_nodes) == (clash is not None)
         assert f.adjacent[node.id] == {k for k in f.edges if node.id in k}
         for r in (S, inv(S), R, inv(R)):
             assert f.neighbour_bounds(node.id, r) == scan_neighbour_bounds(f, node.id, r)
@@ -383,7 +383,7 @@ def check_indexes(f):
 def small_forest():
     rbox = hierarchy_closure(RBox(transitive={"r"}, inclusions={(S, R)}))
     f = Forest(True, rbox, Budget(10**6))
-    a, b, c = (f.new_node(is_root=True, parent=None, root_name=n).id for n in "abc")
+    a, b, c = (f.new_node(None, n).id for n in "abc")
     return f, a, b, c
 
 
@@ -400,10 +400,10 @@ def test_index_invariants_under_every_mutation():
     ):
         f.add_triple(a, t, "test")
         check_indexes(f)
-    assert not f.nodes[a].may_clash
+    assert a not in f.clashing_nodes
     f.add_triple(c, Triple(Name("A"), Ineq.LT, F(1, 2)), "test")
     f.add_triple(c, Triple(Name("A"), Ineq.GE, F(1, 2)), "test")
-    assert f.nodes[c].may_clash
+    assert c in f.clashing_nodes
     check_indexes(f)
 
     f.union_edge(a, b, {Triple(S, Ineq.GE, F(9, 10))})
@@ -443,15 +443,22 @@ def test_index_invariants_under_every_mutation():
 
 
 def test_node_built_with_a_label_is_indexed():
-    label = {
+    label = [
         Triple(Name("A"), Ineq.GE, F(1, 2)),
-        Triple(Name("A"), Ineq.LE, F(1, 4)),
         Triple(TOP, Ineq.GE, ONE),
-    }
-    node = Node(0, set(label), is_root=True)
+        Triple(Name("A"), Ineq.LE, F(1, 4)),
+    ]
+    f, a, _, _ = small_forest()
+    node = f.nodes[a]
+    for t in label:
+        assert a not in f.clashing_nodes
+        f.add_label(node, t)
     assert node.ordered == sorted(label, key=triple_key)
-    assert node.may_clash
-    assert node.copy().ordered == node.ordered
+    assert a in f.clashing_nodes
+    copy = node.copy()
+    assert (copy.id, copy.parent, copy.root_name) == (node.id, None, "a") and copy.is_root
+    assert copy.label == node.label and copy.ordered == node.ordered
+    check_indexes(f)
 
 
 # --- dirty scan groups and the undo trail ---
@@ -534,16 +541,60 @@ def test_settled_nodes_have_nothing_to_do(monkeypatch):
     assert set(checked) == {at.__name__ for at in SCAN_GROUPS}
 
 
+# f-SI KBs with blocking passes the golden corpus lacks.  In the first, one
+# pass unblocks node 1 and blocks node 2: node 2's inverse universal grows
+# the root's label, which node 1 matched.  In the second, node 15's blocker
+# moves from node 3 to node 12.
+SI_BLOCKING_KBS = (
+    "trans r.\nassert a : A and B >= 0.6.\nassert a : some r.(A and B) >= 0.6.\n"
+    "assert a : some r.(all r-.A) >= 0.6.\nassert a : all r.(A and B) >= 0.6.\n"
+    "assert a : all r.(some r.(A and B)) >= 0.6.\n"
+    "assert a : all r.(some r.(all r-.A)) >= 0.6.\n",
+    "trans r.\nassert a : some r.(all r.(all r-.B)) >= 0.6.\n"
+    "assert a : all r.(some r.(some r.B)) >= 0.6.\nassert a : all r.(some r.(all r.B)) >= 0.6.\n",
+)
+
+
+def test_blocking_traces_each_status_change(monkeypatch):
+    """Each blocking() call traces exactly the events that comparing the
+    old and new status maps gives: each node newly directly blocked, or by
+    a new blocker, oldest first, then each node no longer directly
+    blocked, oldest first, even where it is older than a blocked one."""
+    real_blocking = Forest.blocking
+    seen = Counter()
+
+    def blocking(f):
+        old, start = dict(f.status), len(f.trace)
+        new = real_blocking(f)
+        blocks = [("block", x, y) for x, (kind, y) in sorted(new.items())
+                  if kind == tableau.DIRECT and old.get(x) != (kind, y)]
+        unblocks = [("unblock", x) for x in sorted(new)
+                    if x in old and old[x][0] == tableau.DIRECT and new[x][0] != tableau.DIRECT]
+        assert f.trace[start:] == blocks + unblocks
+        seen.update(ev[0] for ev in blocks + unblocks)
+        seen["older unblock"] += bool(unblocks and blocks and unblocks[0][1] < blocks[-1][1])
+        seen["new blocker"] += sum(x in old and old[x][0] == tableau.DIRECT for _, x, _ in blocks)
+        return new
+
+    monkeypatch.setattr(Forest, "blocking", blocking)
+    si = [init_forest(prepare(parse_kb(text))) for text in SI_BLOCKING_KBS]
+    for f in itertools.chain(shin_and_gci_runs(UNDO_KBS), si):
+        try:
+            solve(f)
+        except ResourceLimit:
+            pass
+    assert all(seen[k] > 0 for k in ("block", "unblock", "older unblock", "new blocker")), seen
+
+
 def assert_same_forest(f, g):
     """f equals g in its dump, in every index and in its search state."""
     assert f.dump() == g.dump()
     check_indexes(f)
-    assert f.next_id == g.next_id and list(f.nodes) == list(g.nodes)
+    assert list(f.nodes) == list(g.nodes)
     for x, node in f.nodes.items():
         other = g.nodes[x]
-        assert (node.parent, node.is_root, node.root_name) == (other.parent, other.is_root, other.root_name)
+        assert (node.parent, node.root_name) == (other.parent, other.root_name)
         assert node.ordered == other.ordered and node.label == other.label
-        assert node.may_clash == other.may_clash
         for kind in KINDS:
             assert node.of_kind(kind) == other.of_kind(kind)
         assert node.dirty == other.dirty, x
@@ -551,7 +602,6 @@ def assert_same_forest(f, g):
     assert f.clashing_pairs == g.clashing_pairs and f.clashing_nodes == g.clashing_nodes
     assert f.neq == g.neq and f.merged == g.merged
     assert f.status == g.status and f._recheck == g._recheck
-    assert f._last_blocks == g._last_blocks
 
 
 def test_undo_gives_back_each_choice_points_forest(monkeypatch):
@@ -578,10 +628,8 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
         real_apply(f, alt)
 
     def undo(f, mark):
-        for fn, args in f.trail[mark:]:
-            if fn is tableau._restore_entry:
-                undone["status" if args[0] is f.status else "last blocks"] += 1
-            undone[fn.__name__] += 1
+        for fn, _ in f.trail[mark:]:
+            undone["status" if getattr(fn, "__self__", None) is f.status else fn.__name__] += 1
         real_undo(f, mark)
 
     monkeypatch.setattr(tableau, "expand", expand)
@@ -597,5 +645,5 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     assert undone["alternatives"] > 500
     assert {
         "_unadd", "_unclear", "_unnew", "_restore_edge", "setattr", "discard", "remove", "pop",
-        "_set_dirty", "status", "last blocks",
+        "_set_dirty", "status",
     } <= set(undone)
