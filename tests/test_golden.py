@@ -74,6 +74,20 @@ EXTRA = {
         "implies C some r.C.\nimplies C all r.D.\n"
         "assert a : C >= 0.25.\nassert a : D <= 1.\n"
     ),
+    # f-SI blocking passes the random corpora lack.  In the first, one pass
+    # unblocks node 1 and blocks node 2: node 2's inverse universal grows
+    # the root's label, which node 1 matched.  In the second, node 15's
+    # blocker moves from node 3 to node 12.
+    "si-older-unblock": (
+        "trans r.\nassert a : A and B >= 0.6.\nassert a : some r.(A and B) >= 0.6.\n"
+        "assert a : some r.(all r-.A) >= 0.6.\nassert a : all r.(A and B) >= 0.6.\n"
+        "assert a : all r.(some r.(A and B)) >= 0.6.\n"
+        "assert a : all r.(some r.(all r-.A)) >= 0.6.\n"
+    ),
+    "si-new-blocker": (
+        "trans r.\nassert a : some r.(all r.(all r-.B)) >= 0.6.\n"
+        "assert a : all r.(some r.(some r.B)) >= 0.6.\nassert a : all r.(some r.(all r.B)) >= 0.6.\n"
+    ),
 }
 
 

@@ -43,7 +43,7 @@ from fshin.tableau import (
     triple_key,
 )
 
-from test_golden import corpus
+from test_golden import EXTRA, corpus
 
 
 def run(text, budget=10**6):
@@ -541,18 +541,9 @@ def test_settled_nodes_have_nothing_to_do(monkeypatch):
     assert set(checked) == {at.__name__ for at in SCAN_GROUPS}
 
 
-# f-SI KBs with blocking passes the golden corpus lacks.  In the first, one
-# pass unblocks node 1 and blocks node 2: node 2's inverse universal grows
-# the root's label, which node 1 matched.  In the second, node 15's blocker
-# moves from node 3 to node 12.
-SI_BLOCKING_KBS = (
-    "trans r.\nassert a : A and B >= 0.6.\nassert a : some r.(A and B) >= 0.6.\n"
-    "assert a : some r.(all r-.A) >= 0.6.\nassert a : all r.(A and B) >= 0.6.\n"
-    "assert a : all r.(some r.(A and B)) >= 0.6.\n"
-    "assert a : all r.(some r.(all r-.A)) >= 0.6.\n",
-    "trans r.\nassert a : some r.(all r.(all r-.B)) >= 0.6.\n"
-    "assert a : all r.(some r.(some r.B)) >= 0.6.\nassert a : all r.(some r.(all r.B)) >= 0.6.\n",
-)
+# the f-SI KBs of the golden corpus with a pass that unblocks a node older
+# than one it blocks, and with a change of blocker
+SI_BLOCKING_KBS = (EXTRA["si-older-unblock"], EXTRA["si-new-blocker"])
 
 
 def test_blocking_traces_each_status_change(monkeypatch):
