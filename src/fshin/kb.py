@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .degrees import HALF, ONE, ZERO, Degree, Ineq, SignedBound, neg_lukasiewicz
 from .syntax import (
@@ -40,6 +40,10 @@ class RoleAssertion:
     object: str
     role: Role
     bound: SignedBound
+
+
+# the subject of an entailment, glb or lub query: (a, C) or (a, b, r)
+Query = Union[tuple[str, Concept], tuple[str, str, Role]]
 
 
 @dataclass

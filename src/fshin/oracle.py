@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, neg_lukasiewicz
-from .kb import FuzzyKB
+from .degrees import Degree, ONE, SignedBound, ZERO
+from .kb import FuzzyKB, relative_degrees
 from .syntax import (
     And,
     AtLeast,
@@ -152,15 +152,9 @@ def eval_concept(i: FuzzyInterpretation, c: Concept, e: int) -> Degree:
 
 
 def _may_hold(ival: Interval, bound: SignedBound) -> bool:
+    """Whether some degree in the interval satisfies the bound."""
     lo, hi = ival
-    ineq, n = bound.ineq, bound.degree
-    if ineq is Ineq.GE:
-        return hi >= n
-    if ineq is Ineq.GT:
-        return hi > n
-    if ineq is Ineq.LE:
-        return lo <= n
-    return lo < n
+    return bound.ineq.holds(hi if bound.ineq.positive else lo, bound.degree)
 
 
 def satisfies_kb(i: FuzzyInterpretation, kb: FuzzyKB) -> bool:
@@ -229,17 +223,14 @@ def kb_role_names(kb: FuzzyKB) -> list[str]:
 
 
 def default_grid(kb: FuzzyKB) -> tuple[Degree, ...]:
-    """KB degrees, their complements, {0, 1/2, 1}, plus the midpoint of every
-    gap between adjacent base points.  The base set is closed under x -> 1-x,
-    and midpoints preserve that symmetry, so any model can be retracted onto
-    the grid without changing the truth of any assertion: the retraction is
-    order-preserving, fixes the base points, and commutes with min, max, and
-    the complement."""
-    base = {ZERO, Degree(1, 2), ONE}
-    for d in kb.abox.degrees():
-        base.add(d)
-        base.add(neg_lukasiewicz(d))
-    ordered = sorted(base)
+    """The relative degrees of the KB (its degrees, their complements and
+    {0, 1/2, 1}), plus the midpoint of every gap between adjacent base
+    points.  The base set is closed under x -> 1-x, and midpoints preserve
+    that symmetry, so any model can be retracted onto the grid without
+    changing the truth of any assertion: the retraction is
+    order-preserving, fixes the base points, and commutes with min, max,
+    and the complement."""
+    ordered = sorted(relative_degrees(kb.abox.degrees()))
     out = set(ordered)
     for a, b in zip(ordered, ordered[1:]):
         out.add((a + b) / 2)
@@ -247,15 +238,12 @@ def default_grid(kb: FuzzyKB) -> tuple[Degree, ...]:
 
 
 def search_model(
-    kb: FuzzyKB,
-    max_domain: int = 3,
-    degree_grid: Optional[Iterable[Degree]] = None,
-    budget: int = 2_000_000,
+    kb: FuzzyKB, max_domain: int = 3, budget: int = 2_000_000
 ) -> Optional[FuzzyInterpretation]:
     """Exhaustive model search over domains of size 1..max_domain with all
-    degrees drawn from the grid.  Deterministic: domain size ascending,
+    degrees drawn from default_grid.  Deterministic: domain size ascending,
     individual maps and degree assignments in lexicographic order."""
-    grid = tuple(sorted(set(degree_grid))) if degree_grid is not None else default_grid(kb)
+    grid = default_grid(kb)
     cnames = kb_concept_names(kb)
     rnames = kb_role_names(kb)
     individuals = kb.abox.individuals()

@@ -35,10 +35,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, format_degree
-from .kb import ConceptAssertion, FuzzyKB, RoleAssertion
+from .kb import ConceptAssertion, FuzzyKB, Query, RoleAssertion
 from .syntax import (
     And,
     AtLeast,
@@ -346,9 +346,6 @@ def parse_concept(text: str) -> Concept:
     c = p.concept()
     p.expect("eof")
     return c
-
-
-Query = Union[tuple[str, Concept], tuple[str, str, Role]]
 
 
 def parse_query(text: str) -> tuple[Query, Optional[SignedBound]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 from .degrees import (
     Degree,
@@ -19,6 +19,7 @@ from .kb import (
     ABox,
     ConceptAssertion,
     FuzzyKB,
+    Query,
     RBox,
     RoleAssertion,
     TBox,
@@ -31,7 +32,7 @@ from .kb import (
     relative_degrees,
     unfold,
 )
-from .syntax import Concept, Name, Role, nnf, subconcepts
+from .syntax import Concept, Name, nnf, subconcepts
 from .tableau import (
     DEFAULT_BUDGET,
     Budget,
@@ -147,9 +148,6 @@ def n_satisfiable(
         ConceptAssertion(a, c, SignedBound(Ineq.GE, n))
     ).with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.LE, n)))
     return consistency(probe, budget).consistent
-
-
-Query = Union[tuple[str, Concept], tuple[str, str, Role]]
 
 
 def _with_negated(kb: FuzzyKB, query: Query, bound: SignedBound) -> FuzzyKB:

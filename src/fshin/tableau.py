@@ -25,11 +25,11 @@ changes rather than recomputing them on every call:
 - a Triple caches its order key, hash, bound, unary clash, rule kind and
   the triples the rules derive from it;
 - a Node keeps its label in canonical order (what Forest.sorted_label
-  returns) and, rebuilt on demand, its triples grouped by rule kind;
-- a Forest keeps, per node, the keys of the edges at it and its
-  neighbour_bounds results, the set of node pairs whose edges clash and
-  the set of nodes whose label holds a triple that clashes on its own or a
-  conjugated pair;
+  returns), rebuilt on demand its triples grouped by rule kind, the keys of
+  the edges at it, its neighbour_bounds results and its blocking status;
+- a Forest keeps the set of node pairs whose edges clash, the set of nodes
+  whose label holds a triple that clashes on its own or a conjugated pair,
+  and the least node distinct from itself;
 - the closed RBox memoises sub-roles and transitive sub-roles.
 
 These hold because every change goes through the Forest methods that keep
@@ -52,22 +52,35 @@ the mark is not logged: it holds for as long as the edges at its node do,
 and a change to those edges saves the table it drops.  What undo does not
 restore is dict and set order: a popped edge comes back at the end of
 Forest.edges, and the order of neq depends on its history.  So the two
-results that followed such an order take an explicit one: find_clash's
-distinct-self clash names the least node, and a root merge moves y's edges
-in key order.  first_clash_forest is the one clone, taken at the first
-clash while a choice point is open.
+results that followed such an order take an explicit one: add_neq keeps
+the least node distinct from itself, which find_clash names, and a root
+merge moves y's edges in key order.  first_clash_forest is the one
+clone, taken at the first clash while a choice point is open.
 
-Dirty scan groups.  Each scan over the nodes (the deterministic rules as
-one group in node-major order, each generator, the two merge passes, the
-disjunction and inclusion splits, and the counting clash) goes through
-_first, which skips the nodes whose bit for the group is clear in
-Node.dirty and clears the bit of each node where the group finds nothing.
-A node gets all its bits when it is created, when its label, its parent or
-an edge at it changes (Forest._changed), and when its blocking status
-changes kind; every node gets the counting clash's bit when neq grows.
-Setting a bit without need is always safe: the group runs there and finds
-nothing.  The bits roll back with the trail, so after an undo a clear bit
-still means the group found nothing in the state the undo put back.
+Dirty bits.  Node.dirty holds a bit for each scan over the nodes (the
+deterministic rules as one group in node-major order, each generator, the
+two merge passes, the disjunction and inclusion splits, and the counting
+clash) and one more for blocking.  A node gets all its bits when it is
+created and when its label, its parent or an edge at it changes
+(Forest._changed); it gets the scan bits again when its blocking status
+changes kind, and every node gets the counting clash's bit when neq grows.
+Each scan goes through _first, which skips the nodes whose bit for it is
+clear and clears the bit of each node where it finds nothing.  blocking()
+clears the blocking bit wherever it is set and checks those nodes and
+their descendants again, in id order, and no others.  A node's status
+depends on its parent's status, its in-edge, and the labels and in-edges
+of itself and its ancestors (the blocker candidates and their parents),
+all on its path to the root; so a change that can move it sets the bit at
+the node or an ancestor.  Every parent has a smaller id than its child: a
+generated node takes the next id below an existing parent, roots are made
+before any generated node, and only a root's children are re-parented, to
+another root.  So the pass in id order sees a parent's new status before
+its children's.  It traces the block events as the statuses change, oldest
+first, blocks before unblocks: the events a comparison of all the old and
+new statuses would give.  Setting a bit without need is always safe: the
+scan or the check runs there and changes nothing.  The bits roll back with
+the trail, so after an undo a clear bit still means that the scan finds
+nothing, or that the status holds, in the state the undo put back.
 
 A group's result at x depends on x's label, the edges at x, x's blocking
 status and, beyond those, only on the labels and parents of x's
@@ -86,19 +99,6 @@ switch a group off at x, never on, except where a bit is set for them:
   another root, which re-links the neighbour's edge and so sets x's bits
   when x is either root; whether one non-root neighbour is an ancestor of
   another never changes, since only children of roots are re-parented.
-
-Incremental blocking.  Forest.status holds every node's blocking status
-as of the last blocking() call, and Forest._recheck the nodes whose label,
-parent or edges changed since.  blocking() checks those nodes and their
-descendants again, in id order, and no others.  A node's status depends on
-its parent's status, its in-edge, and the labels and in-edges of itself
-and its ancestors (the blocker candidates and their parents), all of
-which lie on its path to the root; so a change that can move it marks the
-node or an ancestor, and the node is a descendant of what was marked.
-Parents have smaller ids than their children, so the pass in id order
-sees a parent's new status before its children.  blocking() traces the
-block events as the statuses change, oldest first, blocks before unblocks:
-the events a comparison of the whole old and new maps would give.
 """
 
 from __future__ import annotations
@@ -317,8 +317,18 @@ class Node:
     # kind -> triples of that kind in canonical order; rebuilt on first read
     # after a change, never changed in place, so copies may share it
     _kinds: Optional[dict[str, list[Triple]]] = field(default=None, repr=False, compare=False)
-    # one bit per scan group that may have something to do here (see _first)
+    # one bit per scan group that may have something to do here (see
+    # _first), and one for a blocking status that may have moved
     dirty: int = field(default=0, repr=False, compare=False)
+    # (kind, blocker) as of the last Forest.blocking(); None before it
+    status: Optional[tuple[str, Optional[int]]] = field(default=None, compare=False)
+    # the keys of the edges that start or end here, and role ->
+    # neighbour_bounds result, dropped when an edge here changes; both are
+    # replaced, never changed in place, so copies and undo records share them
+    adjacent: frozenset[tuple[int, int]] = field(default=frozenset(), repr=False, compare=False)
+    neighbours: Optional[dict[Role, list[tuple[int, SignedBound]]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_root(self) -> bool:
@@ -368,7 +378,7 @@ class Node:
     def copy(self) -> "Node":
         return Node(
             self.id, self.parent, self.root_name, set(self.label), list(self.ordered),
-            self._kinds, self.dirty,
+            self._kinds, self.dirty, self.status, self.adjacent, self.neighbours,
         )
 
 
@@ -418,7 +428,6 @@ class Forest:
         pairwise: bool,
         rbox: RBox,
         budget: Budget,
-        trace: Optional[list] = None,
         gci_splits: tuple[tuple[Degree, Triple, Triple], ...] = (),
     ):
         # pair-wise blocking, the at-least generator, the merges and the
@@ -426,29 +435,22 @@ class Forest:
         self.pairwise = pairwise
         self.rbox = rbox
         self.budget = budget
-        self.trace: list = trace if trace is not None else []
+        self.trace: list = []
         # (n, lhs <= n - ell, rhs >= n) for each degree n of the GCI degree
         # set and each inclusion lhs (= rhs, in scan order
         self.gci_splits = gci_splits
         self.nodes: dict[int, Node] = {}
-        # edge labels, adjacency sets and neighbour tables are replaced,
-        # never changed in place, so a clone or an undo record may share them
+        # edge labels are replaced, never changed in place, so a clone or an
+        # undo record may share them
         self.edges: dict[tuple[int, int], frozenset[Triple]] = {}
-        # node id -> keys of the edges that start or end at it
-        self.adjacent: dict[int, frozenset[tuple[int, int]]] = {}
-        # node id -> role -> neighbour_bounds result, dropped when an edge
-        # at the node changes
-        self._neighbours: dict[int, dict[Role, list[tuple[int, SignedBound]]]] = {}
         # the (min, max) node pairs whose role triples clash
         self.clashing_pairs: set[tuple[int, int]] = set()
         # the ids of the nodes whose label clashes
         self.clashing_nodes: set[int] = set()
         self.neq: set[frozenset[int]] = set()
+        # the least node distinct from itself, if any
+        self.self_distinct: Optional[int] = None
         self.merged: dict[int, int] = {}
-        # blocking status of every node as of the last blocking() call, and
-        # the ids whose label, edges or parent changed since
-        self.status: dict[int, tuple[str, Optional[int]]] = {}
-        self._recheck: set[int] = set()
         # undo records (function, arguments) since the first choice point;
         # None until mark() is called, and again once solve returns
         self.trail: Optional[list[tuple]] = None
@@ -461,33 +463,23 @@ class Forest:
         # ever removed (by undo), so the next id is the number of nodes
         x = len(self.nodes)
         node = self.nodes[x] = Node(x, parent, root_name, dirty=_ALL)
-        self.adjacent[x] = frozenset()
-        self._recheck.add(x)
-        if self.trail is not None:
-            self.trail.append((self._unnew, (x,)))
+        self._log(self._unnew, x)
         return node
 
     def _unnew(self, x: int) -> None:
-        del self.nodes[x], self.adjacent[x]
-        self._neighbours.pop(x, None)
-        self._recheck.discard(x)
+        del self.nodes[x]
 
     def clone(self) -> "Forest":
         """An independent copy, without the trail; shares rbox, budget,
-        trace and the GCI splits with self.  Edge labels, adjacency sets and
-        neighbour tables are replaced rather than changed, so copying their
-        dicts is enough."""
+        trace and the GCI splits with self.  Edge labels are replaced
+        rather than changed, so copying their dict is enough."""
         g = copy.copy(self)
         g.nodes = {i: n.copy() for i, n in self.nodes.items()}
         g.edges = dict(self.edges)
-        g.adjacent = dict(self.adjacent)
-        g._neighbours = dict(self._neighbours)
         g.clashing_pairs = set(self.clashing_pairs)
         g.clashing_nodes = set(self.clashing_nodes)
         g.neq = set(self.neq)
         g.merged = dict(self.merged)
-        g.status = dict(self.status)
-        g._recheck = set(self._recheck)
         g.trail = None
         return g
 
@@ -524,10 +516,6 @@ class Forest:
         """The node's label, its parent or an edge at it changed: every
         scan group and blocking look at it again."""
         self._mark(node, _ALL)
-        if node.id not in self._recheck:
-            self._recheck.add(node.id)
-            if self.trail is not None:
-                self.trail.append((self._recheck.discard, (node.id,)))
 
     # --- basic accessors ---
 
@@ -596,6 +584,11 @@ class Forest:
                 self.neq.add(pair)
                 self._log(self.neq.remove, pair)
                 grew = True
+                if len(pair) == 1:
+                    (x,) = pair
+                    if self.self_distinct is None or x < self.self_distinct:
+                        self._log(setattr, self, "self_distinct", self.self_distinct)
+                        self.self_distinct = x
         if grew:
             for node in self.nodes.values():
                 self._mark(node, _COUNTING)
@@ -611,14 +604,16 @@ class Forest:
         self._save_edge(key)
         self.edges[key] = frozenset(triples)
         for end in key:
-            if key not in self.adjacent[end]:
-                self.adjacent[end] = self.adjacent[end] | {key}
+            node = self.nodes[end]
+            if key not in node.adjacent:
+                node.adjacent = node.adjacent | {key}
         self._edge_changed(a, b)
 
     def pop_edge(self, key: tuple[int, int]) -> frozenset[Triple]:
         self._save_edge(key)
         for end in key:
-            self.adjacent[end] = self.adjacent[end] - {key}
+            node = self.nodes[end]
+            node.adjacent = node.adjacent - {key}
         triples = self.edges.pop(key)
         self._edge_changed(*key)
         return triples
@@ -626,26 +621,25 @@ class Forest:
     def _save_edge(self, key: tuple[int, int]) -> None:
         if self.trail is not None:
             a, b = key
+            na, nb = self.nodes[a], self.nodes[b]
             pair = (min(a, b), max(a, b))
             self._log(
-                self._restore_edge, key, self.edges.get(key), self.adjacent[a], self.adjacent[b],
-                self._neighbours.get(a), self._neighbours.get(b), pair in self.clashing_pairs,
+                self._restore_edge, key, self.edges.get(key), na, na.adjacent, na.neighbours,
+                nb, nb.adjacent, nb.neighbours, pair in self.clashing_pairs,
             )
 
-    def _restore_edge(self, key, label, adjacent_a, adjacent_b, neighbours_a, neighbours_b, clashing) -> None:
+    def _restore_edge(
+        self, key, label, na, adjacent_a, neighbours_a, nb, adjacent_b, neighbours_b, clashing
+    ) -> None:
         # a popped edge comes back at the end of self.edges: nothing may
         # depend on the order of that dict
-        a, b = key
         if label is None:
             del self.edges[key]
         else:
             self.edges[key] = label
-        self.adjacent[b], self.adjacent[a] = adjacent_b, adjacent_a
-        for end, table in ((b, neighbours_b), (a, neighbours_a)):
-            if table is None:
-                self._neighbours.pop(end, None)
-            else:
-                self._neighbours[end] = table
+        nb.adjacent, nb.neighbours = adjacent_b, neighbours_b
+        na.adjacent, na.neighbours = adjacent_a, neighbours_a
+        a, b = key
         pair = (min(a, b), max(a, b))
         if clashing:
             self.clashing_pairs.add(pair)
@@ -653,10 +647,10 @@ class Forest:
             self.clashing_pairs.discard(pair)
 
     def _edge_changed(self, a: int, b: int) -> None:
-        self._changed(self.nodes[a])
-        self._changed(self.nodes[b])
-        self._neighbours.pop(a, None)
-        self._neighbours.pop(b, None)
+        na, nb = self.nodes[a], self.nodes[b]
+        self._changed(na)
+        self._changed(nb)
+        na.neighbours = nb.neighbours = None
         pair = (min(a, b), max(a, b))
         if _pair_clash(self, *pair):
             self.clashing_pairs.add(pair)
@@ -679,14 +673,15 @@ class Forest:
         """All (y, bound) with y an r-neighbour of x through that bound:
         successor edges carry a sub-role of r, predecessor edges a sub-role
         of Inv(r).  The list is shared: callers must not change it."""
-        known = self._neighbours.get(x, {})
+        node = self.nodes[x]
+        known = node.neighbours or {}
         out = known.get(r)
         if out is not None:
             return out
         out = []
         rinv = inv(r)
         includes = self.rbox.includes
-        for a, b in self.adjacent[x]:
+        for a, b in node.adjacent:
             lab = self.edges[(a, b)]
             if a == x:
                 for t in lab:
@@ -699,7 +694,7 @@ class Forest:
         out.sort(key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
         # not logged: the table holds for as long as the edges at x do, and
         # undoing an edge change puts back the tables of both ends
-        self._neighbours[x] = {**known, r: out}
+        node.neighbours = {**known, r: out}
         return out
 
     def conjugated_neighbours(self, x: int, r: Role, probe: SignedBound) -> list[int]:
@@ -715,48 +710,44 @@ class Forest:
 
     # --- blocking ---
 
-    def blocking(self) -> dict[int, tuple[str, Optional[int]]]:
-        """Status map for every node.  Only the nodes whose label, edges or
-        parent changed since the last call, and their descendants, are
+    def blocking(self) -> None:
+        """Bring every Node.status up to date.  Only the nodes whose
+        blocking bit is set in Node.dirty, and their descendants, are
         checked again, top-down (parents have smaller ids than their
         children throughout).  Traces a block event for each node newly
         directly blocked, or by a new blocker, in id order, then an unblock
-        event for each node no longer directly blocked.  The map is the
-        forest's own: it holds until the next change."""
-        recheck, status = self._recheck, self.status
-        if not recheck:
-            return status
-        self._log(setattr, self, "_recheck", recheck)
-        self._recheck = set()
-        redo = set(recheck)
+        event for each node no longer directly blocked."""
+        trail = self.trail
+        redo: set[int] = set()
         unblocked = []
-        for node in itertools.islice(self.nodes.values(), min(recheck), None):
-            x = node.id
-            if x not in redo and node.parent not in redo:
+        for node in self.nodes.values():
+            if node.dirty & _BLOCKING:
+                if trail is not None:
+                    trail.append((_set_dirty, (node, node.dirty)))
+                node.dirty ^= _BLOCKING
+            elif node.parent not in redo:
                 continue
+            x = node.id
             redo.add(x)
-            new = self._status_of(node, status)
-            old = status.get(x)
+            new, old = self._status_of(node), node.status
             if new != old:
-                if self.trail is not None:
-                    undo = (status.pop, (x,)) if old is None else (status.__setitem__, (x, old))
-                    self.trail.append(undo)
-                status[x] = new
+                if trail is not None:
+                    trail.append((setattr, (node, "status", old)))
+                node.status = new
                 if new[0] == DIRECT:
                     self.trace.append(("block", x, new[1]))
                 elif old is not None and old[0] == DIRECT:
                     unblocked.append(x)
                 if old is not None and old[0] != new[0]:
-                    self._mark(node, _ALL)
+                    self._mark(node, _SCANS)
         for x in unblocked:
             self.trace.append(("unblock", x))
-        return status
 
-    def _status_of(self, node: Node, status) -> tuple[str, Optional[int]]:
+    def _status_of(self, node: Node) -> tuple[str, Optional[int]]:
         parent = node.parent
         if parent is None:
             return _UNBLOCKED_STATUS
-        if status[parent][0] != UNBLOCKED:
+        if self.nodes[parent].status[0] != UNBLOCKED:
             return _INDIRECT_STATUS
         in_edge = self.edges.get((parent, node.id))
         if in_edge is not None and not in_edge:
@@ -806,9 +797,7 @@ class Forest:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def init_forest(
-    prepared: Prepared, budget: Optional[Budget] = None, trace: Optional[list] = None
-) -> Forest:
+def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
     """The initial forest of a prepared KB: a root per individual, labelled
     with its assertions."""
     splits = tuple(
@@ -816,9 +805,7 @@ def init_forest(
         for n in prepared.xa
         for lhs, rhs in prepared.gcis
     )
-    f = Forest(
-        prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), trace, splits
-    )
+    f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)
     abox = prepared.abox
     roots: dict[str, int] = {}
     for ind in abox.individuals():
@@ -947,7 +934,7 @@ def _has_clique(partners: dict[int, set[int]], candidates: list[int], size: int,
     return False
 
 
-def _counting_clash(f: Forest, status, node: Node) -> Optional[Clash]:
+def _counting_clash(f: Forest, node: Node) -> Optional[Clash]:
     # the count triples in label order, with a negative (>= 0 R), which caps
     # nothing, tested in its place among them
     for t in node.of_kind("count"):
@@ -965,22 +952,21 @@ def _counting_clash(f: Forest, status, node: Node) -> Optional[Clash]:
     return None
 
 
-def find_clash(f: Forest, status: dict[int, tuple[str, Optional[int]]]) -> Optional[Clash]:
-    selves = [x for pair in f.neq if len(pair) == 1 for x in pair]
-    if selves:
-        return Clash("distinct-self", min(selves), ())
+def find_clash(f: Forest) -> Optional[Clash]:
+    if f.self_distinct is not None:
+        return Clash("distinct-self", f.self_distinct, ())
     if f.clashing_nodes:
         return _concept_clash(f, f.nodes[min(f.clashing_nodes)])
     clash = _edge_clash(f)
     if clash:
         return clash
     if f.pairwise:
-        return _first(f, _counting_clash, status)
+        return _first(f, _counting_clash)
     return None
 
 
-def _first(f: Forest, at, status):
-    """The first truthy at(f, status, node), oldest node first.
+def _first(f: Forest, at):
+    """The first truthy at(f, node), oldest node first.
 
     Skips the nodes whose bit for `at` is clear in Node.dirty, and clears
     the bit of each node where `at` gives nothing; `at` must change nothing
@@ -990,7 +976,7 @@ def _first(f: Forest, at, status):
     # no copy of the node list: `at` adds nodes only when it gives a result
     for node in f.nodes.values():
         if node.dirty & bit:
-            out = at(f, status, node)
+            out = at(f, node)
             if out:
                 return out
             if trail is not None:
@@ -1020,14 +1006,14 @@ _PROPAGATIONS = (
 )
 
 
-def _propagate(f: Forest, status, node: Node) -> bool:
+def _propagate(f: Forest, node: Node) -> bool:
     """Apply the first deterministic rule that applies at the node:
     negation, then decomposition, then the propagations."""
     for t in node.of_kind("not"):
         derived = t.parts[0]
         if derived not in node.label:
             return f.add_triple(node.id, derived, "negation")
-    if status[node.id][0] == INDIRECT:
+    if node.status[0] == INDIRECT:
         return False
     for t in node.of_kind("decompose"):
         for derived in t.parts:
@@ -1052,11 +1038,11 @@ def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) ->
     f.trace.append(("new-node", rule, x, y.id, edge, label))
 
 
-def _generate(f: Forest, status, node: Node, kind: str, edge_bound, rule: str) -> bool:
+def _generate(f: Forest, node: Node, kind: str, edge_bound, rule: str) -> bool:
     """Give the first triple of the kind that lacks one a witness: a new
     successor whose edge carries edge_bound(triple) and whose label holds
     the triple's body."""
-    if status[node.id][0] != UNBLOCKED:
+    if node.status[0] != UNBLOCKED:
         return False
     for t in node.of_kind(kind):
         c, bound, derived = t.subject, edge_bound(t), t.parts[0]
@@ -1069,16 +1055,16 @@ def _generate(f: Forest, status, node: Node, kind: str, edge_bound, rule: str) -
 
 
 # the generators stay separate functions: each is a scan group of its own
-def _rule_exists_pos(f: Forest, status, node: Node) -> bool:
-    return _generate(f, status, node, "exists+", _bound, "exists-pos")
+def _rule_exists_pos(f: Forest, node: Node) -> bool:
+    return _generate(f, node, "exists+", _bound, "exists-pos")
 
 
-def _rule_forall_neg(f: Forest, status, node: Node) -> bool:
-    return _generate(f, status, node, "forall-", _reflected, "forall-neg")
+def _rule_forall_neg(f: Forest, node: Node) -> bool:
+    return _generate(f, node, "forall-", _reflected, "forall-neg")
 
 
-def _rule_atleast(f: Forest, status, node: Node) -> bool:
-    if not f.pairwise or status[node.id][0] != UNBLOCKED:
+def _rule_atleast(f: Forest, node: Node) -> bool:
+    if not f.pairwise or node.status[0] != UNBLOCKED:
         return False
     for c, bound, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
         members = [y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound]
@@ -1125,8 +1111,8 @@ def _merge_pairs(
     return out
 
 
-def _merge_at(f: Forest, status, node: Node, roots_only: bool = False) -> Optional[ChoicePoint]:
-    if status[node.id][0] == INDIRECT:
+def _merge_at(f: Forest, node: Node, roots_only: bool = False) -> Optional[ChoicePoint]:
+    if node.status[0] == INDIRECT:
         return None
     for c, probe, rule in (t.atmost for t in node.of_kind("count") if t.atmost):
         members = f.conjugated_neighbours(node.id, c.role, probe)
@@ -1139,8 +1125,8 @@ def _merge_at(f: Forest, status, node: Node, roots_only: bool = False) -> Option
     return None
 
 
-def _merge_roots_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
-    return _merge_at(f, status, node, roots_only=True)
+def _merge_roots_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
+    return _merge_at(f, node, roots_only=True)
 
 
 def _merge_into(f: Forest, y: int, z: int) -> None:
@@ -1164,7 +1150,7 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
     _merge_into(f, y, z)
     # y's edges in key order, so that which orientation a joined edge keeps
     # does not depend on the history of f.edges
-    for (a, b) in sorted(f.adjacent[y]):
+    for (a, b) in sorted(f.nodes[y].adjacent):
         ts = f.pop_edge((a, b))
         if a == y and b == y:
             f.union_edge(z, z, ts)
@@ -1183,8 +1169,8 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
 # --- nondeterministic concept choices ---
 
 
-def _split_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
-    if status[node.id][0] == INDIRECT:
+def _split_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
+    if node.status[0] == INDIRECT:
         return None
     for t in node.of_kind("split"):
         if any(part in node.label for part in t.parts):
@@ -1195,8 +1181,8 @@ def _split_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
     return None
 
 
-def _gci_at(f: Forest, status, node: Node) -> Optional[ChoicePoint]:
-    if node.id in f.merged or status[node.id][0] == INDIRECT:
+def _gci_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
+    if node.id in f.merged or node.status[0] == INDIRECT:
         return None
     for _, t1, t2 in f.gci_splits:
         if t1 in node.label or t2 in node.label:
@@ -1216,7 +1202,10 @@ _GROUPS = (
     _propagate, _merge_at, _merge_roots_at, *_GENERATORS, _split_at, _gci_at, _counting_clash,
 )
 _GROUP_BITS = {at: 1 << i for i, at in enumerate(_GROUPS)}
-_ALL = (1 << len(_GROUPS)) - 1
+_SCANS = (1 << len(_GROUPS)) - 1
+# the bit for Forest.blocking, past the scan groups' bits
+_BLOCKING = 1 << len(_GROUPS)
+_ALL = _SCANS | _BLOCKING
 _COUNTING = _GROUP_BITS[_counting_clash]
 
 
@@ -1226,21 +1215,21 @@ def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
     complete."""
     while True:
         f.budget.charge()
-        status = f.blocking()
-        clash = find_clash(f, status)
+        f.blocking()
+        clash = find_clash(f)
         if clash:
             f.trace.append(("clash", clash))
             return clash
         # node-major: exhaust one node's propagations before the next node's
-        if _first(f, _propagate, status):
+        if _first(f, _propagate):
             continue
         if f.pairwise:
-            cp = _first(f, _merge_at, status) or _first(f, _merge_roots_at, status)
+            cp = _first(f, _merge_at) or _first(f, _merge_roots_at)
             if cp:
                 return cp
-        if any(_first(f, rule, status) for rule in _GENERATORS):
+        if any(_first(f, rule) for rule in _GENERATORS):
             continue
-        return _first(f, _split_at, status) or (_first(f, _gci_at, status) if f.gci_splits else None)
+        return _first(f, _split_at) or (_first(f, _gci_at) if f.gci_splits else None)
 
 
 def apply_alternative(f: Forest, alt: tuple) -> None:
@@ -1328,8 +1317,8 @@ def extract_model(f: Forest):
 
     if f.pairwise:
         raise NotApplicable("model extraction requires an SI-mode forest")
-    status = f.blocking()
-    domain = tuple(i for i in sorted(f.nodes) if status[i][0] == UNBLOCKED)
+    f.blocking()
+    domain = tuple(i for i in sorted(f.nodes) if f.nodes[i].status[0] == UNBLOCKED)
 
     pool: set[Degree] = set()
     for node in f.nodes.values():
@@ -1365,8 +1354,8 @@ def extract_model(f: Forest):
             continue
         if v in domain:
             target = v
-        elif status[v][0] == DIRECT:
-            target = status[v][1]
+        elif f.nodes[v].status[0] == DIRECT:
+            target = f.nodes[v].status[1]
         else:
             continue
         for t in lab:
@@ -1406,13 +1395,13 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
     complete clash-free forest must satisfy, read as a tableau over
     non-blocked nodes.  Returns human-readable violations (empty = pass)."""
     out: list[str] = []
-    status = f.blocking()
-    clash = find_clash(f, status)
+    f.blocking()
+    clash = find_clash(f)
     if clash:
         out.append(f"clash present: {clash}")
 
     for node in f.nodes.values():
-        blocked_kind = status[node.id][0]
+        blocked_kind = node.status[0]
         for t in f.sorted_label(node):
             c = t.subject
             if isinstance(c, Not):

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 import fshin
 from fshin.cli import main
+from fshin.oracle import search_model
+from fshin.parser import parse_kb
+from fshin.services import consistency
+from fshin.tableau import Clash
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
@@ -107,6 +111,17 @@ def test_missing_file_exit_2(argv, capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_individual_distinct_from_itself_is_inconsistent(capsys, tmp_path):
+    path = tmp_path / "self.fkb"
+    path.write_text("distinct a a.\n")
+    code, out, _ = run(["check", str(path)], capsys)
+    assert code == 1 and out == "inconsistent\n"
+    kb = parse_kb(path.read_text())
+    trace = consistency(kb).trace
+    assert [ev[1] for ev in trace if ev[0] == "clash"] == [Clash("distinct-self", 0, ())]
+    assert search_model(kb, max_domain=2) is None
+
+
 def test_mode_option_is_gone(capsys):
     """The KB's constructors pick the fragment; there is no --mode."""
     code, _, err = run(["check", ex("gci.fkb"), "--mode", "si"], capsys)
@@ -132,6 +147,14 @@ def test_quiet_suppresses_stdout(capsys):
 def test_oracle_flag(capsys):
     code, out, _ = run(["check", ex("example1.fkb"), "--oracle"], capsys)
     assert code == 0 and out == "consistent\n"
+
+
+def test_oracle_flag_only_on_check(capsys):
+    """Only check runs the cross-check, so the other commands refuse the
+    flag rather than ignore it."""
+    q = "(o3): (some isPartOf-.Body) and (some isPartOf-.Arm)"
+    code, out, err = run(["glb", ex("example1.fkb"), "--assert", q, "--oracle"], capsys)
+    assert code == 2 and out == "" and "unrecognized arguments: --oracle" in err
 
 
 def test_stdin(capsys, monkeypatch):
@@ -249,6 +272,7 @@ statements = st.one_of(
     st.builds("trans {}.".format, roles),
     st.builds("subrole {} {}.".format, roles, roles),
     st.just("distinct a b."),
+    st.just("distinct a a."),
 )
 kb_texts = st.one_of(
     st.lists(statements, max_size=5).map("\n".join),

@@ -176,9 +176,9 @@ def sha(text: str) -> str:
 
 def observe(kb) -> dict:
     prepared = prepare(kb)
-    trace: list = []
     budget = Budget(BUDGET)
-    f = init_forest(prepared, budget, trace)
+    f = init_forest(prepared, budget)
+    trace = f.trace
     try:
         result = solve(f)
     except ResourceLimit:

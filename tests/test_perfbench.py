@@ -5,9 +5,12 @@ Forest.blocking, Forest.sorted_label, Forest.neighbour_bounds,
 tableau.expand, apply_alternative, find_clash) and reads SolveResult.trace
 and first_clash_forest.  A refactor that renames one of them breaks the
 benchmark, not the engine, so each workload is run here once for a single
-traced pass."""
+traced pass.  The pass runs in a copy of perfbench/ and src/, since run.py
+writes its spans under perfbench/out/ and imports fshin from the src/ beside
+it."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +21,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload", ["abox-chain", "gci-cycle", "degree-query"])
-def test_traced_pass_answers_correctly(workload):
+def test_traced_pass_answers_correctly(workload, tmp_path):
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for part in ("perfbench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload]
     argv += ["--seed", "1", "--seconds", "0", "--trace", "1"]
-    run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
