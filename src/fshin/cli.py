@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=services.DEFAULT_BUDGET,
             help="work units per consistency check: one per new node, label triple, "
-            "generator step and expand iteration; entail, glb, lub, sat and subsumes "
-            "spend it afresh on each check they run (default %(default)s)",
+            "generator step, expand iteration and clique-search step; entail, glb, lub, "
+            "sat and subsumes spend it afresh on each check they run (default %(default)s)",
         )
         p.add_argument("--quiet", action="store_true")
 

@@ -19,14 +19,19 @@ triple that the merges, the counting clash, the at-least generator and the
 audit read.
 
 The canonical order of triples is by subject text, then INEQ_ORDER, then
-degree (Triple.key).  The forest keeps its derived views current as it
-changes rather than recomputing them on every call:
+degree (Triple.key).  Each fact of the forest is kept once: Forest.edges
+maps (a, b) to the edge's role triples, and the rest lives on the nodes.
+A Node holds id, parent, root_name, label, distinct (the ids it is
+distinct from) and merged_into (the root it was merged into), and the
+views derived from them, which the forest keeps current as it changes
+rather than recomputing them on every call: ordered, the label in
+canonical order (what Forest.sorted_label returns); _kinds, rebuilt on
+demand, its triples grouped by rule kind; adjacent, the keys of the edges
+at it; neighbours, its neighbour_bounds results; status, its blocking
+status; and dirty (below).  Besides,
 
 - a Triple caches its order key, hash, bound, unary clash, rule kind and
   the triples the rules derive from it;
-- a Node keeps its label in canonical order (what Forest.sorted_label
-  returns), rebuilt on demand its triples grouped by rule kind, the keys of
-  the edges at it, its neighbour_bounds results and its blocking status;
 - a Forest keeps the set of node pairs whose edges clash, the set of nodes
   whose label holds a triple that clashes on its own or a conjugated pair,
   and the least node distinct from itself;
@@ -34,10 +39,11 @@ changes rather than recomputing them on every call:
 
 These hold because every change goes through the Forest methods that keep
 them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
-set_parent, add_neq, set_merged); labels only grow, except that a root
-merge empties the merged node and undo takes triples back; and node ids are
-handed out in increasing order and only the newest node is ever removed,
-by undo.  clone copies the mutable indexes and shares the rest.
+set_parent, add_neq, set_field); labels only grow, except that a root
+merge empties the merged node and undo takes triples back; distinct sets
+are symmetric; and node ids are handed out in increasing order and only
+the newest node is ever removed, by undo.  clone copies the mutable
+indexes and shares the rest.
 
 Undo trail.  solve backtracks on one forest.  Once mark() has been called,
 each of those methods, blocking and _first append to Forest.trail a record
@@ -47,15 +53,16 @@ alternative starts with undo(mark), which runs the newer records newest
 first.  Each record puts back exactly what its change found, so after
 undo(mark) every field is as it was at the mark.  The derived views are
 saved and put back with the change that moved them, by reference, because
-they are replaced, never changed in place.  A neighbour table filled after
-the mark is not logged: it holds for as long as the edges at its node do,
-and a change to those edges saves the table it drops.  What undo does not
-restore is dict and set order: a popped edge comes back at the end of
-Forest.edges, and the order of neq depends on its history.  So the two
-results that followed such an order take an explicit one: add_neq keeps
-the least node distinct from itself, which find_clash names, and a root
-merge moves y's edges in key order.  first_clash_forest is the one
-clone, taken at the first clash while a choice point is open.
+they are replaced, never changed in place (a distinct set too, so its
+undo is one setattr record).  A neighbour table filled after the mark is
+not logged: it holds for as long as the edges at its node do, and a change
+to those edges saves the table it drops.  What undo does not restore is
+set and dict order: a popped edge comes back at the end of Forest.edges.
+So no result follows such an order: add_neq keeps the least node distinct
+from itself, which find_clash names, a root merge moves y's edges in key
+order, and distinct sets are only tested for membership.
+first_clash_forest is the one clone, taken at the first clash while a
+choice point is open.
 
 Dirty bits.  Node.dirty holds a bit for each scan over the nodes (the
 deterministic rules as one group in node-major order, each generator, the
@@ -63,7 +70,8 @@ two merge passes, the disjunction and inclusion splits, and the counting
 clash) and one more for blocking.  A node gets all its bits when it is
 created and when its label, its parent or an edge at it changes
 (Forest._changed); it gets the scan bits again when its blocking status
-changes kind, and every node gets the counting clash's bit when neq grows.
+changes kind, and every node gets the counting clash's bit when a distinct
+set grows.
 Each scan goes through _first, which skips the nodes whose bit for it is
 clear and clears the bit of each node where it finds nothing.  blocking()
 clears the blocking bit wherever it is set and checks those nodes and
@@ -84,17 +92,17 @@ nothing, or that the status holds, in the state the undo put back.
 
 A group's result at x depends on x's label, the edges at x, x's blocking
 status and, beyond those, only on the labels and parents of x's
-neighbours, the neq pairs and the merged map.  These others can only
+neighbours, the distinct sets and x's merged_into.  These others can only
 switch a group off at x, never on, except where a bit is set for them:
 
 - a neighbour's label only grows, and a grown label only satisfies a
   propagation, a witness or a split that was missing; the one label that
   empties, a root merged away, first loses every edge, so each former
   neighbour gets its bits;
-- neq and merged only grow, and a new distinct pair only rules out a
-  merge pair or satisfies an at-least, and a merged node takes no more
-  inclusion splits; a new distinct pair can complete a counting clash,
-  which is why neq growth sets that group's bit at every node;
+- distinct sets only grow and merged_into is set once, and a new distinct
+  pair only rules out a merge pair or satisfies an at-least, and a merged
+  node takes no more inclusion splits; a new distinct pair can complete a
+  counting clash, which is why add_neq sets that group's bit at every node;
 - a neighbour's parent changes only when its root parent is merged into
   another root, which re-links the neighbour's edge and so sets x's bits
   when x is either root; whether one non-root neighbour is an ancestor of
@@ -309,7 +317,7 @@ triple_key = attrgetter("key")
 class Node:
     id: int
     parent: Optional[int] = None
-    root_name: Optional[str] = None
+    root_name: Optional[str] = None  # on the roots of individuals alone
     # the label changes only through add() and clear(), which keep
     # `ordered`, the label in canonical order, in step with it
     label: set[Triple] = field(default_factory=set)
@@ -329,6 +337,9 @@ class Node:
     neighbours: Optional[dict[Role, list[tuple[int, SignedBound]]]] = field(
         default=None, repr=False, compare=False
     )
+    # symmetric across nodes, and replaced, never changed in place
+    distinct: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
+    merged_into: Optional[int] = field(default=None, compare=False)
 
     @property
     def is_root(self) -> bool:
@@ -379,6 +390,7 @@ class Node:
         return Node(
             self.id, self.parent, self.root_name, set(self.label), list(self.ordered),
             self._kinds, self.dirty, self.status, self.adjacent, self.neighbours,
+            self.distinct, self.merged_into,
         )
 
 
@@ -447,10 +459,8 @@ class Forest:
         self.clashing_pairs: set[tuple[int, int]] = set()
         # the ids of the nodes whose label clashes
         self.clashing_nodes: set[int] = set()
-        self.neq: set[frozenset[int]] = set()
         # the least node distinct from itself, if any
         self.self_distinct: Optional[int] = None
-        self.merged: dict[int, int] = {}
         # undo records (function, arguments) since the first choice point;
         # None until mark() is called, and again once solve returns
         self.trail: Optional[list[tuple]] = None
@@ -478,8 +488,6 @@ class Forest:
         g.edges = dict(self.edges)
         g.clashing_pairs = set(self.clashing_pairs)
         g.clashing_nodes = set(self.clashing_nodes)
-        g.neq = set(self.neq)
-        g.merged = dict(self.merged)
         g.trail = None
         return g
 
@@ -539,8 +547,9 @@ class Forest:
         self.trace.append(("add", rule, node_id, t))
         return True
 
-    # every change to a label, an edge, a parent, neq or merged goes through
-    # the methods below, which keep the indexes in step and log the undo
+    # every change to a label, an edge, a parent, a distinct set or
+    # merged_into goes through the methods below, which keep the indexes in
+    # step and log the undo
 
     def add_label(self, node: Node, t: Triple) -> None:
         """Add t, which the label lacks, to the node's label."""
@@ -570,33 +579,32 @@ class Forest:
         if clashing:
             self.clashing_nodes.add(node.id)
 
+    def set_field(self, obj, name: str, value) -> None:
+        """Set obj.name to value, logging the old value."""
+        self._log(setattr, obj, name, getattr(obj, name))
+        setattr(obj, name, value)
+
     def set_parent(self, node: Node, parent: int) -> None:
-        self._log(setattr, node, "parent", node.parent)
-        node.parent = parent
+        self.set_field(node, "parent", parent)
         self._changed(node)
 
-    def add_neq(self, pairs: Iterable[frozenset[int]]) -> None:
-        """Add distinct pairs; a new one can complete a counting clash at
-        any node."""
-        grew = False
-        for pair in pairs:
-            if pair not in self.neq:
-                self.neq.add(pair)
-                self._log(self.neq.remove, pair)
-                grew = True
-                if len(pair) == 1:
-                    (x,) = pair
-                    if self.self_distinct is None or x < self.self_distinct:
-                        self._log(setattr, self, "self_distinct", self.self_distinct)
-                        self.self_distinct = x
-        if grew:
-            for node in self.nodes.values():
+    def add_neq(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Make each pair (a, b) distinct, giving each node it touches one
+        new distinct set; a new pair can complete a counting clash at any
+        node."""
+        nodes = self.nodes
+        new: dict[int, set[int]] = {}
+        for a, b in pairs:
+            if b not in nodes[a].distinct:
+                new.setdefault(a, set()).add(b)
+                new.setdefault(b, set()).add(a)
+        for x, partners in new.items():
+            self.set_field(nodes[x], "distinct", nodes[x].distinct | partners)
+            if x in partners and (self.self_distinct is None or x < self.self_distinct):
+                self.set_field(self, "self_distinct", x)
+        if new:
+            for node in nodes.values():
                 self._mark(node, _COUNTING)
-
-    def set_merged(self, y: int, z: int) -> None:
-        """Record that root y was merged into root z."""
-        self.merged[y] = z
-        self._log(self.merged.pop, y)
 
     def set_edge(self, a: int, b: int, triples: Iterable[Triple]) -> None:
         """Create edge (a, b), or replace its label."""
@@ -807,16 +815,14 @@ def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
     )
     f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)
     abox = prepared.abox
-    roots: dict[str, int] = {}
-    for ind in abox.individuals():
-        roots[ind] = f.new_node(None, ind).id
+    roots = {ind: f.new_node(None, ind).id for ind in abox.individuals()}
     for ca in abox.concept_assertions:
         f.add_triple(roots[ca.individual], Triple(ca.concept, ca.bound.ineq, ca.bound.degree), "init")
     for ra in abox.role_assertions:
         t = Triple(ra.role, ra.bound.ineq, ra.bound.degree)
         a, b = roots[ra.subject], roots[ra.object]
         f.union_edge(a, b, {t})
-    f.add_neq(frozenset(roots[i] for i in pair) for pair in abox.inequalities)
+    f.add_neq((roots[min(pair)], roots[max(pair)]) for pair in abox.inequalities)
     return f
 
 
@@ -870,16 +876,14 @@ def _edge_clash(f: Forest) -> Optional[Clash]:
 
 
 def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
-    """Whether k of the (distinct) members are pairwise distinct under neq,
-    that is, whether the neq graph on the members has a k-clique."""
+    """Whether k of the (distinct) members are pairwise distinct, that is,
+    whether the graph of distinct sets on the members has a k-clique."""
     if k <= 1 or len(members) < k:
         return len(members) >= k
-    neq = f.neq
-    partners: dict[int, set[int]] = {u: set() for u in members}
-    for u, v in itertools.combinations(members, 2):
-        if frozenset((u, v)) in neq:
-            partners[u].add(v)
-            partners[v].add(u)
+    among = set(members)
+    # a member distinct from itself (a clash) is its own partner, which only
+    # weakens the pruning: the clique searches never test v against itself
+    partners = {u: among & f.nodes[u].distinct for u in members}
     # a member of a k-clique has k - 1 partners in it: drop, until none is
     # left, each member with fewer partners among the members not dropped
     degree = {u: len(p) for u, p in partners.items()}
@@ -903,17 +907,21 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
             kept.append(v)
             if len(kept) >= k:
                 return True
-    return _has_clique(partners, live, 0, k)
+    return _has_clique(partners, live, 0, k, f.budget)
 
 
-def _has_clique(partners: dict[int, set[int]], candidates: list[int], size: int, k: int) -> bool:
-    """Whether size + the largest clique among the candidates reaches k.
+def _has_clique(
+    partners: dict[int, set[int]], candidates: list[int], size: int, k: int, budget: Budget
+) -> bool:
+    """Whether size + the largest clique among the candidates reaches k;
+    charges the budget one unit per call.
 
     Branch and bound after Tomita & Seki (DMTCS 2003): a greedy colouring
     puts each candidate in the first class that holds none of its
     partners, and a clique has at most one member of each class, so a
     clique among the candidates up to one of colour c has at most c
     members."""
+    budget.charge()
     classes: list[list[int]] = []
     for v in candidates:
         for cls in classes:
@@ -929,7 +937,7 @@ def _has_clique(partners: dict[int, set[int]], candidates: list[int], size: int,
             return False
         if size + 1 >= k:
             return True
-        if _has_clique(partners, [u for _, u in order if u in partners[v]], size + 1, k):
+        if _has_clique(partners, [u for _, u in order if u in partners[v]], size + 1, k, budget):
             return True
     return False
 
@@ -1067,8 +1075,7 @@ def _rule_atleast(f: Forest, node: Node) -> bool:
     if not f.pairwise or node.status[0] != UNBLOCKED:
         return False
     for c, bound, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
-        members = [y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound]
-        members = sorted(set(members))
+        members = sorted({y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound})
         if _has_pairwise_distinct(f, members, c.count):
             continue
         created = []
@@ -1077,7 +1084,7 @@ def _rule_atleast(f: Forest, node: Node) -> bool:
             y = f.new_node(node.id)
             f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
             created.append(y.id)
-        f.add_neq(frozenset(pair) for pair in itertools.combinations(created, 2))
+        f.add_neq(itertools.combinations(created, 2))
         f.trace.append(("new-nodes", rule, node.id, tuple(created)))
         return True
     return False
@@ -1092,7 +1099,7 @@ def _merge_pairs(
     out = []
     for z in members:
         for y in sorted(members, reverse=True):
-            if y == z or frozenset((y, z)) in f.neq:
+            if y == z or z in f.nodes[y].distinct:
                 continue
             ny, nz = f.nodes[y], f.nodes[z]
             if roots_only:
@@ -1130,12 +1137,12 @@ def _merge_roots_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
 
 
 def _merge_into(f: Forest, y: int, z: int) -> None:
-    """z takes over y's label and y's distinct pairs."""
-    znode = f.nodes[z]
-    for t in f.nodes[y].ordered:
+    """z takes over y's label and y's distinct partners."""
+    ynode, znode = f.nodes[y], f.nodes[z]
+    for t in ynode.ordered:
         if t not in znode.label:
             f.add_label(znode, t)
-    f.add_neq([pair - {y} | {z} for pair in f.neq if y in pair])
+    f.add_neq((z, z if w == y else w) for w in ynode.distinct)
 
 
 def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:
@@ -1162,7 +1169,7 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
         if node.parent == y:
             f.set_parent(node, z)
     f.clear_label(f.nodes[y])
-    f.set_merged(y, z)
+    f.set_field(f.nodes[y], "merged_into", z)
     f.trace.append(("merge-root", x, y, z))
 
 
@@ -1182,7 +1189,7 @@ def _split_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
 
 
 def _gci_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
-    if node.id in f.merged or node.status[0] == INDIRECT:
+    if node.merged_into is not None or node.status[0] == INDIRECT:
         return None
     for _, t1, t2 in f.gci_splits:
         if t1 in node.label or t2 in node.label:
@@ -1379,11 +1386,7 @@ def extract_model(f: Forest):
                     role_map[(name, a, c)] = through
                     changed = True
 
-    individual_map = {
-        node.root_name: node.id
-        for node in f.nodes.values()
-        if node.is_root and node.root_name is not None
-    }
+    individual_map = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}
     return FuzzyInterpretation(domain, concept_map, role_map, individual_map)
 
 
@@ -1474,21 +1477,17 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                         f, node.id, members, True
                     ):
                         out.append(f"at-most merge still applicable at {node.id}")
-            if node.id not in f.merged:
+            if node.merged_into is None:
                 for n, t1, t2 in f.gci_splits:
                     if t1 not in node.label and t2 not in node.label:
                         out.append(f"inclusion split unresolved at {node.id} for degree {n}")
 
     if abox is not None:
-        roots = {
-            node.root_name: node.id
-            for node in f.nodes.values()
-            if node.is_root and node.root_name is not None
-        }
+        roots = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}
 
         def resolve(i: int) -> int:
-            while i in f.merged:
-                i = f.merged[i]
+            while f.nodes[i].merged_into is not None:
+                i = f.nodes[i].merged_into
             return i
 
         for ca in abox.concept_assertions:

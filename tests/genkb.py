@@ -1,6 +1,7 @@
 """Random knowledge-base generators shared by the differential tests."""
 
 from fractions import Fraction
+import itertools
 import random
 
 from fshin.degrees import Ineq, SignedBound
@@ -126,3 +127,71 @@ def random_tbox_kb(rng: random.Random) -> FuzzyKB:
             )
     kb = random_alc_kb(rng, names)
     return FuzzyKB(tbox=tbox, abox=kb.abox)
+
+
+def colouring_kb(n: int, cap: int, pairs) -> FuzzyKB:
+    """n named r-successors b0..b{n-1} of a, each >= 0.9, distinct in the
+    given (i, j) pairs, under (<= cap r) >= 0.5: since 0.9 > 0.5, no
+    cap + 1 of the successors may stay pairwise distinct, so the KB is
+    consistent iff merging can colour the distinct graph with cap colours."""
+    succ = [f"b{i}" for i in range(n)]
+    high = SignedBound(Ineq.GE, Fraction(9, 10))
+    ras = [RoleAssertion("a", b, Role("r"), high) for b in succ]
+    cas = [ConceptAssertion("a", AtMost(cap, Role("r")), SignedBound(Ineq.GE, Fraction(1, 2)))]
+    return FuzzyKB(abox=ABox(cas, ras, {frozenset((succ[i], succ[j])) for i, j in pairs}))
+
+
+def dense_colouring_kb(n: int, cap: int, seed: int = 1, p: float = 0.8) -> FuzzyKB:
+    """colouring_kb with each pair, in combinations order, distinct with
+    probability p."""
+    rng = random.Random(seed)
+    pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+    return colouring_kb(n, cap, pairs)
+
+
+def colourable(n: int, pairs, colours: int) -> bool:
+    """Whether the graph on range(n) with these edges has a proper colouring
+    with `colours` colours: backtracking vertex by vertex, where a vertex
+    may open at most one new colour."""
+    adjacent = [set() for _ in range(n)]
+    for i, j in pairs:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    colour: list[int] = []
+
+    def place(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        taken = {colour[u] for u in adjacent[v] if u < v}
+        for c in range(min(used + 1, colours)):
+            if c not in taken:
+                colour.append(c)
+                if place(v + 1, max(used, c + 1)):
+                    return True
+                colour.pop()
+        return False
+
+    return place(0, 0)
+
+
+def random_colouring_kb(rng: random.Random) -> tuple[FuzzyKB, bool]:
+    """A colouring_kb with 2-7 successors and random distinct pairs, and its
+    planted verdict.  In half the KBs with 5 or more successors the pairs
+    start with an odd cycle through the first 5, or 7, and few chords, so
+    that colouring often takes more colours than any clique has members and
+    only the merges can settle the verdict.  The cap is the fewest colours
+    the graph needs, or one less (at least 1): consistent iff it is the
+    fewest."""
+    n = rng.randint(2, 7)
+    pairs = set()
+    density = rng.random()
+    if n >= 5 and rng.random() < 0.5:
+        m = 7 if n == 7 and rng.random() < 0.5 else 5
+        pairs = {(min(i, (i + 1) % m), max(i, (i + 1) % m)) for i in range(m)}
+        # few chords, which would mostly close triangles
+        density /= 4
+    pairs |= {pair for pair in itertools.combinations(range(n), 2) if rng.random() < density}
+    pairs = sorted(pairs)
+    fewest = next(k for k in range(1, n + 1) if colourable(n, pairs, k))
+    cap = max(1, fewest - rng.randint(0, 1))
+    return colouring_kb(n, cap, pairs), cap == fewest

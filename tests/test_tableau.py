@@ -3,7 +3,6 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +42,7 @@ from fshin.tableau import (
     triple_key,
 )
 
+from genkb import dense_colouring_kb
 from test_golden import EXTRA, corpus
 
 
@@ -191,9 +191,9 @@ def test_at_least_zero_under_a_negative_bound(bound, consistent):
     assert clashes == ([] if consistent else ["at-least"])
 
 
-def brute_force_distinct(neq, members, k):
+def brute_force_distinct(f, members, k):
     return any(
-        all(frozenset(pair) in neq for pair in itertools.combinations(combo, 2))
+        all(v in f.nodes[u].distinct for u, v in itertools.combinations(combo, 2))
         for combo in itertools.combinations(members, k)
     )
 
@@ -206,12 +206,12 @@ def test_pairwise_distinct_matches_brute_force():
     for p in densities:
         n = rng.randint(0, 8) if p < 0.7 or rng.random() < 0.5 else rng.randint(9, 12)
         members = rng.sample(range(12), n)
-        neq = {
-            frozenset(pair) for pair in itertools.combinations(range(12), 2) if rng.random() < p
-        }
-        f = SimpleNamespace(neq=neq)
+        f = Forest(True, RBox(), Budget(10**6))
+        for _ in range(12):
+            f.new_node(None)
+        f.add_neq(pair for pair in itertools.combinations(range(12), 2) if rng.random() < p)
         for k in range(n + 2):
-            assert _has_pairwise_distinct(f, members, k) == brute_force_distinct(neq, members, k)
+            assert _has_pairwise_distinct(f, members, k) == brute_force_distinct(f, members, k)
 
 
 def test_many_successors_under_at_most_answer_quickly():
@@ -258,7 +258,18 @@ def test_large_at_least_answers():
         r = consistency(parse_kb(text))
         assert time.perf_counter() - start < 5.0, text
         assert r.consistent and len(r.forest.nodes) == nodes, text
-        del r  # each forest holds half a million distinct pairs
+        del r  # each forest holds a million distinct-set entries
+
+
+def test_dense_distinct_graph_exhausts_the_budget():
+    # 60 named r-successors, each pair distinct with probability 0.8, under
+    # (<= 16 r): the greedy clique and the colouring bound both fail, and
+    # each call of the clique search charges the budget, so the search ends
+    # in ResourceLimit instead of running on (54 s uncharged)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        consistency(dense_colouring_kb(60, 16), budget=20_000)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_role_inclusion_propagation():
@@ -378,6 +389,7 @@ def check_indexes(f):
         assert _concept_clash(f, node) == clash
         assert (node.id in f.clashing_nodes) == (clash is not None)
         assert node.adjacent == {k for k in f.edges if node.id in k}
+        assert all(node.id in f.nodes[y].distinct for y in node.distinct), node.id
         for r in (S, inv(S), R, inv(R)):
             assert f.neighbour_bounds(node.id, r) == scan_neighbour_bounds(f, node.id, r)
     assert _edge_clash(f) == scan_edge_clash(f)
@@ -423,7 +435,8 @@ def test_index_invariants_under_every_mutation():
     assert _rule_atleast(f, f.nodes[a])
     check_indexes(f)
     y, z = sorted(i for i, n in f.nodes.items() if n.parent == a)[-2:]
-    f.neq.clear()
+    for node in f.nodes.values():
+        node.distinct = frozenset()
     _apply_merge(f, a, y, z)
     check_indexes(f)
 
@@ -598,9 +611,10 @@ def assert_same_forest(f, g):
         for kind in KINDS:
             assert node.of_kind(kind) == other.of_kind(kind)
         assert node.dirty == other.dirty, x
+        assert node.distinct == other.distinct and node.merged_into == other.merged_into, x
     assert f.edges == g.edges
     assert f.clashing_pairs == g.clashing_pairs and f.clashing_nodes == g.clashing_nodes
-    assert f.neq == g.neq and f.merged == g.merged and f.self_distinct == g.self_distinct
+    assert f.self_distinct == g.self_distinct
 
 
 def test_undo_gives_back_each_choice_points_forest(monkeypatch):
@@ -645,5 +659,5 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     assert undone["alternatives"] > 500
     assert {
         "_unadd", "_unclear", "_unnew", "_restore_edge", "setattr.parent", "setattr.status",
-        "remove", "pop", "_set_dirty",
+        "setattr.distinct", "setattr.merged_into", "_set_dirty",
     } <= set(undone)
