@@ -67,9 +67,10 @@ class Ineq(enum.Enum):
     LE = "<="
     LT = "<"
 
-    @property
-    def positive(self) -> bool:
-        return self is Ineq.GE or self is Ineq.GT
+    def __init__(self, value: str) -> None:
+        # a plain attribute, not a property: conjugates and the rules read
+        # it on every bound they compare
+        self.positive = value[0] == ">"
 
     @property
     def negative(self) -> bool:
@@ -128,11 +129,18 @@ def conjugates(b1: SignedBound, b2: SignedBound) -> bool:
       (>= n, <  m) iff n >= m      (>  n, <  m) iff n >= m
       (>= n, <= m) iff n >  m      (>  n, <= m) iff n >= m
     Symmetric in argument order.
+
+    n and m are compared as n.numerator * m.denominator against
+    m.numerator * n.denominator, which is exact: a Fraction's denominator
+    is positive, so multiplying both sides of n >= m by the two
+    denominators keeps the order, and integer products never round.  It
+    skips the Fraction comparison's own dispatch.
     """
     if b1.ineq.positive == b2.ineq.positive:
         return False
     pos, neg = (b1, b2) if b1.ineq.positive else (b2, b1)
     n, m = pos.degree, neg.degree
+    lhs, rhs = n.numerator * m.denominator, m.numerator * n.denominator
     if pos.ineq is Ineq.GE and neg.ineq is Ineq.LE:
-        return n > m
-    return n >= m
+        return lhs > rhs
+    return lhs >= rhs

@@ -31,7 +31,7 @@ at it; neighbours, its neighbour_bounds results; status, its blocking
 status; and dirty (below).  Besides,
 
 - a Triple caches its order key, hash, bound, unary clash, rule kind and
-  the triples the rules derive from it;
+  the triples the rules derive from it (see below);
 - a Forest keeps the set of node pairs whose edges clash, the set of nodes
   whose label holds a triple that clashes on its own or a conjugated pair,
   and the least node distinct from itself;
@@ -44,6 +44,15 @@ merge empties the merged node and undo takes triples back; distinct sets
 are symmetric; and node ids are handed out in increasing order and only
 the newest node is ever removed, by undo.  clone copies the mutable
 indexes and shares the rest.
+
+Derived triples are canonical: every triple a rule derives is the instance
+its source triple caches, never a fresh equal copy, so the caches above are
+filled once per triple, not once per node it reaches.  Triple.parts holds
+the pushed negation, the operands and the quantifier body; Triple.over(r)
+is self when r is the triple's own role, so the transitive propagations
+pass the one quantifier triple along a whole chain; Triple.inverse links
+back (t.inverse.inverse is t); and Triple.edge is the role triple of every
+witness edge the generators make for it.
 
 Undo trail.  solve backtracks on one forest.  Once mark() has been called,
 each of those methods, blocking and _first append to Forest.trail a record
@@ -116,7 +125,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Sequence, Union
 
 from .degrees import (
     Degree,
@@ -248,7 +257,8 @@ class Triple:
         return ()
 
     def over(self, r: Role) -> "Triple":
-        """This quantifier triple with its role replaced by r."""
+        """This quantifier triple with its role replaced by r; self when r
+        is its own role."""
         out = self._over.get(r)
         if out is None:
             c = self.subject
@@ -257,13 +267,23 @@ class Triple:
 
     @cached_property
     def _over(self) -> dict[Role, "Triple"]:
-        return {}
+        return {self.subject.role: self}
 
     @cached_property
     def inverse(self) -> "Triple":
-        """The same role triple read in the other direction."""
+        """The same role triple read in the other direction; its inverse is
+        self."""
         assert isinstance(self.subject, Role)
-        return Triple(inv(self.subject), self.ineq, self.degree)
+        out = Triple(inv(self.subject), self.ineq, self.degree)
+        out.__dict__["inverse"] = self
+        return out
+
+    @cached_property
+    def edge(self) -> "Triple":
+        """The role triple on each edge to a witness of this triple: its
+        bound when positive (exists, at-least), else its reflected bound."""
+        bound = self.bound if self.ineq.positive else self.reflected
+        return Triple(self.subject.role, bound.ineq, bound.degree)
 
     @cached_property
     def atmost(self) -> Optional[tuple[AtMost, SignedBound, str]]:
@@ -279,16 +299,16 @@ class Triple:
         return None
 
     @cached_property
-    def atleast(self) -> Optional[tuple[AtLeast, SignedBound, str]]:
-        """(at-least concept, edge bound, generator rule) when this triple
-        asks for neighbours through that bound: a positive at-least, or a
-        negative at-most read as its at-least counterpart (the <=-neg rule
-        delegates to >=-pos); else None."""
+    def atleast(self) -> Optional[tuple[AtLeast, "Triple", str]]:
+        """(at-least concept, Triple.edge, generator rule) when this triple
+        asks for neighbours through that edge's bound: a positive at-least,
+        or a negative at-most read as its at-least counterpart (the <=-neg
+        rule delegates to >=-pos); else None."""
         c = self.subject
         if isinstance(c, AtLeast) and self.ineq.positive and c.count >= 1:
-            return c, self.bound, "atleast-pos"
+            return c, self.edge, "atleast-pos"
         if isinstance(c, AtMost) and self.ineq.negative:
-            return AtLeast(c.count + 1, c.role), self.reflected, "atmost-neg"
+            return AtLeast(c.count + 1, c.role), self.edge, "atmost-neg"
         return None
 
     def __getstate__(self) -> dict:
@@ -588,19 +608,25 @@ class Forest:
         self.set_field(node, "parent", parent)
         self._changed(node)
 
-    def add_neq(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Make each pair (a, b) distinct, giving each node it touches one
-        new distinct set; a new pair can complete a counting clash at any
+    def add_neq(self, groups: Iterable[Sequence[int]]) -> None:
+        """Make the members of each group pairwise distinct: each member
+        becomes distinct from the others, and from itself where the group
+        names it twice (a pair (a, a)).  Each node whose distinct set grows
+        gets one new set; a new pair can complete a counting clash at any
         node."""
         nodes = self.nodes
-        new: dict[int, set[int]] = {}
-        for a, b in pairs:
-            if b not in nodes[a].distinct:
-                new.setdefault(a, set()).add(b)
-                new.setdefault(b, set()).add(a)
-        for x, partners in new.items():
-            self.set_field(nodes[x], "distinct", nodes[x].distinct | partners)
-            if x in partners and (self.self_distinct is None or x < self.self_distinct):
+        new: dict[int, frozenset[int]] = {}
+        for group in groups:
+            members = frozenset(group)
+            repeated = len(members) < len(group)
+            for x in members:
+                others = members if repeated and group.count(x) > 1 else members - {x}
+                old = new.get(x, nodes[x].distinct)
+                if not others <= old:
+                    new[x] = old | others if old else others
+        for x, distinct in new.items():
+            self.set_field(nodes[x], "distinct", distinct)
+            if x in distinct and (self.self_distinct is None or x < self.self_distinct):
                 self.set_field(self, "self_distinct", x)
         if new:
             for node in nodes.values():
@@ -901,10 +927,10 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
     # a greedy clique next: it settles the common case, members made
     # pairwise distinct together by the at-least rule, without the search,
     # whose recursion is as deep as its clique
-    kept: list[int] = []
+    kept: set[int] = set()
     for v in live:
-        if all(u in partners[v] for u in kept):
-            kept.append(v)
+        if kept <= partners[v]:
+            kept.add(v)
             if len(kept) >= k:
                 return True
     return _has_clique(partners, live, 0, k, f.budget)
@@ -1046,45 +1072,45 @@ def _generate_node(f: Forest, x: int, edge: Triple, label: Triple, rule: str) ->
     f.trace.append(("new-node", rule, x, y.id, edge, label))
 
 
-def _generate(f: Forest, node: Node, kind: str, edge_bound, rule: str) -> bool:
+def _generate(f: Forest, node: Node, kind: str, rule: str) -> bool:
     """Give the first triple of the kind that lacks one a witness: a new
-    successor whose edge carries edge_bound(triple) and whose label holds
-    the triple's body."""
+    successor whose edge carries the triple's Triple.edge and whose label
+    holds the triple's body."""
     if node.status[0] != UNBLOCKED:
         return False
     for t in node.of_kind(kind):
-        c, bound, derived = t.subject, edge_bound(t), t.parts[0]
-        if f.has_exact_neighbour(node.id, c.role, bound, derived):
+        edge, derived = t.edge, t.parts[0]
+        if f.has_exact_neighbour(node.id, edge.subject, edge.bound, derived):
             continue
         f.budget.charge()
-        _generate_node(f, node.id, Triple(c.role, bound.ineq, bound.degree), derived, rule)
+        _generate_node(f, node.id, edge, derived, rule)
         return True
     return False
 
 
 # the generators stay separate functions: each is a scan group of its own
 def _rule_exists_pos(f: Forest, node: Node) -> bool:
-    return _generate(f, node, "exists+", _bound, "exists-pos")
+    return _generate(f, node, "exists+", "exists-pos")
 
 
 def _rule_forall_neg(f: Forest, node: Node) -> bool:
-    return _generate(f, node, "forall-", _reflected, "forall-neg")
+    return _generate(f, node, "forall-", "forall-neg")
 
 
 def _rule_atleast(f: Forest, node: Node) -> bool:
     if not f.pairwise or node.status[0] != UNBLOCKED:
         return False
-    for c, bound, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
-        members = sorted({y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound})
+    for c, edge, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
+        members = sorted({y for y, b in f.neighbour_bounds(node.id, c.role) if b == edge.bound})
         if _has_pairwise_distinct(f, members, c.count):
             continue
         created = []
         for _ in range(c.count):
             f.budget.charge()
             y = f.new_node(node.id)
-            f.set_edge(node.id, y.id, {Triple(c.role, bound.ineq, bound.degree)})
+            f.set_edge(node.id, y.id, {edge})
             created.append(y.id)
-        f.add_neq(itertools.combinations(created, 2))
+        f.add_neq((created,))
         f.trace.append(("new-nodes", rule, node.id, tuple(created)))
         return True
     return False
@@ -1463,9 +1489,9 @@ def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
                 ):
                     out.append(f"negated universal without witness at {node.id}: {t}")
         if blocked_kind == UNBLOCKED:
-            for c, bound, _ in (t.atleast for t in node.of_kind("count") if t.atleast):
+            for c, edge, _ in (t.atleast for t in node.of_kind("count") if t.atleast):
                 members = sorted(
-                    {y for y, b in f.neighbour_bounds(node.id, c.role) if b == bound}
+                    {y for y, b in f.neighbour_bounds(node.id, c.role) if b == edge.bound}
                 )
                 if not _has_pairwise_distinct(f, members, c.count):
                     out.append(f"at-least unsatisfied at {node.id}: >= {c.count} {c.role}")

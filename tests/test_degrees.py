@@ -1,6 +1,8 @@
+import itertools
+import operator
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fshin.degrees import (
@@ -107,22 +109,33 @@ def test_ineq_order_total():
     ]
 
 
-def _expected_conjugate(pos, neg):
-    if pos.ineq is Ineq.GE and neg.ineq is Ineq.LE:
-        return pos.degree > neg.degree
-    return pos.degree >= neg.degree
+# the table of the conjugates docstring, compared as Fractions: (positive,
+# negative) inequality -> how n (the positive degree) must compare with m
+CONJUGATION_TABLE = {
+    (Ineq.GE, Ineq.LT): operator.ge,
+    (Ineq.GT, Ineq.LT): operator.ge,
+    (Ineq.GE, Ineq.LE): operator.gt,
+    (Ineq.GT, Ineq.LE): operator.ge,
+}
+
+# GCI normalization gives bounds <= n - ell, negative at n = 0, and their
+# complements 1 - (n - ell) lie above 1
+wide_degrees = st.fractions(min_value=-2, max_value=3, max_denominator=60)
 
 
-@given(degrees, degrees, st.sampled_from(list(Ineq)), st.sampled_from(list(Ineq)))
-def test_conjugation_table(n, m, k1, k2):
-    b1, b2 = SignedBound(k1, n), SignedBound(k2, m)
-    got = conjugates(b1, b2)
-    assert got == conjugates(b2, b1)
-    if k1.positive == k2.positive:
-        assert not got
-    else:
-        pos, neg = (b1, b2) if k1.positive else (b2, b1)
-        assert got == _expected_conjugate(pos, neg)
+@given(wide_degrees, wide_degrees)
+@example(Fraction(-1, 20), Fraction(21, 20))
+@example(Fraction(1, 3), Fraction(2, 6))
+def test_conjugation_table(n, m):
+    for k1, k2 in itertools.product(Ineq, repeat=2):
+        b1, b2 = SignedBound(k1, n), SignedBound(k2, m)
+        got = conjugates(b1, b2)
+        assert got == conjugates(b2, b1)
+        if k1.positive == k2.positive:
+            assert not got
+        else:
+            pos, neg = (b1, b2) if k1.positive else (b2, b1)
+            assert got == CONJUGATION_TABLE[pos.ineq, neg.ineq](pos.degree, neg.degree)
 
 
 def test_conjugation_boundaries():

@@ -20,7 +20,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["abox-chain", "gci-cycle", "degree-query"])
+# budget.used, expand.iterations and trace.events of each traced pass at
+# seed 1: a change that means to keep the search must keep these exactly
+COUNTS = {
+    "abox-chain": (3894, 1529, 1606),
+    "gci-cycle": (8505, 3935, 8482),
+    "degree-query": (2327, 785, 918),
+}
+
+
+@pytest.mark.parametrize("workload", COUNTS)
 def test_traced_pass_answers_correctly(workload, tmp_path):
     skip = shutil.ignore_patterns("out", "__pycache__")
     for part in ("perfbench", "src"):
@@ -31,3 +40,6 @@ def test_traced_pass_answers_correctly(workload, tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    names = ("budget.used", "expand.iterations", "trace.events")
+    assert tuple(metrics[name]["value"] for name in names) == COUNTS[workload]

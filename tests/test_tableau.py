@@ -130,6 +130,56 @@ def test_transitive_propagation():
     assert r.consistent
 
 
+# the shape of perfbench's chain_kb: a transitive r, its sub-role s on some
+# links, the head's universal passed along the whole chain, a tail witness
+CHAIN_KB = """trans r.
+subrole s r.
+assert (a0, a1): r >= 0.55.
+assert (a1, a2): s >= 0.6.
+assert (a2, a3): r >= 0.9.
+assert (a3, a4): s >= 0.75.
+assert (a4, a5): r >= 0.5.
+assert a0 : all r.A >= 0.65.
+assert a5 : some r-.(not A) >= 0.7.
+assert a2 : <= 1 s >= 0.2.
+"""
+
+
+def test_derived_triples_are_shared():
+    # each derived triple is the instance its source caches, so equal
+    # triples along the chain are one object
+    r = run(CHAIN_KB)
+    assert r.consistent and len(r.forest.nodes) == 7
+    held = {}
+    for node in r.forest.nodes.values():
+        for t in node.label:
+            assert held.setdefault(t, t) is t, t
+    forall = Triple(Forall(Role("r"), Name("A")), Ineq.GE, Fraction(13, 20))
+    assert sum(forall in node.label for node in r.forest.nodes.values()) == 6
+    assert forall.over(Role("r")) is forall
+    assert forall.over(Role("s")).over(Role("s")) is forall.over(Role("s"))
+    edge = Triple(Role("r"), Ineq.GE, Fraction(1, 2))
+    assert edge.inverse.inverse is edge
+    assert edge.inverse.inverse.inverse is edge.inverse
+
+
+@pytest.mark.parametrize(
+    "text, witnesses",
+    [
+        # one existential, propagated to two nodes, with a witness at each
+        ("assert a : all r.(some r.B) >= 0.6.\nassert (a, b): r >= 0.9.\nassert (a, c): r >= 0.9.", 2),
+        # one at-least's successors
+        ("assert a : >= 3 r >= 0.5.", 3),
+    ],
+)
+def test_witnesses_share_one_edge_triple(text, witnesses):
+    f = run(text).forest
+    generated = [lab for (a, b), lab in f.edges.items() if not f.nodes[b].is_root]
+    assert len(generated) == witnesses
+    (edge,) = generated[0]
+    assert all(len(lab) == 1 and next(iter(lab)) is edge for lab in generated)
+
+
 def test_blocking_terminates_cycle():
     r = run(
         "define C equiv some r.C.\n"
