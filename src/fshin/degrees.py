@@ -76,10 +76,6 @@ class Ineq(enum.Enum):
     def negative(self) -> bool:
         return not self.positive
 
-    @property
-    def strict(self) -> bool:
-        return self is Ineq.GT or self is Ineq.LT
-
     def holds(self, lhs: Degree, rhs: Degree) -> bool:
         """Whether "lhs <self> rhs" is true."""
         if self is Ineq.GE:

@@ -34,7 +34,7 @@ status; and dirty (below).  Besides,
   the triples the rules derive from it (see below);
 - a Forest keeps the set of node pairs whose edges clash, the set of nodes
   whose label holds a triple that clashes on its own or a conjugated pair,
-  and the least node distinct from itself;
+  and the least root the ABox makes distinct from itself;
 - the closed RBox memoises sub-roles and transitive sub-roles.
 
 These hold because every change goes through the Forest methods that keep
@@ -59,19 +59,21 @@ each of those methods, blocking and _first append to Forest.trail a record
 (function, arguments) that reverses their change.  Each frame of solve's
 stack holds the trail length at its choice point, and each further
 alternative starts with undo(mark), which runs the newer records newest
-first.  Each record puts back exactly what its change found, so after
-undo(mark) every field is as it was at the mark.  The derived views are
-saved and put back with the change that moved them, by reference, because
-they are replaced, never changed in place (a distinct set too, so its
-undo is one setattr record).  A neighbour table filled after the mark is
-not logged: it holds for as long as the edges at its node do, and a change
-to those edges saves the table it drops.  What undo does not restore is
-set and dict order: a popped edge comes back at the end of Forest.edges.
-So no result follows such an order: add_neq keeps the least node distinct
-from itself, which find_clash names, a root merge moves y's edges in key
-order, and distinct sets are only tested for membership.
-first_clash_forest is the one clone, taken at the first clash while a
-choice point is open.
+first.  The records put back facts only (labels, edges, parents, distinct
+sets, merged_into, statuses and dirty bits), as the change found them; a
+value a change replaces (a cleared label, an edge label, an adjacent or
+distinct set) is kept by reference, since none is changed in place, and a
+field write is one setattr record.  Derived state is reset, not saved.  The
+caches, Node._kinds and both ends' neighbour tables, are dropped and
+rebuilt on the next read.  The clash indexes are emptied once the records
+have run: solve marks only at a choice point, which expand returns right
+after find_clash found nothing, with no change since, so they are empty at
+every mark (mark() asserts it).  self_distinct is set once, by init_forest:
+a merge never makes a node distinct from itself.  Undo does not restore set
+and dict order: a popped edge comes back at the end of Forest.edges.  So no
+result follows such an order: a root merge moves y's edges in key order,
+and distinct sets are only tested for membership.  first_clash_forest is
+the one clone, taken at the first clash while a choice point is open.
 
 Dirty bits.  Node.dirty holds a bit for each scan over the nodes (the
 deterministic rules as one group in node-major order, each generator, the
@@ -125,7 +127,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
 from .degrees import (
     Degree,
@@ -351,8 +353,8 @@ class Node:
     # (kind, blocker) as of the last Forest.blocking(); None before it
     status: Optional[tuple[str, Optional[int]]] = field(default=None, compare=False)
     # the keys of the edges that start or end here, and role ->
-    # neighbour_bounds result, dropped when an edge here changes; both are
-    # replaced, never changed in place, so copies and undo records share them
+    # neighbour_bounds result, dropped when an edge here changes or is
+    # undone; both are replaced, never changed in place, so copies share them
     adjacent: frozenset[tuple[int, int]] = field(default=frozenset(), repr=False, compare=False)
     neighbours: Optional[dict[Role, list[tuple[int, SignedBound]]]] = field(
         default=None, repr=False, compare=False
@@ -479,7 +481,7 @@ class Forest:
         self.clashing_pairs: set[tuple[int, int]] = set()
         # the ids of the nodes whose label clashes
         self.clashing_nodes: set[int] = set()
-        # the least node distinct from itself, if any
+        # the least root the ABox makes distinct from itself, set by init_forest
         self.self_distinct: Optional[int] = None
         # undo records (function, arguments) since the first choice point;
         # None until mark() is called, and again once solve returns
@@ -515,7 +517,8 @@ class Forest:
 
     def mark(self) -> int:
         """Start recording undo records if not yet; undo(mark()) later puts
-        the forest back as it is now."""
+        the forest back as it is now, which must be clash-free."""
+        assert not self.clashing_nodes and not self.clashing_pairs
         if self.trail is None:
             self.trail = []
         return len(self.trail)
@@ -525,6 +528,9 @@ class Forest:
         while len(trail) > mark:
             fn, args = trail.pop()
             fn(*args)
+        # empty at every mark, so not restored record by record
+        self.clashing_nodes.clear()
+        self.clashing_pairs.clear()
 
     def _log(self, fn, *args) -> None:
         if self.trail is not None:
@@ -538,7 +544,7 @@ class Forest:
         if old | bits != old:
             node.dirty = old | bits
             if self.trail is not None:
-                self.trail.append((_set_dirty, (node, old)))
+                self.trail.append((setattr, (node, "dirty", old)))
 
     def _changed(self, node: Node) -> None:
         """The node's label, its parent or an edge at it changed: every
@@ -573,31 +579,26 @@ class Forest:
 
     def add_label(self, node: Node, t: Triple) -> None:
         """Add t, which the label lacks, to the node's label."""
-        kinds, clashing = node._kinds, node.id in self.clashing_nodes
         i = node.add(t)
         if self.trail is not None:
-            self.trail.append((self._unadd, (node, t, i, kinds, clashing)))
-        if not clashing and node.clashes_at(i):
+            self.trail.append((self._unadd, (node, t, i)))
+        if node.id not in self.clashing_nodes and node.clashes_at(i):
             self.clashing_nodes.add(node.id)
         self._changed(node)
 
-    def _unadd(self, node: Node, t: Triple, i: int, kinds, clashing: bool) -> None:
+    def _unadd(self, node: Node, t: Triple, i: int) -> None:
         node.label.remove(t)
         del node.ordered[i]
-        node._kinds = kinds
-        if not clashing:
-            self.clashing_nodes.discard(node.id)
+        node._kinds = None
 
     def clear_label(self, node: Node) -> None:
-        self._log(self._unclear, node, node.label, node.ordered, node._kinds, node.id in self.clashing_nodes)
+        self._log(self._unclear, node, node.label, node.ordered)
         node.clear()
         self.clashing_nodes.discard(node.id)
         self._changed(node)
 
-    def _unclear(self, node: Node, label, ordered, kinds, clashing: bool) -> None:
-        node.label, node.ordered, node._kinds = label, ordered, kinds
-        if clashing:
-            self.clashing_nodes.add(node.id)
+    def _unclear(self, node: Node, label, ordered) -> None:
+        node.label, node.ordered, node._kinds = label, ordered, None
 
     def set_field(self, obj, name: str, value) -> None:
         """Set obj.name to value, logging the old value."""
@@ -608,26 +609,21 @@ class Forest:
         self.set_field(node, "parent", parent)
         self._changed(node)
 
-    def add_neq(self, groups: Iterable[Sequence[int]]) -> None:
-        """Make the members of each group pairwise distinct: each member
-        becomes distinct from the others, and from itself where the group
-        names it twice (a pair (a, a)).  Each node whose distinct set grows
-        gets one new set; a new pair can complete a counting clash at any
-        node."""
+    def add_neq(self, groups: Iterable[Iterable[int]]) -> None:
+        """Make the members of each group pairwise distinct.  Each node
+        whose distinct set grows gets one new set; a new pair can complete a
+        counting clash at any node."""
         nodes = self.nodes
         new: dict[int, frozenset[int]] = {}
         for group in groups:
             members = frozenset(group)
-            repeated = len(members) < len(group)
             for x in members:
-                others = members if repeated and group.count(x) > 1 else members - {x}
+                others = members - {x}
                 old = new.get(x, nodes[x].distinct)
                 if not others <= old:
                     new[x] = old | others if old else others
         for x, distinct in new.items():
             self.set_field(nodes[x], "distinct", distinct)
-            if x in distinct and (self.self_distinct is None or x < self.self_distinct):
-                self.set_field(self, "self_distinct", x)
         if new:
             for node in nodes.values():
                 self._mark(node, _COUNTING)
@@ -654,31 +650,18 @@ class Forest:
 
     def _save_edge(self, key: tuple[int, int]) -> None:
         if self.trail is not None:
-            a, b = key
-            na, nb = self.nodes[a], self.nodes[b]
-            pair = (min(a, b), max(a, b))
-            self._log(
-                self._restore_edge, key, self.edges.get(key), na, na.adjacent, na.neighbours,
-                nb, nb.adjacent, nb.neighbours, pair in self.clashing_pairs,
-            )
+            na, nb = (self.nodes[end] for end in key)
+            self._log(self._restore_edge, key, self.edges.get(key), na, na.adjacent, nb, nb.adjacent)
 
-    def _restore_edge(
-        self, key, label, na, adjacent_a, neighbours_a, nb, adjacent_b, neighbours_b, clashing
-    ) -> None:
+    def _restore_edge(self, key, label, na, adjacent_a, nb, adjacent_b) -> None:
         # a popped edge comes back at the end of self.edges: nothing may
         # depend on the order of that dict
         if label is None:
             del self.edges[key]
         else:
             self.edges[key] = label
-        nb.adjacent, nb.neighbours = adjacent_b, neighbours_b
-        na.adjacent, na.neighbours = adjacent_a, neighbours_a
-        a, b = key
-        pair = (min(a, b), max(a, b))
-        if clashing:
-            self.clashing_pairs.add(pair)
-        else:
-            self.clashing_pairs.discard(pair)
+        nb.adjacent, nb.neighbours = adjacent_b, None
+        na.adjacent, na.neighbours = adjacent_a, None
 
     def _edge_changed(self, a: int, b: int) -> None:
         na, nb = self.nodes[a], self.nodes[b]
@@ -727,7 +710,7 @@ class Forest:
                         out.append((a, t.bound))
         out.sort(key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
         # not logged: the table holds for as long as the edges at x do, and
-        # undoing an edge change puts back the tables of both ends
+        # a change to those edges, or its undo, drops it
         node.neighbours = {**known, r: out}
         return out
 
@@ -757,7 +740,7 @@ class Forest:
         for node in self.nodes.values():
             if node.dirty & _BLOCKING:
                 if trail is not None:
-                    trail.append((_set_dirty, (node, node.dirty)))
+                    trail.append((setattr, (node, "dirty", node.dirty)))
                 node.dirty ^= _BLOCKING
             elif node.parent not in redo:
                 continue
@@ -848,7 +831,11 @@ def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
         t = Triple(ra.role, ra.bound.ineq, ra.bound.degree)
         a, b = roots[ra.subject], roots[ra.object]
         f.union_edge(a, b, {t})
-    f.add_neq((roots[min(pair)], roots[max(pair)]) for pair in abox.inequalities)
+    f.add_neq([roots[a] for a in pair] for pair in abox.inequalities)
+    # a merge never makes a node distinct from itself (_merge_pairs skips
+    # distinct pairs), so only the ABox does
+    selves = [roots[a] for pair in abox.inequalities if len(pair) == 1 for a in pair]
+    f.self_distinct = min(selves, default=None)
     return f
 
 
@@ -907,8 +894,6 @@ def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
     if k <= 1 or len(members) < k:
         return len(members) >= k
     among = set(members)
-    # a member distinct from itself (a clash) is its own partner, which only
-    # weakens the pruning: the clique searches never test v against itself
     partners = {u: among & f.nodes[u].distinct for u in members}
     # a member of a k-clique has k - 1 partners in it: drop, until none is
     # left, each member with fewer partners among the members not dropped
@@ -1014,13 +999,9 @@ def _first(f: Forest, at):
             if out:
                 return out
             if trail is not None:
-                trail.append((_set_dirty, (node, node.dirty)))
+                trail.append((setattr, (node, "dirty", node.dirty)))
             node.dirty ^= bit
     return None
-
-
-def _set_dirty(node: Node, dirty: int) -> None:
-    node.dirty = dirty
 
 
 # --- deterministic rules ---
@@ -1168,7 +1149,7 @@ def _merge_into(f: Forest, y: int, z: int) -> None:
     for t in ynode.ordered:
         if t not in znode.label:
             f.add_label(znode, t)
-    f.add_neq((z, z if w == y else w) for w in ynode.distinct)
+    f.add_neq((z, w) for w in ynode.distinct)
 
 
 def _apply_merge(f: Forest, x: int, y: int, z: int) -> None:

@@ -160,7 +160,7 @@ def test_criterion_04_conjugation_grid():
                 pos = SignedBound(pos_k, n)
                 neg = SignedBound(neg_k, m)
                 # semantic reference: is there an x in [0,1] meeting both?
-                feasible = n < m or (n == m and not pos_k.strict and not neg_k.strict)
+                feasible = n < m or (n == m and pos_k is Ineq.GE and neg_k is Ineq.LE)
                 assert conjugates(pos, neg) == (not feasible), (pos, neg)
                 assert conjugates(neg, pos) == (not feasible)
                 checked += 1

@@ -112,14 +112,20 @@ def test_missing_file_exit_2(argv, capsys, tmp_path):
 
 
 def test_individual_distinct_from_itself_is_inconsistent(capsys, tmp_path):
-    path = tmp_path / "self.fkb"
-    path.write_text("distinct a a.\n")
-    code, out, _ = run(["check", str(path)], capsys)
-    assert code == 1 and out == "inconsistent\n"
-    kb = parse_kb(path.read_text())
-    trace = consistency(kb).trace
-    assert [ev[1] for ev in trace if ev[0] == "clash"] == [Clash("distinct-self", 0, ())]
-    assert search_model(kb, max_domain=2) is None
+    # the second KB's self-distinct b (node 1) is reported ahead of the
+    # bottom clash at a (node 0)
+    for text, x in (
+        ("distinct a a.\n", 0),
+        ("distinct b b. distinct a b. assert a : bottom >= 1.\n", 1),
+    ):
+        path = tmp_path / "self.fkb"
+        path.write_text(text)
+        code, out, _ = run(["check", str(path)], capsys)
+        assert code == 1 and out == "inconsistent\n"
+        kb = parse_kb(text)
+        trace = consistency(kb).trace
+        assert [ev[1] for ev in trace if ev[0] == "clash"] == [Clash("distinct-self", x, ())]
+        assert search_model(kb, max_domain=2) is None
 
 
 def test_mode_option_is_gone(capsys):

@@ -1,10 +1,13 @@
+import ast
 import itertools
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fshin
 from fshin.degrees import (
     HALF,
     INEQ_ORDER,
@@ -96,8 +99,9 @@ def test_reflect_negate_involutions():
         # negate flips sign, reflect flips sign, but they differ in strictness
         assert reflect(k).positive != k.positive
         assert negate(k).positive != k.positive
-        assert reflect(k).strict == k.strict
-        assert negate(k).strict != k.strict
+        strict = {Ineq.GT, Ineq.LT}
+        assert (reflect(k) in strict) == (k in strict)
+        assert (negate(k) in strict) != (k in strict)
 
 
 def test_ineq_order_total():
@@ -145,3 +149,18 @@ def test_conjugation_boundaries():
     assert conjugates(ge, lt)
     assert conjugates(gt, le)
     assert conjugates(gt, lt)
+
+
+def test_package_uses_no_float():
+    """Degrees stay Fraction, because conjugation depends on exact
+    equality: no module of the package has a float literal or uses the
+    name float."""
+    found = []
+    for path in sorted(Path(fshin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Name) and node.id == "float"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

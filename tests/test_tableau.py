@@ -678,6 +678,8 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     def expand(f):
         out = real_expand(f)
         if isinstance(out, tableau.ChoicePoint):
+            # every mark is clash-free, so undo may empty the clash indexes
+            assert not f.clashing_nodes and not f.clashing_pairs and f.self_distinct is None
             # the first alternative is applied with nothing to undo
             g = f.clone()
             for alt in out.alternatives[1:]:
@@ -693,6 +695,8 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     def undo(f, mark):
         for fn, args in f.trail[mark:]:
             undone[fn.__name__ + ("." + args[1] if fn is setattr else "")] += 1
+            # records put back facts: no clash flag, _kinds or neighbour table
+            assert not any(isinstance(a, (bool, dict)) for a in args), fn.__name__
         real_undo(f, mark)
 
     monkeypatch.setattr(tableau, "expand", expand)
@@ -704,10 +708,9 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
             solve(f)
         except ResourceLimit:
             pass
-    # every kind of undo record was exercised, but self_distinct's: a node
-    # distinct from itself comes only from the ABox, before any choice point
-    assert undone["alternatives"] > 500
-    assert {
+    # every kind of undo record was exercised, and no other
+    assert undone.pop("alternatives") > 500
+    assert set(undone) == {
         "_unadd", "_unclear", "_unnew", "_restore_edge", "setattr.parent", "setattr.status",
-        "setattr.distinct", "setattr.merged_into", "_set_dirty",
-    } <= set(undone)
+        "setattr.distinct", "setattr.merged_into", "setattr.dirty",
+    }
