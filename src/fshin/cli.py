@@ -104,7 +104,7 @@ def _cmd_subsumes(args: argparse.Namespace) -> int:
 def _cmd_dump_forest(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     result = services.consistency(kb, args.budget_nodes)
-    forest = result.forest or result.solve_result.first_clash_forest
+    forest = result.forest or result.first_clash_forest
     text = forest.dump() if forest is not None else ""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

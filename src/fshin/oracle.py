@@ -224,13 +224,13 @@ def kb_role_names(kb: FuzzyKB) -> list[str]:
 
 def default_grid(kb: FuzzyKB) -> tuple[Degree, ...]:
     """The relative degrees of the KB (its degrees, their complements and
-    {0, 1/2, 1}), plus the midpoint of every gap between adjacent base
-    points.  The base set is closed under x -> 1-x, and midpoints preserve
-    that symmetry, so any model can be retracted onto the grid without
-    changing the truth of any assertion: the retraction is
-    order-preserving, fixes the base points, and commutes with min, max,
-    and the complement."""
-    ordered = sorted(relative_degrees(kb.abox.degrees()))
+    {0, 1/2, 1}) that lie in [0, 1], the range of every degree, plus the
+    midpoint of every gap between adjacent base points.  The base set is
+    closed under x -> 1-x, and midpoints preserve that symmetry, so any
+    model can be retracted onto the grid without changing the truth of any
+    assertion: the retraction is order-preserving, fixes the base points,
+    and commutes with min, max, and the complement."""
+    ordered = sorted(d for d in relative_degrees(kb.abox.degrees()) if ZERO <= d <= ONE)
     out = set(ordered)
     for a, b in zip(ordered, ordered[1:]):
         out.add((a + b) / 2)

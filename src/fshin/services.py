@@ -36,7 +36,6 @@ from .syntax import Concept, Name, nnf, subconcepts
 from .tableau import (
     DEFAULT_BUDGET,
     Budget,
-    Forest,
     SolveResult,
     extract_model,
     init_forest,
@@ -99,24 +98,17 @@ def prepare(kb: FuzzyKB) -> Prepared:
 
 
 @dataclass
-class ConsistencyResult:
-    consistent: bool
+class ConsistencyResult(SolveResult):
+    """The engine's result, with the KB as prepare made it ready for the
+    tableau."""
+
     prepared: Prepared
-    solve_result: SolveResult
-
-    @property
-    def trace(self) -> list:
-        return self.solve_result.trace
-
-    @property
-    def forest(self) -> Optional[Forest]:
-        return self.solve_result.forest
 
 
 def consistency(kb: FuzzyKB, budget: int = DEFAULT_BUDGET) -> ConsistencyResult:
     prepared = prepare(kb)
     result = solve(init_forest(prepared, Budget(budget)))
-    return ConsistencyResult(result.consistent, prepared, result)
+    return ConsistencyResult(**vars(result), prepared=prepared)
 
 
 def _fresh_individual(kb: FuzzyKB) -> str:
@@ -131,9 +123,7 @@ def _fresh_individual(kb: FuzzyKB) -> str:
 
 def satisfiable(c: Concept, kb: Optional[FuzzyKB] = None, budget: int = DEFAULT_BUDGET) -> bool:
     kb = kb or FuzzyKB()
-    a = _fresh_individual(kb)
-    probe = kb.with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.GT, ZERO)))
-    return consistency(probe, budget).consistent
+    return not entails(kb, (_fresh_individual(kb), c), SignedBound(Ineq.LE, ZERO), budget)
 
 
 def n_satisfiable(
@@ -144,10 +134,8 @@ def n_satisfiable(
 ) -> bool:
     kb = kb or FuzzyKB()
     a = _fresh_individual(kb)
-    probe = kb.with_concept_assertion(
-        ConceptAssertion(a, c, SignedBound(Ineq.GE, n))
-    ).with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.LE, n)))
-    return consistency(probe, budget).consistent
+    kb = kb.with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.GE, n)))
+    return not entails(kb, (a, c), SignedBound(Ineq.GT, n), budget)
 
 
 def _with_negated(kb: FuzzyKB, query: Query, bound: SignedBound) -> FuzzyKB:
@@ -224,18 +212,13 @@ def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degre
 def subsumes(
     d: Concept, c: Concept, kb: Optional[FuzzyKB] = None, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Crisp subsumption c (= d w.r.t. the KB's TBox and RBox: both probe
-    ABoxes {(a:c) >= n, (a:d) < n}, n in {1/2, 1}, must be inconsistent."""
+    """Crisp subsumption c (= d w.r.t. the KB's TBox and RBox: (x0:c) >= n
+    must entail (x0:d) >= n over them, for n in {1/2, 1}."""
     kb = kb or FuzzyKB()
     for n in (HALF, ONE):
-        abox = ABox(
-            [
-                ConceptAssertion("x0", c, SignedBound(Ineq.GE, n)),
-                ConceptAssertion("x0", d, SignedBound(Ineq.LT, n)),
-            ]
-        )
-        probe = FuzzyKB(kb.tbox, kb.rbox, abox)
-        if consistency(probe, budget).consistent:
+        at_least = SignedBound(Ineq.GE, n)
+        premise = FuzzyKB(kb.tbox, kb.rbox, ABox([ConceptAssertion("x0", c, at_least)]))
+        if not entails(premise, ("x0", d), at_least, budget):
             return False
     return True
 

@@ -16,7 +16,7 @@ holds negation, decomposition and the table _PROPAGATIONS (universal,
 negated existential, and their transitive forms), _generate both witness
 generators, and Triple.atmost and Triple.atleast the views of a count
 triple that the merges, the counting clash, the at-least generator and the
-audit read.
+property audit of the tests (tests/audit.py) read.
 
 The canonical order of triples is by subject text, then INEQ_ORDER, then
 degree (Triple.key).  Each fact of the forest is kept once: Forest.edges
@@ -141,7 +141,7 @@ from .degrees import (
     neg_lukasiewicz,
     reflect,
 )
-from .kb import ABox, RBox
+from .kb import RBox
 from .syntax import (
     And,
     AtLeast,
@@ -187,6 +187,10 @@ class cached_property:
         return value
 
 
+_AT_LEAST_0, _AT_MOST_0 = SignedBound(Ineq.GE, ZERO), SignedBound(Ineq.LE, ZERO)
+_AT_LEAST_1, _AT_MOST_1 = SignedBound(Ineq.GE, ONE), SignedBound(Ineq.LE, ONE)
+
+
 @dataclass(frozen=True)
 class Triple:
     subject: Subject  # Concept in node labels, Role in edge labels
@@ -213,18 +217,15 @@ class Triple:
     @cached_property
     def unary_clash(self) -> Optional[str]:
         """Kind of clash this triple is on its own ("bottom", "top",
-        "interval"), or None."""
-        c, k, n = self.subject, self.ineq, self.degree
-        if isinstance(c, Bottom) and (k is Ineq.GE and n > ZERO or k is Ineq.GT):
+        "interval"), or None: its bound conjugates what every degree of its
+        subject meets, <= 0 for bottom, >= 1 for top, and >= 0 and <= 1 for
+        any subject."""
+        c, b = self.subject, self.bound
+        if isinstance(c, Bottom) and conjugates(b, _AT_MOST_0):
             return "bottom"
-        if isinstance(c, Top) and (k is Ineq.LE and n < ONE or k is Ineq.LT):
+        if isinstance(c, Top) and conjugates(b, _AT_LEAST_1):
             return "top"
-        if (
-            k is Ineq.LT and n == ZERO
-            or k is Ineq.GT and n == ONE
-            or k is Ineq.LE and n < ZERO
-            or k is Ineq.GE and n > ONE
-        ):
+        if conjugates(b, _AT_LEAST_0) or conjugates(b, _AT_MOST_1):
             return "interval"
         return None
 
@@ -1335,32 +1336,22 @@ def extract_model(f: Forest):
     domain = tuple(i for i in sorted(f.nodes) if f.nodes[i].status[0] == UNBLOCKED)
 
     pool: set[Degree] = set()
+    cnames: set[str] = set()
     for node in f.nodes.values():
-        pool.update(t.degree for t in node.label)
+        for t in node.label:
+            pool.add(t.degree)
+            cnames.update(sub.id for sub in subconcepts(t.subject) if isinstance(sub, Name))
     for lab in f.edges.values():
         pool.update(t.degree for t in lab)
     eps = compute_ell(pool)
 
-    cnames: set[str] = set()
-    for node in f.nodes.values():
-        for t in node.label:
-            for sub in subconcepts(t.subject):
-                if isinstance(sub, Name):
-                    cnames.add(sub.id)
-
-    concept_map: dict[tuple[str, int], Degree] = {
-        (name, e): ZERO for name in cnames for e in domain
-    }
+    concept_bounds: dict[tuple[str, int], list[SignedBound]] = {}
     for e in domain:
-        for name in cnames:
-            bounds = [t.bound for t in f.nodes[e].label if t.subject == Name(name)]
-            if bounds:
-                concept_map[(name, e)] = _glb_value(bounds, eps)
-
-    rnames: set[str] = set(f.rbox.transitive)
-    for lab in f.edges.values():
-        for t in lab:
-            rnames.add(t.subject.name)
+        for t in f.nodes[e].label:
+            if isinstance(t.subject, Name):
+                concept_bounds.setdefault((t.subject.id, e), []).append(t.bound)
+    concept_map = {(name, e): ZERO for name in cnames for e in domain}
+    concept_map.update((key, _glb_value(b, eps)) for key, b in concept_bounds.items())
 
     bounds_by_pair: dict[tuple[str, int, int], list[SignedBound]] = {}
     for (u, v), lab in f.edges.items():
@@ -1377,134 +1368,26 @@ def extract_model(f: Forest):
             pair = (target, u) if role.inverted else (u, target)
             bounds_by_pair.setdefault((role.name, *pair), []).append(t.bound)
 
-    role_map: dict[tuple[str, int, int], Degree] = {
-        (name, a, b): ZERO for name in rnames for a in domain for b in domain
-    }
-    for key, bounds in bounds_by_pair.items():
-        role_map[key] = _glb_value(bounds, eps)
-
-    for name in sorted(f.rbox.transitive):
-        changed = True
-        while changed:
-            changed = False
-            for a, b, c in itertools.product(domain, repeat=3):
-                through = min(role_map[(name, a, b)], role_map[(name, b, c)])
-                if role_map[(name, a, c)] < through:
-                    role_map[(name, a, c)] = through
-                    changed = True
+    # a complete interpretation reads a missing pair as 0, so only the
+    # nonzero pairs are kept, as a successor map per role and element
+    succ: dict[tuple[str, int], dict[int, Degree]] = {}
+    for (name, a, b), bounds in bounds_by_pair.items():
+        value = _glb_value(bounds, eps)
+        if value:
+            succ.setdefault((name, a), {})[b] = value
+    # the sup-min closure of a transitive role: the widest path from each
+    # element, relaxed until no successor rises
+    for (name, a), best in succ.items():
+        todo = list(best) if name in f.rbox.transitive else []
+        while todo:
+            b = todo.pop()
+            for c, value in list(succ.get((name, b), {}).items()):
+                through = min(best[b], value)
+                if best.get(c, ZERO) < through:
+                    best[c] = through
+                    todo.append(c)
+    role_map = {(name, a, b): v for (name, a), best in succ.items() for b, v in best.items()}
 
     individual_map = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}
     return FuzzyInterpretation(domain, concept_map, role_map, individual_map)
 
-
-# --- property audit ---
-
-
-def audit_properties(f: Forest, abox: Optional[ABox] = None) -> list[str]:
-    """Independent re-check of the completeness/coherence properties a
-    complete clash-free forest must satisfy, read as a tableau over
-    non-blocked nodes.  Returns human-readable violations (empty = pass)."""
-    out: list[str] = []
-    f.blocking()
-    clash = find_clash(f)
-    if clash:
-        out.append(f"clash present: {clash}")
-
-    for node in f.nodes.values():
-        blocked_kind = node.status[0]
-        for t in f.sorted_label(node):
-            c = t.subject
-            if isinstance(c, Not):
-                want = Triple(c.arg, reflect(t.ineq), neg_lukasiewicz(t.degree))
-                if want not in node.label:
-                    out.append(f"negation not pushed at {node.id}: {t}")
-            if blocked_kind == INDIRECT:
-                continue
-            if isinstance(c, And) and t.ineq.positive or isinstance(c, Or) and t.ineq.negative:
-                for part in (c.left, c.right):
-                    if Triple(part, t.ineq, t.degree) not in node.label:
-                        out.append(f"decomposition incomplete at {node.id}: {t}")
-            if isinstance(c, Or) and t.ineq.positive or isinstance(c, And) and t.ineq.negative:
-                if not any(
-                    Triple(part, t.ineq, t.degree) in node.label for part in (c.left, c.right)
-                ):
-                    out.append(f"split unresolved at {node.id}: {t}")
-            if isinstance(c, Forall) and t.ineq.positive:
-                probe = t.reflected
-                want = Triple(c.body, t.ineq, t.degree)
-                for y, b in f.neighbour_bounds(node.id, c.role):
-                    if conjugates(b, probe) and want not in f.nodes[y].label:
-                        out.append(f"universal not propagated from {node.id} to {y}: {t}")
-                for r in f.rbox.transitive_subroles(c.role):
-                    want_r = Triple(Forall(r, c.body), t.ineq, t.degree)
-                    for y, b in f.neighbour_bounds(node.id, r):
-                        if conjugates(b, probe) and want_r not in f.nodes[y].label:
-                            out.append(
-                                f"transitive universal not propagated from {node.id} to {y}: {t}"
-                            )
-            if isinstance(c, Exists) and t.ineq.negative:
-                probe = SignedBound(t.ineq, t.degree)
-                want = Triple(c.body, t.ineq, t.degree)
-                for y, b in f.neighbour_bounds(node.id, c.role):
-                    if conjugates(b, probe) and want not in f.nodes[y].label:
-                        out.append(f"negated existential not propagated from {node.id} to {y}: {t}")
-                for r in f.rbox.transitive_subroles(c.role):
-                    want_r = Triple(Exists(r, c.body), t.ineq, t.degree)
-                    for y, b in f.neighbour_bounds(node.id, r):
-                        if conjugates(b, probe) and want_r not in f.nodes[y].label:
-                            out.append(
-                                f"transitive negated existential not propagated "
-                                f"from {node.id} to {y}: {t}"
-                            )
-            if blocked_kind != UNBLOCKED:
-                continue
-            if isinstance(c, Exists) and t.ineq.positive:
-                if not f.has_exact_neighbour(
-                    node.id, c.role, t.bound, Triple(c.body, t.ineq, t.degree)
-                ):
-                    out.append(f"existential without witness at {node.id}: {t}")
-            if isinstance(c, Forall) and t.ineq.negative:
-                bound = t.reflected
-                if not f.has_exact_neighbour(
-                    node.id, c.role, bound, Triple(c.body, t.ineq, t.degree)
-                ):
-                    out.append(f"negated universal without witness at {node.id}: {t}")
-        if blocked_kind == UNBLOCKED:
-            for c, edge, _ in (t.atleast for t in node.of_kind("count") if t.atleast):
-                members = sorted(
-                    {y for y, b in f.neighbour_bounds(node.id, c.role) if b == edge.bound}
-                )
-                if not _has_pairwise_distinct(f, members, c.count):
-                    out.append(f"at-least unsatisfied at {node.id}: >= {c.count} {c.role}")
-        if blocked_kind != INDIRECT:
-            for c, probe, _ in (t.atmost for t in node.of_kind("count") if t.atmost):
-                members = f.conjugated_neighbours(node.id, c.role, probe)
-                if len(members) > c.count:
-                    if _merge_pairs(f, node.id, members, False) or _merge_pairs(
-                        f, node.id, members, True
-                    ):
-                        out.append(f"at-most merge still applicable at {node.id}")
-            if node.merged_into is None:
-                for n, t1, t2 in f.gci_splits:
-                    if t1 not in node.label and t2 not in node.label:
-                        out.append(f"inclusion split unresolved at {node.id} for degree {n}")
-
-    if abox is not None:
-        roots = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}
-
-        def resolve(i: int) -> int:
-            while f.nodes[i].merged_into is not None:
-                i = f.nodes[i].merged_into
-            return i
-
-        for ca in abox.concept_assertions:
-            node = f.nodes[resolve(roots[ca.individual])]
-            if Triple(ca.concept, ca.bound.ineq, ca.bound.degree) not in node.label:
-                out.append(f"initial assertion missing at root {ca.individual}")
-        for ra in abox.role_assertions:
-            a = resolve(roots[ra.subject])
-            b = resolve(roots[ra.object])
-            t = Triple(ra.role, ra.bound.ineq, ra.bound.degree)
-            if t not in _directed_edge_triples(f, a, b):
-                out.append(f"initial role assertion missing on ({ra.subject},{ra.object})")
-    return out

@@ -31,10 +31,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from fshin.kb import detect_mode  # noqa: E402
 from fshin.oracle import BudgetExceeded, satisfies_kb, search_model  # noqa: E402
 from fshin.parser import serialize_kb  # noqa: E402
-from fshin.services import ConsistencyResult, model_for, prepare  # noqa: E402
-from fshin.tableau import Budget, ResourceLimit, init_forest, solve  # noqa: E402
+from fshin.services import consistency, model_for  # noqa: E402
+from fshin.tableau import ResourceLimit  # noqa: E402
 
 from genkb import random_alc_kb, random_colouring_kb, random_shin_kb, random_tbox_kb  # noqa: E402
 
@@ -52,22 +53,21 @@ GENERATORS = {
 def outcome(kb, planted, budget: int) -> tuple[str, str]:
     """(outcome, mode): how the tableau's verdict on kb checks out (agree,
     mismatch, exhausted or oracle_exhausted), and the KB's mode."""
-    prepared = prepare(kb)
+    mode = detect_mode(kb)
     try:
-        result = solve(init_forest(prepared, Budget(budget)))
+        result = consistency(kb, budget)
     except ResourceLimit:
-        return "exhausted", prepared.mode
+        return "exhausted", mode
     if planted is not None:
         wrong = result.consistent != planted
     elif result.consistent:
-        res = ConsistencyResult(True, prepared, result)
-        wrong = prepared.mode == "si" and not satisfies_kb(model_for(res), kb)
+        wrong = mode == "si" and not satisfies_kb(model_for(result), kb)
     else:
         try:
             wrong = search_model(kb, max_domain=2, budget=ORACLE_BUDGET) is not None
         except BudgetExceeded:
-            return "oracle_exhausted", prepared.mode
-    return ("mismatch" if wrong else "agree"), prepared.mode
+            return "oracle_exhausted", mode
+    return ("mismatch" if wrong else "agree"), mode
 
 
 def run(seed: int, count: int, budget: int) -> dict:

@@ -20,8 +20,8 @@ from fshin.services import (
     subsumes,
 )
 from fshin.syntax import Exists, Forall, Not, Role
-from fshin.tableau import audit_properties
 
+from audit import audit_properties
 from genkb import random_alc_concept, random_alc_kb, random_shin_kb
 
 F = Fraction
@@ -119,8 +119,8 @@ def test_criterion_02_dynamic_blocking_established_and_broken():
     # the generated node is blocked by the root for b, then released
     block = next(ev for ev in res.trace if ev[0] == "block")
     blocked, blocker = block[1], block[2]
-    assert res.solve_result.first_clash_forest.nodes[blocker].root_name == "b"
-    assert not res.solve_result.first_clash_forest.nodes[blocked].is_root
+    assert res.first_clash_forest.nodes[blocker].root_name == "b"
+    assert not res.first_clash_forest.nodes[blocked].is_root
     assert time.time() - t0 < 1.0
     print("ACCEPTANCE 2: PASS - inconsistent with a block established and later broken")
 

@@ -31,6 +31,7 @@ from fshin.syntax import (
 )
 
 from genkb import GRID, random_alc_kb, random_shin_concept, random_shin_kb, random_tbox_kb
+from test_tableau import OUT_OF_RANGE, single_assertion_kb
 
 F = Fraction
 
@@ -115,6 +116,17 @@ def test_default_grid_contains_closure():
     kb = parse_kb("assert a : A >= 0.3.")
     grid = default_grid(kb)
     assert {F(0), F(3, 10), F(7, 10), F(1, 2), F(1)} <= set(grid)
+
+
+def test_search_model_keeps_degrees_in_range():
+    """The grid holds only degrees in [0, 1], so a degree outside it is met
+    by no model the search returns."""
+    for c, ineq, degree, consistent in OUT_OF_RANGE:
+        kb = single_assertion_kb(c, ineq, degree)
+        assert all(F(0) <= d <= F(1) for d in default_grid(kb))
+        m = search_model(kb, max_domain=1)
+        assert (m is not None) is consistent, (c, ineq, degree)
+        assert m is None or satisfies_kb(m, kb)
 
 
 def test_search_model_simple():

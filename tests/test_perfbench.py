@@ -1,13 +1,36 @@
 """Smoke test of the benchmark harness.
 
-perfbench/run.py --trace 1 wraps engine functions by name (Forest.clone,
-Forest.blocking, Forest.sorted_label, Forest.neighbour_bounds,
-tableau.expand, apply_alternative, find_clash) and reads SolveResult.trace
-and first_clash_forest.  A refactor that renames one of them breaks the
-benchmark, not the engine, so each workload is run here once for a single
-traced pass.  The pass runs in a copy of perfbench/ and src/, since run.py
-writes its spans under perfbench/out/ and imports fshin from the src/ beside
-it."""
+perfbench/run.py --trace 1 replaces functions of fshin with timing or
+counting wrappers, at the module or class attribute their caller looks up
+at call time:
+
+- parser.parse_kb and parser.parse_query: run.py reads each task's KB, and
+  its query if it has one, through them; they give parser.calls and
+  parser.self_s.
+- services.consistency, entails, glb and lub: the services a task runs;
+  consistency's calls give services.consistency_calls and
+  services.probes_per_query, and all four services.self_s.
+- services.prepare, services.init_forest and services.solve: consistency
+  calls them through the names services binds; they give prepare.calls,
+  prepare.self_s, init.self_s and search.self_s, and the wrapper on solve
+  reads each SolveResult (trace, forest, first_clash_forest) and the
+  forest's budget for budget.used, forest.nodes, trace.events and the event
+  counts (branches, clashes, triples added, nodes created, block events).
+- tableau.expand and tableau.apply_alternative, which solve calls, and
+  tableau.find_clash, which expand calls: expand.self_s, search.self_s,
+  clash.calls and clash.self_s.
+- Forest.clone, Forest.blocking, Forest.sorted_label and
+  Forest.neighbour_bounds: search.clones and search.clone_s, blocking.calls
+  and blocking.self_s (expand.iterations counts the blocking calls made
+  directly inside expand), and the counters expand.label_sorts and
+  expand.neighbour_scans.
+
+So a refactor must keep each of these a module or class attribute of that
+name, called through that attribute: a renamed, inlined or locally bound one
+is missed by its wrapper, which breaks or silently zeroes the benchmark, not
+the engine.  Each workload is run here once for a single traced pass.  The
+pass runs in a copy of perfbench/ and src/, since run.py writes its spans
+under perfbench/out/ and imports fshin from the src/ beside it."""
 
 import json
 import shutil

@@ -8,7 +8,7 @@ from fshin import services
 from fshin.degrees import Ineq, ONE, SignedBound
 from fshin.kb import ABox, FuzzyKB, detect_mode, relative_degrees
 from fshin.oracle import satisfies_kb
-from fshin.parser import parse_concept, parse_kb, parse_query
+from fshin.parser import parse_concept, parse_kb, parse_query, serialize_kb
 from fshin.services import (
     InconsistentKB,
     ModeError,
@@ -233,6 +233,85 @@ def test_glb_lub_probe_count(monkeypatch):
             calls.clear()
             outcome(fn, kb, q)
             assert 1 <= len(calls) <= (k - 1).bit_length() + 1, (fn.__name__, q, k, len(calls))
+
+
+# the KB of every consistency check each service makes, as serialize_kb
+# writes it; the individual x0 is taken, so the fresh one is x1
+TAKEN = (
+    "trans r.\nsubrole r s.\ndefine C equiv A and B.\n"
+    "assert (x0, b): r >= 0.5.\nassert x0 : A > 0.25.\ndistinct x0 b.\n"
+)
+TAKEN_HEAD = "define C equiv (A and B).\ntrans r.\nsubrole r s.\n"
+EXAMPLE1_ROLES = "assert (o1,o2) : isPartOf >= 0.8.\nassert (o2,o3) : isPartOf >= 0.9.\n"
+EXAMPLE1_HEAD = "trans isPartOf.\nassert o1 : Arm >= 0.75.\nassert o2 : Body >= 0.85.\n"
+PROBES = {
+    "sat": (
+        lambda: satisfiable(parse_concept("some r.A and all s.(not A)"), parse_kb(TAKEN)),
+        True,
+        [
+            TAKEN_HEAD + "assert x0 : A > 0.25.\nassert x1 : (some r.A and all s.(not A)) > 0.\n"
+            "assert (x0,b) : r >= 0.5.\ndistinct b x0.\n"
+        ],
+    ),
+    "n-sat": (
+        lambda: n_satisfiable(parse_concept("C or not A"), F(3, 5), parse_kb(TAKEN)),
+        True,
+        [
+            TAKEN_HEAD + "assert x0 : A > 0.25.\nassert x1 : (C or not A) >= 0.6.\n"
+            "assert x1 : (C or not A) <= 0.6.\nassert (x0,b) : r >= 0.5.\ndistinct b x0.\n"
+        ],
+    ),
+    "subsumes": (
+        lambda: subsumes(parse_concept("A"), parse_concept("C"), parse_kb(TAKEN)),
+        True,
+        [
+            TAKEN_HEAD + "assert x0 : C >= 0.5.\nassert x0 : A < 0.5.\n",
+            TAKEN_HEAD + "assert x0 : C >= 1.\nassert x0 : A < 1.\n",
+        ],
+    ),
+    "entails-concept": (
+        lambda: entails(
+            parse_kb(EXAMPLE1),
+            *parse_query("(o3): (some isPartOf-.Body) and (some isPartOf-.Arm) >= 0.75"),
+        ),
+        True,
+        [
+            EXAMPLE1_HEAD
+            + "assert o3 : (some isPartOf-.Body and some isPartOf-.Arm) < 0.75.\n"
+            + EXAMPLE1_ROLES
+        ],
+    ),
+    "entails-role": (
+        lambda: entails(parse_kb(EXAMPLE1), *parse_query("(o1, o3): isPartOf >= 0.8")),
+        False,
+        [EXAMPLE1_HEAD + EXAMPLE1_ROLES + "assert (o1,o3) : isPartOf < 0.8.\n"],
+    ),
+    "glb": (
+        lambda: glb(parse_kb(EXAMPLE1), parse_query("o1 : Arm")[0]),
+        F(3, 4),
+        [
+            EXAMPLE1_HEAD + f"assert o1 : Arm < {n}.\n" + EXAMPLE1_ROLES
+            for n in ("0.5", "0.85", "0.75", "0.8")
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("service", PROBES)
+def test_probe_kbs_pinned(monkeypatch, service):
+    """Each service gives its answer from the same consistency checks, in
+    the same order, on the same KBs, assertion for assertion."""
+    seen = []
+    check = services.consistency
+
+    def spy(kb, *args, **kwargs):
+        seen.append(serialize_kb(kb))
+        return check(kb, *args, **kwargs)
+
+    monkeypatch.setattr(services, "consistency", spy)
+    call, answer, probes = PROBES[service]
+    assert call() == answer
+    assert seen == probes
 
 
 def test_duality_random():

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from fshin import tableau
-from fshin.degrees import INEQ_ORDER, ONE, Ineq, conjugates
-from fshin.kb import RBox, hierarchy_closure
+from fshin.degrees import INEQ_ORDER, ONE, Ineq, SignedBound, conjugates
+from fshin.kb import ABox, ConceptAssertion, FuzzyKB, RBox, hierarchy_closure
 from fshin.oracle import satisfies_kb
 from fshin.parser import parse_kb
-from fshin.services import consistency, prepare
-from fshin.syntax import TOP, AtLeast, Exists, Forall, Name, Not, Or, Role, inv
+from fshin.services import consistency, entails, model_for, prepare
+from fshin.syntax import BOTTOM, TOP, AtLeast, Exists, Forall, Name, Not, Or, Role, inv
 from fshin.tableau import (
     Budget,
     Clash,
@@ -35,13 +35,13 @@ from fshin.tableau import (
     _rule_exists_pos,
     _rule_forall_neg,
     _split_at,
-    audit_properties,
     extract_model,
     init_forest,
     solve,
     triple_key,
 )
 
+from audit import audit_properties
 from genkb import dense_colouring_kb
 from test_golden import EXTRA, corpus
 
@@ -66,6 +66,32 @@ def test_bottom_and_top_bounds():
     assert not run("assert a : top < 1.").consistent
     assert run("assert a : bottom <= 0.").consistent
     assert run("assert a : top >= 1.").consistent
+
+
+def single_assertion_kb(c, ineq, degree):
+    return FuzzyKB(abox=ABox([ConceptAssertion("a", c, SignedBound(ineq, degree))]))
+
+
+# one assertion with a degree outside [0, 1], which the parser refuses but the
+# library takes, and whether a model has it: every degree lies in [0, 1]
+OUT_OF_RANGE = [
+    (Name("A"), Ineq.GT, Fraction(3, 2), False),
+    (Name("A"), Ineq.GE, Fraction(3, 2), False),
+    (Name("A"), Ineq.LT, Fraction(-1, 2), False),
+    (Name("A"), Ineq.LE, Fraction(-1, 2), False),
+    (Name("A"), Ineq.LT, Fraction(3, 2), True),
+    (Name("A"), Ineq.GT, Fraction(-1, 2), True),
+    (TOP, Ineq.LT, Fraction(3, 2), True),
+    (BOTTOM, Ineq.GT, Fraction(-1, 2), True),
+]
+
+
+def test_out_of_range_degrees():
+    for c, ineq, degree, consistent in OUT_OF_RANGE:
+        kb = single_assertion_kb(c, ineq, degree)
+        assert consistency(kb).consistent is consistent, (c, ineq, degree)
+    assert entails(FuzzyKB(), ("a", Name("A")), SignedBound(Ineq.LE, Fraction(3, 2)))
+    assert entails(FuzzyKB(), ("a", Name("A")), SignedBound(Ineq.GT, Fraction(-1, 2)))
 
 
 def test_negation_rule():
@@ -372,6 +398,30 @@ def test_extracted_model_satisfies():
     assert res.consistent
     model = extract_model(res.forest)
     assert satisfies_kb(model, kb)
+
+
+def test_extracted_model_is_sparse_closure():
+    """On a transitive chain the role map holds exactly the nonzero pairs of
+    the sup-min closure: r(a_i, a_j) is the least degree on the chain from
+    a_i to a_j, and the 80 * 79 / 2 pairs with i < j are all there is."""
+    degrees = [Fraction(k, 20) for k in (18, 12, 15, 16, 13)]
+    n = 80
+    text = "trans r.\nassert a0 : all r.A >= 0.6.\n" + "".join(
+        f"assert (a{i}, a{i + 1}) : r >= {degrees[i % 5]}.\n" for i in range(n - 1)
+    )
+    kb = parse_kb(text)
+    res = consistency(kb)
+    assert res.consistent
+    model = extract_model(res.forest)
+    ids = [model.individual_map[f"a{i}"] for i in range(n)]
+    closure = {
+        ("r", ids[i], ids[j]): min(degrees[k % 5] for k in range(i, j))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    assert len(closure) == 3160
+    assert model.role_map == closure
+    assert satisfies_kb(model_for(res), kb)
 
 
 def test_audit_on_clash_free_forests():
