@@ -32,17 +32,21 @@ def _emit(args: argparse.Namespace, line: str) -> None:
         print(line)
 
 
-def _oracle_check(kb: FuzzyKB, expected: bool) -> None:
-    """Small-scale cross-check: search for a model and compare verdicts.
-    A disagreement is a hard error; a search that runs out of budget is
-    ignored."""
-    from .oracle import BudgetExceeded, search_model
+def _oracle_check(kb: FuzzyKB, result: services.ConsistencyResult) -> None:
+    """Cross-check a verdict with the oracle: the model read off a
+    consistent f-SI verdict must satisfy the KB, and a small-scale model
+    search must not find a model for an inconsistent one.  A failure is a
+    hard error; a search that runs out of budget is ignored."""
+    from .oracle import BudgetExceeded, satisfies_kb, search_model
 
+    if result.consistent and result.prepared.mode == "si":
+        if not satisfies_kb(services.model_for(result), kb):
+            raise AssertionError("the model read off a consistent verdict does not satisfy the KB")
     try:
         model = search_model(kb, max_domain=2, budget=200_000)
     except BudgetExceeded:
         return
-    if model is not None and not expected:
+    if model is not None and not result.consistent:
         raise AssertionError("oracle found a model for a KB judged inconsistent")
 
 
@@ -50,7 +54,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     result = services.consistency(kb, args.budget_nodes)
     if args.oracle:
-        _oracle_check(kb, result.consistent)
+        _oracle_check(kb, result)
     _emit(args, "consistent" if result.consistent else "inconsistent")
     return EXIT_YES if result.consistent else EXIT_NO
 

@@ -1,9 +1,9 @@
-"""Knowledge-base model: TBox unfolding, RBox closure, ABox, GCI normalization."""
+"""Knowledge-base model: TBox unfolding, role hierarchy, ABox, GCI normalization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .degrees import HALF, ONE, ZERO, Degree, Ineq, SignedBound, neg_lukasiewicz
 from .syntax import (
@@ -117,10 +117,10 @@ def _fresh_primitive(base: str, taken: set[str]) -> str:
     return cand
 
 
-def unfold(tbox: TBox) -> TBox:
-    """Fully expanded unfoldable TBox: every defined name maps, as an
-    equivalence, to a definition-free concept.  Inclusions A (= C become
-    equivalences A = A' n C with a fresh primitive A'."""
+def unfold(tbox: TBox) -> dict[str, Concept]:
+    """The unfolding of an unfoldable TBox: each defined name maps to the
+    definition-free concept it is equivalent to.  An inclusion A (= C
+    becomes the equivalence A = A' n C with a fresh primitive A'."""
     if tbox.gcis:
         raise CyclicTBox("TBox with GCIs is not unfoldable")
     taken = set(tbox.definitions)
@@ -128,26 +128,20 @@ def unfold(tbox: TBox) -> TBox:
         for sub in subconcepts(body):
             if isinstance(sub, Name):
                 taken.add(sub.id)
-    defs: dict[str, tuple[str, Concept]] = {}
-    for name, (kind, body) in tbox.definitions.items():
+    expanded: dict[str, Concept] = {}
+    for name in _definition_order(tbox.definitions):
+        kind, body = tbox.definitions[name]
         if kind == "sub":
             prim = _fresh_primitive(name, taken)
             taken.add(prim)
-            defs[name] = ("equiv", And(Name(prim), body))
-        else:
-            defs[name] = ("equiv", body)
-    expanded: dict[str, tuple[str, Concept]] = {}
-    for name in _definition_order(defs):
-        _, body = defs[name]
-        expanded[name] = ("equiv", _substitute(body, expanded))
-    return TBox(definitions=expanded, gcis=[])
+            body = And(Name(prim), body)
+        expanded[name] = _substitute(body, expanded)
+    return expanded
 
 
-def _substitute(c: Concept, defs: dict[str, tuple[str, Concept]]) -> Concept:
+def _substitute(c: Concept, defs: dict[str, Concept]) -> Concept:
     if isinstance(c, Name):
-        if c.id in defs:
-            return defs[c.id][1]
-        return c
+        return defs.get(c.id, c)
     if isinstance(c, Not):
         return Not(_substitute(c.arg, defs))
     if isinstance(c, And):
@@ -161,89 +155,69 @@ def _substitute(c: Concept, defs: dict[str, tuple[str, Concept]]) -> Concept:
     return c
 
 
-def expand_concept(c: Concept, unfolded: TBox) -> Concept:
-    """Replace defined names in c by their expansions and normalize to NNF."""
-    return nnf(_substitute(c, unfolded.definitions))
+def expand_concept(c: Concept, unfolded: dict[str, Concept]) -> Concept:
+    """Replace defined names in c by their unfoldings and normalize to NNF."""
+    return nnf(_substitute(c, unfolded))
 
 
 @dataclass
 class RBox:
+    """The role axioms as parsed: transitive role names and inclusions."""
+
     transitive: set[str] = field(default_factory=set)
     inclusions: set[tuple[Role, Role]] = field(default_factory=set)
-    # reflexive-transitive, inverse-closed role hierarchy; None until computed
-    closure: Optional[dict[Role, frozenset[Role]]] = None
-    # tables read off the closure, filled on first use; the closure is not
-    # changed once set
-    _subroles: dict[Role, frozenset[Role]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _transitive_subroles: dict[Role, tuple[Role, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-    def _need_closure(self) -> dict[Role, frozenset[Role]]:
-        if self.closure is None:
-            raise RuntimeError("hierarchy_closure has not been applied")
-        return self.closure
 
-    def superroles(self, r: Role) -> frozenset[Role]:
-        return self._need_closure().get(r, frozenset([r]))
+@dataclass(frozen=True)
+class RoleHierarchy:
+    """An RBox's role hierarchy, closed reflexively, transitively and under
+    inverses (R (= S gives Inv(R) (= Inv(S))); a role no axiom names is
+    below and above itself alone, and is not transitive."""
 
-    def subroles(self, r: Role) -> frozenset[Role]:
-        subs = self._subroles.get(r)
-        if subs is None:
-            closure = self._need_closure()
-            subs = frozenset(p for p, supers in closure.items() if r in supers) | {r}
-            self._subroles[r] = subs
-        return subs
-
-    def transitive_subroles(self, r: Role) -> tuple[Role, ...]:
-        """The transitive roles at or below r, ordered by name."""
-        subs = self._transitive_subroles.get(r)
-        if subs is None:
-            subs = tuple(sorted((p for p in self.subroles(r) if self.is_transitive(p)), key=str))
-            self._transitive_subroles[r] = subs
-        return subs
+    transitive: frozenset[str]
+    # each named role and its inverse -> its super-roles, itself included
+    supers: dict[Role, frozenset[Role]]
+    # each named role and its inverse -> the transitive roles at or below
+    # it, ordered by str (transitivity of a relation and of its inverse
+    # coincide)
+    transitive_below: dict[Role, tuple[Role, ...]]
 
     def includes(self, p: Role, r: Role) -> bool:
-        """p is a sub-role of r under the reflexive-transitive closure."""
-        return p == r or r in self.superroles(p)
+        """p is a sub-role of r."""
+        return p == r or r in self.supers.get(p, ())
 
-    def is_transitive(self, r: Role) -> bool:
-        # transitivity of a relation and of its inverse coincide
-        return r.name in self.transitive
+    def transitive_subroles(self, r: Role) -> tuple[Role, ...]:
+        """The transitive roles at or below r, ordered by str."""
+        return self.transitive_below.get(r, ())
 
     def simple(self, r: Role) -> bool:
-        """No transitive role at or below r in the hierarchy."""
-        return not any(self.is_transitive(p) for p in self.subroles(r))
+        """No transitive role at or below r."""
+        return not self.transitive_subroles(r)
 
 
-def hierarchy_closure(rbox: RBox) -> RBox:
-    """RBox with the role hierarchy closed reflexively, transitively, and
-    under inverses (R (= S gives Inv(R) (= Inv(S)))."""
+def hierarchy_closure(rbox: RBox) -> RoleHierarchy:
+    """The role hierarchy of rbox, closed in this one call."""
     roles: set[Role] = set()
     for sub, sup in rbox.inclusions:
         roles.update((sub, sup, inv(sub), inv(sup)))
     for name in rbox.transitive:
         roles.update((Role(name), inv(Role(name))))
     supers: dict[Role, set[Role]] = {r: {r} for r in roles}
-    edges = set(rbox.inclusions) | {(inv(a), inv(b)) for a, b in rbox.inclusions}
-    for a, b in edges:
+    for a, b in rbox.inclusions:
         supers[a].add(b)
+        supers[inv(a)].add(inv(b))
     changed = True
     while changed:
         changed = False
         for r in roles:
-            extra = set()
-            for s in supers[r]:
-                extra |= supers.get(s, {s})
+            extra = set().union(*(supers[s] for s in supers[r]))
             if not extra <= supers[r]:
                 supers[r] |= extra
                 changed = True
-    return RBox(
-        transitive=set(rbox.transitive),
-        inclusions=set(rbox.inclusions),
-        closure={r: frozenset(s) for r, s in supers.items()},
+    trans = [p for p in roles if p.name in rbox.transitive]
+    below = {r: tuple(sorted((p for p in trans if r in supers[p]), key=str)) for r in roles}
+    return RoleHierarchy(
+        frozenset(rbox.transitive), {r: frozenset(s) for r, s in supers.items()}, below
     )
 
 
@@ -292,14 +266,14 @@ def detect_mode(kb: FuzzyKB) -> str:
     return "si"
 
 
-def non_simple_restrictions(kb: FuzzyKB, rbox: RBox) -> list[Concept]:
-    """The number restrictions in kb whose role is not simple in the closed
-    rbox; f-SHIN is decidable only without them."""
+def non_simple_restrictions(kb: FuzzyKB, roles: RoleHierarchy) -> list[Concept]:
+    """The number restrictions in kb whose role is not simple; f-SHIN is
+    decidable only without them."""
     return [
         d
         for c in kb.concepts()
         for d in subconcepts(c)
-        if isinstance(d, (AtLeast, AtMost)) and not rbox.simple(d.role)
+        if isinstance(d, (AtLeast, AtMost)) and not roles.simple(d.role)
     ]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .degrees import Degree, ONE, SignedBound, ZERO
 from .kb import FuzzyKB, relative_degrees
@@ -157,12 +157,34 @@ def _may_hold(ival: Interval, bound: SignedBound) -> bool:
     return bound.ineq.holds(hi if bound.ineq.positive else lo, bound.degree)
 
 
+def _pairs(i: FuzzyInterpretation, r: Role) -> Iterable[tuple[int, int]]:
+    """The pairs (a, b) where r(a, b) may be nonzero: on a complete i those
+    the role map holds a nonzero degree for, else every pair."""
+    if i.unknown is not None:
+        return itertools.product(i.domain, repeat=2)
+    nonzero = ((a, b) for (name, a, b), v in i.role_map.items() if name == r.name and v)
+    return [(b, a) for a, b in nonzero] if r.inverted else list(nonzero)
+
+
+def _chains(i: FuzzyInterpretation, r: Role) -> Iterable[tuple[int, int, int]]:
+    """The triples (a, b, c) where r(a, b) and r(b, c) may both be nonzero."""
+    if i.unknown is not None:
+        return itertools.product(i.domain, repeat=3)
+    succ: dict[int, list[int]] = {}
+    for a, b in _pairs(i, r):
+        succ.setdefault(a, []).append(b)
+    return ((a, b, c) for a, bs in succ.items() for b in bs for c in succ.get(b, ()))
+
+
 def satisfies_kb(i: FuzzyInterpretation, kb: FuzzyKB) -> bool:
     """Whether i can still satisfy kb: on a complete interpretation, whether
     it does.  On a partial one the answer is True whenever some closing of
     the open degrees satisfies kb, and may be True otherwise: transitivity
     is checked only where all three degrees are known, a role inclusion
-    only where both are, and a definition only where the defined name is."""
+    only where both are, and a definition only where the defined name is.
+    A pair missing from a complete role map reads 0, so it breaks neither
+    transitivity nor a role inclusion: there both range over the nonzero
+    pairs alone."""
     imap = i.individual_map
     for ca in kb.abox.concept_assertions:
         if not _may_hold(concept_interval(i, ca.concept, imap[ca.individual]), ca.bound):
@@ -176,12 +198,12 @@ def satisfies_kb(i: FuzzyInterpretation, kb: FuzzyKB) -> bool:
             return False
     for name in kb.rbox.transitive:
         r = Role(name)
-        for a, b, c in itertools.product(i.domain, repeat=3):
+        for a, b, c in _chains(i, r):
             ac, ab, bc = i.role_degree(r, a, c), i.role_degree(r, a, b), i.role_degree(r, b, c)
             if ac is not None and ab is not None and bc is not None and ac < min(ab, bc):
                 return False
     for sub, sup in kb.rbox.inclusions:
-        for a, b in itertools.product(i.domain, repeat=2):
+        for a, b in _pairs(i, sub):
             vs, vp = i.role_degree(sub, a, b), i.role_degree(sup, a, b)
             if vs is not None and vp is not None and vs > vp:
                 return False

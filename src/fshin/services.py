@@ -20,9 +20,8 @@ from .kb import (
     ConceptAssertion,
     FuzzyKB,
     Query,
-    RBox,
     RoleAssertion,
-    TBox,
+    RoleHierarchy,
     compute_ell,
     detect_mode,
     expand_concept,
@@ -51,8 +50,9 @@ class ModeError(Exception):
 class Prepared:
     mode: str
     abox: ABox
-    rbox: RBox
-    unfolded: Optional[TBox]
+    rbox: RoleHierarchy
+    # defined name -> its unfolding; empty in GCI mode
+    unfolded: dict[str, Concept]
     gcis: tuple
     xa: tuple
     ell: Optional[Degree]
@@ -77,7 +77,7 @@ def prepare(kb: FuzzyKB) -> Prepared:
                 gcis.append((nnf(body), Name(name)))
         for lhs, rhs in kb.tbox.gcis:
             gcis.append((nnf(lhs), nnf(rhs)))
-        unfolded = None
+        unfolded = {}
         mapped = nnf
     else:
         unfolded = unfold(kb.tbox)
@@ -94,7 +94,7 @@ def prepare(kb: FuzzyKB) -> Prepared:
         return Prepared(mode, abox, rbox, unfolded, (), (), None)
     ell = compute_ell(abox.degrees())
     abox, xa = normalize_for_gci(abox, ell)
-    return Prepared(mode, abox, rbox, None, tuple(gcis), xa, ell)
+    return Prepared(mode, abox, rbox, unfolded, tuple(gcis), xa, ell)
 
 
 @dataclass
@@ -226,20 +226,19 @@ def subsumes(
 def model_for(result: ConsistencyResult):
     """Finite interpretation for a consistent SI verdict, with the original
     KB's defined concept names interpreted through their unfoldings.  A name
-    of the unfolded TBox that no label bounds is free, and reads 0."""
+    in an unfolding that no label bounds is free, and reads 0."""
     from .oracle import eval_concept
 
     if not result.consistent or result.forest is None:
         raise ValueError("no model: the knowledge base is inconsistent")
     model = extract_model(result.forest)
     unfolded = result.prepared.unfolded
-    if unfolded is not None:
-        for _, body in unfolded.definitions.values():
-            for sub in subconcepts(body):
-                if isinstance(sub, Name):
-                    for e in model.domain:
-                        model.concept_map.setdefault((sub.id, e), ZERO)
-        for name, (_, body) in unfolded.definitions.items():
-            for e in model.domain:
-                model.concept_map[(name, e)] = eval_concept(model, body, e)
+    for body in unfolded.values():
+        for sub in subconcepts(body):
+            if isinstance(sub, Name):
+                for e in model.domain:
+                    model.concept_map.setdefault((sub.id, e), ZERO)
+    for name, body in unfolded.items():
+        for e in model.domain:
+            model.concept_map[(name, e)] = eval_concept(model, body, e)
     return model

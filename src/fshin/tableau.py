@@ -34,8 +34,7 @@ status; and dirty (below).  Besides,
   the triples the rules derive from it (see below);
 - a Forest keeps the set of node pairs whose edges clash, the set of nodes
   whose label holds a triple that clashes on its own or a conjugated pair,
-  and the least root the ABox makes distinct from itself;
-- the closed RBox memoises sub-roles and transitive sub-roles.
+  and the least root the ABox makes distinct from itself.
 
 These hold because every change goes through the Forest methods that keep
 them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
@@ -43,7 +42,8 @@ set_parent, add_neq, set_field); labels only grow, except that a root
 merge empties the merged node and undo takes triples back; distinct sets
 are symmetric; and node ids are handed out in increasing order and only
 the newest node is ever removed, by undo.  clone copies the mutable
-indexes and shares the rest.
+indexes and shares the rest.  Forest.rbox, the role hierarchy, is closed
+once by prepare and only read.
 
 Derived triples are canonical: every triple a rule derives is the instance
 its source triple caches, never a fresh equal copy, so the caches above are
@@ -141,7 +141,7 @@ from .degrees import (
     neg_lukasiewicz,
     reflect,
 )
-from .kb import RBox
+from .kb import RoleHierarchy
 from .syntax import (
     And,
     AtLeast,
@@ -461,7 +461,7 @@ class Forest:
     def __init__(
         self,
         pairwise: bool,
-        rbox: RBox,
+        rbox: RoleHierarchy,
         budget: Budget,
         gci_splits: tuple[tuple[Degree, Triple, Triple], ...] = (),
     ):
@@ -817,7 +817,8 @@ class Forest:
 
 def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
     """The initial forest of a prepared KB: a root per individual, labelled
-    with its assertions."""
+    with its assertions, or one unlabelled root for a fresh element when
+    there are inclusions and no individual."""
     splits = tuple(
         (n, Triple(lhs, Ineq.LE, n - prepared.ell), Triple(rhs, Ineq.GE, n))
         for n in prepared.xa
@@ -826,6 +827,9 @@ def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
     f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)
     abox = prepared.abox
     roots = {ind: f.new_node(None, ind).id for ind in abox.individuals()}
+    if splits and not roots:
+        # a domain is never empty: the inclusions must hold of some element
+        f.new_node(None)
     for ca in abox.concept_assertions:
         f.add_triple(roots[ca.individual], Triple(ca.concept, ca.bound.ineq, ca.bound.degree), "init")
     for ra in abox.role_assertions:

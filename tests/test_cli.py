@@ -3,12 +3,14 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fshin
+from fshin import services
 from fshin.cli import main
 from fshin.oracle import search_model
 from fshin.parser import parse_kb
@@ -153,6 +155,27 @@ def test_quiet_suppresses_stdout(capsys):
 def test_oracle_flag(capsys):
     code, out, _ = run(["check", ex("example1.fkb"), "--oracle"], capsys)
     assert code == 0 and out == "consistent\n"
+
+
+def test_oracle_flag_on_inconsistent_kb(capsys):
+    code, out, _ = run(["check", ex("blocking.fkb"), "--oracle"], capsys)
+    assert code == 1 and out == "inconsistent\n"
+
+
+def test_oracle_flag_rechecks_the_model(monkeypatch):
+    """A consistent f-SI verdict's model must satisfy the KB: one wrong
+    degree in it is a hard error."""
+    real = services.model_for
+
+    def wrong(result):
+        model = real(result)
+        o1, o2 = model.individual_map["o1"], model.individual_map["o2"]
+        model.role_map[("isPartOf", o1, o2)] = Fraction(7, 10)
+        return model
+
+    monkeypatch.setattr(services, "model_for", wrong)
+    with pytest.raises(AssertionError, match="does not satisfy"):
+        main(["check", ex("example1.fkb"), "--oracle", "--quiet"])
 
 
 def test_oracle_flag_only_on_check(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,15 +32,12 @@ def test_unfold_expands_chains():
         "B": ("equiv", Exists(Role("r"), Name("Q"))),
     })
     u = unfold(tbox)
-    kind, body = u.definitions["A"]
-    assert kind == "equiv"
-    assert body == And(Exists(Role("r"), Name("Q")), Name("P"))
+    assert u["A"] == And(Exists(Role("r"), Name("Q")), Name("P"))
 
 
 def test_unfold_inclusion_gets_fresh_primitive():
     tbox = TBox(definitions={"A": ("sub", Name("B"))})
-    u = unfold(tbox)
-    _, body = u.definitions["A"]
+    body = unfold(tbox)["A"]
     assert isinstance(body, And)
     assert body.left == Name("A_prim")
     assert body.right == Name("B")
@@ -65,9 +63,6 @@ def test_hierarchy_closure_reflexive_transitive_inverse():
     assert rbox.includes(r, r)
     assert rbox.includes(inv(r), inv(t))
     assert not rbox.includes(t, r)
-    # closing again changes nothing
-    again = hierarchy_closure(rbox)
-    assert again.closure == rbox.closure
 
 
 def test_simple_roles():
@@ -75,7 +70,39 @@ def test_simple_roles():
     rbox = hierarchy_closure(RBox(transitive={"r"}, inclusions={(r, s)}))
     assert not rbox.simple(s)  # transitive sub-role r
     assert rbox.simple(Role("t"))
-    assert rbox.is_transitive(inv(r))  # transitivity survives inversion
+    assert rbox.transitive_subroles(inv(r)) == (inv(r),)  # survives inversion
+
+
+def test_hierarchy_matches_reachability():
+    """includes, transitive_subroles and simple agree with a search over the
+    inclusions and their inverses, on every role, named or not."""
+    rng = random.Random(11)
+    names = "pqrs"
+    named = [Role(n, i) for n in names for i in (False, True)]
+    roles = named + [Role("t"), Role("t", True)]
+    for _ in range(300):
+        inclusions = {(rng.choice(named), rng.choice(named)) for _ in range(rng.randint(0, 6))}
+        transitive = {n for n in names if rng.random() < 0.3}
+        h = hierarchy_closure(RBox(transitive, inclusions))
+        edges = inclusions | {(inv(a), inv(b)) for a, b in inclusions}
+
+        def above(p):
+            seen, todo = {p}, [p]
+            while todo:
+                x = todo.pop()
+                for a, b in edges:
+                    if a == x and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            return seen
+
+        for r in roles:
+            below = [p for p in roles if r in above(p)]
+            trans = tuple(sorted((p for p in below if p.name in transitive), key=str))
+            assert h.transitive_subroles(r) == trans
+            assert h.simple(r) == (not trans)
+            for p in roles:
+                assert h.includes(p, r) == (p in below)
 
 
 def test_detect_mode():

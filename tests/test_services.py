@@ -7,7 +7,7 @@ import pytest
 from fshin import services
 from fshin.degrees import Ineq, ONE, SignedBound
 from fshin.kb import ABox, FuzzyKB, detect_mode, relative_degrees
-from fshin.oracle import satisfies_kb
+from fshin.oracle import satisfies_kb, search_model
 from fshin.parser import parse_concept, parse_kb, parse_query, serialize_kb
 from fshin.services import (
     InconsistentKB,
@@ -116,6 +116,30 @@ def test_glb_lub_gci():
 
 def test_glb_raises_on_inconsistent_kb():
     kb = parse_kb("assert a : A >= 0.8.\nassert a : A < 0.5.")
+    q, _ = parse_query("a : A")
+    with pytest.raises(InconsistentKB):
+        glb(kb, q)
+    with pytest.raises(InconsistentKB):
+        lub(kb, q)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("implies top bottom.", False),
+    ("implies top some r.bottom.", False),
+    ("implies top A.\nimplies top not A.", False),
+    ("implies top A.", True),
+    ("define A equiv not A.", True),
+])
+def test_abox_free_tbox_on_a_nonempty_domain(text, expected):
+    """A KB that names no individual still has a non-empty domain, so its
+    inclusions must hold of some element; the oracle agrees."""
+    kb = parse_kb(text)
+    assert consistency(kb).consistent == expected
+    assert (search_model(kb) is not None) == expected
+
+
+def test_glb_lub_raise_on_unsatisfiable_tbox():
+    kb = parse_kb("implies top bottom.")
     q, _ = parse_query("a : A")
     with pytest.raises(InconsistentKB):
         glb(kb, q)

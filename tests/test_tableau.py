@@ -282,7 +282,7 @@ def test_pairwise_distinct_matches_brute_force():
     for p in densities:
         n = rng.randint(0, 8) if p < 0.7 or rng.random() < 0.5 else rng.randint(9, 12)
         members = rng.sample(range(12), n)
-        f = Forest(True, RBox(), Budget(10**6))
+        f = Forest(True, hierarchy_closure(RBox()), Budget(10**6))
         for _ in range(12):
             f.new_node(None)
         f.add_neq(pair for pair in itertools.combinations(range(12), 2) if rng.random() < p)
