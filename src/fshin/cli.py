@@ -16,6 +16,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_ORACLE = 4
 
 
 def _load_kb(path: str) -> FuzzyKB:
@@ -32,29 +33,32 @@ def _emit(args: argparse.Namespace, line: str) -> None:
         print(line)
 
 
-def _oracle_check(kb: FuzzyKB, result: services.ConsistencyResult) -> None:
+def _oracle_check(kb: FuzzyKB, result: services.ConsistencyResult) -> Optional[str]:
     """Cross-check a verdict with the oracle: the model read off a
     consistent f-SI verdict must satisfy the KB, and a small-scale model
-    search must not find a model for an inconsistent one.  A failure is a
-    hard error; a search that runs out of budget is ignored."""
+    search must not find a model for an inconsistent one.  Returns what
+    failed, or None; a search that runs out of budget is ignored."""
     from .oracle import BudgetExceeded, satisfies_kb, search_model
 
     if result.consistent and result.prepared.mode == "si":
         if not satisfies_kb(services.model_for(result), kb):
-            raise AssertionError("the model read off a consistent verdict does not satisfy the KB")
+            return "the model read off a consistent verdict does not satisfy the KB"
     try:
         model = search_model(kb, max_domain=2, budget=200_000)
     except BudgetExceeded:
-        return
+        return None
     if model is not None and not result.consistent:
-        raise AssertionError("oracle found a model for a KB judged inconsistent")
+        return "oracle found a model for a KB judged inconsistent"
+    return None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     result = services.consistency(kb, args.budget_nodes)
-    if args.oracle:
-        _oracle_check(kb, result)
+    failure = args.oracle and _oracle_check(kb, result)
+    if failure:
+        print(f"error: oracle cross-check failed: {failure}", file=sys.stderr)
+        return EXIT_ORACLE
     _emit(args, "consistent" if result.consistent else "inconsistent")
     return EXIT_YES if result.consistent else EXIT_NO
 

@@ -10,15 +10,12 @@ from .syntax import (
     AtLeast,
     AtMost,
     Concept,
-    Exists,
-    Forall,
     Name,
-    Not,
     And,
-    Or,
     Role,
     inv,
     nnf,
+    rebuild,
     subconcepts,
 )
 
@@ -69,6 +66,13 @@ class ABox:
         out = {ca.bound.degree for ca in self.concept_assertions}
         out |= {ra.bound.degree for ra in self.role_assertions}
         return out
+
+    def add(self, query: Query, bound: SignedBound) -> None:
+        """Append the assertion that query meets bound."""
+        if len(query) == 2:
+            self.concept_assertions.append(ConceptAssertion(*query, bound))
+        else:
+            self.role_assertions.append(RoleAssertion(*query, bound))
 
 
 @dataclass
@@ -142,17 +146,7 @@ def unfold(tbox: TBox) -> dict[str, Concept]:
 def _substitute(c: Concept, defs: dict[str, Concept]) -> Concept:
     if isinstance(c, Name):
         return defs.get(c.id, c)
-    if isinstance(c, Not):
-        return Not(_substitute(c.arg, defs))
-    if isinstance(c, And):
-        return And(_substitute(c.left, defs), _substitute(c.right, defs))
-    if isinstance(c, Or):
-        return Or(_substitute(c.left, defs), _substitute(c.right, defs))
-    if isinstance(c, Exists):
-        return Exists(c.role, _substitute(c.body, defs))
-    if isinstance(c, Forall):
-        return Forall(c.role, _substitute(c.body, defs))
-    return c
+    return rebuild(c, lambda d: _substitute(d, defs))
 
 
 def expand_concept(c: Concept, unfolded: dict[str, Concept]) -> Concept:
@@ -227,20 +221,14 @@ class FuzzyKB:
     rbox: RBox = field(default_factory=RBox)
     abox: ABox = field(default_factory=ABox)
 
-    def with_concept_assertion(self, a: ConceptAssertion) -> "FuzzyKB":
+    def with_assertion(self, query: Query, bound: SignedBound) -> "FuzzyKB":
+        """A copy of the KB whose ABox also asserts that query meets bound."""
         abox = ABox(
-            self.abox.concept_assertions + [a],
+            list(self.abox.concept_assertions),
             list(self.abox.role_assertions),
             set(self.abox.inequalities),
         )
-        return FuzzyKB(self.tbox, self.rbox, abox)
-
-    def with_role_assertion(self, a: RoleAssertion) -> "FuzzyKB":
-        abox = ABox(
-            list(self.abox.concept_assertions),
-            self.abox.role_assertions + [a],
-            set(self.abox.inequalities),
-        )
+        abox.add(query, bound)
         return FuzzyKB(self.tbox, self.rbox, abox)
 
     def concepts(self) -> Iterator[Concept]:

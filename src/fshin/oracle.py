@@ -50,9 +50,8 @@ class BudgetExceeded(Exception):
 @dataclass
 class FuzzyInterpretation:
     """A finite fuzzy interpretation.  With `unknown` None it is complete: a
-    missing role pair reads 0 and a missing name raises UnknownName.  With
-    `unknown` set it is partial: every missing name or role pair may take any
-    degree in that interval."""
+    missing name or role pair reads 0.  With `unknown` set it is partial:
+    every missing name or role pair may take any degree in that interval."""
 
     domain: tuple[int, ...]
     concept_map: dict[tuple[str, int], Degree]
@@ -62,10 +61,7 @@ class FuzzyInterpretation:
 
     def concept_degree(self, name: str, e: int) -> Optional[Degree]:
         """The degree of `name` at e, or None if it is open."""
-        v = self.concept_map.get((name, e))
-        if v is None and self.unknown is None:
-            raise UnknownName(f"concept {name!r} not interpreted at {e}")
-        return v
+        return self.concept_map.get((name, e), ZERO if self.unknown is None else None)
 
     def role_degree(self, r: Role, a: int, b: int) -> Optional[Degree]:
         """The degree of r from a to b, or None if it is open."""
@@ -110,14 +106,9 @@ def concept_interval(i: FuzzyInterpretation, c: Concept, e: int) -> Interval:
                 his.append(min(rh, bh))
             return (max(los), max(his))
         if isinstance(c, Forall):
-            # Kleene-Dienes: inf over d of max(1 - r(e, d), body(d))
-            los, his = [], []
-            for d in domain:
-                rl, rh = i.interval(i.role_degree(c.role, e, d))
-                bl, bh = go(c.body, d)
-                los.append(max(ONE - rh, bl))
-                his.append(max(ONE - rl, bh))
-            return (min(los), min(his))
+            # Kleene-Dienes: inf over d of max(1 - r(e, d), body(d)), which is
+            # 1 minus the sup over d of min(r(e, d), 1 - body(d))
+            return go(Not(Exists(c.role, Not(c.body))), e)
         if isinstance(c, AtLeast):
             # sup over p pairwise-distinct fillers of the minimum role degree:
             # the p-th largest outgoing degree
@@ -131,13 +122,8 @@ def concept_interval(i: FuzzyInterpretation, c: Concept, e: int) -> Interval:
             return (los[c.count - 1], his[c.count - 1])
         if isinstance(c, AtMost):
             # inf over p+1 pairwise-distinct fillers of the maximum complement:
-            # 1 minus the (p+1)-th largest outgoing degree
-            pairs = [i.interval(i.role_degree(c.role, e, d)) for d in domain]
-            if len(pairs) < c.count + 1:
-                return (ONE, ONE)
-            los = sorted((p[0] for p in pairs), reverse=True)
-            his = sorted((p[1] for p in pairs), reverse=True)
-            return (ONE - his[c.count], ONE - los[c.count])
+            # 1 minus the degree of (>= p+1 R)
+            return go(Not(AtLeast(c.count + 1, c.role)), e)
         raise TypeError(f"not a concept: {c!r}")
 
     return go(c, e)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, format_degree
-from .kb import ConceptAssertion, FuzzyKB, Query, RoleAssertion
+from .kb import FuzzyKB, Query
 from .syntax import (
     And,
     AtLeast,
@@ -310,22 +310,27 @@ class _Parser:
             raise self.fail(f"unexpected keyword {tok.text!r}")
 
     def assertion(self, out: FuzzyKB) -> None:
-        if self.at("sym", "("):
-            self.next()
-            a = self.expect("name")
-            self.expect("sym", ",")
-            b = self.expect("name")
-            self.expect("sym", ")")
-            self.expect("sym", ":")
-            role = self.role()
-            for bound in self.bounds():
-                out.abox.role_assertions.append(RoleAssertion(a.text, b.text, role, bound))
+        subject = self.subject()
+        for bound in self.bounds():
+            out.abox.add(subject, bound)
+
+    def subject(self, lone: bool = False) -> Query:
+        """What an assertion bounds: "(a, b) : r" as (a, b, r) or "a : C" as
+        (a, C); with lone, "(a) : C" as well."""
+        if not self.at("sym", "("):
+            a = self.expect("name").text
         else:
-            a = self.expect("name")
-            self.expect("sym", ":")
-            concept = self.concept()
-            for bound in self.bounds():
-                out.abox.concept_assertions.append(ConceptAssertion(a.text, concept, bound))
+            self.next()
+            a = self.expect("name").text
+            if not lone or self.at("sym", ","):
+                self.expect("sym", ",")
+                b = self.expect("name").text
+                self.expect("sym", ")")
+                self.expect("sym", ":")
+                return (a, b, self.role())
+            self.expect("sym", ")")
+        self.expect("sym", ":")
+        return (a, self.concept())
 
 
 def parse_kb(text: str) -> FuzzyKB:
@@ -352,24 +357,7 @@ def parse_query(text: str) -> tuple[Query, Optional[SignedBound]]:
     """Query syntax for the CLI: "a : C [CMP degree]", "(a): C ...", or
     "(a,b): r [CMP degree]".  "=" bounds are not accepted here."""
     p = _Parser(text)
-    if p.at("sym", "("):
-        p.next()
-        a = p.expect("name")
-        if p.at("sym", ","):
-            p.next()
-            b = p.expect("name")
-            p.expect("sym", ")")
-            p.expect("sym", ":")
-            role = p.role()
-            subject: Query = (a.text, b.text, role)
-        else:
-            p.expect("sym", ")")
-            p.expect("sym", ":")
-            subject = (a.text, p.concept())
-    else:
-        a = p.expect("name")
-        p.expect("sym", ":")
-        subject = (a.text, p.concept())
+    subject = p.subject(lone=True)
     bound: Optional[SignedBound] = None
     if not p.at("eof"):
         tok = p.tok

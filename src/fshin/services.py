@@ -20,7 +20,6 @@ from .kb import (
     ConceptAssertion,
     FuzzyKB,
     Query,
-    RoleAssertion,
     RoleHierarchy,
     compute_ell,
     detect_mode,
@@ -31,7 +30,7 @@ from .kb import (
     relative_degrees,
     unfold,
 )
-from .syntax import Concept, Name, nnf, subconcepts
+from .syntax import Concept, Name, nnf
 from .tableau import (
     DEFAULT_BUDGET,
     Budget,
@@ -134,17 +133,12 @@ def n_satisfiable(
 ) -> bool:
     kb = kb or FuzzyKB()
     a = _fresh_individual(kb)
-    kb = kb.with_concept_assertion(ConceptAssertion(a, c, SignedBound(Ineq.GE, n)))
+    kb = kb.with_assertion((a, c), SignedBound(Ineq.GE, n))
     return not entails(kb, (a, c), SignedBound(Ineq.GT, n), budget)
 
 
 def _with_negated(kb: FuzzyKB, query: Query, bound: SignedBound) -> FuzzyKB:
-    nb = SignedBound(negate(bound.ineq), bound.degree)
-    if len(query) == 2:
-        a, c = query
-        return kb.with_concept_assertion(ConceptAssertion(a, c, nb))
-    a, b, r = query
-    return kb.with_role_assertion(RoleAssertion(a, b, r, nb))
+    return kb.with_assertion(query, SignedBound(negate(bound.ineq), bound.degree))
 
 
 def entails(
@@ -217,7 +211,7 @@ def subsumes(
     kb = kb or FuzzyKB()
     for n in (HALF, ONE):
         at_least = SignedBound(Ineq.GE, n)
-        premise = FuzzyKB(kb.tbox, kb.rbox, ABox([ConceptAssertion("x0", c, at_least)]))
+        premise = FuzzyKB(kb.tbox, kb.rbox).with_assertion(("x0", c), at_least)
         if not entails(premise, ("x0", d), at_least, budget):
             return False
     return True
@@ -232,13 +226,7 @@ def model_for(result: ConsistencyResult):
     if not result.consistent or result.forest is None:
         raise ValueError("no model: the knowledge base is inconsistent")
     model = extract_model(result.forest)
-    unfolded = result.prepared.unfolded
-    for body in unfolded.values():
-        for sub in subconcepts(body):
-            if isinstance(sub, Name):
-                for e in model.domain:
-                    model.concept_map.setdefault((sub.id, e), ZERO)
-    for name, body in unfolded.items():
+    for name, body in result.prepared.unfolded.items():
         for e in model.domain:
             model.concept_map[(name, e)] = eval_concept(model, body, e)
     return model

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -124,21 +124,22 @@ def _atom_text(c: Concept) -> str:
     return f"({text})"
 
 
+def rebuild(c: Concept, fn: Callable[[Concept], Concept]) -> Concept:
+    """c with fn applied to each of its direct sub-concepts; c itself when
+    it has none."""
+    if isinstance(c, Not):
+        return Not(fn(c.arg))
+    if isinstance(c, (And, Or)):
+        return type(c)(fn(c.left), fn(c.right))
+    if isinstance(c, (Exists, Forall)):
+        return type(c)(c.role, fn(c.body))
+    return c
+
+
 def nnf(c: Concept) -> Concept:
     """Equivalent concept with negation pushed onto concept names only."""
-    if isinstance(c, (Top, Bottom, Name)):
-        return c
-    if isinstance(c, And):
-        return And(nnf(c.left), nnf(c.right))
-    if isinstance(c, Or):
-        return Or(nnf(c.left), nnf(c.right))
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.body))
-    if isinstance(c, Forall):
-        return Forall(c.role, nnf(c.body))
-    if isinstance(c, (AtLeast, AtMost)):
-        return c
-    assert isinstance(c, Not)
+    if not isinstance(c, Not):
+        return rebuild(c, nnf)
     a = c.arg
     if isinstance(a, Name):
         return c

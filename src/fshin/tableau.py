@@ -32,9 +32,9 @@ status; and dirty (below).  Besides,
 
 - a Triple caches its order key, hash, bound, unary clash, rule kind and
   the triples the rules derive from it (see below);
-- a Forest keeps the set of node pairs whose edges clash, the set of nodes
-  whose label holds a triple that clashes on its own or a conjugated pair,
-  and the least root the ABox makes distinct from itself.
+- a Forest keeps the first clash of each node pair whose edges clash, the
+  set of nodes whose label holds a triple that clashes on its own or a
+  conjugated pair, and the least root the ABox makes distinct from itself.
 
 These hold because every change goes through the Forest methods that keep
 them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
@@ -314,10 +314,6 @@ class Triple:
             return AtLeast(c.count + 1, c.role), self.edge, "atmost-neg"
         return None
 
-    def __getstate__(self) -> dict:
-        # the caches stay behind: a str hash differs between processes
-        return {"subject": self.subject, "ineq": self.ineq, "degree": self.degree}
-
     @cached_property
     def bound(self) -> SignedBound:
         return SignedBound(self.ineq, self.degree)
@@ -478,8 +474,8 @@ class Forest:
         # edge labels are replaced, never changed in place, so a clone or an
         # undo record may share them
         self.edges: dict[tuple[int, int], frozenset[Triple]] = {}
-        # the (min, max) node pairs whose role triples clash
-        self.clashing_pairs: set[tuple[int, int]] = set()
+        # each (min, max) node pair whose role triples clash -> its first clash
+        self.clashing_pairs: dict[tuple[int, int], Clash] = {}
         # the ids of the nodes whose label clashes
         self.clashing_nodes: set[int] = set()
         # the least root the ABox makes distinct from itself, set by init_forest
@@ -509,7 +505,7 @@ class Forest:
         g = copy.copy(self)
         g.nodes = {i: n.copy() for i, n in self.nodes.items()}
         g.edges = dict(self.edges)
-        g.clashing_pairs = set(self.clashing_pairs)
+        g.clashing_pairs = dict(self.clashing_pairs)
         g.clashing_nodes = set(self.clashing_nodes)
         g.trail = None
         return g
@@ -670,10 +666,11 @@ class Forest:
         self._changed(nb)
         na.neighbours = nb.neighbours = None
         pair = (min(a, b), max(a, b))
-        if _pair_clash(self, *pair):
-            self.clashing_pairs.add(pair)
+        clash = _pair_clash(self, *pair)
+        if clash:
+            self.clashing_pairs[pair] = clash
         else:
-            self.clashing_pairs.discard(pair)
+            self.clashing_pairs.pop(pair, None)
 
     def union_edge(self, a: int, b: int, triples: AbstractSet[Triple]) -> None:
         """Add role triples between a and b, reusing an existing edge in
@@ -720,9 +717,9 @@ class Forest:
         bound conjugates with the probe."""
         return sorted({y for y, b in self.neighbour_bounds(x, r) if conjugates(b, probe)})
 
-    def has_exact_neighbour(self, x: int, r: Role, bound: SignedBound, required: Optional[Triple]) -> bool:
+    def has_exact_neighbour(self, x: int, r: Role, bound: SignedBound, required: Triple) -> bool:
         for y, b in self.neighbour_bounds(x, r):
-            if b == bound and (required is None or required in self.nodes[y].label):
+            if b == bound and required in self.nodes[y].label:
                 return True
         return False
 
@@ -887,12 +884,6 @@ def _pair_clash(f: Forest, a: int, b: int) -> Optional[Clash]:
     return None
 
 
-def _edge_clash(f: Forest) -> Optional[Clash]:
-    if not f.clashing_pairs:
-        return None
-    return _pair_clash(f, *min(f.clashing_pairs))
-
-
 def _has_pairwise_distinct(f: Forest, members: list[int], k: int) -> bool:
     """Whether k of the (distinct) members are pairwise distinct, that is,
     whether the graph of distinct sets on the members has a k-clique."""
@@ -981,9 +972,8 @@ def find_clash(f: Forest) -> Optional[Clash]:
         return Clash("distinct-self", f.self_distinct, ())
     if f.clashing_nodes:
         return _concept_clash(f, f.nodes[min(f.clashing_nodes)])
-    clash = _edge_clash(f)
-    if clash:
-        return clash
+    if f.clashing_pairs:
+        return f.clashing_pairs[min(f.clashing_pairs)]
     if f.pairwise:
         return _first(f, _counting_clash)
     return None
@@ -1121,10 +1111,11 @@ def _merge_pairs(
                 if ny.is_root:
                     continue
                 # the pruned node must hang below x so its edge can be
-                # transferred and emptied
+                # transferred and emptied.  Then z, another neighbour of x,
+                # is x's parent, another child of x or a root, and never
+                # below y: a non-root's only neighbours are its parent and
+                # its children.
                 if ny.parent != x:
-                    continue
-                if y in f.ancestors(z):
                     continue
                 out.append(("merge", x, y, z))
     return out
@@ -1332,7 +1323,6 @@ def extract_model(f: Forest):
     transitive roles are closed under sup-min composition."""
     from .kb import compute_ell
     from .oracle import FuzzyInterpretation
-    from .syntax import subconcepts
 
     if f.pairwise:
         raise NotApplicable("model extraction requires an SI-mode forest")
@@ -1340,11 +1330,8 @@ def extract_model(f: Forest):
     domain = tuple(i for i in sorted(f.nodes) if f.nodes[i].status[0] == UNBLOCKED)
 
     pool: set[Degree] = set()
-    cnames: set[str] = set()
     for node in f.nodes.values():
-        for t in node.label:
-            pool.add(t.degree)
-            cnames.update(sub.id for sub in subconcepts(t.subject) if isinstance(sub, Name))
+        pool.update(t.degree for t in node.label)
     for lab in f.edges.values():
         pool.update(t.degree for t in lab)
     eps = compute_ell(pool)
@@ -1354,8 +1341,8 @@ def extract_model(f: Forest):
         for t in f.nodes[e].label:
             if isinstance(t.subject, Name):
                 concept_bounds.setdefault((t.subject.id, e), []).append(t.bound)
-    concept_map = {(name, e): ZERO for name in cnames for e in domain}
-    concept_map.update((key, _glb_value(b, eps)) for key, b in concept_bounds.items())
+    # a complete interpretation reads a missing name as 0
+    concept_map = {key: _glb_value(b, eps) for key, b in concept_bounds.items()}
 
     bounds_by_pair: dict[tuple[str, int, int], list[SignedBound]] = {}
     for (u, v), lab in f.edges.items():

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fshin
-from fshin import services
+from fshin import oracle, services
 from fshin.cli import main
-from fshin.oracle import search_model
+from fshin.oracle import BudgetExceeded, search_model
 from fshin.parser import parse_kb
 from fshin.services import consistency
 from fshin.tableau import Clash
@@ -77,6 +77,25 @@ def test_subsumes(capsys):
     assert code == 0 and out == "subsumed\n"
     code, out, _ = run(["subsumes", "--sub", "A", "--super", "A and B"], capsys)
     assert code == 1 and out == "not-subsumed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["sat", "--concept", "A and not A"], 0, "satisfiable\n", ""),
+        (["sat", "--concept", "bottom"], 1, "unsatisfiable\n", ""),
+        (["glb", ex("blocking.fkb"), "--assert", "a : A"], 1, "inconsistent-kb\n", ""),
+        (["lub", ex("blocking.fkb"), "--assert", "a : A"], 1, "inconsistent-kb\n", ""),
+        (["entail", ex("example1.fkb"), "--assert", "o1 : Arm"], 2, "",
+         "error: entail requires a bounded assertion, e.g. '... >= 0.5'\n"),
+        (["glb", ex("example1.fkb"), "--assert", "o1 : Arm >= 0.5"], 2, "",
+         "error: glb takes an unbounded assertion, e.g. 'a : C'\n"),
+    ],
+)
+def test_command_paths(capsys, argv, code, out, err):
+    """sat without a degree, glb and lub over an inconsistent KB, and a
+    query bound where the command needs one or refuses one."""
+    assert run(argv, capsys) == (code, out, err)
 
 
 def test_dump_forest(capsys, tmp_path):
@@ -162,9 +181,9 @@ def test_oracle_flag_on_inconsistent_kb(capsys):
     assert code == 1 and out == "inconsistent\n"
 
 
-def test_oracle_flag_rechecks_the_model(monkeypatch):
+def test_oracle_flag_rechecks_the_model(monkeypatch, capsys):
     """A consistent f-SI verdict's model must satisfy the KB: one wrong
-    degree in it is a hard error."""
+    degree in it fails the cross-check, with exit code 4 and no verdict."""
     real = services.model_for
 
     def wrong(result):
@@ -174,8 +193,37 @@ def test_oracle_flag_rechecks_the_model(monkeypatch):
         return model
 
     monkeypatch.setattr(services, "model_for", wrong)
-    with pytest.raises(AssertionError, match="does not satisfy"):
-        main(["check", ex("example1.fkb"), "--oracle", "--quiet"])
+    code, out, err = run(["check", ex("example1.fkb"), "--oracle"], capsys)
+    assert code == 4 and out == ""
+    assert err == (
+        "error: oracle cross-check failed: the model read off a consistent "
+        "verdict does not satisfy the KB\n"
+    )
+
+
+def found_a_model(kb, **_):
+    return object()
+
+
+def out_of_budget(kb, **_):
+    raise BudgetExceeded("model search budget exceeded")
+
+
+@pytest.mark.parametrize(
+    "search, kb, code, out, err",
+    [
+        # a model found for a KB judged inconsistent fails the cross-check
+        (found_a_model, "blocking.fkb", 4, "",
+         "error: oracle cross-check failed: oracle found a model for a KB judged inconsistent\n"),
+        (found_a_model, "example1.fkb", 0, "consistent\n", ""),
+        # a search that runs out of budget settles nothing: the verdict stands
+        (out_of_budget, "blocking.fkb", 1, "inconsistent\n", ""),
+        (out_of_budget, "example1.fkb", 0, "consistent\n", ""),
+    ],
+)
+def test_oracle_flag_model_search_outcomes(monkeypatch, capsys, search, kb, code, out, err):
+    monkeypatch.setattr(oracle, "search_model", search)
+    assert run(["check", ex(kb), "--oracle"], capsys) == (code, out, err)
 
 
 def test_oracle_flag_only_on_check(capsys):

@@ -41,6 +41,9 @@ def test_unfold_inclusion_gets_fresh_primitive():
     assert isinstance(body, And)
     assert body.left == Name("A_prim")
     assert body.right == Name("B")
+    # a body that names A_prim already pushes the fresh primitive past it
+    tbox = TBox(definitions={"A": ("sub", Name("A_prim"))})
+    assert unfold(tbox)["A"] == And(Name("A_prim_"), Name("A_prim"))
 
 
 def test_cyclic_tbox_not_unfoldable():

@@ -23,7 +23,6 @@ from fshin.tableau import (
     _apply_root_merge,
     _concept_clash,
     _counting_clash,
-    _edge_clash,
     _gci_at,
     _generate_node,
     _has_pairwise_distinct,
@@ -386,17 +385,32 @@ def test_dump_format():
     assert lines[2] == "edge 0 -> 1 {⟨r,>=,4/5⟩}"
 
 
-def test_extracted_model_satisfies():
-    text = (
-        "trans r.\n"
-        "assert (a,b): r >= 0.8.\n"
-        "assert a : some r.A >= 0.7.\n"
-        "assert b : all r-.B >= 0.6.\n"
-    )
+@pytest.mark.parametrize(
+    "text, domain",
+    [
+        (
+            "trans r.\n"
+            "assert (a,b): r >= 0.8.\n"
+            "assert a : some r.A >= 0.7.\n"
+            "assert b : all r-.B >= 0.6.\n",
+            (0, 1, 2),
+        ),
+        # forests with directly blocked nodes, whose in-edges the model
+        # redirects to their blockers
+        (EXTRA["si-chain"], (0, 1, 2)),
+        (EXTRA["si-older-unblock"], (0,)),
+        (EXTRA["si-new-blocker"], (0, 1, 2, 3, 5, 6, 12)),
+    ],
+    ids=("trans-r", "si-chain", "si-older-unblock", "si-new-blocker"),
+)
+def test_extracted_model_satisfies(text, domain):
     kb = parse_kb(text)
     res = consistency(kb)
     assert res.consistent
-    model = extract_model(res.forest)
+    model = model_for(res)
+    nodes = res.forest.nodes
+    assert model.domain == domain
+    assert domain == tuple(x for x in sorted(nodes) if nodes[x].status[0] == tableau.UNBLOCKED)
     assert satisfies_kb(model, kb)
 
 
@@ -492,7 +506,8 @@ def check_indexes(f):
         assert all(node.id in f.nodes[y].distinct for y in node.distinct), node.id
         for r in (S, inv(S), R, inv(R)):
             assert f.neighbour_bounds(node.id, r) == scan_neighbour_bounds(f, node.id, r)
-    assert _edge_clash(f) == scan_edge_clash(f)
+    stored = f.clashing_pairs[min(f.clashing_pairs)] if f.clashing_pairs else None
+    assert stored == scan_edge_clash(f)
 
 
 def small_forest():
@@ -526,7 +541,10 @@ def test_index_invariants_under_every_mutation():
     f.union_edge(c, a, {Triple(R, Ineq.GE, F(4, 5))})
     check_indexes(f)
     f.union_edge(a, c, {Triple(inv(R), Ineq.LT, F(1, 2))})  # edge clash
-    assert _edge_clash(f) is not None
+    assert f.clashing_pairs
+    check_indexes(f)
+    f.union_edge(a, c, {Triple(R, Ineq.GT, ONE)})  # an earlier clash replaces it
+    assert f.clashing_pairs[(a, c)].triples == (Triple(R, Ineq.GT, ONE),)
     check_indexes(f)
 
     _generate_node(f, a, Triple(S, Ineq.GE, F(3, 5)), Triple(Name("A"), Ineq.GE, F(3, 5)), "test")
@@ -599,7 +617,25 @@ ROOT_MERGE_KBS = (
     "assert (x,y): s >= 0.9.\nassert (x,z): s >= 0.9.\nassert (v,z): r >= 0.9.\n"
     "assert (v,w): r >= 0.9.\nassert x : <= 1 s >= 0.8.\nassert v : <= 1 r >= 0.8.\n"
     "distinct y w.\n",
+    # either root merge of b and c moves c's s-loop onto the merged root; in
+    # the second KB b's universal then reaches A <= 0.2 through the loop
+    "assert (a,b): s >= 0.9.\nassert (a,c): s >= 0.9.\nassert (c,c): s >= 0.8.\n"
+    "assert a : <= 1 s >= 0.8.\n",
+    "assert (a,b): s >= 0.9.\nassert (a,c): s >= 0.9.\nassert (c,c): s >= 0.8.\n"
+    "assert a : <= 1 s >= 0.8.\nassert b : all s.A >= 0.7.\nassert c : A <= 0.2.\n",
 )
+
+
+def test_root_merge_moves_a_self_loop():
+    """Merging the roots b and c turns c's s-loop into one at the merged
+    root.  search_model(kb, max_domain=3) agrees with both verdicts."""
+    consistent, inconsistent = (parse_kb(text) for text in ROOT_MERGE_KBS[-2:])
+    res = consistency(consistent)
+    assert res.consistent
+    assert any(e[0] == "merge-root" for e in res.trace)
+    (x,) = {e[3] for e in res.trace if e[0] == "merge-root"}
+    assert (x, x) in res.forest.edges
+    assert not consistency(inconsistent).consistent
 
 
 # random GCI KBs whose search undoes block events (the first) and distinct
