@@ -25,7 +25,19 @@ def _load_kb(path: str) -> FuzzyKB:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_kb(text)
+    # a byte-order mark that some editors put before UTF-8 text is not part
+    # of the KB; one anywhere else is refused as a character
+    return parse_kb(text.removeprefix("\ufeff"))
+
+
+def _node_budget(text: str) -> int:
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, found {text!r}")
 
 
 def _emit(args: argparse.Namespace, line: str) -> None:
@@ -136,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("kb", nargs="?", default=None, help=".fkb file, or '-' for stdin")
         p.add_argument(
             "--budget-nodes",
-            type=int,
+            type=_node_budget,
             default=services.DEFAULT_BUDGET,
-            help="work units per consistency check: one per new node, label triple, "
+            help="work units per consistency check, N >= 0: one per new node, label triple, "
             "generator step, expand iteration and clique-search step; entail, glb, lub, "
             "sat and subsumes spend it afresh on each check they run (default %(default)s)",
         )

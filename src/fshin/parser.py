@@ -17,7 +17,9 @@ body).  Roles are NAME or NAME- (inverse).  CMP is >=, >, <=, < or =,
 where "=" stores the >=/<= pair.  Degrees are decimals, integers, or p/q
 fractions, all read exactly.  Comments run from "#" to end of line.
 
-Tokens, after any run of whitespace and comments:
+Tokens are the strings a scan matches after any run of whitespace and
+comments, and the end of input is the empty token "".  A token's kind is
+read off the string:
 
     decimal   DIGITS "." DIGITS
     int       DIGITS
@@ -26,8 +28,9 @@ Tokens, after any run of whitespace and comments:
     sym       >=  <=  ⊑  ≡  (  )  :  ,  .  -  >  <  =  /
 
 DIGITS are Unicode decimal digits (str.isdecimal), a letter is as
-str.isalpha, and whitespace is as str.isspace.  A ParseError's span gives
-the line and column of an offset, where only "\n" starts a new line.
+str.isalpha, and whitespace is as str.isspace.  Offsets are not kept: a
+ParseError's span is found by running the scan again up to its token, and
+gives the line and column of its offset, where only "\n" starts a line.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import Optional
 
 from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, format_degree
 from .kb import FuzzyKB, Query
@@ -63,7 +67,10 @@ class SourceSpan:
     offset: int
 
     @classmethod
-    def at(cls, text: str, offset: int) -> SourceSpan:
+    def of_token(cls, text: str, index: int) -> SourceSpan:
+        """The span of tokenize(text)[index], found by running the same scan
+        again: only an error needs it."""
+        offset = next(islice(_TOKEN.finditer(text), index, None)).start(1)
         line_start = text.rfind("\n", 0, offset) + 1
         return cls(text.count("\n", 0, offset) + 1, offset - line_start + 1, offset)
 
@@ -82,50 +89,40 @@ KEYWORDS = {
     "define", "subsumed-by", "equiv", "implies", "trans", "subrole",
     "assert", "distinct", "top", "bottom", "not", "and", "or", "some", "all",
 }
+_SYMS = {">=", "<=", "⊑", "≡", "(", ")", ":", ",", ".", "-", ">", "<", "=", "/"}
 
-# \w is str.isalnum or "_", so a word may also start with a numeral such as
-# "½"; tokenize refuses those
+# \w is str.isalnum or "_", so a word may start with a numeral such as "½"
+# (tokenize refuses those); after blanks, the end is matched twice
 _TOKEN = re.compile(
     r"""
     (?: \s | \#[^\n]* )*
-    (?: (?P<decimal> \d+ \. \d+ )
-      | (?P<int> \d+ )
-      | (?P<word> subsumed-by | [^\W\d]\w* )
-      | (?P<sym> [<>]= | [⊑≡():,.\-<>=/] )
-      | (?P<eof> \Z )
-      | (?P<bad> . )
-    )
+    ( \d+ \. \d+ | \d+ | subsumed-by | [^\W\d]\w* | [<>]= | [⊑≡():,.\-<>=/] | \Z | . )
     """,
     re.X,
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "name", "keyword", "int", "decimal", "sym", "eof"
-    text: str
-    offset: int
+def _is_name(tok: str) -> bool:
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
 
 
-# builds a Token in C; Token(...) would run NamedTuple's __new__ in Python
-_new_token = tuple.__new__
+def _is_bad(tok: str) -> bool:
+    c = tok[:1]
+    return not (c.isalpha() or c == "_" or c.isdecimal() or tok in _SYMS or not tok)
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word, start = m[kind], m.start(kind)
-        if kind == "word":
-            kind = "keyword" if word in KEYWORDS else "name"
-        if kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
-            raise ParseError(f"unexpected character {word[0]!r}", SourceSpan.at(text, start))
-        toks.append(_new_token(Token, (kind, word, start)))
-        if kind == "eof":
-            break
+def tokenize(text: str) -> list[str]:
+    toks = _TOKEN.findall(text)
+    if len(toks) > 1 and toks[-2] == "":
+        del toks[-1]
+    if any(map(_is_bad, set(toks))):
+        i = next(i for i, tok in enumerate(toks) if _is_bad(tok))
+        raise ParseError(f"unexpected character {toks[i][0]!r}", SourceSpan.of_token(text, i))
     return toks
 
 
 _CMP = {">=": Ineq.GE, ">": Ineq.GT, "<=": Ineq.LE, "<": Ineq.LT}
+_DEFINE_KINDS = {"subsumed-by": "sub", "⊑": "sub", "equiv": "equiv", "≡": "equiv"}
 
 # the only numerals that int() and Fraction() refuse once the tokenizer has
 # matched them
@@ -138,121 +135,135 @@ class _Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.tok = self.toks[0]  # the next token
+        self.degrees: dict[str, Degree] = {}  # each degree text read so far
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tok
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
             self.tok = self.toks[self.pos]
         return tok
 
-    def fail(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        """An error at tok, by default the next token."""
-        return ParseError(message, SourceSpan.at(self.text, (tok or self.tok).offset))
+    def fail(self, message: str, at: Optional[int] = None) -> ParseError:
+        """An error at the token with index at, by default the next one."""
+        return ParseError(message, SourceSpan.of_token(self.text, self.pos if at is None else at))
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.tok
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise self.fail(f"expected {want!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
+    def expected(self, want: str) -> ParseError:
+        return self.fail(f"expected {want!r}, found {self.tok or 'end of input'!r}")
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
+    def expect(self, sym: str) -> None:
+        """Consume sym, or the end of input if sym is ""."""
+        if self.tok != sym:
+            raise self.expected(sym or "eof")
+        self.next()
+
+    def name(self) -> str:
         tok = self.tok
-        return tok.kind == kind and (text is None or tok.text == text)
+        if not _is_name(tok):
+            raise self.expected("name")
+        self.next()
+        return tok
+
+    def integer(self) -> int:
+        tok = self.tok
+        if not tok.isdecimal():
+            raise self.expected("int")
+        try:
+            value = int(tok)
+        except ValueError:
+            raise self.fail(_NUMERAL_ERROR) from None
+        self.next()
+        return value
 
     # --- degrees, roles, concepts ---
 
     def degree(self) -> Degree:
-        tok = self.tok
-        try:
-            if tok.kind == "decimal":
-                self.next()
-                value = Fraction(tok.text)
-            elif tok.kind == "int":
-                self.next()
-                num, den = self.integer(tok), 1
-                if self.at("sym", "/"):
+        """A decimal, an integer or p/q; each distinct text is read and
+        checked once per parse."""
+        at, tok, toks = self.pos, self.tok, self.toks
+        text = tok + "/" + toks[at + 2] if tok.isdecimal() and toks[at + 1] == "/" else tok
+        value = self.degrees.get(text)
+        if value is None:
+            if tok.isdecimal():
+                num = self.integer()
+                den = 1
+                if self.tok == "/":
                     self.next()
-                    den = self.integer(self.expect("int"))
+                    den = self.integer()
+                if not den:
+                    raise self.fail("degree has a zero denominator", at)
                 value = Fraction(num, den)
+            elif tok[:1].isdecimal():
+                try:
+                    value = Fraction(tok)
+                except ValueError:
+                    raise self.fail(_NUMERAL_ERROR) from None
             else:
                 raise self.fail("expected a degree")
-        except ZeroDivisionError:
-            raise self.fail("degree has a zero denominator", tok) from None
-        except ValueError:
-            raise self.fail(_NUMERAL_ERROR, tok) from None
-        if not ZERO <= value <= ONE:
-            raise self.fail(f"degree {format_degree(value)} outside [0,1]", tok)
+            if not ZERO <= value <= ONE:
+                raise self.fail(f"degree {format_degree(value)} outside [0,1]", at)
+            self.degrees[text] = value
+        self.pos = at + (3 if "/" in text else 1)
+        self.tok = toks[self.pos]
         return value
 
-    def integer(self, tok: Token) -> int:
-        try:
-            return int(tok.text)
-        except ValueError:
-            raise self.fail(_NUMERAL_ERROR, tok) from None
-
     def role(self) -> Role:
-        name = self.expect("name")
-        if self.at("sym", "-"):
+        name = self.name()
+        if self.tok == "-":
             self.next()
-            return Role(name.text, inverted=True)
-        return Role(name.text)
+            return Role(name, inverted=True)
+        return Role(name)
 
     def concept(self) -> Concept:
         left = self.conjunction()
-        while self.at("keyword", "or"):
+        while self.tok == "or":
             self.next()
             left = Or(left, self.conjunction())
         return left
 
     def conjunction(self) -> Concept:
         left = self.primary()
-        while self.at("keyword", "and"):
+        while self.tok == "and":
             self.next()
             left = And(left, self.primary())
         return left
 
     def primary(self) -> Concept:
         tok = self.tok
-        if tok.kind == "keyword":
-            if tok.text == "top":
-                self.next()
-                return TOP
-            if tok.text == "bottom":
-                self.next()
-                return BOTTOM
-            if tok.text == "not":
-                self.next()
-                return Not(self.primary())
-            if tok.text in ("some", "all"):
-                self.next()
-                role = self.role()
-                self.expect("sym", ".")
-                body = self.primary()
-                return Exists(role, body) if tok.text == "some" else Forall(role, body)
-            raise self.fail(f"unexpected keyword {tok.text!r} in concept")
-        if tok.kind == "name":
+        if tok in KEYWORDS:
             self.next()
-            return Name(tok.text)
-        if tok.kind == "sym" and tok.text == "(":
+            if tok == "top":
+                return TOP
+            if tok == "bottom":
+                return BOTTOM
+            if tok == "not":
+                return Not(self.primary())
+            if tok == "some" or tok == "all":
+                role = self.role()
+                self.expect(".")
+                body = self.primary()
+                return Exists(role, body) if tok == "some" else Forall(role, body)
+            raise self.fail(f"unexpected keyword {tok!r} in concept", self.pos - 1)
+        if _is_name(tok):
+            self.next()
+            return Name(tok)
+        if tok == "(":
             self.next()
             inner = self.concept()
-            self.expect("sym", ")")
+            self.expect(")")
             return inner
-        if tok.kind == "sym" and tok.text in (">=", "<="):
+        if tok == ">=" or tok == "<=":
             self.next()
-            count = self.integer(self.expect("int"))
+            count = self.integer()
             role = self.role()
-            return AtLeast(count, role) if tok.text == ">=" else AtMost(count, role)
-        raise self.fail(f"expected a concept, found {tok.text or 'end of input'!r}")
+            return AtLeast(count, role) if tok == ">=" else AtMost(count, role)
+        raise self.fail(f"expected a concept, found {tok or 'end of input'!r}")
 
     def bounds(self) -> list[SignedBound]:
         tok = self.tok
-        if tok.kind == "sym" and tok.text in _CMP:
-            self.next()
-            return [SignedBound(_CMP[tok.text], self.degree())]
-        if tok.kind == "sym" and tok.text == "=":
+        if tok in _CMP:
+            return [SignedBound(_CMP[self.next()], self.degree())]
+        if tok == "=":
             self.next()
             d = self.degree()
             return [SignedBound(Ineq.GE, d), SignedBound(Ineq.LE, d)]
@@ -262,52 +273,44 @@ class _Parser:
 
     def kb(self) -> FuzzyKB:
         out = FuzzyKB()
-        while not self.at("eof"):
+        while self.tok:
             self.statement(out)
-            self.expect("sym", ".")
+            self.expect(".")
         return out
 
     def statement(self, out: FuzzyKB) -> None:
         tok = self.tok
-        if tok.kind != "keyword":
-            raise self.fail(f"expected a statement, found {tok.text or 'end of input'!r}")
-        if tok.text == "define":
+        if tok not in KEYWORDS:
+            raise self.fail(f"expected a statement, found {tok or 'end of input'!r}")
+        self.next()
+        if tok == "define":
+            at = self.pos
+            name = self.name()
+            kind = _DEFINE_KINDS.get(self.tok)
+            if kind is None:
+                raise self.fail("expected 'subsumed-by' or 'equiv'")
             self.next()
-            name = self.expect("name")
-            kind_tok = self.next()
-            if (kind_tok.kind, kind_tok.text) in (("keyword", "subsumed-by"), ("sym", "⊑")):
-                kind = "sub"
-            elif (kind_tok.kind, kind_tok.text) in (("keyword", "equiv"), ("sym", "≡")):
-                kind = "equiv"
-            else:
-                raise self.fail("expected 'subsumed-by' or 'equiv'", kind_tok)
-            if name.text in out.tbox.definitions:
-                raise self.fail(f"duplicate definition of {name.text!r}", name)
-            out.tbox.definitions[name.text] = (kind, self.concept())
-        elif tok.text == "implies":
-            self.next()
+            if name in out.tbox.definitions:
+                raise self.fail(f"duplicate definition of {name!r}", at)
+            out.tbox.definitions[name] = (kind, self.concept())
+        elif tok == "implies":
             lhs = self.concept()
             rhs = self.concept()
             out.tbox.gcis.append((lhs, rhs))
-        elif tok.text == "trans":
-            self.next()
-            role = self.role()
-            out.rbox.transitive.add(role.name)
-        elif tok.text == "subrole":
-            self.next()
+        elif tok == "trans":
+            out.rbox.transitive.add(self.role().name)
+        elif tok == "subrole":
             sub = self.role()
             sup = self.role()
             out.rbox.inclusions.add((sub, sup))
-        elif tok.text == "assert":
-            self.next()
+        elif tok == "assert":
             self.assertion(out)
-        elif tok.text == "distinct":
-            self.next()
-            a = self.expect("name")
-            b = self.expect("name")
-            out.abox.inequalities.add(frozenset((a.text, b.text)))
+        elif tok == "distinct":
+            a = self.name()
+            b = self.name()
+            out.abox.inequalities.add(frozenset((a, b)))
         else:
-            raise self.fail(f"unexpected keyword {tok.text!r}")
+            raise self.fail(f"unexpected keyword {tok!r}", self.pos - 1)
 
     def assertion(self, out: FuzzyKB) -> None:
         subject = self.subject()
@@ -317,19 +320,19 @@ class _Parser:
     def subject(self, lone: bool = False) -> Query:
         """What an assertion bounds: "(a, b) : r" as (a, b, r) or "a : C" as
         (a, C); with lone, "(a) : C" as well."""
-        if not self.at("sym", "("):
-            a = self.expect("name").text
+        if self.tok != "(":
+            a = self.name()
         else:
             self.next()
-            a = self.expect("name").text
-            if not lone or self.at("sym", ","):
-                self.expect("sym", ",")
-                b = self.expect("name").text
-                self.expect("sym", ")")
-                self.expect("sym", ":")
+            a = self.name()
+            if not lone or self.tok == ",":
+                self.expect(",")
+                b = self.name()
+                self.expect(")")
+                self.expect(":")
                 return (a, b, self.role())
-            self.expect("sym", ")")
-        self.expect("sym", ":")
+            self.expect(")")
+        self.expect(":")
         return (a, self.concept())
 
 
@@ -342,14 +345,14 @@ def parse_degree(text: str) -> Degree:
     p/q."""
     p = _Parser(text)
     d = p.degree()
-    p.expect("eof")
+    p.expect("")
     return d
 
 
 def parse_concept(text: str) -> Concept:
     p = _Parser(text)
     c = p.concept()
-    p.expect("eof")
+    p.expect("")
     return c
 
 
@@ -359,14 +362,11 @@ def parse_query(text: str) -> tuple[Query, Optional[SignedBound]]:
     p = _Parser(text)
     subject = p.subject(lone=True)
     bound: Optional[SignedBound] = None
-    if not p.at("eof"):
-        tok = p.tok
-        if tok.kind == "sym" and tok.text in _CMP:
-            p.next()
-            bound = SignedBound(_CMP[tok.text], p.degree())
-        else:
+    if p.tok:
+        if p.tok not in _CMP:
             raise p.fail("expected a comparison or end of query")
-    p.expect("eof")
+        bound = SignedBound(_CMP[p.next()], p.degree())
+    p.expect("")
     return subject, bound
 
 

@@ -166,6 +166,18 @@ def test_budget_exit_3(capsys, tmp_path):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["-1", "x"])
+def test_negative_budget_is_a_usage_error(budget, capsys):
+    code, out, err = run(["check", ex("example1.fkb"), "--budget-nodes", budget], capsys)
+    assert code == 2 and out == ""
+    assert f"argument --budget-nodes: expected an integer >= 0, found '{budget}'" in err
+
+
+def test_zero_budget_runs_out_at_once(capsys):
+    code, out, err = run(["check", ex("example1.fkb"), "--budget-nodes", "0"], capsys)
+    assert (code, out, err) == (3, "", "error: node budget exceeded\n")
+
+
 def test_quiet_suppresses_stdout(capsys):
     code, out, _ = run(["check", ex("example1.fkb"), "--quiet"], capsys)
     assert code == 0 and out == ""
@@ -240,6 +252,19 @@ def test_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("assert a : A >= 0.5.\n"))
     code, out, _ = run(["check", "-"], capsys)
     assert code == 0 and out == "consistent\n"
+
+
+def test_leading_byte_order_mark_is_skipped(capsys, monkeypatch, tmp_path):
+    """As some editors save UTF-8: a BOM before the KB, in a file or on
+    stdin, is skipped; one anywhere else is an unexpected character."""
+    path = tmp_path / "bom.fkb"
+    path.write_bytes("assert a : A >= 0.5.\n".encode("utf-8-sig"))
+    assert run(["check", str(path)], capsys) == (0, "consistent\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffassert a : A < 0.5.\n"))
+    assert run(["check", "-"], capsys) == (0, "consistent\n", "")
+    path.write_text("\ufeffassert a : A >= 0.5.\n\ufeff", encoding="utf-8")
+    err = "error: 2:1: unexpected character '\\ufeff'\n"
+    assert run(["check", str(path)], capsys) == (2, "", err)
 
 
 def test_output_stable_across_runs():

@@ -8,7 +8,9 @@ from fshin.degrees import Ineq, SignedBound
 from fshin.kb import ABox, ConceptAssertion, FuzzyKB, RBox, RoleAssertion, TBox
 from fshin.parser import (
     ParseError,
+    SourceSpan,
     parse_concept,
+    parse_degree,
     parse_kb,
     parse_query,
     serialize_kb,
@@ -27,6 +29,8 @@ from fshin.syntax import (
     Role,
     TOP,
 )
+
+import parsecorpus
 
 
 def test_role_assertion_example():
@@ -108,10 +112,40 @@ def test_errors_carry_spans():
         # numerals past int()'s default limit of 4300 digits
         (f"assert a : A >= 0.{LONG}.", NUMERAL_ERROR, (1, 17, 16)),
         (f"assert a : >= {LONG} r >= 0.5.", NUMERAL_ERROR, (1, 15, 14)),
+        ("define A subsumed-by B.\ndefine A equiv C.", "duplicate definition of 'A'", (2, 8, 31)),
+        ("define A ⊑ B.\ndefine A ≡ C.", "duplicate definition of 'A'", (2, 8, 21)),
+        ("define A foo B.", "expected 'subsumed-by' or 'equiv'", (1, 10, 9)),
+        ("define A", "expected 'subsumed-by' or 'equiv'", (1, 9, 8)),
+        ("define A ≡ ⊑ B.", "expected a concept, found '⊑'", (1, 12, 11)),
+        ("define A ⊑ B ≡ C.", "expected '.', found '≡'", (1, 14, 13)),
+        # a word may not start with a numeral that is not a decimal digit
+        ("assert a : ½x >= 1.", "unexpected character '½'", (1, 12, 11)),
+        # bad characters are refused before any parsing, the first one first
+        ("a : ½ b @", "unexpected character '½'", (1, 5, 4)),
+        ("assert a : A and trans >= 1.", "unexpected keyword 'trans' in concept", (1, 18, 17)),
+        ("assert a : ) >= 1.", "expected a concept, found ')'", (1, 12, 11)),
+        ("a : A >= 1.", "expected a statement, found 'a'", (1, 1, 0)),
+        ("top.", "unexpected keyword 'top'", (1, 1, 0)),
+        ("assert a : >= x r >= 1.", "expected 'int', found 'x'", (1, 15, 14)),
+        ("assert a : >= 1.5 r >= 1.", "expected 'int', found '1.5'", (1, 15, 14)),
+        ("assert a : A >= 1/x.", "expected 'int', found 'x'", (1, 19, 18)),
+        ("assert a : A >= x.", "expected a degree", (1, 17, 16)),
+        ("assert a : A.", "expected a comparison (>=, >, <=, <, =)", (1, 13, 12)),
+        ("assert (a, b) : r- >= 1/3. trans .", "expected 'name', found '.'", (1, 34, 33)),
     ]
-    for text, message, where in cases:
+    cases = [(parse_kb, *case) for case in cases] + [
+        (parse_concept, "A B", "expected 'eof', found 'B'", (1, 3, 2)),
+        (parse_concept, "and A", "unexpected keyword 'and' in concept", (1, 1, 0)),
+        (parse_degree, "", "expected a degree", (1, 1, 0)),
+        (parse_degree, "1/2 x", "expected 'eof', found 'x'", (1, 5, 4)),
+        (parse_query, "a : A x", "expected a comparison or end of query", (1, 7, 6)),
+        (parse_query, "a : A = 0.5", "expected a comparison or end of query", (1, 7, 6)),
+        (parse_query, "a : A >= 0.5 x", "expected 'eof', found 'x'", (1, 14, 13)),
+        (parse_query, "(a) : A >= 2", "degree 2 outside [0,1]", (1, 12, 11)),
+    ]
+    for parse, text, message, where in cases:
         with pytest.raises(ParseError) as e:
-            parse_kb(text)
+            parse(text)
         assert e.value.message == message
         assert (e.value.span.line, e.value.span.column, e.value.span.offset) == where
         assert str(e.value) == f"{where[0]}:{where[1]}: {message}"
@@ -230,11 +264,24 @@ def test_tokens_tile_the_input(source):
         toks = tokenize(source)
     except ParseError:
         return
-    assert toks[-1].kind == "eof" and toks[-1].offset == len(source)
+    offsets = [SourceSpan.of_token(source, i).offset for i in range(len(toks))]
+    assert toks[-1] == "" and offsets[-1] == len(source)
     end = 0
-    for tok in toks:
-        assert tok.offset >= end
-        assert tok.text == source[tok.offset : tok.offset + len(tok.text)]
-        assert _blank(source[end : tok.offset], tok.kind == "eof")
-        end = tok.offset + len(tok.text)
-    assert [t.kind for t in toks].count("eof") == 1
+    for tok, offset in zip(toks, offsets):
+        assert offset >= end
+        assert tok == source[offset : offset + len(tok)]
+        assert _blank(source[end:offset], tok == "")
+        end = offset + len(tok)
+    assert toks.count("") == 1
+
+
+# --- pinned parse corpus ---
+
+# parsecorpus.digest(1, 5000), recorded with the parser as it stood before
+# the tokenizer was rewritten to string tokens; a parser change must keep
+# every result, message and span, so it must keep this digest
+CORPUS_DIGEST = ("30264bb6ef7175327eaceabcf13a6cb1bb318e54d1ca60726614fc2849a613bd", 779)
+
+
+def test_parse_corpus_digest():
+    assert parsecorpus.digest(1, 5000) == CORPUS_DIGEST
