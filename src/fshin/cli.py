@@ -9,6 +9,7 @@ from typing import Optional
 from . import services
 from .degrees import format_degree
 from .kb import FuzzyKB
+from .oracle import BudgetExceeded
 from .parser import ParseError, parse_concept, parse_degree, parse_kb, parse_query
 from .tableau import ResourceLimit
 
@@ -45,29 +46,13 @@ def _emit(args: argparse.Namespace, line: str) -> None:
         print(line)
 
 
-def _oracle_check(kb: FuzzyKB, result: services.ConsistencyResult) -> Optional[str]:
-    """Cross-check a verdict with the oracle: the model read off a
-    consistent f-SI verdict must satisfy the KB, and a small-scale model
-    search must not find a model for an inconsistent one.  Returns what
-    failed, or None; a search that runs out of budget is ignored."""
-    from .oracle import BudgetExceeded, satisfies_kb, search_model
-
-    if result.consistent and result.prepared.mode == "si":
-        if not satisfies_kb(services.model_for(result), kb):
-            return "the model read off a consistent verdict does not satisfy the KB"
-    try:
-        model = search_model(kb, max_domain=2, budget=200_000)
-    except BudgetExceeded:
-        return None
-    if model is not None and not result.consistent:
-        return "oracle found a model for a KB judged inconsistent"
-    return None
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     result = services.consistency(kb, args.budget_nodes)
-    failure = args.oracle and _oracle_check(kb, result)
+    try:
+        failure = args.oracle and services.cross_check(kb, result)
+    except BudgetExceeded:  # a model search that runs out settles nothing
+        failure = None
     if failure:
         print(f"error: oracle cross-check failed: {failure}", file=sys.stderr)
         return EXIT_ORACLE

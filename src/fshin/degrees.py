@@ -25,11 +25,7 @@ DegreeLike = Union[Degree, int, str]
 
 def to_degree(value: DegreeLike) -> Degree:
     """Convert an int, exact-decimal string, or "p/q" string to a Degree."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)  # handles "0.75" and "3/4" exactly
     raise TypeError(f"cannot interpret {value!r} as a degree")
 

@@ -201,7 +201,11 @@ class _Parser:
             else:
                 raise self.fail("expected a degree")
             if not ZERO <= value <= ONE:
-                raise self.fail(f"degree {format_degree(value)} outside [0,1]", at)
+                try:
+                    message = f"degree {format_degree(value)} outside [0,1]"
+                except ValueError:  # too many digits for str() to print
+                    message = "degree outside [0,1]"
+                raise self.fail(message, at)
             self.degrees[text] = value
         self.pos = at + (3 if "/" in text else 1)
         self.tok = toks[self.pos]

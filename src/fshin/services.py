@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
+from . import oracle
 from .degrees import (
     Degree,
     HALF,
@@ -34,6 +36,7 @@ from .syntax import Concept, Name, nnf
 from .tableau import (
     DEFAULT_BUDGET,
     Budget,
+    NotApplicable,
     SolveResult,
     extract_model,
     init_forest,
@@ -68,32 +71,29 @@ def prepare(kb: FuzzyKB) -> Prepared:
             f"number restriction {bad[0]} is over the non-simple role "
             f"{bad[0].role}; f-SHIN allows only simple roles there"
         )
-    if mode == "gci":
-        gcis: list[tuple[Concept, Concept]] = []
-        for name, (kind, body) in kb.tbox.definitions.items():
-            gcis.append((Name(name), nnf(body)))
-            if kind == "equiv":
-                gcis.append((nnf(body), Name(name)))
-        for lhs, rhs in kb.tbox.gcis:
-            gcis.append((nnf(lhs), nnf(rhs)))
-        unfolded = {}
-        mapped = nnf
-    else:
-        unfolded = unfold(kb.tbox)
-        mapped = partial(expand_concept, unfolded=unfolded)
-    abox = ABox(
-        [
-            ConceptAssertion(ca.individual, mapped(ca.concept), ca.bound)
-            for ca in kb.abox.concept_assertions
-        ],
-        list(kb.abox.role_assertions),
-        set(kb.abox.inequalities),
-    )
     if mode != "gci":
+        unfolded = unfold(kb.tbox)
+        abox = _map_concepts(kb.abox, partial(expand_concept, unfolded=unfolded))
         return Prepared(mode, abox, rbox, unfolded, (), (), None)
-    ell = compute_ell(abox.degrees())
-    abox, xa = normalize_for_gci(abox, ell)
-    return Prepared(mode, abox, rbox, unfolded, tuple(gcis), xa, ell)
+    gcis: list[tuple[Concept, Concept]] = []
+    for name, (kind, body) in kb.tbox.definitions.items():
+        gcis.append((Name(name), nnf(body)))
+        if kind == "equiv":
+            gcis.append((nnf(body), Name(name)))
+    for lhs, rhs in kb.tbox.gcis:
+        gcis.append((nnf(lhs), nnf(rhs)))
+    ell = compute_ell(kb.abox.degrees())
+    abox, xa = normalize_for_gci(_map_concepts(kb.abox, nnf), ell)
+    return Prepared(mode, abox, rbox, {}, tuple(gcis), xa, ell)
+
+
+def _map_concepts(abox: ABox, fn) -> ABox:
+    """A copy of abox with fn applied to each asserted concept."""
+    return ABox(
+        [ConceptAssertion(a.individual, fn(a.concept), a.bound) for a in abox.concept_assertions],
+        list(abox.role_assertions),
+        set(abox.inequalities),
+    )
 
 
 @dataclass
@@ -112,12 +112,8 @@ def consistency(kb: FuzzyKB, budget: int = DEFAULT_BUDGET) -> ConsistencyResult:
 
 def _fresh_individual(kb: FuzzyKB) -> str:
     taken = set(kb.abox.individuals())
-    name = "x0"
-    n = 0
-    while name in taken:
-        n += 1
-        name = f"x{n}"
-    return name
+    n = next(n for n in itertools.count() if f"x{n}" not in taken)
+    return f"x{n}"
 
 
 def satisfiable(c: Concept, kb: Optional[FuzzyKB] = None, budget: int = DEFAULT_BUDGET) -> bool:
@@ -217,16 +213,31 @@ def subsumes(
     return True
 
 
-def model_for(result: ConsistencyResult):
-    """Finite interpretation for a consistent SI verdict, with the original
-    KB's defined concept names interpreted through their unfoldings.  A name
-    in an unfolding that no label bounds is free, and reads 0."""
-    from .oracle import eval_concept
-
+def model_for(result: ConsistencyResult) -> Optional[oracle.FuzzyInterpretation]:
+    """The finite model read off a consistent verdict's forest, the KB's
+    defined names read through their unfoldings (a name no label bounds reads
+    0), or None where extract_model reads none (f-SHIN and GCI verdicts)."""
     if not result.consistent or result.forest is None:
         raise ValueError("no model: the knowledge base is inconsistent")
-    model = extract_model(result.forest)
+    try:
+        model = extract_model(result.forest)
+    except NotApplicable:
+        return None
     for name, body in result.prepared.unfolded.items():
         for e in model.domain:
-            model.concept_map[(name, e)] = eval_concept(model, body, e)
+            model.concept_map[(name, e)] = oracle.eval_concept(model, body, e)
     return model
+
+
+def cross_check(kb: FuzzyKB, result: ConsistencyResult) -> Optional[str]:
+    """What fails when the oracle checks the verdict on kb, or None: the
+    model_for model of a consistent verdict, if any, must satisfy kb, and an
+    inconsistent kb must have no model of at most two elements.  Raises
+    oracle.BudgetExceeded when that search runs out of its budget."""
+    if result.consistent:
+        model = model_for(result)
+        if model is not None and not oracle.satisfies_kb(model, kb):
+            return "the model read off a consistent verdict does not satisfy the KB"
+    elif oracle.search_model(kb, max_domain=2, budget=200_000) is not None:
+        return "oracle found a model for a KB judged inconsistent"
+    return None

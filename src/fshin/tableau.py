@@ -9,7 +9,10 @@ on pair-wise blocking and the number-restriction rules.
 
 Rule priority (fixed, deterministic): clash check, then negation pushing,
 then deterministic decompositions, then propagations, then merges, then
-generators, then the remaining nondeterministic splits.  Nodes are always
+generators, then the remaining nondeterministic splits.  _RULES lists the
+rules in that order; Forest.rules keeps those the forest's fragment runs,
+and expand walks it: f-SI leaves out both merges, the at-least generator
+and the inclusion split, f-SHIN the inclusion split.  Nodes are always
 scanned oldest-first and label sets in a canonical order, so identical
 input yields identical behaviour.  Each rule is written once: _propagate
 holds negation, decomposition and the table _PROPAGATIONS (universal,
@@ -470,6 +473,9 @@ class Forest:
         # (n, lhs <= n - ell, rhs >= n) for each degree n of the GCI degree
         # set and each inclusion lhs (= rhs, in scan order
         self.gci_splits = gci_splits
+        # the rules this fragment runs, in priority order
+        skip = set() if pairwise else {_merge_at, _merge_roots_at, _rule_atleast}
+        self.rules = tuple(r for r in _RULES if r not in skip and (gci_splits or r is not _gci_at))
         self.nodes: dict[int, Node] = {}
         # edge labels are replaced, never changed in place, so a clone or an
         # undo record may share them
@@ -974,9 +980,7 @@ def find_clash(f: Forest) -> Optional[Clash]:
         return _concept_clash(f, f.nodes[min(f.clashing_nodes)])
     if f.clashing_pairs:
         return f.clashing_pairs[min(f.clashing_pairs)]
-    if f.pairwise:
-        return _first(f, _counting_clash)
-    return None
+    return _first(f, _counting_clash) if f.pairwise else None
 
 
 def _first(f: Forest, at):
@@ -1074,7 +1078,7 @@ def _rule_forall_neg(f: Forest, node: Node) -> bool:
 
 
 def _rule_atleast(f: Forest, node: Node) -> bool:
-    if not f.pairwise or node.status[0] != UNBLOCKED:
+    if node.status[0] != UNBLOCKED:
         return False
     for c, edge, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
         members = sorted({y for y, b in f.neighbour_bounds(node.id, c.role) if b == edge.bound})
@@ -1205,12 +1209,13 @@ def _gci_at(f: Forest, node: Node) -> Optional[ChoicePoint]:
 # --- search ---
 
 
-_GENERATORS = (_rule_exists_pos, _rule_forall_neg, _rule_atleast)
-
-# the scan groups, each with its bit in Node.dirty (see _first)
-_GROUPS = (
-    _propagate, _merge_at, _merge_roots_at, *_GENERATORS, _split_at, _gci_at, _counting_clash,
+# the rules in priority order: propagations, merges, generators, splits
+_RULES = (
+    _propagate, _merge_at, _merge_roots_at, _rule_exists_pos, _rule_forall_neg, _rule_atleast,
+    _split_at, _gci_at,
 )
+# the scan groups, each with its bit in Node.dirty (see _first)
+_GROUPS = (*_RULES, _counting_clash)
 _GROUP_BITS = {at: 1 << i for i, at in enumerate(_GROUPS)}
 _SCANS = (1 << len(_GROUPS)) - 1
 # the bit for Forest.blocking, past the scan groups' bits
@@ -1230,16 +1235,14 @@ def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
         if clash:
             f.trace.append(("clash", clash))
             return clash
-        # node-major: exhaust one node's propagations before the next node's
-        if _first(f, _propagate):
-            continue
-        if f.pairwise:
-            cp = _first(f, _merge_at) or _first(f, _merge_roots_at)
-            if cp:
-                return cp
-        if any(_first(f, rule) for rule in _GENERATORS):
-            continue
-        return _first(f, _split_at) or (_first(f, _gci_at) if f.gci_splits else None)
+        # the first rule that applies: a deterministic one (True) starts over,
+        # a merge or a split returns its choice point, and None means complete
+        for rule in f.rules:
+            out = _first(f, rule)
+            if out:
+                break
+        if out is not True:
+            return out
 
 
 def apply_alternative(f: Forest, alt: tuple) -> None:

@@ -5,13 +5,12 @@ oracle and against planted answers.
 
 Draws K knowledge bases from each of four genkb generators (f-ALC, f-SHIN,
 TBoxes with and without general inclusions, and the colouring family) and
-checks each verdict the tableau gives within budget B.  A mismatch is:
-
-- "inconsistent" where oracle.search_model finds a model of at most two
-  elements;
-- "consistent" on an f-SI KB where model_for's model fails
-  oracle.satisfies_kb;
-- a colouring KB's verdict other than its planted one.
+checks each verdict the tableau gives within budget B.  A mismatch is a
+colouring KB's verdict other than its planted one, or any other verdict
+that fails services.cross_check, the check that `fshin check --oracle`
+runs too: "consistent" where model_for reads a model off the forest (f-SI
+verdicts) and that model fails oracle.satisfies_kb, or "inconsistent"
+where oracle.search_model finds a model of at most two elements.
 
 It prints one JSON object per generator with the counts agree (answered,
 and no check found a fault), mismatch, exhausted (the tableau ran out of
@@ -32,14 +31,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fshin.kb import detect_mode  # noqa: E402
-from fshin.oracle import BudgetExceeded, satisfies_kb, search_model  # noqa: E402
+from fshin.oracle import BudgetExceeded  # noqa: E402
 from fshin.parser import serialize_kb  # noqa: E402
-from fshin.services import consistency, model_for  # noqa: E402
+from fshin.services import consistency, cross_check  # noqa: E402
 from fshin.tableau import ResourceLimit  # noqa: E402
 
 from genkb import random_alc_kb, random_colouring_kb, random_shin_kb, random_tbox_kb  # noqa: E402
-
-ORACLE_BUDGET = 200_000
 
 # name -> rng -> (KB, planted verdict or None)
 GENERATORS = {
@@ -60,11 +57,9 @@ def outcome(kb, planted, budget: int) -> tuple[str, str]:
         return "exhausted", mode
     if planted is not None:
         wrong = result.consistent != planted
-    elif result.consistent:
-        wrong = mode == "si" and not satisfies_kb(model_for(result), kb)
     else:
         try:
-            wrong = search_model(kb, max_domain=2, budget=ORACLE_BUDGET) is not None
+            wrong = cross_check(kb, result) is not None
         except BudgetExceeded:
             return "oracle_exhausted", mode
     return ("mismatch" if wrong else "agree"), mode

@@ -238,6 +238,36 @@ def test_oracle_flag_model_search_outcomes(monkeypatch, capsys, search, kb, code
     assert run(["check", ex(kb), "--oracle"], capsys) == (code, out, err)
 
 
+def test_oracle_flag_searches_only_for_an_inconsistent_verdict(monkeypatch, capsys, tmp_path):
+    """A found model can only refute an inconsistent verdict, so check
+    --oracle never searches for a consistent one (f-SI, f-SHIN, GCI or
+    empty) and searches once for an inconsistent one."""
+    def refuse(kb, **_):
+        raise AssertionError("model search on a consistent verdict")
+
+    monkeypatch.setattr(oracle, "search_model", refuse)
+    shin = tmp_path / "shin.fkb"
+    shin.write_text("assert a : (<= 1 r) >= 0.8.\nassert (a, b): r >= 0.7.\n")
+    gci = tmp_path / "gci.fkb"
+    gci.write_text("implies >= 1 R C.\nassert (a, b): R >= 0.6.\n")
+    for kb in (ex("example1.fkb"), ex("empty.fkb"), str(shin), str(gci)):
+        assert run(["check", kb, "--oracle"], capsys) == (0, "consistent\n", "")
+    calls = []
+    monkeypatch.setattr(oracle, "search_model", lambda kb, **_: calls.append(kb))
+    for name in ("blocking.fkb", "gci.fkb"):
+        calls.clear()
+        assert run(["check", ex(name), "--oracle"], capsys) == (1, "inconsistent\n", "")
+        assert len(calls) == 1
+
+
+def test_out_of_range_degree_too_long_to_print_exit_2(tmp_path, capsys):
+    """A degree whose decimal has more digits than str() of an int prints is
+    refused like any other out-of-range degree, without its value."""
+    path = tmp_path / "huge.fkb"
+    path.write_text(f"assert a : A >= {'9' * 4300}.5.\n")
+    assert run(["check", str(path)], capsys) == (2, "", "error: 1:17: degree outside [0,1]\n")
+
+
 def test_oracle_flag_only_on_check(capsys):
     """Only check runs the cross-check, so the other commands refuse the
     flag rather than ignore it."""

@@ -97,6 +97,7 @@ def test_statements():
 
 LONG = "1" * 5000
 NUMERAL_ERROR = "numeral has more digits than sys.get_int_max_str_digits() allows"
+HUGE = "9" * 4300
 
 
 def test_errors_carry_spans():
@@ -112,6 +113,9 @@ def test_errors_carry_spans():
         # numerals past int()'s default limit of 4300 digits
         (f"assert a : A >= 0.{LONG}.", NUMERAL_ERROR, (1, 17, 16)),
         (f"assert a : >= {LONG} r >= 0.5.", NUMERAL_ERROR, (1, 15, 14)),
+        # numerals int() reads, of degrees whose decimal str() cannot print
+        (f"assert a : A >= {HUGE}.5.", "degree outside [0,1]", (1, 17, 16)),
+        (f"assert a : A >= {HUGE}/2.", "degree outside [0,1]", (1, 17, 16)),
         ("define A subsumed-by B.\ndefine A equiv C.", "duplicate definition of 'A'", (2, 8, 31)),
         ("define A ⊑ B.\ndefine A ≡ C.", "duplicate definition of 'A'", (2, 8, 21)),
         ("define A foo B.", "expected 'subsumed-by' or 'equiv'", (1, 10, 9)),
@@ -138,6 +142,7 @@ def test_errors_carry_spans():
         (parse_concept, "and A", "unexpected keyword 'and' in concept", (1, 1, 0)),
         (parse_degree, "", "expected a degree", (1, 1, 0)),
         (parse_degree, "1/2 x", "expected 'eof', found 'x'", (1, 5, 4)),
+        (parse_degree, HUGE + ".5", "degree outside [0,1]", (1, 1, 0)),
         (parse_query, "a : A x", "expected a comparison or end of query", (1, 7, 6)),
         (parse_query, "a : A = 0.5", "expected a comparison or end of query", (1, 7, 6)),
         (parse_query, "a : A >= 0.5 x", "expected 'eof', found 'x'", (1, 14, 13)),

@@ -422,16 +422,32 @@ def test_model_for_consistent_kb():
     for kb in kbs:
         assert consistency(kb).consistent
     rng = random.Random(11)
-    # inclusions would make the KB GCI, where model_for does not apply
+    # inclusions would make the KB GCI, where model_for returns None
     kbs += [kb for kb in (random_tbox_kb(rng) for _ in range(200)) if not kb.tbox.gcis]
     checked = 0
     for kb in kbs:
         res = consistency(kb)
         if res.consistent:
-            assert res.prepared.mode == "si"
-            assert satisfies_kb(model_for(res), kb)
+            model = model_for(res)
+            assert model is not None and satisfies_kb(model, kb)
             checked += 1
     assert checked >= 40
+
+
+def test_model_for_reads_no_model_off_a_pairwise_forest():
+    """A consistent GCI or f-SHIN verdict has no model that model_for reads
+    off its forest, so it returns None; an inconsistent verdict has none at
+    all, and it raises."""
+    gci = (EXAMPLES / "gci.fkb").read_text()
+    shin = "assert a : (<= 1 r) >= 0.8.\nassert (a, b): r >= 0.7.\ndistinct a b."
+    for text, mode in ((gci.rsplit("assert", 1)[0], "gci"), (shin, "shin")):
+        res = consistency(parse_kb(text))
+        assert res.consistent and res.prepared.mode == mode
+        assert model_for(res) is None
+    res = consistency(parse_kb(gci))
+    assert not res.consistent
+    with pytest.raises(ValueError, match="inconsistent"):
+        model_for(res)
 
 
 def test_entailment_antitone_in_degree():

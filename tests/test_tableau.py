@@ -603,6 +603,35 @@ SCAN_GROUPS = (
     _rule_forall_neg, _rule_atleast, _split_at, _gci_at,
 )
 
+# the rules a forest of each fragment leaves out
+LEFT_OUT = {
+    "si": {_merge_at, _merge_roots_at, _rule_atleast, _gci_at},
+    "shin": {_gci_at},
+    "gci": set(),
+}
+FRAGMENT_KBS = {
+    "si": "assert a : some r.A >= 0.5.\nassert a : all r.(not A) >= 0.6.",
+    "shin": "assert a : (<= 1 r) >= 0.8.\nassert (a, b): r >= 0.7.",
+    "gci": "implies >= 1 R C.\nassert (a, b): R >= 0.6.\nassert a : C < 0.6.",
+}
+
+
+def test_each_fragment_runs_its_rules():
+    """Forest.rules is the rule tuple in priority order, less the rules the
+    forest's fragment never runs: f-SI has no merges, at-least generator or
+    inclusion split, and f-SHIN no inclusion split."""
+    assert tableau._RULES == (
+        _propagate, _merge_at, _merge_roots_at, _rule_exists_pos, _rule_forall_neg,
+        _rule_atleast, _split_at, _gci_at,
+    )
+    assert set(tableau._RULES) == set(SCAN_GROUPS) - {_counting_clash}
+    for mode, text in FRAGMENT_KBS.items():
+        prepared = prepare(parse_kb(text))
+        assert prepared.mode == mode
+        f = init_forest(prepared)
+        assert f.rules == tuple(r for r in tableau._RULES if r not in LEFT_OUT[mode])
+
+
 # root merges of roots that already have generated children, which are
 # re-parented, and a generated successor merged before a root merge
 ROOT_MERGE_KBS = (
