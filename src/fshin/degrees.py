@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -31,7 +32,9 @@ def to_degree(value: DegreeLike) -> Degree:
 
 
 def format_degree(d: Degree) -> str:
-    """Shortest exact rendering: decimal when terminating, else p/q."""
+    """Shortest exact rendering: decimal when terminating, else p/q.  The
+    digits are str() of a Decimal, which sys.get_int_max_str_digits() does
+    not limit as it does str() of an int."""
     # a terminating decimal has max(twos, fives) places
     den, twos, fives = d.denominator, 0, 0
     while den % 2 == 0:
@@ -41,13 +44,13 @@ def format_degree(d: Degree) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"{d.numerator}/{d.denominator}"
+        return f"{Decimal(d.numerator)}/{Decimal(d.denominator)}"
     if d.denominator == 1:
-        return str(d.numerator)
+        return str(Decimal(d.numerator))
     places = max(twos, fives)
     scaled = d * 10**places
     assert scaled.denominator == 1
-    digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
+    digits = str(Decimal(abs(scaled.numerator))).rjust(places + 1, "0")
     sign = "-" if d < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 

@@ -36,6 +36,7 @@ gives the line and column of its offset, where only "\n" starts a line.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -201,11 +202,11 @@ class _Parser:
             else:
                 raise self.fail("expected a degree")
             if not ZERO <= value <= ONE:
-                try:
-                    message = f"degree {format_degree(value)} outside [0,1]"
-                except ValueError:  # too many digits for str() to print
-                    message = "degree outside [0,1]"
-                raise self.fail(message, at)
+                # a degree longer than the longest numeral int() reads is left out
+                shown = format_degree(value)
+                if len(shown) > sys.get_int_max_str_digits():
+                    raise self.fail("degree outside [0,1]", at)
+                raise self.fail(f"degree {shown} outside [0,1]", at)
             self.degrees[text] = value
         self.pos = at + (3 if "/" in text else 1)
         self.tok = toks[self.pos]

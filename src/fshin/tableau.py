@@ -470,8 +470,8 @@ class Forest:
         self.rbox = rbox
         self.budget = budget
         self.trace: list = []
-        # (n, lhs <= n - ell, rhs >= n) for each degree n of the GCI degree
-        # set and each inclusion lhs (= rhs, in scan order
+        # init_forest's (n, lhs <= n - ell, rhs >= n) for each degree n that
+        # can constrain and each inclusion lhs (= rhs, in scan order
         self.gci_splits = gci_splits
         # the rules this fragment runs, in priority order
         skip = set() if pairwise else {_merge_at, _merge_roots_at, _rule_atleast}
@@ -821,10 +821,17 @@ class Forest:
 def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
     """The initial forest of a prepared KB: a root per individual, labelled
     with its assertions, or one unlabelled root for a fresh element when
-    there are inclusions and no individual."""
+    there are inclusions and no individual.
+
+    The paper's ⊑-rule splits each node, for each inclusion lhs ⊑ rhs and
+    each n in xa, into ⟨lhs ≤ n − ℓ⟩ or ⟨rhs ≥ n⟩.  Here n gets no split
+    unless 0 < n and n − ℓ < 1.  Else one alternative clashes on its own
+    (a bound below 0 or above 1) and every degree meets the other, so the
+    split asks nothing of a model.  xa holds 1/2, so inclusions still split."""
     splits = tuple(
         (n, Triple(lhs, Ineq.LE, n - prepared.ell), Triple(rhs, Ineq.GE, n))
         for n in prepared.xa
+        if n > 0 and n - prepared.ell < 1
         for lhs, rhs in prepared.gcis
     )
     f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,20 @@ def test_out_of_range_degree_too_long_to_print_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.fkb"
     path.write_text(f"assert a : A >= {'9' * 4300}.5.\n")
     assert run(["check", str(path)], capsys) == (2, "", "error: 1:17: degree outside [0,1]\n")
+
+
+def test_glb_too_long_for_str_of_an_int_is_printed(tmp_path, capsys):
+    """A glb whose decimal has more digits than str() of an int prints, 1/N
+    for N = 2**14000 (N itself has 4,215 digits, so the KB parses), is
+    printed in full."""
+    big = 2**14000
+    path = tmp_path / "huge.fkb"
+    path.write_text(f"assert a : A >= 1/{big}.\n")
+    code, out, err = run(["glb", str(path), "--assert", "a : A"], capsys)
+    assert (code, err) == (0, "")
+    # read back through Decimal, which has no digit limit
+    assert out.startswith("0.") and out.count("\n") == 1
+    assert Fraction(Decimal(out)) == Fraction(1, big)
 
 
 def test_oracle_flag_only_on_check(capsys):

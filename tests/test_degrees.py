@@ -1,6 +1,8 @@
 import ast
 import itertools
 import operator
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +50,25 @@ def test_format_degree():
     assert format_degree(Fraction(-2)) == "-2"
     assert format_degree(Fraction(-1, 3)) == "-1/3"
     assert format_degree(Fraction(3, 1000)) == "0.003"
+
+
+def read_degree(text: str) -> Fraction:
+    """A rendered degree read back through Decimal, which has no digit
+    limit."""
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+
+def test_format_degree_past_the_int_digit_limit():
+    """format_degree renders degrees whose digits pass
+    sys.get_int_max_str_digits() exactly, as a decimal, as p/q and as an
+    int, and those below it as str() of their digits, as it always did."""
+    big = 2**14000  # 4,215 digits; 5**14000, the digits of 1/big, has 9,786
+    for d in (Fraction(1, big), Fraction(-1, 3 * big**2), Fraction(3 * big**2)):
+        text = format_degree(d)
+        assert len(text) > sys.get_int_max_str_digits() and read_degree(text) == d
+    assert format_degree(Fraction(1, 2**100)) == "0." + str(5**100).rjust(100, "0")
+    assert format_degree(Fraction(-7, 3 * 2**100)) == f"-7/{3 * 2**100}"
 
 
 @given(degrees)

@@ -13,6 +13,10 @@ purpose may re-record those, never the verdicts.
 Re-record only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+It writes nothing and exits 1 if any entry's mode or verdict would move,
+naming those entries; else it reports how many entries' trace columns
+moved and the summed budget_used before and after.
 """
 
 import hashlib
@@ -206,12 +210,15 @@ def observed():
     return golden, seen
 
 
+VERDICT_COLUMNS = ("mode", "verdict")
+
+
 def test_golden_verdicts(observed):
     """The verdict column, and the mode it was reached in, which no change
     to the search may move."""
     golden, seen = observed
     for name, expected in golden.items():
-        for column in ("mode", "verdict"):
+        for column in VERDICT_COLUMNS:
             assert seen[name][column] == expected[column], (name, column)
 
 
@@ -227,9 +234,56 @@ def test_golden_traces(observed):
             assert seen[name][column] == expected[column], (name, column)
 
 
+def record() -> int:
+    """Re-record the trace columns under the golden policy: write nothing
+    and return 1 if any entry's mode or verdict would move, naming those
+    entries; else write the file and report what moved."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    seen = {name: observe(kb) for name, kb in corpus()}
+    moved = [
+        name for name, new in seen.items()
+        if name in golden and any(new[c] != golden[name][c] for c in VERDICT_COLUMNS)
+    ]
+    if moved:
+        print(f"not recorded: mode or verdict moved in {', '.join(moved)}", file=sys.stderr)
+        return 1
+    retraced = [
+        name for name, new in seen.items()
+        if name not in golden or any(new[c] != golden[name][c] for c in TRACE_COLUMNS)
+    ]
+    before = sum(entry["budget_used"] for entry in golden.values())
+    after = sum(entry["budget_used"] for entry in seen.values())
+    GOLDEN.write_text(json.dumps(seen, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(seen)} knowledge bases in {GOLDEN}")
+    print(f"trace columns moved in {len(retraced)} entries; summed budget_used {before} -> {after}")
+    return 0
+
+
+def test_record_keeps_the_verdicts(tmp_path, monkeypatch, capsys):
+    """--record writes nothing when a mode or verdict would move, and names
+    the entry; else it writes the observations and reports how many
+    entries' trace columns moved."""
+    module = sys.modules[__name__]
+    small = corpus()[:3]
+    seen = {name: observe(kb) for name, kb in small}
+    monkeypatch.setattr(module, "corpus", lambda: small)
+    monkeypatch.setattr(module, "GOLDEN", tmp_path / "golden.json")
+    stale = json.loads(json.dumps(seen))
+    stale["BLOCKING"]["budget_used"] += 1
+    stale["GCI"]["trace_sha256"] = ""
+    for verdict, code in (("ResourceLimit", 1), (seen["GCI"]["verdict"], 0)):
+        stale["GCI"]["verdict"] = verdict
+        module.GOLDEN.write_text(json.dumps(stale), encoding="utf-8")
+        assert record() == code
+        out, err = capsys.readouterr()
+        written = json.loads(module.GOLDEN.read_text(encoding="utf-8"))
+        if code:
+            assert written == stale and "GCI" in err and out == ""
+        else:
+            assert written == seen and "trace columns moved in 2 entries" in out
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(__doc__)
-    record = {name: observe(kb) for name, kb in corpus()}
-    GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(record)} knowledge bases in {GOLDEN}")
+    raise SystemExit(record())

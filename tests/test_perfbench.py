@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # seed 1: a change that means to keep the search must keep these exactly
 COUNTS = {
     "abox-chain": (3894, 1529, 1606),
-    "gci-cycle": (8505, 3935, 8482),
+    "gci-cycle": (2217, 1003, 2184),
     "degree-query": (2327, 785, 918),
 }
 

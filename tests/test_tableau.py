@@ -41,7 +41,7 @@ from fshin.tableau import (
 )
 
 from audit import audit_properties
-from genkb import dense_colouring_kb
+from genkb import dense_colouring_kb, random_tbox_kb
 from test_golden import EXTRA, corpus
 
 
@@ -632,6 +632,54 @@ def test_each_fragment_runs_its_rules():
         assert f.rules == tuple(r for r in tableau._RULES if r not in LEFT_OUT[mode])
 
 
+def test_pruned_inclusion_splits_agree_with_the_papers_rule():
+    """init_forest builds an inclusion split only for the degrees n of xa
+    that can constrain, 0 < n and n - ell < 1: each split of the paper's
+    rule (every n of xa, every inclusion) that it drops has a first
+    alternative that clashes on its own (n <= 0) or that every degree meets
+    (n - ell >= 1).  On the golden GCI KBs, a seeded genkb sample, and a KB
+    whose `< 0` bound puts -ell and 1 + ell in xa, the verdict is the one
+    the paper's full list of splits gives wherever both finish within the
+    budget."""
+
+    def verdict(f):
+        try:
+            return solve(f).consistent
+        except ResourceLimit:
+            return None
+
+    kbs = [kb for _, kb in corpus()]
+    rng = random.Random(2121)
+    kbs += [random_tbox_kb(rng) for _ in range(100)]
+    kbs.append(parse_kb("implies C some r.C.\nassert a : C >= 0.5.\nassert a : D < 0.\n"))
+    compared, dropped = 0, Counter()
+    for kb in kbs:
+        prepared = prepare(kb)
+        if prepared.mode != "gci":
+            continue
+        ell = prepared.ell
+        full = tuple(
+            (n, Triple(lhs, Ineq.LE, n - ell), Triple(rhs, Ineq.GE, n))
+            for n in prepared.xa
+            for lhs, rhs in prepared.gcis
+        )
+        pruned, paper = (init_forest(prepared, Budget(5_000)) for _ in range(2))
+        kept, paper.gci_splits = pruned.gci_splits, full
+        verdicts = (verdict(pruned), verdict(paper))
+        assert kept == tuple(split for split in full if split in kept)
+        for split in full:
+            n, t1, _ = split
+            assert (split in kept) == (0 < n and n - ell < 1)
+            if split not in kept:
+                assert t1.unary_clash or n - ell >= 1, split
+                dropped[n > 0] += 1
+        if None not in verdicts:
+            assert verdicts[0] == verdicts[1], kb
+            compared += 1
+    # both kinds of dropped split occur: n <= 0, and n - ell >= 1
+    assert compared > 70 and dropped[False] > 200 and dropped[True] > 0
+
+
 # root merges of roots that already have generated children, which are
 # re-parented, and a generated successor merged before a root merge
 ROOT_MERGE_KBS = (
@@ -668,7 +716,9 @@ def test_root_merge_moves_a_self_loop():
 
 
 # random GCI KBs whose search undoes block events (the first) and distinct
-# pairs (the second), which the golden corpus never does
+# pairs (the second), which the golden corpus never does, and an
+# inconsistent one whose search backtracks over inclusion splits until the
+# budget runs out (the third)
 UNDO_KBS = (
     "implies all r.A some s.(some r.A).\ntrans r.\nassert b : (bottom and A) >= 0.\n"
     "assert a : all r.(not top or some r.top) >= 1.\nassert (c,c) : s >= 0.75.\n",
@@ -676,6 +726,7 @@ UNDO_KBS = (
     "subrole r q.\nassert b : some r.(some r.(not A) or some s.top) <= 0.5.\n"
     "assert a : all s.(some r.A) < 1.\nassert c : A <= 0.25.\nassert (a,a) : s < 0.75.\n"
     "distinct b c.\n",
+    "implies C some r.C.\nimplies some r.C D.\nassert a : C >= 0.3.\nassert a : some r.D < 0.2.\n",
 )
 
 
