@@ -31,10 +31,16 @@ def to_degree(value: DegreeLike) -> Degree:
     raise TypeError(f"cannot interpret {value!r} as a degree")
 
 
+def fraction_text(d: Degree) -> str:
+    """str(d), with the digits written as str() of a Decimal, which
+    sys.get_int_max_str_digits() does not limit as it does str() of an int."""
+    text = str(Decimal(d.numerator))
+    return text if d.denominator == 1 else f"{text}/{Decimal(d.denominator)}"
+
+
 def format_degree(d: Degree) -> str:
-    """Shortest exact rendering: decimal when terminating, else p/q.  The
-    digits are str() of a Decimal, which sys.get_int_max_str_digits() does
-    not limit as it does str() of an int."""
+    """Shortest exact rendering: decimal when terminating, else p/q (as
+    fraction_text writes it).  The digits are str() of a Decimal."""
     # a terminating decimal has max(twos, fives) places
     den, twos, fives = d.denominator, 0, 0
     while den % 2 == 0:
@@ -43,10 +49,8 @@ def format_degree(d: Degree) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return f"{Decimal(d.numerator)}/{Decimal(d.denominator)}"
-    if d.denominator == 1:
-        return str(Decimal(d.numerator))
+    if den != 1 or d.denominator == 1:
+        return fraction_text(d)
     places = max(twos, fives)
     scaled = d * 10**places
     assert scaled.denominator == 1

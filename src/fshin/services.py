@@ -36,7 +36,6 @@ from .syntax import Concept, Name, nnf
 from .tableau import (
     DEFAULT_BUDGET,
     Budget,
-    NotApplicable,
     SolveResult,
     extract_model,
     init_forest,
@@ -219,9 +218,8 @@ def model_for(result: ConsistencyResult) -> Optional[oracle.FuzzyInterpretation]
     0), or None where extract_model reads none (f-SHIN and GCI verdicts)."""
     if not result.consistent or result.forest is None:
         raise ValueError("no model: the knowledge base is inconsistent")
-    try:
-        model = extract_model(result.forest)
-    except NotApplicable:
+    model = extract_model(result.forest)
+    if model is None:
         return None
     for name, body in result.prepared.unfolded.items():
         for e in model.domain:

@@ -31,7 +31,7 @@ rather than recomputing them on every call: ordered, the label in
 canonical order (what Forest.sorted_label returns); _kinds, rebuilt on
 demand, its triples grouped by rule kind; adjacent, the keys of the edges
 at it; neighbours, its neighbour_bounds results; status, its blocking
-status; and dirty (below).  Besides,
+status, which starts unblocked; and dirty (below).  Besides,
 
 - a Triple caches its order key, hash, bound, unary clash, rule kind and
   the triples the rules derive from it (see below);
@@ -126,9 +126,8 @@ switch a group off at x, never on, except where a bit is set for them:
 from __future__ import annotations
 
 import copy
-import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
@@ -141,10 +140,12 @@ from .degrees import (
     ZERO,
     conjugates,
     format_degree,
+    fraction_text,
     neg_lukasiewicz,
     reflect,
 )
-from .kb import RoleHierarchy
+from .kb import RoleHierarchy, compute_ell
+from .oracle import FuzzyInterpretation
 from .syntax import (
     And,
     AtLeast,
@@ -334,6 +335,12 @@ class Triple:
 
 triple_key = attrgetter("key")
 
+UNBLOCKED = "unblocked"
+DIRECT = "direct"
+INDIRECT = "indirect"
+_UNBLOCKED_STATUS = (UNBLOCKED, None)
+_INDIRECT_STATUS = (INDIRECT, None)
+
 
 @dataclass(slots=True)
 class Node:
@@ -350,8 +357,8 @@ class Node:
     # one bit per scan group that may have something to do here (see
     # _first), and one for a blocking status that may have moved
     dirty: int = field(default=0, repr=False, compare=False)
-    # (kind, blocker) as of the last Forest.blocking(); None before it
-    status: Optional[tuple[str, Optional[int]]] = field(default=None, compare=False)
+    # (kind, blocker) as of the last Forest.blocking(); unblocked before it
+    status: tuple[str, Optional[int]] = field(default=_UNBLOCKED_STATUS, compare=False)
     # the keys of the edges that start or end here, and role ->
     # neighbour_bounds result, dropped when an edge here changes or is
     # undone; both are replaced, never changed in place, so copies share them
@@ -386,13 +393,11 @@ class Node:
         self.ordered.insert(i, t)
         return i
 
-    def clashes_at(self, i: int) -> bool:
-        """Whether the triple at place i of `ordered` clashes on its own or
-        with a conjugated triple on the same subject."""
+    def conjugate_of(self, i: int) -> Optional[Triple]:
+        """The first triple of `ordered` on the subject of the triple at
+        place i whose bound conjugates that triple's, or None."""
         ordered = self.ordered
         t = ordered[i]
-        if t.unary_clash:
-            return True
         # equal subjects have equal text, so the triples on t's subject lie
         # in the run of equal text around t in the canonical order
         text, bound = t.key[0], t.bound
@@ -401,7 +406,9 @@ class Node:
             lo -= 1
         while hi < len(ordered) and ordered[hi].key[0] == text:
             hi += 1
-        return any(u.subject == t.subject and conjugates(u.bound, bound) for u in ordered[lo:hi])
+        return next(
+            (u for u in ordered[lo:hi] if u.subject == t.subject and conjugates(u.bound, bound)), None
+        )
 
     def clear(self) -> None:
         self.label = set()
@@ -409,11 +416,7 @@ class Node:
         self._kinds = None
 
     def copy(self) -> "Node":
-        return Node(
-            self.id, self.parent, self.root_name, set(self.label), list(self.ordered),
-            self._kinds, self.dirty, self.status, self.adjacent, self.neighbours,
-            self.distinct, self.merged_into,
-        )
+        return replace(self, label=set(self.label), ordered=list(self.ordered))
 
 
 @dataclass(frozen=True)
@@ -447,13 +450,6 @@ class ChoicePoint:
     node: int
     alternatives: tuple  # each alternative is ("add", node, Triple) or
     #                      ("merge"/"merge_root", x, y, z)
-
-
-UNBLOCKED = "unblocked"
-DIRECT = "direct"
-INDIRECT = "indirect"
-_UNBLOCKED_STATUS = (UNBLOCKED, None)
-_INDIRECT_STATUS = (INDIRECT, None)
 
 
 class Forest:
@@ -585,7 +581,7 @@ class Forest:
         i = node.add(t)
         if self.trail is not None:
             self.trail.append((self._unadd, (node, t, i)))
-        if node.id not in self.clashing_nodes and node.clashes_at(i):
+        if node.id not in self.clashing_nodes and (t.unary_clash or node.conjugate_of(i)):
             self.clashing_nodes.add(node.id)
         self._changed(node)
 
@@ -757,9 +753,9 @@ class Forest:
                 node.status = new
                 if new[0] == DIRECT:
                     self.trace.append(("block", x, new[1]))
-                elif old is not None and old[0] == DIRECT:
+                elif old[0] == DIRECT:
                     unblocked.append(x)
-                if old is not None and old[0] != new[0]:
+                if old[0] != new[0]:
                     self._mark(node, _SCANS)
         for x in unblocked:
             self.trace.append(("unblock", x))
@@ -804,17 +800,15 @@ class Forest:
     # --- rendering ---
 
     def dump(self) -> str:
+        def text(ts: Iterable[Triple]) -> str:
+            return " ".join(f"⟨{t.subject},{t.ineq},{fraction_text(t.degree)}⟩" for t in ts)
+
         lines = []
         for node in self.nodes.values():
-            body = " ".join(
-                f"⟨{t.subject},{t.ineq},{t.degree}⟩" for t in self.sorted_label(node)
-            )
             tag = " root" if node.is_root else ""
-            lines.append(f"node {node.id}{tag} {{{body}}}")
+            lines.append(f"node {node.id}{tag} {{{text(self.sorted_label(node))}}}")
         for (a, b) in sorted(self.edges):
-            ts = sorted(self.edges[(a, b)], key=triple_key)
-            body = " ".join(f"⟨{t.subject},{t.ineq},{t.degree}⟩" for t in ts)
-            lines.append(f"edge {a} -> {b} {{{body}}}")
+            lines.append(f"edge {a} -> {b} {{{text(sorted(self.edges[(a, b)], key=triple_key))}}}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -862,15 +856,13 @@ def _concept_clash(f: Forest, node: Node) -> Optional[Clash]:
     for t in label:
         if t.unary_clash:
             return Clash(t.unary_clash, node.id, (t,))
-    # equal subjects have equal text, so each one's triples form a run of
-    # the canonical order; pairs are tried in the all-pairs order
-    for i, t1 in enumerate(label):
-        text = t1.key[0]
-        for t2 in itertools.islice(label, i + 1, None):
-            if t2.key[0] != text:
-                break
-            if t1.subject == t2.subject and conjugates(t1.bound, t2.bound):
-                return Clash("conjugated-pair", node.id, (t1, t2))
+    # conjugate_of scans from the start of the run, so this is the pair the
+    # all-pairs order finds first: no triple before the least member of any
+    # conjugated pair conjugates it
+    for i, t in enumerate(label):
+        u = node.conjugate_of(i)
+        if u:
+            return Clash("conjugated-pair", node.id, (t, u))
     return None
 
 
@@ -1311,10 +1303,6 @@ def solve(f: Forest) -> SolveResult:
 # --- model extraction (SI soundness construction) ---
 
 
-class NotApplicable(Exception):
-    """Model extraction is only defined for SI-mode forests."""
-
-
 def _glb_value(bounds: list[SignedBound], eps: Degree) -> Degree:
     positives = [b for b in bounds if b.ineq.positive]
     if not positives:
@@ -1325,17 +1313,15 @@ def _glb_value(bounds: list[SignedBound], eps: Degree) -> Degree:
     return top
 
 
-def extract_model(f: Forest):
+def extract_model(f: Forest) -> Optional[FuzzyInterpretation]:
     """Finite witnessed interpretation read off a complete clash-free SI
     forest: non-blocked nodes form the domain, degrees are the least values
     compatible with the labels (a strict lower bound gets a small exact
     bump), edges to blocked nodes are redirected to their blockers, and
-    transitive roles are closed under sup-min composition."""
-    from .kb import compute_ell
-    from .oracle import FuzzyInterpretation
-
+    transitive roles are closed under sup-min composition.  None for a
+    pair-wise blocked forest, which it reads no model off."""
     if f.pairwise:
-        raise NotApplicable("model extraction requires an SI-mode forest")
+        return None
     f.blocking()
     domain = tuple(i for i in sorted(f.nodes) if f.nodes[i].status[0] == UNBLOCKED)
 
@@ -1358,12 +1344,9 @@ def extract_model(f: Forest):
     for (u, v), lab in f.edges.items():
         if u not in domain:
             continue
-        if v in domain:
-            target = v
-        elif f.nodes[v].status[0] == DIRECT:
-            target = f.nodes[v].status[1]
-        else:
-            continue
+        # no f-SI edge is ever emptied, so an edge from an unblocked node
+        # ends at a node that is unblocked or directly blocked
+        target = v if v in domain else f.nodes[v].status[1]
         for t in lab:
             role = t.subject
             pair = (target, u) if role.inverted else (u, target)

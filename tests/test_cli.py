@@ -190,7 +190,7 @@ def test_oracle_flag(capsys):
 
 
 def test_oracle_flag_on_inconsistent_kb(capsys):
-    code, out, _ = run(["check", ex("blocking.fkb"), "--oracle"], capsys)
+    code, out, _ = run(["check", ex("gci.fkb"), "--oracle"], capsys)
     assert code == 1 and out == "inconsistent\n"
 
 
@@ -281,6 +281,19 @@ def test_glb_too_long_for_str_of_an_int_is_printed(tmp_path, capsys):
     # read back through Decimal, which has no digit limit
     assert out.startswith("0.") and out.count("\n") == 1
     assert Fraction(Decimal(out)) == Fraction(1, big)
+
+
+def test_dump_forest_prints_degrees_too_long_for_str_of_an_int(tmp_path, capsys):
+    """The forest's degrees are printed in full where their numerator or
+    denominator has more digits than str() of an int prints.  For
+    M = 3**8000 and N = 2**13000 (3,817 and 3,914 digits, so the KB parses)
+    the forest holds degrees with denominator 2MN (7,731 digits)."""
+    m, n = 3**8000, 2**13000
+    path = tmp_path / "huge.fkb"
+    path.write_text(f"implies C some r.C.\nassert a : C >= 1/{m}.\nassert a : D >= 1/{n}.\n")
+    code, out, err = run(["dump-forest", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("node 0 root {") and f"/{Decimal(2 * m * n)}⟩" in out
 
 
 def test_oracle_flag_only_on_check(capsys):

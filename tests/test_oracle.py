@@ -2,9 +2,13 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from fshin.kb import ABox, FuzzyKB, TBox
 from fshin.oracle import (
+    BudgetExceeded,
     FuzzyInterpretation,
     concept_interval,
     default_grid,
@@ -211,6 +215,15 @@ def test_search_model_needs_second_element():
     m = search_model(kb, max_domain=2)
     assert m is not None and satisfies_kb(m, kb)
     assert len(m.domain) == 2
+
+
+def test_search_model_runs_out_of_budget():
+    """A search longer than its budget raises BudgetExceeded: the one for a
+    model of at most two elements of the blocking example, which has none,
+    takes more than 1,000 steps."""
+    kb = parse_kb((Path(__file__).parent.parent / "examples" / "blocking.fkb").read_text())
+    with pytest.raises(BudgetExceeded):
+        search_model(kb, max_domain=2, budget=1_000)
 
 
 def complete_interpretation(rng, kb):

@@ -9,7 +9,7 @@ import pytest
 from fshin import tableau
 from fshin.degrees import INEQ_ORDER, ONE, Ineq, SignedBound, conjugates
 from fshin.kb import ABox, ConceptAssertion, FuzzyKB, RBox, hierarchy_closure
-from fshin.oracle import satisfies_kb
+from fshin.oracle import satisfies_kb, search_model
 from fshin.parser import parse_kb
 from fshin.services import consistency, entails, model_for, prepare
 from fshin.syntax import BOTTOM, TOP, AtLeast, Exists, Forall, Name, Not, Or, Role, inv
@@ -703,6 +703,20 @@ ROOT_MERGE_KBS = (
 )
 
 
+def test_merge_skips_a_neighbour_that_is_not_a_child():
+    """Under (<= 1 r-), node 2 counts its non-root parent 1 and its child 3
+    as r- neighbours.  Only a child of node 2 can be merged away, so the
+    one alternative is 3 into 1.  search_model(kb, max_domain=3) agrees
+    with the verdict."""
+    kb = parse_kb("assert a : some r.(some r.((<= 1 r-) and some r-.C)) >= 0.8.")
+    cp = tableau.expand(init_forest(prepare(kb)))
+    assert cp.alternatives == (("merge", 2, 3, 1),)
+    res = consistency(kb)
+    assert res.consistent
+    assert [ev for ev in res.trace if ev[0] == "merge"] == [("merge", 2, 3, 1)]
+    assert search_model(kb, max_domain=3) is not None
+
+
 def test_root_merge_moves_a_self_loop():
     """Merging the roots b and c turns c's s-loop into one at the merged
     root.  search_model(kb, max_domain=3) agrees with both verdicts."""
@@ -716,9 +730,11 @@ def test_root_merge_moves_a_self_loop():
 
 
 # random GCI KBs whose search undoes block events (the first) and distinct
-# pairs (the second), which the golden corpus never does, and an
-# inconsistent one whose search backtracks over inclusion splits until the
-# budget runs out (the third)
+# pairs (the second), which the golden corpus never does, an inconsistent
+# one whose search backtracks over inclusion splits until the budget runs
+# out (the third), and an f-SI KB whose search undoes two status changes
+# (the fourth): node 2 is blocked by node 1 until the split at node 1 adds
+# B, and node 3 by node 2 until the split at node 2 does
 UNDO_KBS = (
     "implies all r.A some s.(some r.A).\ntrans r.\nassert b : (bottom and A) >= 0.\n"
     "assert a : all r.(not top or some r.top) >= 1.\nassert (c,c) : s >= 0.75.\n",
@@ -727,19 +743,19 @@ UNDO_KBS = (
     "assert a : all s.(some r.A) < 1.\nassert c : A <= 0.25.\nassert (a,a) : s < 0.75.\n"
     "distinct b c.\n",
     "implies C some r.C.\nimplies some r.C D.\nassert a : C >= 0.3.\nassert a : some r.D < 0.2.\n",
+    "trans r.\nassert a : some r.A >= 0.6.\nassert a : all r.(some r.A) >= 0.6.\n"
+    "assert a : all r.(B or C) >= 0.6.\nassert a : all r.(not B) >= 0.6.\n",
 )
 
 
-def shin_and_gci_runs(extra=()):
-    """A fresh forest for each golden SHIN/GCI KB and each root-merge KB,
-    then for each of `extra` under a smaller budget."""
+def golden_runs(extra=()):
+    """A fresh forest for each golden KB and each root-merge KB, of every
+    fragment, then for each of `extra` under a smaller budget."""
     kbs = [(kb, 20_000) for _, kb in corpus()]
     kbs += [(parse_kb(text), 20_000) for text in ROOT_MERGE_KBS]
     kbs += [(parse_kb(text), 1_000) for text in extra]
     for kb, budget in kbs:
-        prepared = prepare(kb)
-        if prepared.mode in ("shin", "gci"):
-            yield init_forest(prepared, Budget(budget))
+        yield init_forest(prepare(kb), Budget(budget))
 
 
 def check_clean(f, checked):
@@ -767,45 +783,41 @@ def test_settled_nodes_have_nothing_to_do(monkeypatch):
 
     monkeypatch.setattr(tableau, "find_clash", find_clash)
     merged_roots = 0
-    for f in shin_and_gci_runs():
+    for f in golden_runs():
         trace = solve(f).trace
         merged_roots += sum(ev[0] == "merge-root" for ev in trace)
     assert merged_roots >= 3
     assert set(checked) == {at.__name__ for at in SCAN_GROUPS}
 
 
-# the f-SI KBs of the golden corpus with a pass that unblocks a node older
-# than one it blocks, and with a change of blocker
-SI_BLOCKING_KBS = (EXTRA["si-older-unblock"], EXTRA["si-new-blocker"])
-
-
 def test_blocking_traces_each_status_change(monkeypatch):
     """Each blocking() call traces exactly the events that comparing the
     old and new status maps gives: each node newly directly blocked, or by
     a new blocker, oldest first, then each node no longer directly
-    blocked, oldest first, even where it is older than a blocked one."""
+    blocked, oldest first, even where it is older than a blocked one (the
+    golden f-SI KB si-older-unblock has such a pass, si-new-blocker a change
+    of blocker)."""
     real_blocking = Forest.blocking
     seen = Counter()
 
     def statuses(f):
-        return {x: node.status for x, node in f.nodes.items() if node.status is not None}
+        return {x: node.status for x, node in f.nodes.items()}
 
     def blocking(f):
         old, start = statuses(f), len(f.trace)
         real_blocking(f)
         new = statuses(f)
         blocks = [("block", x, y) for x, (kind, y) in sorted(new.items())
-                  if kind == tableau.DIRECT and old.get(x) != (kind, y)]
+                  if kind == tableau.DIRECT and old[x] != (kind, y)]
         unblocks = [("unblock", x) for x in sorted(new)
-                    if x in old and old[x][0] == tableau.DIRECT and new[x][0] != tableau.DIRECT]
+                    if old[x][0] == tableau.DIRECT and new[x][0] != tableau.DIRECT]
         assert f.trace[start:] == blocks + unblocks
         seen.update(ev[0] for ev in blocks + unblocks)
         seen["older unblock"] += bool(unblocks and blocks and unblocks[0][1] < blocks[-1][1])
-        seen["new blocker"] += sum(x in old and old[x][0] == tableau.DIRECT for _, x, _ in blocks)
+        seen["new blocker"] += sum(old[x][0] == tableau.DIRECT for _, x, _ in blocks)
 
     monkeypatch.setattr(Forest, "blocking", blocking)
-    si = [init_forest(prepare(parse_kb(text))) for text in SI_BLOCKING_KBS]
-    for f in itertools.chain(shin_and_gci_runs(UNDO_KBS), si):
+    for f in golden_runs(UNDO_KBS):
         try:
             solve(f)
         except ResourceLimit:
@@ -868,7 +880,7 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     monkeypatch.setattr(tableau, "expand", expand)
     monkeypatch.setattr(tableau, "apply_alternative", apply_alternative)
     monkeypatch.setattr(Forest, "undo", undo)
-    for f in shin_and_gci_runs(UNDO_KBS):
+    for f in golden_runs(UNDO_KBS):
         snapshots.clear()
         try:
             solve(f)
