@@ -10,6 +10,7 @@ change answers.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -39,8 +40,9 @@ def fraction_text(d: Degree) -> str:
 
 
 def format_degree(d: Degree) -> str:
-    """Shortest exact rendering: decimal when terminating, else p/q (as
-    fraction_text writes it).  The digits are str() of a Decimal."""
+    """Shortest exact rendering: decimal when terminating in at most
+    sys.get_int_max_str_digits() places (so the parser reads it back), else
+    p/q as fraction_text writes it.  The digits are str() of a Decimal."""
     # a terminating decimal has max(twos, fives) places
     den, twos, fives = d.denominator, 0, 0
     while den % 2 == 0:
@@ -49,9 +51,9 @@ def format_degree(d: Degree) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1 or d.denominator == 1:
-        return fraction_text(d)
     places = max(twos, fives)
+    if den != 1 or d.denominator == 1 or 0 < sys.get_int_max_str_digits() < places:
+        return fraction_text(d)
     scaled = d * 10**places
     assert scaled.denominator == 1
     digits = str(Decimal(abs(scaled.numerator))).rjust(places + 1, "0")

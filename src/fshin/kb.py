@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .degrees import HALF, ONE, ZERO, Degree, Ineq, SignedBound, neg_lukasiewicz
 from .syntax import (
@@ -18,10 +18,6 @@ from .syntax import (
     rebuild,
     subconcepts,
 )
-
-
-class CyclicTBox(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -81,37 +77,27 @@ class TBox:
     definitions: dict[str, tuple[str, Concept]] = field(default_factory=dict)
     gcis: list[tuple[Concept, Concept]] = field(default_factory=list)
 
-    def is_unfoldable(self) -> bool:
-        if self.gcis:
-            return False
-        try:
-            _definition_order(self.definitions)
-        except CyclicTBox:
-            return False
-        return True
 
-
-def _definition_order(defs: dict[str, tuple[str, Concept]]) -> list[str]:
-    """Topological order of defined names; raises CyclicTBox on a cycle."""
+def _definition_order(tbox: TBox) -> Optional[list[str]]:
+    """The defined names, each after those its body uses, or None when tbox
+    does not unfold: it has inclusions, or its definitions are cyclic."""
+    defs = tbox.definitions
     order: list[str] = []
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
 
-    def visit(name: str) -> None:
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise CyclicTBox(name)
+    def visit(name: str) -> bool:
+        if name in state:
+            return state[name] == 2  # False on a cycle
         state[name] = 1
         _, body = defs[name]
         for sub in subconcepts(body):
-            if isinstance(sub, Name) and sub.id in defs:
-                visit(sub.id)
+            if isinstance(sub, Name) and sub.id in defs and not visit(sub.id):
+                return False
         state[name] = 2
         order.append(name)
+        return True
 
-    for name in sorted(defs):
-        visit(name)
-    return order
+    return None if tbox.gcis or not all(visit(name) for name in sorted(defs)) else order
 
 
 def _fresh_primitive(base: str, taken: set[str]) -> str:
@@ -122,18 +108,17 @@ def _fresh_primitive(base: str, taken: set[str]) -> str:
 
 
 def unfold(tbox: TBox) -> dict[str, Concept]:
-    """The unfolding of an unfoldable TBox: each defined name maps to the
-    definition-free concept it is equivalent to.  An inclusion A (= C
-    becomes the equivalence A = A' n C with a fresh primitive A'."""
-    if tbox.gcis:
-        raise CyclicTBox("TBox with GCIs is not unfoldable")
+    """The unfolding of a TBox that unfolds (detect_mode is not "gci"):
+    each defined name maps to the definition-free concept it is equivalent
+    to.  An inclusion A (= C becomes the equivalence A = A' n C with a
+    fresh primitive A'."""
     taken = set(tbox.definitions)
     for _, body in tbox.definitions.values():
         for sub in subconcepts(body):
             if isinstance(sub, Name):
                 taken.add(sub.id)
     expanded: dict[str, Concept] = {}
-    for name in _definition_order(tbox.definitions):
+    for name in _definition_order(tbox):
         kind, body = tbox.definitions[name]
         if kind == "sub":
             prim = _fresh_primitive(name, taken)
@@ -240,29 +225,22 @@ class FuzzyKB:
             yield lhs
             yield rhs
 
+    def number_restrictions(self) -> Iterator[Union[AtLeast, AtMost]]:
+        """The AtLeast and AtMost sub-concepts of the KB, in concepts() order."""
+        for c in self.concepts():
+            for d in subconcepts(c):
+                if isinstance(d, (AtLeast, AtMost)):
+                    yield d
+
 
 def detect_mode(kb: FuzzyKB) -> str:
     """The fragment whose procedure decides kb: "gci" when its TBox does not
-    unfold, else "shin" when it has role inclusions, inequality assertions
-    or number restrictions, else "si"."""
-    if not kb.tbox.is_unfoldable():
+    unfold (it has inclusions or cyclic definitions), else "shin" when it has
+    role inclusions, inequalities or number restrictions, else "si"."""
+    if _definition_order(kb.tbox) is None:
         return "gci"
-    if kb.rbox.inclusions or kb.abox.inequalities or any(
-        isinstance(d, (AtLeast, AtMost)) for c in kb.concepts() for d in subconcepts(c)
-    ):
-        return "shin"
-    return "si"
-
-
-def non_simple_restrictions(kb: FuzzyKB, roles: RoleHierarchy) -> list[Concept]:
-    """The number restrictions in kb whose role is not simple; f-SHIN is
-    decidable only without them."""
-    return [
-        d
-        for c in kb.concepts()
-        for d in subconcepts(c)
-        if isinstance(d, (AtLeast, AtMost)) and not roles.simple(d.role)
-    ]
+    shin = kb.rbox.inclusions or kb.abox.inequalities or any(kb.number_restrictions())
+    return "shin" if shin else "si"
 
 
 def relative_degrees(degrees: Iterable[Degree]) -> set[Degree]:

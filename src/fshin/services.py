@@ -27,7 +27,6 @@ from .kb import (
     detect_mode,
     expand_concept,
     hierarchy_closure,
-    non_simple_restrictions,
     normalize_for_gci,
     relative_degrees,
     unfold,
@@ -64,11 +63,11 @@ def prepare(kb: FuzzyKB) -> Prepared:
     need (detect_mode)."""
     mode = detect_mode(kb)
     rbox = hierarchy_closure(kb.rbox)
-    bad = non_simple_restrictions(kb, rbox)
-    if bad:
+    bad = next((d for d in kb.number_restrictions() if not rbox.simple(d.role)), None)
+    if bad is not None:
         raise ModeError(
-            f"number restriction {bad[0]} is over the non-simple role "
-            f"{bad[0].role}; f-SHIN allows only simple roles there"
+            f"number restriction {bad} is over the non-simple role "
+            f"{bad.role}; f-SHIN allows only simple roles there"
         )
     if mode != "gci":
         unfolded = unfold(kb.tbox)

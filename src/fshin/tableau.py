@@ -1342,11 +1342,11 @@ def extract_model(f: Forest) -> Optional[FuzzyInterpretation]:
 
     bounds_by_pair: dict[tuple[str, int, int], list[SignedBound]] = {}
     for (u, v), lab in f.edges.items():
-        if u not in domain:
+        if f.nodes[u].status[0] != UNBLOCKED:
             continue
         # no f-SI edge is ever emptied, so an edge from an unblocked node
         # ends at a node that is unblocked or directly blocked
-        target = v if v in domain else f.nodes[v].status[1]
+        target = v if f.nodes[v].status[0] == UNBLOCKED else f.nodes[v].status[1]
         for t in lab:
             role = t.subject
             pair = (target, u) if role.inverted else (u, target)

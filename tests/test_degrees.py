@@ -62,11 +62,19 @@ def read_degree(text: str) -> Fraction:
 def test_format_degree_past_the_int_digit_limit():
     """format_degree renders degrees whose digits pass
     sys.get_int_max_str_digits() exactly, as a decimal, as p/q and as an
-    int, and those below it as str() of their digits, as it always did."""
+    int, and those below it as str() of their digits, as it always did.  A
+    decimal with more places than the limit, which the parser could not
+    read back, is written p/q."""
     big = 2**14000  # 4,215 digits; 5**14000, the digits of 1/big, has 9,786
-    for d in (Fraction(1, big), Fraction(-1, 3 * big**2), Fraction(3 * big**2)):
+    limit = sys.get_int_max_str_digits()
+    half = Fraction(2 * big**2 + 1, 2)  # one place after 8,429 digits
+    for d in (Fraction(1, big**2), Fraction(-1, 3 * big**2), Fraction(3 * big**2), half):
         text = format_degree(d)
-        assert len(text) > sys.get_int_max_str_digits() and read_degree(text) == d
+        assert len(text) > limit and read_degree(text) == d
+    assert format_degree(half).endswith(".5")
+    assert format_degree(Fraction(1, big)) == f"1/{big}"
+    assert format_degree(Fraction(1, 2**limit)) == "0." + str(5**limit).rjust(limit, "0")
+    assert format_degree(Fraction(1, 2 ** (limit + 1))) == f"1/{2 ** (limit + 1)}"
     assert format_degree(Fraction(1, 2**100)) == "0." + str(5**100).rjust(100, "0")
     assert format_degree(Fraction(-7, 3 * 2**100)) == f"-7/{3 * 2**100}"
 

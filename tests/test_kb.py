@@ -1,17 +1,15 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from fshin.degrees import Ineq, SignedBound
 from fshin.kb import (
     ABox,
     ConceptAssertion,
-    CyclicTBox,
     FuzzyKB,
     RBox,
     RoleAssertion,
     TBox,
+    _definition_order,
     compute_ell,
     detect_mode,
     expand_concept,
@@ -48,9 +46,8 @@ def test_unfold_inclusion_gets_fresh_primitive():
 
 def test_cyclic_tbox_not_unfoldable():
     tbox = TBox(definitions={"A": ("equiv", Exists(Role("r"), Name("A")))})
-    assert not tbox.is_unfoldable()
-    with pytest.raises(CyclicTBox):
-        unfold(TBox(definitions=tbox.definitions, gcis=[]))
+    assert _definition_order(tbox) is None
+    assert detect_mode(FuzzyKB(tbox=tbox)) == "gci"
 
 
 def test_expand_concept_produces_nnf():
@@ -117,6 +114,9 @@ def test_detect_mode():
     ]))
     assert detect_mode(kb) == "shin"
     kb = FuzzyKB(tbox=TBox(gcis=[(Name("A"), Name("B"))]))
+    assert detect_mode(kb) == "gci"
+    # a cyclic definition, with no inclusion, does not unfold either
+    kb = FuzzyKB(tbox=TBox(definitions={"A": ("sub", Exists(Role("r"), Name("A")))}))
     assert detect_mode(kb) == "gci"
 
 

@@ -239,6 +239,13 @@ def test_round_trip(kb):
     assert parse_kb(serialize_kb(kb)) == kb
 
 
+def test_round_trip_of_a_degree_past_the_int_digit_limit():
+    """1/N for N = 2**14000 (4,215 digits, so the KB parses) has 14,000
+    decimal places, more than int() reads, so it is written back as 1/N."""
+    text = f"assert a : A >= 1/{2**14000}.\n"
+    assert serialize_kb(parse_kb(text)) == text
+
+
 # --- tokens tile the input ---
 
 

@@ -70,6 +70,19 @@ def test_prepare_refuses_non_simple_number_restriction():
     assert consistency(kb).consistent
 
 
+def test_mode_error_names_the_first_non_simple_restriction():
+    """The error names the first non-simple number restriction in
+    kb.concepts() order: the ABox's concepts, then the definitions, then
+    the inclusions, each read outside in and left to right."""
+    for text, first in (
+        ("trans r. trans s. define D equiv >= 2 r. assert a : <= 1 s >= 0.5.", "<= 1 s"),
+        ("trans r. trans s. assert a : (>= 2 r) and (<= 1 s) >= 0.5.", ">= 2 r"),
+        ("trans r. trans s. implies (<= 1 s) (>= 2 r).", "<= 1 s"),
+    ):
+        with pytest.raises(ModeError, match=f"^number restriction {first} is over "):
+            prepare(parse_kb(text))
+
+
 def test_entails_example():
     kb = parse_kb(EXAMPLE1)
     q, b = parse_query(
