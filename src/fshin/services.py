@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -15,13 +15,16 @@ from .degrees import (
     ONE,
     SignedBound,
     ZERO,
+    neg_lukasiewicz,
     negate,
+    reflect,
 )
 from .kb import (
     ABox,
     ConceptAssertion,
     FuzzyKB,
     Query,
+    RoleAssertion,
     RoleHierarchy,
     compute_ell,
     detect_mode,
@@ -31,11 +34,13 @@ from .kb import (
     relative_degrees,
     unfold,
 )
-from .syntax import Concept, Name, nnf
+from .syntax import Concept, Forall, Name, Not, nnf
 from .tableau import (
     DEFAULT_BUDGET,
     Budget,
+    Forest,
     SolveResult,
+    add_assertions,
     extract_model,
     init_forest,
     solve,
@@ -71,7 +76,7 @@ def prepare(kb: FuzzyKB) -> Prepared:
         )
     if mode != "gci":
         unfolded = unfold(kb.tbox)
-        abox = _map_concepts(kb.abox, partial(expand_concept, unfolded=unfolded))
+        abox = _tableau_abox(kb.abox, rbox, partial(expand_concept, unfolded=unfolded))
         return Prepared(mode, abox, rbox, unfolded, (), (), None)
     gcis: list[tuple[Concept, Concept]] = []
     for name, (kind, body) in kb.tbox.definitions.items():
@@ -81,17 +86,38 @@ def prepare(kb: FuzzyKB) -> Prepared:
     for lhs, rhs in kb.tbox.gcis:
         gcis.append((nnf(lhs), nnf(rhs)))
     ell = compute_ell(kb.abox.degrees())
-    abox, xa = normalize_for_gci(_map_concepts(kb.abox, nnf), ell)
+    abox, xa = normalize_for_gci(_tableau_abox(kb.abox, rbox, nnf), ell)
     return Prepared(mode, abox, rbox, {}, tuple(gcis), xa, ell)
 
 
-def _map_concepts(abox: ABox, fn) -> ABox:
-    """A copy of abox with fn applied to each asserted concept."""
-    return ABox(
-        [ConceptAssertion(a.individual, fn(a.concept), a.bound) for a in abox.concept_assertions],
-        list(abox.role_assertions),
-        set(abox.inequalities),
-    )
+def _through_nominal(ra: RoleAssertion, rbox: RoleHierarchy) -> bool:
+    """Whether prepare rewrites the role assertion into concept assertions:
+    its bound is negative and its role is not simple."""
+    return ra.bound.ineq.negative and not rbox.simple(ra.role)
+
+
+def _tableau_abox(abox: ABox, rbox: RoleHierarchy, fn) -> ABox:
+    """A copy of abox with fn applied to each asserted concept, and each
+    role assertion ⟨(a, b) : R ◁ n⟩ that _through_nominal picks rewritten,
+    after the concept assertions, into ⟨a : ∀R.¬{b} reflect(◁) 1 − n⟩ and
+    ⟨b : {b} ≥ 1⟩.  {b} is a Name that the parser cannot produce.
+
+    The tableau closes edges under transitivity only through the ∀-rules,
+    and never tests a negative role bound against a chain of edges; the
+    ∀-transitive rule carries ∀R.¬{b} along every such chain to b.  The
+    rewrite is equisatisfiable: with {b} of degree 1 at b and 0 elsewhere,
+    (∀R.¬{b})(a) is 1 − R(a, b)."""
+    cas = [ConceptAssertion(a.individual, fn(a.concept), a.bound) for a in abox.concept_assertions]
+    ras = []
+    for ra in abox.role_assertions:
+        if not _through_nominal(ra, rbox):
+            ras.append(ra)
+            continue
+        nominal = Name("{" + ra.object + "}")
+        bound = SignedBound(reflect(ra.bound.ineq), neg_lukasiewicz(ra.bound.degree))
+        cas.append(ConceptAssertion(ra.subject, Forall(ra.role, Not(nominal)), bound))
+        cas.append(ConceptAssertion(ra.object, nominal, SignedBound(Ineq.GE, ONE)))
+    return ABox(cas, ras, set(abox.inequalities))
 
 
 @dataclass
@@ -135,13 +161,90 @@ def _with_negated(kb: FuzzyKB, query: Query, bound: SignedBound) -> FuzzyKB:
     return kb.with_assertion(query, SignedBound(negate(bound.ineq), bound.degree))
 
 
+class Probes:
+    """The consistency checks that decide KB |= query ◁ n, for one
+    inequality ◁ and one degree n after another: each checks KB plus the
+    negated assertion, ⟨query negate(◁) n⟩.
+
+    prepare runs once, on the KB with the query asserted, and init_forest
+    builds one forest from all of it but the query's assertion, with the
+    roots in the order of that KB's individuals, which depends on the query
+    and not on its bound; then the trail is marked.  Each check undoes back
+    to the mark what the check before it did, adds what the negated
+    assertion prepares to, and solves.  Its budget starts at what init
+    charged and its trace at init's events, so it searches as
+    consistency(_with_negated(kb, query, bound)) does: the same node ids,
+    trace, budget.used and verdict.  Use it as a context manager: leaving
+    it drops the trail, whose records refer back to the forest.
+
+    Each check is that consistency call where one forest cannot search the
+    same: in GCI mode, where normalize_for_gci shifts a strict negated
+    bound by ell, so that each degree brings splits of its own; when the
+    forest clashes at init, since a mark needs a clash-free forest; and for
+    a concept query on a KB with a role assertion that prepare rewrites,
+    whose concept assertions init adds after the query's."""
+
+    def __init__(self, kb: FuzzyKB, query: Query, ineq: Ineq, budget: int = DEFAULT_BUDGET):
+        self.kb, self.query, self.ineq, self.budget = kb, query, ineq, budget
+        self.forest: Optional[Forest] = None
+        # the degree does not change what a KB outside GCI mode prepares to,
+        # except in what _assertions gives for the query
+        prepared = prepare(_with_negated(kb, query, SignedBound(ineq, ONE)))
+        self.rbox, self.expand = prepared.rbox, partial(expand_concept, unfolded=prepared.unfolded)
+        rewritten = any(_through_nominal(ra, self.rbox) for ra in kb.abox.role_assertions)
+        if prepared.mode == "gci" or (len(query) == 2 and rewritten):
+            return
+        own, abox = self._assertions(ONE), prepared.abox
+        base = ABox(
+            abox.concept_assertions[: len(abox.concept_assertions) - len(own.concept_assertions)],
+            abox.role_assertions[: len(abox.role_assertions) - len(own.role_assertions)],
+            abox.inequalities,
+        )
+        f = init_forest(replace(prepared, abox=base), Budget(budget), abox.individuals())
+        if f.clashing_nodes or f.clashing_pairs:
+            return
+        self.roots = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}
+        self.init_used, self.init_trace = f.budget.used, f.trace
+        self.mark = f.mark()
+        self.forest = f
+
+    def _assertions(self, degree: Degree) -> ABox:
+        """The prepared form of the negated assertion at this degree."""
+        abox = ABox()
+        abox.add(self.query, SignedBound(negate(self.ineq), degree))
+        return _tableau_abox(abox, self.rbox, self.expand)
+
+    def check(self, degree: Degree) -> SolveResult:
+        """The check of KB plus ⟨query negate(◁) degree⟩, which is
+        consistent iff KB does not entail query ◁ degree.  On the shared
+        forest, the result's forest, and its first_clash_forest unless a
+        choice point was open at the first clash, are that forest, which
+        the next check undoes."""
+        f = self.forest
+        if f is None:
+            kb = _with_negated(self.kb, self.query, SignedBound(self.ineq, degree))
+            return consistency(kb, self.budget)
+        f.undo(self.mark)
+        f.budget, f.trace = Budget(self.budget, self.init_used), list(self.init_trace)
+        add_assertions(f, self._assertions(degree), self.roots)
+        return solve(f)
+
+    def __enter__(self) -> "Probes":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.forest is not None:
+            self.forest.trail = None
+
+
 def entails(
     kb: FuzzyKB,
     query: Query,
     bound: SignedBound,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    return not consistency(_with_negated(kb, query, bound), budget).consistent
+    with Probes(kb, query, bound.ineq, budget) as probes:
+        return not probes.check(bound.degree).consistent
 
 
 class InconsistentKB(Exception):
@@ -186,12 +289,13 @@ def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degre
     pool = relative_degrees(kb.abox.degrees())
     candidates = sorted((d for d in pool if ZERO <= d <= ONE), reverse=ineq.positive)
     lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entails(kb, query, SignedBound(ineq, candidates[mid]), budget):
-            hi = mid
-        else:
-            lo = mid + 1
+    with Probes(kb, query, ineq, budget) as probes:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if not probes.check(candidates[mid]).consistent:
+                hi = mid
+            else:
+                lo = mid + 1
     if lo == 0 and not consistency(kb, budget).consistent:
         raise InconsistentKB()
     return candidates[lo]

@@ -77,6 +77,10 @@ and dict order: a popped edge comes back at the end of Forest.edges.  So no
 result follows such an order: a root merge moves y's edges in key order,
 and distinct sets are only tested for membership.  first_clash_forest is
 the one clone, taken at the first clash while a choice point is open.
+solve drops the trail when it returns if it started it, at its first
+choice point; a trail that was started before the call, by a caller that
+marked the forest (services.Probes marks a KB's initial forest and undoes
+each probe back to it), is kept.
 
 Dirty bits.  Node.dirty holds a bit for each scan over the nodes (the
 deterministic rules as one group in node-major order, each generator, the
@@ -144,7 +148,7 @@ from .degrees import (
     neg_lukasiewicz,
     reflect,
 )
-from .kb import RoleHierarchy, compute_ell
+from .kb import ABox, RoleHierarchy, compute_ell
 from .oracle import FuzzyInterpretation
 from .syntax import (
     And,
@@ -482,8 +486,9 @@ class Forest:
         self.clashing_nodes: set[int] = set()
         # the least root the ABox makes distinct from itself, set by init_forest
         self.self_distinct: Optional[int] = None
-        # undo records (function, arguments) since the first choice point;
-        # None until mark() is called, and again once solve returns
+        # undo records (function, arguments) since the first mark; None
+        # until mark() is called, and again once a solve that started the
+        # trail returns
         self.trail: Optional[list[tuple]] = None
 
     # --- construction and copying ---
@@ -812,10 +817,14 @@ class Forest:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
+def init_forest(
+    prepared: Prepared, budget: Optional[Budget] = None, individuals: Optional[list[str]] = None
+) -> Forest:
     """The initial forest of a prepared KB: a root per individual, labelled
     with its assertions, or one unlabelled root for a fresh element when
-    there are inclusions and no individual.
+    there are inclusions and no individual.  The roots are made in the order
+    of `individuals`, which must hold the ABox's; by default that is
+    ABox.individuals().
 
     The paper's ⊑-rule splits each node, for each inclusion lhs ⊑ rhs and
     each n in xa, into ⟨lhs ≤ n − ℓ⟩ or ⟨rhs ≥ n⟩.  Here n gets no split
@@ -830,22 +839,33 @@ def init_forest(prepared: Prepared, budget: Optional[Budget] = None) -> Forest:
     )
     f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)
     abox = prepared.abox
-    roots = {ind: f.new_node(None, ind).id for ind in abox.individuals()}
+    if individuals is None:
+        individuals = abox.individuals()
+    roots = {ind: f.new_node(None, ind).id for ind in individuals}
     if splits and not roots:
         # a domain is never empty: the inclusions must hold of some element
         f.new_node(None)
-    for ca in abox.concept_assertions:
-        f.add_triple(roots[ca.individual], Triple(ca.concept, ca.bound.ineq, ca.bound.degree), "init")
-    for ra in abox.role_assertions:
-        t = Triple(ra.role, ra.bound.ineq, ra.bound.degree)
-        a, b = roots[ra.subject], roots[ra.object]
-        f.union_edge(a, b, {t})
-    f.add_neq([roots[a] for a in pair] for pair in abox.inequalities)
+    add_assertions(f, abox, roots)
     # a merge never makes a node distinct from itself (_merge_pairs skips
     # distinct pairs), so only the ABox does
     selves = [roots[a] for pair in abox.inequalities if len(pair) == 1 for a in pair]
     f.self_distinct = min(selves, default=None)
     return f
+
+
+def add_assertions(f: Forest, abox: ABox, roots: dict[str, int]) -> None:
+    """Add a prepared ABox to f, whose root for each individual is in roots:
+    the concept assertions to the labels, in order and traced with rule
+    "init", then the role assertions to the edges and the inequalities to
+    the distinct sets.  Those last two neither trace nor read a label, so
+    concept assertions added after them give the forest and the trace that
+    adding them first would give."""
+    for ca in abox.concept_assertions:
+        f.add_triple(roots[ca.individual], Triple(ca.concept, ca.bound.ineq, ca.bound.degree), "init")
+    for ra in abox.role_assertions:
+        t = Triple(ra.role, ra.bound.ineq, ra.bound.degree)
+        f.union_edge(roots[ra.subject], roots[ra.object], {t})
+    f.add_neq([roots[a] for a in pair] for pair in abox.inequalities)
 
 
 # --- clash detection ---
@@ -1269,10 +1289,13 @@ class SolveResult:
 def solve(f: Forest) -> SolveResult:
     """Depth-first chronological backtracking over choice points, on the
     one forest f: each choice point keeps a trail mark, and each further
-    alternative starts from undoing back to it."""
+    alternative starts from undoing back to it.  A trail that the caller
+    started, by marking f before the call, is kept, so that the caller can
+    undo back to its mark; one that solve started is dropped on return."""
     first_clash: Optional[Forest] = None
     # frames: [trail mark, choice point, index of next alternative]
     stack: list[list] = []
+    own_trail = f.trail is None
     try:
         while True:
             result = expand(f)
@@ -1297,7 +1320,8 @@ def solve(f: Forest) -> SolveResult:
     finally:
         # the undo records refer back to f, so keeping them would leave f to
         # the cycle collector
-        f.trail = None
+        if own_trail:
+            f.trail = None
 
 
 # --- model extraction (SI soundness construction) ---

@@ -3,9 +3,10 @@ oracle and against planted answers.
 
     python tests/differential.py --seed N --count K --budget B
 
-Draws K knowledge bases from each of four genkb generators (f-ALC, f-SHIN,
-TBoxes with and without general inclusions, and the colouring family) and
-checks each verdict the tableau gives within budget B.  A mismatch is a
+Draws K knowledge bases from each of five genkb generators (f-ALC, f-SHIN,
+TBoxes with and without general inclusions, the colouring family, and role
+assertions over a transitive role with negative bounds) and checks each
+verdict the tableau gives within budget B.  A mismatch is a
 colouring KB's verdict other than its planted one, or any other verdict
 that fails services.cross_check, the check that `fshin check --oracle`
 runs too: "consistent" where model_for reads a model off the forest (f-SI
@@ -36,7 +37,13 @@ from fshin.parser import serialize_kb  # noqa: E402
 from fshin.services import consistency, cross_check  # noqa: E402
 from fshin.tableau import ResourceLimit  # noqa: E402
 
-from genkb import random_alc_kb, random_colouring_kb, random_shin_kb, random_tbox_kb  # noqa: E402
+from genkb import (  # noqa: E402
+    random_alc_kb,
+    random_colouring_kb,
+    random_shin_kb,
+    random_tbox_kb,
+    random_transitive_kb,
+)
 
 # name -> rng -> (KB, planted verdict or None)
 GENERATORS = {
@@ -44,6 +51,7 @@ GENERATORS = {
     "shin": lambda rng: (random_shin_kb(rng), None),
     "tbox": lambda rng: (random_tbox_kb(rng), None),
     "colouring": random_colouring_kb,
+    "transitive": lambda rng: (random_transitive_kb(rng), None),
 }
 
 

@@ -18,6 +18,7 @@ from fshin.syntax import (
     Or,
     Role,
     TOP,
+    inv,
 )
 
 GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -108,6 +109,43 @@ def random_shin_kb(rng: random.Random) -> FuzzyKB:
         # s (= r would make s non-simple; keep the hierarchy the other way
         rbox.inclusions.add((Role("r"), Role("q")))
     return FuzzyKB(rbox=rbox, abox=ABox(cas, ras, neqs))
+
+
+def random_transitive_kb(rng: random.Random) -> FuzzyKB:
+    """A path of role assertions >= n > 0 through the individuals over a
+    transitive r, then 1-2 role assertions with any bounds, negative ones
+    included, over r or, in 25% of KBs, over q with r (= q; each read
+    through the inverse role 30% of the time; and 0-2 f-ALC concept
+    assertions over the same roles.  Without the inclusion the KB is SI.  A
+    negative bound over r or q holds only if no chain of edges reaches past
+    it, which the tableau sees only through prepare's rewrite of such an
+    assertion."""
+    inds = INDIVIDUALS[: rng.randint(2, 3)]
+    rbox = RBox(transitive={"r"})
+    roles = ("r",)
+    if rng.random() < 0.25:
+        rbox.inclusions.add((Role("r"), Role("q")))
+        roles = ("r", "q")
+
+    def assertion(a: str, b: str, role: Role, bound: SignedBound) -> RoleAssertion:
+        if rng.random() < 0.3:
+            return RoleAssertion(b, a, inv(role), bound)
+        return RoleAssertion(a, b, role, bound)
+
+    path = rng.sample(inds, len(inds))
+    ras = [
+        assertion(a, b, Role("r"), SignedBound(Ineq.GE, rng.choice(GRID[1:])))
+        for a, b in zip(path, path[1:])
+    ]
+    ras += [
+        assertion(rng.choice(inds), rng.choice(inds), Role(rng.choice(roles)), random_bound(rng))
+        for _ in range(rng.randint(1, 2))
+    ]
+    cas = [
+        ConceptAssertion(rng.choice(inds), random_alc_concept(rng, 2, roles), random_bound(rng))
+        for _ in range(rng.randint(0, 2))
+    ]
+    return FuzzyKB(rbox=rbox, abox=ABox(cas, ras))
 
 
 def random_tbox_kb(rng: random.Random) -> FuzzyKB:

@@ -9,13 +9,16 @@ at call time:
   parser.self_s.
 - services.consistency, entails, glb and lub: the services a task runs;
   consistency's calls give services.consistency_calls and
-  services.probes_per_query, and all four services.self_s.
+  services.probes_per_query, and all four services.self_s.  The probes of
+  entails, glb and lub run on a shared forest (services.Probes) outside
+  GCI mode and call no consistency, so those two do not count them.
 - services.prepare, services.init_forest and services.solve: consistency
-  calls them through the names services binds; they give prepare.calls,
-  prepare.self_s, init.self_s and search.self_s, and the wrapper on solve
-  reads each SolveResult (trace, forest, first_clash_forest) and the
-  forest's budget for budget.used, forest.nodes, trace.events and the event
-  counts (branches, clashes, triples added, nodes created, block events).
+  and services.Probes call them through the names services binds; they
+  give prepare.calls, prepare.self_s, init.self_s and search.self_s, and
+  the wrapper on solve reads each SolveResult (trace, forest,
+  first_clash_forest) and the forest's budget for budget.used,
+  forest.nodes, trace.events and the event counts (branches, clashes,
+  triples added, nodes created, block events).
 - tableau.expand and tableau.apply_alternative, which solve calls, and
   tableau.find_clash, which expand calls: expand.self_s, search.self_s,
   clash.calls and clash.self_s.

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,14 @@ from fshin.services import (
 from fshin.syntax import Forall, Name, Not, Role
 from fshin.tableau import ResourceLimit
 
-from genkb import random_alc_concept, random_alc_kb, random_tbox_kb
+from genkb import (
+    random_alc_concept,
+    random_alc_kb,
+    random_shin_concept,
+    random_shin_kb,
+    random_tbox_kb,
+    random_transitive_kb,
+)
 
 F = Fraction
 EXAMPLES = Path(__file__).parent.parent / "examples"
@@ -101,6 +109,30 @@ def test_entails_role_query():
     assert entails(kb, q, b)
     q, b = parse_query("(a,c): r >= 0.9")
     assert not entails(kb, q, b)
+
+
+@pytest.mark.parametrize("text", [
+    "trans r. assert (a,b): r >= 0.8. assert (b,c): r >= 0.9. assert (a,c): r < 0.8.",
+    # through the inverse role, and over a non-simple super-role of r
+    "trans r. assert (a,b): r >= 0.8. assert (b,c): r >= 0.9. assert (c,a): r- <= 0.7.",
+    "trans r. subrole r q. assert (a,b): r >= 0.8. assert (b,c): r >= 0.9. assert (a,c): q < 0.8.",
+])
+def test_negative_role_bound_over_a_chain(text):
+    """A negative bound on a non-simple role meets the chain of edges that
+    transitivity closes, which no single edge shows.  The oracle agrees on
+    domains of up to two elements; with the role inclusion that search
+    takes seconds, so it is left out there."""
+    kb = parse_kb(text)
+    assert not consistency(kb).consistent
+    if not kb.rbox.inclusions:
+        assert search_model(kb, max_domain=2) is None
+
+
+def test_glb_of_a_role_over_a_transitive_chain():
+    kb = parse_kb(EXAMPLE1)
+    q, b = parse_query("(o1, o3): isPartOf >= 0.8")
+    assert entails(kb, q, b)
+    assert (glb(kb, q), lub(kb, q)) == (F(4, 5), ONE)
 
 
 def test_glb_lub():
@@ -247,15 +279,16 @@ def test_glb_lub_match_linear_scan_gci():
 
 def test_glb_lub_probe_count(monkeypatch):
     """A glb or lub over k candidates makes at most ceil(log2 k) + 1
-    consistency checks, on an inconsistent KB too."""
+    consistency checks, on an inconsistent KB too: each check, a probe on
+    the shared forest or a consistency call, is one solve."""
     calls = []
-    check = services.consistency
+    solve = services.solve
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return check(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(services, "consistency", counted)
+    monkeypatch.setattr(services, "solve", counted)
     kb, _ = part_of_chain(random.Random(4), 12)
     cases = [
         (parse_kb(EXAMPLE1), parse_query("(o3): (some isPartOf-.Body) and (some isPartOf-.Arm)")[0]),
@@ -320,7 +353,7 @@ PROBES = {
     ),
     "entails-role": (
         lambda: entails(parse_kb(EXAMPLE1), *parse_query("(o1, o3): isPartOf >= 0.8")),
-        False,
+        True,
         [EXAMPLE1_HEAD + EXAMPLE1_ROLES + "assert (o1,o3) : isPartOf < 0.8.\n"],
     ),
     "glb": (
@@ -339,16 +372,106 @@ def test_probe_kbs_pinned(monkeypatch, service):
     """Each service gives its answer from the same consistency checks, in
     the same order, on the same KBs, assertion for assertion."""
     seen = []
-    check = services.consistency
+    check = services.Probes.check
 
-    def spy(kb, *args, **kwargs):
-        seen.append(serialize_kb(kb))
-        return check(kb, *args, **kwargs)
+    def spy(probes, degree):
+        bound = SignedBound(probes.ineq, degree)
+        seen.append(serialize_kb(services._with_negated(probes.kb, probes.query, bound)))
+        return check(probes, degree)
 
-    monkeypatch.setattr(services, "consistency", spy)
+    monkeypatch.setattr(services.Probes, "check", spy)
     call, answer, probes = PROBES[service]
     assert call() == answer
     assert seen == probes
+
+
+@pytest.fixture
+def budgets_used(monkeypatch):
+    """budget.used at the end of each solve that services runs, in order."""
+    used = []
+    solve = services.solve
+
+    def spy(f):
+        result = solve(f)
+        used.append(f.budget.used)
+        return result
+
+    monkeypatch.setattr(services, "solve", spy)
+    return used
+
+
+def check_outcome(check, used):
+    """The verdict, trace and budget.used of a check, or "exhausted"."""
+    try:
+        result = check()
+    except ResourceLimit:
+        return "exhausted"
+    return result.consistent, result.trace, used[-1]
+
+
+def assert_probes_match_fresh_checks(kb, query, ineqs, used, budget=2000) -> int:
+    """Each Probes.check on kb and query equals the consistency check of kb
+    plus the negated assertion, for every relative degree of kb and 1/3,
+    and each inequality in ineqs.  Returns the number of checks made on a
+    shared forest."""
+    degrees = sorted(relative_degrees(kb.abox.degrees()) | {F(1, 3)})
+    shared = 0
+    for ineq in ineqs:
+        try:
+            probes = services.Probes(kb, query, ineq, budget)
+        except ResourceLimit:
+            probes = None
+        for n in degrees:
+            negated = services._with_negated(kb, query, SignedBound(ineq, n))
+            fresh = check_outcome(lambda: consistency(negated, budget), used)
+            got = "exhausted" if probes is None else check_outcome(lambda: probes.check(n), used)
+            assert got == fresh, (serialize_kb(negated), probes is not None and probes.forest)
+            shared += probes is not None and probes.forest is not None
+    return shared
+
+
+def test_shared_probes_match_fresh_checks(budgets_used):
+    """Over genkb's KBs in every mode, with concept queries, whose number
+    restrictions can take an SI KB to SHIN, and role queries, on existing
+    and fresh individuals."""
+    rng = random.Random(24)
+    shared = Counter()
+    generators = (random_alc_kb, random_shin_kb, random_tbox_kb, random_transitive_kb)
+    for _ in range(12):
+        for kb in (generate(rng) for generate in generators):
+            a, b = kb.abox.individuals()[0], kb.abox.individuals()[-1]
+            role = Role(rng.choice(("r", "q")), inverted=rng.random() < 0.5)
+            queries = [
+                (a, random_shin_concept(rng, 2)),
+                ("x9", random_alc_concept(rng, 2)),
+                (b, a, role),
+                (a, "x9", role),
+            ]
+            mode = detect_mode(kb)
+            # a GCI probe is a consistency call on either side, and the
+            # longest: one query, under a small budget
+            budget = 300 if mode == "gci" else 2000
+            for query in queries[:1] if mode == "gci" else queries:
+                ineqs = rng.sample(list(Ineq), 2)
+                used = assert_probes_match_fresh_checks(kb, query, ineqs, budgets_used, budget)
+                shared[mode, len(query)] += used
+    # both kinds of query took the shared path on SI and SHIN KBs, and none
+    # on GCI KBs
+    assert {key for key, n in shared.items() if n} == {
+        ("si", 2), ("si", 3), ("shin", 2), ("shin", 3)
+    }, shared
+
+
+def test_shared_probes_match_fresh_checks_on_degree_queries(budgets_used, monkeypatch):
+    """Over the first block of the benchmark's degree-query workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import blocks
+
+    for task in next(blocks("degree-query", 1)):
+        kb = parse_kb(task.kb_text)
+        query, _ = parse_query(task.query_text)
+        ineq = Ineq.LE if task.kind == "lub" else Ineq.GE
+        assert assert_probes_match_fresh_checks(kb, query, [ineq], budgets_used, 5000)
 
 
 def test_duality_random():

@@ -892,3 +892,25 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
         "_unadd", "_unclear", "_unnew", "_restore_edge", "setattr.parent", "setattr.status",
         "setattr.distinct", "setattr.merged_into", "setattr.dirty",
     }
+
+
+def test_solve_keeps_a_trail_its_caller_started():
+    """solve keeps the trail of a forest that its caller marked, and undoing
+    back to that mark gives back the forest as it was marked; it drops a
+    trail that it started itself."""
+    kept = 0
+    for f in golden_runs():
+        if f.clashing_nodes or f.clashing_pairs:
+            continue
+        base, unmarked = f.clone(), f.clone()
+        # a clone shares the budget
+        unmarked.budget = Budget(f.budget.limit, f.budget.used)
+        mark = f.mark()
+        solve(f)
+        assert f.trail is not None
+        f.undo(mark)
+        assert_same_forest(f, base)
+        solve(unmarked)
+        assert unmarked.trail is None
+        kept += 1
+    assert kept >= 100
