@@ -162,20 +162,20 @@ def _with_negated(kb: FuzzyKB, query: Query, bound: SignedBound) -> FuzzyKB:
 
 
 class Probes:
-    """The consistency checks that decide KB |= query ◁ n, for one
-    inequality ◁ and one degree n after another: each checks KB plus the
-    negated assertion, ⟨query negate(◁) n⟩.
+    """The consistency checks that decide KB |= query ◁ n for glb and lub's
+    binary search, for one inequality ◁ and one degree n after another: each
+    checks KB plus the negated assertion, ⟨query negate(◁) n⟩.
 
     prepare runs once, on the KB with the query asserted, and init_forest
-    builds one forest from all of it but the query's assertion, with the
-    roots in the order of that KB's individuals, which depends on the query
-    and not on its bound; then the trail is marked.  Each check undoes back
-    to the mark what the check before it did, adds what the negated
-    assertion prepares to, and solves.  Its budget starts at what init
-    charged and its trace at init's events, so it searches as
-    consistency(_with_negated(kb, query, bound)) does: the same node ids,
-    trace, budget.used and verdict.  Use it as a context manager: leaving
-    it drops the trail, whose records refer back to the forest.
+    builds one forest from the KB's assertions, with the roots in the order
+    of that KB's individuals, which depends on the query and not on its
+    bound; then the trail is marked.  Each check undoes back to the mark
+    what the check before it did, adds what the negated assertion prepares
+    to, and solves.  Its budget starts at what init charged and its trace at
+    init's events, so it searches as consistency(_with_negated(kb, query,
+    bound)) does: the same node ids, trace, budget.used and verdict.  The
+    trail holds the forest's nodes and dicts, never the forest, so both go
+    with the Probes.
 
     Each check is that consistency call where one forest cannot search the
     same: in GCI mode, where normalize_for_gci shifts a strict negated
@@ -188,31 +188,20 @@ class Probes:
         self.kb, self.query, self.ineq, self.budget = kb, query, ineq, budget
         self.forest: Optional[Forest] = None
         # the degree does not change what a KB outside GCI mode prepares to,
-        # except in what _assertions gives for the query
+        # except in the query's own assertion
         prepared = prepare(_with_negated(kb, query, SignedBound(ineq, ONE)))
         self.rbox, self.expand = prepared.rbox, partial(expand_concept, unfolded=prepared.unfolded)
         rewritten = any(_through_nominal(ra, self.rbox) for ra in kb.abox.role_assertions)
         if prepared.mode == "gci" or (len(query) == 2 and rewritten):
             return
-        own, abox = self._assertions(ONE), prepared.abox
-        base = ABox(
-            abox.concept_assertions[: len(abox.concept_assertions) - len(own.concept_assertions)],
-            abox.role_assertions[: len(abox.role_assertions) - len(own.role_assertions)],
-            abox.inequalities,
-        )
-        f = init_forest(replace(prepared, abox=base), Budget(budget), abox.individuals())
+        base = _tableau_abox(kb.abox, self.rbox, self.expand)
+        f = init_forest(replace(prepared, abox=base), Budget(budget), prepared.abox.individuals())
         if f.clashing_nodes or f.clashing_pairs:
             return
         self.roots = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}
         self.init_used, self.init_trace = f.budget.used, f.trace
         self.mark = f.mark()
         self.forest = f
-
-    def _assertions(self, degree: Degree) -> ABox:
-        """The prepared form of the negated assertion at this degree."""
-        abox = ABox()
-        abox.add(self.query, SignedBound(negate(self.ineq), degree))
-        return _tableau_abox(abox, self.rbox, self.expand)
 
     def check(self, degree: Degree) -> SolveResult:
         """The check of KB plus ⟨query negate(◁) degree⟩, which is
@@ -226,15 +215,10 @@ class Probes:
             return consistency(kb, self.budget)
         f.undo(self.mark)
         f.budget, f.trace = Budget(self.budget, self.init_used), list(self.init_trace)
-        add_assertions(f, self._assertions(degree), self.roots)
+        negated = ABox()
+        negated.add(self.query, SignedBound(negate(self.ineq), degree))
+        add_assertions(f, _tableau_abox(negated, self.rbox, self.expand), self.roots)
         return solve(f)
-
-    def __enter__(self) -> "Probes":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.forest is not None:
-            self.forest.trail = None
 
 
 def entails(
@@ -243,8 +227,7 @@ def entails(
     bound: SignedBound,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    with Probes(kb, query, bound.ineq, budget) as probes:
-        return not probes.check(bound.degree).consistent
+    return not consistency(_with_negated(kb, query, bound), budget).consistent
 
 
 class InconsistentKB(Exception):
@@ -289,13 +272,13 @@ def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degre
     pool = relative_degrees(kb.abox.degrees())
     candidates = sorted((d for d in pool if ZERO <= d <= ONE), reverse=ineq.positive)
     lo, hi = 0, len(candidates) - 1
-    with Probes(kb, query, ineq, budget) as probes:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if not probes.check(candidates[mid]).consistent:
-                hi = mid
-            else:
-                lo = mid + 1
+    probes = Probes(kb, query, ineq, budget)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if not probes.check(candidates[mid]).consistent:
+            hi = mid
+        else:
+            lo = mid + 1
     if lo == 0 and not consistency(kb, budget).consistent:
         raise InconsistentKB()
     return candidates[lo]

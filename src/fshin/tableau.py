@@ -77,10 +77,10 @@ and dict order: a popped edge comes back at the end of Forest.edges.  So no
 result follows such an order: a root merge moves y's edges in key order,
 and distinct sets are only tested for membership.  first_clash_forest is
 the one clone, taken at the first clash while a choice point is open.
-solve drops the trail when it returns if it started it, at its first
-choice point; a trail that was started before the call, by a caller that
-marked the forest (services.Probes marks a KB's initial forest and undoes
-each probe back to it), is kept.
+A record holds nodes and the forest's dicts, never the forest, so the
+trail makes no reference cycle and stays with the forest: a caller that
+marked it before solve can undo back to its mark (services.Probes marks a
+KB's initial forest for glb and lub, and undoes each probe back to it).
 
 Dirty bits.  Node.dirty holds a bit for each scan over the nodes (the
 deterministic rules as one group in node-major order, each generator, the
@@ -414,10 +414,20 @@ class Node:
             (u for u in ordered[lo:hi] if u.subject == t.subject and conjugates(u.bound, bound)), None
         )
 
+    def _unadd(self, t: Triple, i: int) -> None:
+        """Undo the add() of t, which gave place i."""
+        self.label.remove(t)
+        del self.ordered[i]
+        self._kinds = None
+
     def clear(self) -> None:
         self.label = set()
         self.ordered = []
         self._kinds = None
+
+    def _unclear(self, label: set[Triple], ordered: list[Triple]) -> None:
+        """Undo a clear() of this label and order."""
+        self.label, self.ordered, self._kinds = label, ordered, None
 
     def copy(self) -> "Node":
         return replace(self, label=set(self.label), ordered=list(self.ordered))
@@ -486,9 +496,9 @@ class Forest:
         self.clashing_nodes: set[int] = set()
         # the least root the ABox makes distinct from itself, set by init_forest
         self.self_distinct: Optional[int] = None
-        # undo records (function, arguments) since the first mark; None
-        # until mark() is called, and again once a solve that started the
-        # trail returns
+        # undo records (function, arguments) since the first mark, None
+        # before it; a record holds nodes and this forest's dicts, never the
+        # forest, so the trail lives and dies with it
         self.trail: Optional[list[tuple]] = None
 
     # --- construction and copying ---
@@ -499,11 +509,8 @@ class Forest:
         # ever removed (by undo), so the next id is the number of nodes
         x = len(self.nodes)
         node = self.nodes[x] = Node(x, parent, root_name, dirty=_ALL)
-        self._log(self._unnew, x)
+        self._log(self.nodes.pop, x)
         return node
-
-    def _unnew(self, x: int) -> None:
-        del self.nodes[x]
 
     def clone(self) -> "Forest":
         """An independent copy, without the trail; shares rbox, budget,
@@ -585,24 +592,16 @@ class Forest:
         """Add t, which the label lacks, to the node's label."""
         i = node.add(t)
         if self.trail is not None:
-            self.trail.append((self._unadd, (node, t, i)))
+            self.trail.append((node._unadd, (t, i)))
         if node.id not in self.clashing_nodes and (t.unary_clash or node.conjugate_of(i)):
             self.clashing_nodes.add(node.id)
         self._changed(node)
 
-    def _unadd(self, node: Node, t: Triple, i: int) -> None:
-        node.label.remove(t)
-        del node.ordered[i]
-        node._kinds = None
-
     def clear_label(self, node: Node) -> None:
-        self._log(self._unclear, node, node.label, node.ordered)
+        self._log(node._unclear, node.label, node.ordered)
         node.clear()
         self.clashing_nodes.discard(node.id)
         self._changed(node)
-
-    def _unclear(self, node: Node, label, ordered) -> None:
-        node.label, node.ordered, node._kinds = label, ordered, None
 
     def set_field(self, obj, name: str, value) -> None:
         """Set obj.name to value, logging the old value."""
@@ -655,17 +654,8 @@ class Forest:
     def _save_edge(self, key: tuple[int, int]) -> None:
         if self.trail is not None:
             na, nb = (self.nodes[end] for end in key)
-            self._log(self._restore_edge, key, self.edges.get(key), na, na.adjacent, nb, nb.adjacent)
-
-    def _restore_edge(self, key, label, na, adjacent_a, nb, adjacent_b) -> None:
-        # a popped edge comes back at the end of self.edges: nothing may
-        # depend on the order of that dict
-        if label is None:
-            del self.edges[key]
-        else:
-            self.edges[key] = label
-        nb.adjacent, nb.neighbours = adjacent_b, None
-        na.adjacent, na.neighbours = adjacent_a, None
+            edges = self.edges
+            self._log(_restore_edge, edges, key, edges.get(key), na, na.adjacent, nb, nb.adjacent)
 
     def _edge_changed(self, a: int, b: int) -> None:
         na, nb = self.nodes[a], self.nodes[b]
@@ -815,6 +805,17 @@ class Forest:
         for (a, b) in sorted(self.edges):
             lines.append(f"edge {a} -> {b} {{{text(sorted(self.edges[(a, b)], key=triple_key))}}}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _restore_edge(edges, key, label, na, adjacent_a, nb, adjacent_b) -> None:
+    """Undo a change to edge `key` of edges, a forest's edge dict.  A popped
+    edge comes back at the end: nothing may depend on that dict's order."""
+    if label is None:
+        del edges[key]
+    else:
+        edges[key] = label
+    nb.adjacent, nb.neighbours = adjacent_b, None
+    na.adjacent, na.neighbours = adjacent_a, None
 
 
 def init_forest(
@@ -1289,39 +1290,31 @@ class SolveResult:
 def solve(f: Forest) -> SolveResult:
     """Depth-first chronological backtracking over choice points, on the
     one forest f: each choice point keeps a trail mark, and each further
-    alternative starts from undoing back to it.  A trail that the caller
-    started, by marking f before the call, is kept, so that the caller can
-    undo back to its mark; one that solve started is dropped on return."""
+    alternative starts from undoing back to it.  The trail stays with f, so
+    a caller that marked f before the call can undo back to its mark."""
     first_clash: Optional[Forest] = None
     # frames: [trail mark, choice point, index of next alternative]
     stack: list[list] = []
-    own_trail = f.trail is None
-    try:
-        while True:
-            result = expand(f)
-            if result is None:
-                return SolveResult(True, f, first_clash, f.trace)
-            if isinstance(result, ChoicePoint):
-                stack.append([f.mark(), result, 0])
-            else:  # clash
-                if first_clash is None:
-                    # with no choice point open the search ends here, and f with it
-                    first_clash = f.clone() if stack else f
-                while stack and stack[-1][2] >= len(stack[-1][1].alternatives):
-                    stack.pop()
-                if not stack:
-                    f.trace.append(("exhausted",))
-                    return SolveResult(False, None, first_clash, f.trace)
-            mark, cp, idx = stack[-1]
-            stack[-1][2] = idx + 1
-            f.undo(mark)
-            f.trace.append(("branch", cp.rule, cp.node, idx, cp.alternatives[idx]))
-            apply_alternative(f, cp.alternatives[idx])
-    finally:
-        # the undo records refer back to f, so keeping them would leave f to
-        # the cycle collector
-        if own_trail:
-            f.trail = None
+    while True:
+        result = expand(f)
+        if result is None:
+            return SolveResult(True, f, first_clash, f.trace)
+        if isinstance(result, ChoicePoint):
+            stack.append([f.mark(), result, 0])
+        else:  # clash
+            if first_clash is None:
+                # with no choice point open the search ends here, and f with it
+                first_clash = f.clone() if stack else f
+            while stack and stack[-1][2] >= len(stack[-1][1].alternatives):
+                stack.pop()
+            if not stack:
+                f.trace.append(("exhausted",))
+                return SolveResult(False, None, first_clash, f.trace)
+        mark, cp, idx = stack[-1]
+        stack[-1][2] = idx + 1
+        f.undo(mark)
+        f.trace.append(("branch", cp.rule, cp.node, idx, cp.alternatives[idx]))
+        apply_alternative(f, cp.alternatives[idx])
 
 
 # --- model extraction (SI soundness construction) ---

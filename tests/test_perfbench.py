@@ -9,9 +9,10 @@ at call time:
   parser.self_s.
 - services.consistency, entails, glb and lub: the services a task runs;
   consistency's calls give services.consistency_calls and
-  services.probes_per_query, and all four services.self_s.  The probes of
-  entails, glb and lub run on a shared forest (services.Probes) outside
-  GCI mode and call no consistency, so those two do not count them.
+  services.probes_per_query, and all four services.self_s.  Each entails
+  is one consistency call, so those two count it; the probes of glb and
+  lub run on a shared forest (services.Probes) outside GCI mode and call
+  no consistency, so they do not count those.
 - services.prepare, services.init_forest and services.solve: consistency
   and services.Probes call them through the names services binds; they
   give prepare.calls, prepare.self_s, init.self_s and search.self_s, and

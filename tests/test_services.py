@@ -370,19 +370,65 @@ PROBES = {
 @pytest.mark.parametrize("service", PROBES)
 def test_probe_kbs_pinned(monkeypatch, service):
     """Each service gives its answer from the same consistency checks, in
-    the same order, on the same KBs, assertion for assertion."""
+    the same order, on the same KBs, assertion for assertion: a consistency
+    call, or a check on a shared forest."""
     seen = []
-    check = services.Probes.check
+    check, consistency = services.Probes.check, services.consistency
 
-    def spy(probes, degree):
-        bound = SignedBound(probes.ineq, degree)
-        seen.append(serialize_kb(services._with_negated(probes.kb, probes.query, bound)))
+    def spy_check(probes, degree):
+        if probes.forest is not None:
+            bound = SignedBound(probes.ineq, degree)
+            seen.append(serialize_kb(services._with_negated(probes.kb, probes.query, bound)))
         return check(probes, degree)
 
-    monkeypatch.setattr(services.Probes, "check", spy)
+    def spy_consistency(kb, budget):
+        seen.append(serialize_kb(kb))
+        return consistency(kb, budget)
+
+    monkeypatch.setattr(services.Probes, "check", spy_check)
+    monkeypatch.setattr(services, "consistency", spy_consistency)
     call, answer, probes = PROBES[service]
     assert call() == answer
     assert seen == probes
+
+
+def test_entailments_build_no_probes(monkeypatch):
+    """entails, satisfiable, n_satisfiable and subsumes build no Probes:
+    each entailment they decide is one consistency check, one solve."""
+    counts = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(services.Probes, "__init__", spy("probes", services.Probes.__init__))
+    monkeypatch.setattr(services, "solve", spy("solves", services.solve))
+    monkeypatch.setattr(services, "entails", spy("entailments", services.entails))
+    rng = random.Random(25)
+    modes = Counter()
+    for _ in range(6):
+        for kb in (random_alc_kb(rng), random_shin_kb(rng), random_tbox_kb(rng)):
+            modes[detect_mode(kb)] += 1
+            a = kb.abox.individuals()[0]
+            c, d = random_alc_concept(rng, 2), random_alc_concept(rng, 2)
+            n = rng.choice(sorted(relative_degrees(kb.abox.degrees())))
+            for call in (
+                lambda: services.entails(kb, (a, c), SignedBound(rng.choice(list(Ineq)), n), 3000),
+                lambda: services.satisfiable(c, kb, 3000),
+                lambda: services.n_satisfiable(c, n, kb, 3000),
+                lambda: services.subsumes(d, c, kb, 3000),
+            ):
+                before = counts["solves"] - counts["entailments"]
+                try:
+                    call()
+                except ResourceLimit:
+                    pass
+                assert counts["solves"] - counts["entailments"] == before
+    assert counts["probes"] == 0 and counts["entailments"] > 50
+    assert set(modes) == {"si", "shin", "gci"}
 
 
 @pytest.fixture

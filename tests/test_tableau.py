@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -873,8 +875,10 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     def undo(f, mark):
         for fn, args in f.trail[mark:]:
             undone[fn.__name__ + ("." + args[1] if fn is setattr else "")] += 1
-            # records put back facts: no clash flag, _kinds or neighbour table
-            assert not any(isinstance(a, (bool, dict)) for a in args), fn.__name__
+            # records put back facts: no clash flag, _kinds or neighbour
+            # table; f.edges is the container an edge goes back into
+            saved = (a for a in args if a is not f.edges)
+            assert not any(isinstance(a, (bool, dict)) for a in saved), fn.__name__
         real_undo(f, mark)
 
     monkeypatch.setattr(tableau, "expand", expand)
@@ -889,28 +893,41 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     # every kind of undo record was exercised, and no other
     assert undone.pop("alternatives") > 500
     assert set(undone) == {
-        "_unadd", "_unclear", "_unnew", "_restore_edge", "setattr.parent", "setattr.status",
+        "_unadd", "_unclear", "pop", "_restore_edge", "setattr.parent", "setattr.status",
         "setattr.distinct", "setattr.merged_into", "setattr.dirty",
     }
 
 
 def test_solve_keeps_a_trail_its_caller_started():
     """solve keeps the trail of a forest that its caller marked, and undoing
-    back to that mark gives back the forest as it was marked; it drops a
-    trail that it started itself."""
+    back to that mark gives back the forest as it was marked."""
     kept = 0
     for f in golden_runs():
         if f.clashing_nodes or f.clashing_pairs:
             continue
-        base, unmarked = f.clone(), f.clone()
-        # a clone shares the budget
-        unmarked.budget = Budget(f.budget.limit, f.budget.used)
+        base = f.clone()
         mark = f.mark()
         solve(f)
-        assert f.trail is not None
         f.undo(mark)
         assert_same_forest(f, base)
-        solve(unmarked)
-        assert unmarked.trail is None
         kept += 1
     assert kept >= 100
+
+
+def test_no_forest_is_left_to_the_cycle_collector():
+    """A marked forest, solved, goes as soon as its last reference does: no
+    undo record refers back to it."""
+    refs = []
+    gc.disable()
+    try:
+        for f in golden_runs():
+            if f.clashing_nodes or f.clashing_pairs:
+                continue
+            f.mark()
+            solve(f)
+            refs.append(weakref.ref(f))
+        del f
+        assert len(refs) >= 100
+        assert not [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
