@@ -31,13 +31,15 @@ rather than recomputing them on every call: ordered, the label in
 canonical order (what Forest.sorted_label returns); _kinds, rebuilt on
 demand, its triples grouped by rule kind; adjacent, the keys of the edges
 at it; neighbours, its neighbour_bounds results; status, its blocking
-status, which starts unblocked; and dirty (below).  Besides,
+status, which starts unblocked; and children, the ids of its children
+(below).  Besides,
 
 - a Triple caches its order key, hash, bound, unary clash, rule kind and
   the triples the rules derive from it (see below);
 - a Forest keeps the first clash of each node pair whose edges clash, the
   set of nodes whose label holds a triple that clashes on its own or a
-  conjugated pair, and the least root the ABox makes distinct from itself.
+  conjugated pair, the least root the ABox makes distinct from itself, and
+  the dirty sets and their holders (below).
 
 These hold because every change goes through the Forest methods that keep
 them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
@@ -62,68 +64,87 @@ each of those methods, blocking and _first append to Forest.trail a record
 (function, arguments) that reverses their change.  Each frame of solve's
 stack holds the trail length at its choice point, and each further
 alternative starts with undo(mark), which runs the newer records newest
-first.  The records put back facts only (labels, edges, parents, distinct
-sets, merged_into, statuses and dirty bits), as the change found them; a
-value a change replaces (a cleared label, an edge label, an adjacent or
-distinct set) is kept by reference, since none is changed in place, and a
-field write is one setattr record.  Derived state is reset, not saved.  The
-caches, Node._kinds and both ends' neighbour tables, are dropped and
-rebuilt on the next read.  The clash indexes are emptied once the records
-have run: solve marks only at a choice point, which expand returns right
-after find_clash found nothing, with no change since, so they are empty at
-every mark (mark() asserts it).  self_distinct is set once, by init_forest:
+first.  The records put back facts only (labels, edges, parents, children,
+distinct sets, merged_into, statuses, dirty sets and holders), as the
+change found them; a value a change replaces (a cleared label, an edge
+label, an adjacent or distinct set) is kept by reference, since none is
+changed in place.  A field write is one setattr record; a write to one
+dirty set or holder is one (setitem, (list, index, old int)) record, and
+a write to several dirty sets at once (Forest._spread) one record that
+puts back a copy of the whole list.  Derived state is reset, not saved.
+The caches, Node._kinds and both ends' neighbour tables, are dropped and
+rebuilt on the next read.  The clash indexes and the fresh set are emptied
+once the records have run, and the fresh set is never logged: solve marks
+only at a choice point, which expand returns right after find_clash found
+nothing, with no change since the fold, so they are empty at every mark
+(mark() asserts the first, and folds the fresh set for a caller that marks
+a forest before expanding it).  self_distinct is set once, by init_forest:
 a merge never makes a node distinct from itself.  Undo does not restore set
 and dict order: a popped edge comes back at the end of Forest.edges.  So no
 result follows such an order: a root merge moves y's edges in key order,
 and distinct sets are only tested for membership.  first_clash_forest is
 the one clone, taken at the first clash while a choice point is open.
-A record holds nodes and the forest's dicts, never the forest, so the
-trail makes no reference cycle and stays with the forest: a caller that
-marked it before solve can undo back to its mark (services.Probes marks a
-KB's initial forest for glb and lub, and undoes each probe back to it).
+A record holds nodes and the forest's dicts and lists, never the forest,
+so the trail makes no reference cycle and stays with the forest: a caller
+that marked it before solve can undo back to its mark (services.Probes
+marks a KB's initial forest for glb and lub, and undoes each probe back to
+it).
 
-Dirty bits.  Node.dirty holds a bit for each scan over the nodes (the
+Dirty sets.  Forest.dirty holds one Python int per scan over the nodes,
+a bitset with bit x for node x: one per rule of Forest.rules (the
 deterministic rules as one group in node-major order, each generator, the
-two merge passes, the disjunction and inclusion splits, and the counting
-clash) and one more for blocking.  A node gets all its bits when it is
-created and when its label, its parent or an edge at it changes
-(Forest._changed); it gets the scan bits again when its blocking status
-changes kind, and every node gets the counting clash's bit when a distinct
-set grows.
-Each scan goes through _first, which skips the nodes whose bit for it is
-clear and clears the bit of each node where it finds nothing.  blocking()
-clears the blocking bit wherever it is set and checks those nodes and
-their descendants again, in id order, and no others.  A node's status
-depends on its parent's status, its in-edge, and the labels and in-edges
-of itself and its ancestors (the blocker candidates and their parents),
-all on its path to the root; so a change that can move it sets the bit at
-the node or an ancestor.  Every parent has a smaller id than its child: a
-generated node takes the next id below an existing parent, roots are made
-before any generated node, and only a root's children are re-parented, to
-another root.  So the pass in id order sees a parent's new status before
-its children's.  It traces the block events as the statuses change, oldest
-first, blocks before unblocks: the events a comparison of all the old and
-new statuses would give.  Setting a bit without need is always safe: the
-scan or the check runs there and changes nothing.  The bits roll back with
-the trail, so after an undo a clear bit still means that the scan finds
-nothing, or that the status holds, in the state the undo put back.
+two merge passes, the disjunction and inclusion splits), then the counting
+clash's, then blocking's, then the fresh set.  A node that is created, or
+whose label, parent or an edge at it changes (Forest._changed), only joins
+the fresh set, which costs one int.  blocking() folds the fresh set into
+every other set, once per expand iteration and before its own check, and
+empties it.  A set takes only the nodes that may enter it (Forest.holders):
+for a scan group that reads some kinds of triple (_READS), the nodes whose
+label holds one, since the group finds nothing at the others; every node
+for _gci_at and for blocking.  A node whose blocking status changes kind
+goes back into every scan set, and a grown distinct set puts every holder
+of a count triple into the counting clash's.
+Each scan goes through _first, which takes the lowest set bit,
+(v & -v).bit_length() - 1, and drops each node where it finds nothing.
+Node ids are handed out in increasing order, so the lowest bit is the
+oldest node, the one a walk over Forest.nodes in id order would reach
+first, and the scans fire in the order that walk gives.  blocking()
+empties its set and checks those nodes and their descendants again, in id
+order, and no others; it reaches the descendants through Node.children,
+which new_node and set_parent keep, and returns at once when its set is
+empty.  A node's status depends on its parent's status, its in-edge, and
+the labels and in-edges of itself and its ancestors (the blocker
+candidates and their parents), all on its path to the root; so a change
+that can move it puts the node or an ancestor into the set.  Every parent
+has a smaller id than its child: a generated node takes the next id below
+an existing parent, roots are made before any generated node, and only a
+root's children are re-parented, to another root.  So the pass in id order
+sees a parent's new status before its children's, and each child it adds
+lies above the id being checked.  It traces the block events as the
+statuses change, oldest first, blocks before unblocks: the events a
+comparison of all the old and new statuses would give.  A node in a set
+without need is always safe: the scan or the check runs there and changes
+nothing.  The sets roll back with the trail, so after an undo a node
+outside a set still means that the scan finds nothing, or that the status
+holds, in the state the undo put back.
 
 A group's result at x depends on x's label, the edges at x, x's blocking
 status and, beyond those, only on the labels and parents of x's
 neighbours, the distinct sets and x's merged_into.  These others can only
-switch a group off at x, never on, except where a bit is set for them:
+switch a group off at x, never on, except where x is put into the set for
+them:
 
 - a neighbour's label only grows, and a grown label only satisfies a
   propagation, a witness or a split that was missing; the one label that
   empties, a root merged away, first loses every edge, so each former
-  neighbour gets its bits;
+  neighbour is changed;
 - distinct sets only grow and merged_into is set once, and a new distinct
   pair only rules out a merge pair or satisfies an at-least, and a merged
   node takes no more inclusion splits; a new distinct pair can complete a
-  counting clash, which is why add_neq sets that group's bit at every node;
+  counting clash, which is why add_neq puts every holder into that set;
 - a neighbour's parent changes only when its root parent is merged into
-  another root, which re-links the neighbour's edge and so sets x's bits
-  when x is either root; whether one non-root neighbour is an ancestor of
+  another root, which re-links the neighbour's edge and so changes x when
+  x is either root; whether one non-root neighbour is an ancestor of
   another never changes, since only children of roots are re-parented.
 """
 
@@ -132,7 +153,7 @@ from __future__ import annotations
 import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, setitem
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
 from .degrees import (
@@ -358,9 +379,9 @@ class Node:
     # kind -> triples of that kind in canonical order; rebuilt on first read
     # after a change, never changed in place, so copies may share it
     _kinds: Optional[dict[str, list[Triple]]] = field(default=None, repr=False, compare=False)
-    # one bit per scan group that may have something to do here (see
-    # _first), and one for a blocking status that may have moved
-    dirty: int = field(default=0, repr=False, compare=False)
+    # the ids of the node's children as a bitset, bit x for node x, which
+    # Forest.blocking follows from a changed node down to its descendants
+    children: int = field(default=0, repr=False, compare=False)
     # (kind, blocker) as of the last Forest.blocking(); unblocked before it
     status: tuple[str, Optional[int]] = field(default=_UNBLOCKED_STATUS, compare=False)
     # the keys of the edges that start or end here, and role ->
@@ -486,6 +507,22 @@ class Forest:
         # the rules this fragment runs, in priority order
         skip = set() if pairwise else {_merge_at, _merge_roots_at, _rule_atleast}
         self.rules = tuple(r for r in _RULES if r not in skip and (gci_splits or r is not _gci_at))
+        # the dirty sets, bitsets over node ids: one per rule of self.rules,
+        # in that order, then the counting clash's (_COUNTING), blocking's
+        # (_BLOCKING), and the nodes changed since the last fold (_FRESH)
+        self.dirty = [0] * (len(self.rules) + 3)
+        # for each dirty set, at the same index, the nodes that may enter
+        # it: those whose label holds a kind of triple the scan group reads
+        # (a node stays one when a root merge empties its label), or -1,
+        # every node, for a group that reads every node, for blocking and
+        # for the fresh set
+        groups = (*self.rules, _counting_clash)
+        self.holders = [-1 if _READS[at] is None else 0 for at in groups] + [-1, -1]
+        # kind of triple -> the indexes of the groups that read it
+        self._readers: dict[str, list[int]] = {}
+        for i, at in enumerate(groups):
+            for kind in _READS[at] or ():
+                self._readers.setdefault(kind, []).append(i)
         self.nodes: dict[int, Node] = {}
         # edge labels are replaced, never changed in place, so a clone or an
         # undo record may share them
@@ -497,8 +534,8 @@ class Forest:
         # the least root the ABox makes distinct from itself, set by init_forest
         self.self_distinct: Optional[int] = None
         # undo records (function, arguments) since the first mark, None
-        # before it; a record holds nodes and this forest's dicts, never the
-        # forest, so the trail lives and dies with it
+        # before it; a record holds nodes and this forest's dicts and lists,
+        # never the forest, so the trail lives and dies with it
         self.trail: Optional[list[tuple]] = None
 
     # --- construction and copying ---
@@ -508,8 +545,13 @@ class Forest:
         # ids are handed out in increasing order and only the newest node is
         # ever removed (by undo), so the next id is the number of nodes
         x = len(self.nodes)
-        node = self.nodes[x] = Node(x, parent, root_name, dirty=_ALL)
+        node = self.nodes[x] = Node(x, parent, root_name)
         self._log(self.nodes.pop, x)
+        if parent is not None:
+            up = self.nodes[parent]
+            self._log(setattr, up, "children", up.children)
+            up.children |= 1 << x
+        self.dirty[_FRESH] |= 1 << x
         return node
 
     def clone(self) -> "Forest":
@@ -521,6 +563,7 @@ class Forest:
         g.edges = dict(self.edges)
         g.clashing_pairs = dict(self.clashing_pairs)
         g.clashing_nodes = set(self.clashing_nodes)
+        g.dirty, g.holders = list(self.dirty), list(self.holders)
         g.trail = None
         return g
 
@@ -530,6 +573,8 @@ class Forest:
         """Start recording undo records if not yet; undo(mark()) later puts
         the forest back as it is now, which must be clash-free."""
         assert not self.clashing_nodes and not self.clashing_pairs
+        # undo empties the fresh set, so it must be empty at the mark
+        self._fold()
         if self.trail is None:
             self.trail = []
         return len(self.trail)
@@ -542,25 +587,34 @@ class Forest:
         # empty at every mark, so not restored record by record
         self.clashing_nodes.clear()
         self.clashing_pairs.clear()
+        self.dirty[_FRESH] = 0
 
     def _log(self, fn, *args) -> None:
         if self.trail is not None:
             self.trail.append((fn, args))
 
-    # --- dirty scan groups ---
-
-    def _mark(self, node: Node, bits: int) -> None:
-        """Set `bits` in node.dirty."""
-        old = node.dirty
-        if old | bits != old:
-            node.dirty = old | bits
-            if self.trail is not None:
-                self.trail.append((setattr, (node, "dirty", old)))
+    # --- dirty sets ---
 
     def _changed(self, node: Node) -> None:
         """The node's label, its parent or an edge at it changed: every
-        scan group and blocking look at it again."""
-        self._mark(node, _ALL)
+        scan group and blocking look at it again, from the next fold."""
+        self.dirty[_FRESH] |= 1 << node.id
+
+    def _spread(self, ids: int, stop: int) -> None:
+        """Add the nodes of `ids` to the dirty sets before index `stop`, each
+        set the nodes that may enter it (Forest.holders)."""
+        d = self.dirty
+        if self.trail is not None:
+            self.trail.append((setitem, (d, slice(None), d[:])))
+        d[:stop] = [v | (ids & h) for v, h in zip(d[:stop], self.holders)]
+
+    def _fold(self) -> None:
+        """Move the fresh nodes into every dirty set."""
+        fresh = self.dirty[_FRESH]
+        if fresh:
+            self._spread(fresh, _FRESH)
+            # not logged: _FRESH is empty at every mark, and undo empties it
+            self.dirty[_FRESH] = 0
 
     # --- basic accessors ---
 
@@ -591,11 +645,21 @@ class Forest:
     def add_label(self, node: Node, t: Triple) -> None:
         """Add t, which the label lacks, to the node's label."""
         i = node.add(t)
-        if self.trail is not None:
-            self.trail.append((node._unadd, (t, i)))
+        trail = self.trail
+        if trail is not None:
+            trail.append((node._unadd, (t, i)))
         if node.id not in self.clashing_nodes and (t.unary_clash or node.conjugate_of(i)):
             self.clashing_nodes.add(node.id)
-        self._changed(node)
+        # the node may now enter the sets of the groups that read t's kind
+        bit = 1 << node.id
+        holders = self.holders
+        for j in self._readers.get(t.kind, ()):
+            old = holders[j]
+            if not old & bit:
+                if trail is not None:
+                    trail.append((setitem, (holders, j, old)))
+                holders[j] = old | bit
+        self.dirty[_FRESH] |= bit
 
     def clear_label(self, node: Node) -> None:
         self._log(node._unclear, node.label, node.ordered)
@@ -609,6 +673,11 @@ class Forest:
         setattr(obj, name, value)
 
     def set_parent(self, node: Node, parent: int) -> None:
+        """Move a node that has a parent to another parent."""
+        bit = 1 << node.id
+        old, new = self.nodes[node.parent], self.nodes[parent]
+        self.set_field(old, "children", old.children & ~bit)
+        self.set_field(new, "children", new.children | bit)
         self.set_field(node, "parent", parent)
         self._changed(node)
 
@@ -628,8 +697,9 @@ class Forest:
         for x, distinct in new.items():
             self.set_field(nodes[x], "distinct", distinct)
         if new:
-            for node in nodes.values():
-                self._mark(node, _COUNTING)
+            d = self.dirty
+            self._log(setitem, d, _COUNTING, d[_COUNTING])
+            d[_COUNTING] = self.holders[_COUNTING]
 
     def set_edge(self, a: int, b: int, triples: Iterable[Triple]) -> None:
         """Create edge (a, b), or replace its label."""
@@ -723,37 +793,46 @@ class Forest:
     # --- blocking ---
 
     def blocking(self) -> None:
-        """Bring every Node.status up to date.  Only the nodes whose
-        blocking bit is set in Node.dirty, and their descendants, are
-        checked again, top-down (parents have smaller ids than their
-        children throughout).  Traces a block event for each node newly
-        directly blocked, or by a new blocker, in id order, then an unblock
-        event for each node no longer directly blocked."""
+        """Fold the fresh nodes into every dirty set, then bring every
+        Node.status up to date.  Only the nodes of the blocking set, and
+        their descendants through Node.children, are checked again, in id
+        order, so top-down (parents have smaller ids than their children
+        throughout); an empty set returns at once.  Traces a block event for
+        each node newly directly blocked, or by a new blocker, in id order,
+        then an unblock event for each node no longer directly blocked.  A
+        node whose status changes kind goes back into every scan set."""
+        self._fold()
+        d = self.dirty
+        todo = d[_BLOCKING]
+        if not todo:
+            return
         trail = self.trail
-        redo: set[int] = set()
+        if trail is not None:
+            trail.append((setitem, (d, _BLOCKING, todo)))
+        d[_BLOCKING] = 0
+        nodes = self.nodes
+        moved = 0
         unblocked = []
-        for node in self.nodes.values():
-            if node.dirty & _BLOCKING:
-                if trail is not None:
-                    trail.append((setattr, (node, "dirty", node.dirty)))
-                node.dirty ^= _BLOCKING
-            elif node.parent not in redo:
-                continue
-            x = node.id
-            redo.add(x)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            node = nodes[low.bit_length() - 1]
+            todo |= node.children
             new, old = self._status_of(node), node.status
             if new != old:
                 if trail is not None:
                     trail.append((setattr, (node, "status", old)))
                 node.status = new
                 if new[0] == DIRECT:
-                    self.trace.append(("block", x, new[1]))
+                    self.trace.append(("block", node.id, new[1]))
                 elif old[0] == DIRECT:
-                    unblocked.append(x)
+                    unblocked.append(node.id)
                 if old[0] != new[0]:
-                    self._mark(node, _SCANS)
+                    moved |= low
         for x in unblocked:
             self.trace.append(("unblock", x))
+        if moved:
+            self._spread(moved, _BLOCKING)
 
     def _status_of(self, node: Node) -> tuple[str, Optional[int]]:
         parent = node.parent
@@ -1000,27 +1079,30 @@ def find_clash(f: Forest) -> Optional[Clash]:
         return _concept_clash(f, f.nodes[min(f.clashing_nodes)])
     if f.clashing_pairs:
         return f.clashing_pairs[min(f.clashing_pairs)]
-    return _first(f, _counting_clash) if f.pairwise else None
+    return _first(f, _counting_clash, _COUNTING) if f.pairwise else None
 
 
-def _first(f: Forest, at):
-    """The first truthy at(f, node), oldest node first.
+def _first(f: Forest, at, i: int):
+    """The first truthy at(f, node) over the nodes of dirty set i, oldest
+    (lowest id) first, or None.
 
-    Skips the nodes whose bit for `at` is clear in Node.dirty, and clears
-    the bit of each node where `at` gives nothing; `at` must change nothing
-    when it gives nothing."""
-    bit = _GROUP_BITS[at]
-    trail = f.trail
-    # no copy of the node list: `at` adds nodes only when it gives a result
-    for node in f.nodes.values():
-        if node.dirty & bit:
-            out = at(f, node)
-            if out:
-                return out
-            if trail is not None:
-                trail.append((setattr, (node, "dirty", node.dirty)))
-            node.dirty ^= bit
-    return None
+    Drops from the set each node where `at` gives nothing; `at` must change
+    nothing when it gives nothing."""
+    d, nodes = f.dirty, f.nodes
+    old = todo = d[i]
+    while todo:
+        low = todo & -todo
+        out = at(f, nodes[low.bit_length() - 1])
+        if out:
+            break
+        todo ^= low
+    else:
+        out = None
+    if todo != old:
+        if f.trail is not None:
+            f.trail.append((setitem, (d, i, old)))
+        d[i] = todo
+    return out
 
 
 # --- deterministic rules ---
@@ -1192,9 +1274,11 @@ def _apply_root_merge(f: Forest, x: int, y: int, z: int) -> None:
             f.union_edge(z, b, ts)
         else:
             f.union_edge(a, z, ts)
-    for node in f.nodes.values():
-        if node.parent == y:
-            f.set_parent(node, z)
+    children = f.nodes[y].children
+    while children:
+        low = children & -children
+        children ^= low
+        f.set_parent(f.nodes[low.bit_length() - 1], z)
     f.clear_label(f.nodes[y])
     f.set_field(f.nodes[y], "merged_into", z)
     f.trace.append(("merge-root", x, y, z))
@@ -1234,14 +1318,21 @@ _RULES = (
     _propagate, _merge_at, _merge_roots_at, _rule_exists_pos, _rule_forall_neg, _rule_atleast,
     _split_at, _gci_at,
 )
-# the scan groups, each with its bit in Node.dirty (see _first)
-_GROUPS = (*_RULES, _counting_clash)
-_GROUP_BITS = {at: 1 << i for i, at in enumerate(_GROUPS)}
-_SCANS = (1 << len(_GROUPS)) - 1
-# the bit for Forest.blocking, past the scan groups' bits
-_BLOCKING = 1 << len(_GROUPS)
-_ALL = _SCANS | _BLOCKING
-_COUNTING = _GROUP_BITS[_counting_clash]
+# the indexes in Forest.dirty past the rules' sets
+_COUNTING, _BLOCKING, _FRESH = -3, -2, -1
+# the kinds of triple each scan group reads in a node's label: it finds
+# nothing at a node that holds none of them (None: it reads every node)
+_READS = {
+    _propagate: ("not", "decompose", "forall+", "exists-"),
+    _merge_at: ("count",),
+    _merge_roots_at: ("count",),
+    _rule_exists_pos: ("exists+",),
+    _rule_forall_neg: ("forall-",),
+    _rule_atleast: ("count",),
+    _split_at: ("split",),
+    _gci_at: None,
+    _counting_clash: ("count",),
+}
 
 
 def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
@@ -1257,8 +1348,8 @@ def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
             return clash
         # the first rule that applies: a deterministic one (True) starts over,
         # a merge or a split returns its choice point, and None means complete
-        for rule in f.rules:
-            out = _first(f, rule)
+        for i, rule in enumerate(f.rules):
+            out = _first(f, rule, i)
             if out:
                 break
         if out is not True:

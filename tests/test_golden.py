@@ -21,7 +21,9 @@ moved and the summed budget_used before and after.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -232,6 +234,20 @@ def test_golden_traces(observed):
     for name, expected in golden.items():
         for column in TRACE_COLUMNS:
             assert seen[name][column] == expected[column], (name, column)
+
+
+def test_traces_hold_under_hash_seed_0():
+    """test_golden_traces again, in a fresh interpreter with
+    PYTHONHASHSEED=0.  The run that calls this one has a random hash seed, so
+    two seeds are covered: no trace may follow the order of a set or dict of
+    hashed values."""
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    argv += [__file__, "-k", "test_golden_traces"]
+    run = subprocess.run(argv, cwd=GOLDEN.parent.parent, env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed, " in run.stdout
 
 
 def record() -> int:

@@ -5,6 +5,7 @@ import time
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,26 @@ def test_derived_triples_are_shared():
     edge = Triple(Role("r"), Ineq.GE, Fraction(1, 2))
     assert edge.inverse.inverse is edge
     assert edge.inverse.inverse.inverse is edge.inverse
+
+
+def test_chain_solve_time_grows_with_the_chain(monkeypatch):
+    """The benchmark's planted chain KB (seed 1) at n = 60 and n = 480, best
+    of 5 each: the check takes at most 12 times as long for 8 times the
+    individuals.  A scan or blocking pass that walks every node on each of
+    the ~2n expand iterations made it about 20 times."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import chain_kb
+
+    def best(n):
+        kb = parse_kb(chain_kb(random.Random(1), n, True).kb_text)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert not consistency(kb).consistent
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(480) / best(60) <= 12
 
 
 @pytest.mark.parametrize(
@@ -508,6 +529,17 @@ def check_indexes(f):
         assert all(node.id in f.nodes[y].distinct for y in node.distinct), node.id
         for r in (S, inv(S), R, inv(R)):
             assert f.neighbour_bounds(node.id, r) == scan_neighbour_bounds(f, node.id, r)
+        children = sum(1 << y for y, other in f.nodes.items() if other.parent == node.id)
+        assert node.children == children, node.id
+    # the dirty sets hold live nodes only, none past the newest id
+    assert all(ids >> len(f.nodes) == 0 for ids in f.dirty), f.dirty
+    # a group's set holds only nodes that may enter it, and they include
+    # each node whose label holds a kind of triple that the group reads
+    for at, ids, holders in zip((*f.rules, _counting_clash), f.dirty, f.holders):
+        assert ids & ~holders == 0 and (holders == -1 or holders >> len(f.nodes) == 0)
+        for x, node in f.nodes.items():
+            if any(node.of_kind(kind) for kind in tableau._READS[at] or ()):
+                assert holders >> x & 1, (at.__name__, x)
     stored = f.clashing_pairs[min(f.clashing_pairs)] if f.clashing_pairs else None
     assert stored == scan_edge_clash(f)
 
@@ -760,16 +792,23 @@ def golden_runs(extra=()):
         yield init_forest(prepare(kb), Budget(budget))
 
 
+def dirty_sets(f):
+    """Each scan group's and blocking's dirty set, with the fresh nodes that
+    the next fold adds to it."""
+    *sets, fresh = f.dirty
+    return [ids | (fresh & holders) for ids, holders in zip(sets, f.holders)]
+
+
 def check_clean(f, checked):
-    """Reference for the dirty bits: at every node whose bit for a scan
-    group is clear, the group itself, run on a clone with a budget and
-    trace of its own, finds nothing to do."""
+    """Reference for the dirty sets: at every node outside a scan group's
+    set, the group itself, run on a clone with a budget and trace of its
+    own, finds nothing to do."""
     g = f.clone()
     g.budget, g.trace = Budget(10**9), []
-    for at in SCAN_GROUPS:
-        bit = tableau._GROUP_BITS[at]
-        for x, node in f.nodes.items():
-            if not node.dirty & bit:
+    # the rules' sets in f.rules order, then the counting clash's
+    for at, ids in zip((*f.rules, _counting_clash), dirty_sets(f)):
+        for x in f.nodes:
+            if not ids >> x & 1:
                 assert not at(g, g.nodes[x]), (at.__name__, x)
                 checked[at.__name__] += 1
 
@@ -840,11 +879,12 @@ def assert_same_forest(f, g):
         assert node.ordered == other.ordered and node.label == other.label
         for kind in KINDS:
             assert node.of_kind(kind) == other.of_kind(kind)
-        assert node.dirty == other.dirty, x
+        assert node.children == other.children, x
         assert node.distinct == other.distinct and node.merged_into == other.merged_into, x
     assert f.edges == g.edges
     assert f.clashing_pairs == g.clashing_pairs and f.clashing_nodes == g.clashing_nodes
     assert f.self_distinct == g.self_distinct
+    assert dirty_sets(f) == dirty_sets(g) and f.holders == g.holders
 
 
 def test_undo_gives_back_each_choice_points_forest(monkeypatch):
@@ -871,6 +911,9 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
             assert_same_forest(f, snapshots.pop(id(alt))[1])
             undone["alternatives"] += 1
         real_apply(f, alt)
+        if alt[0] == "merge_root":
+            # Node.children follows y's children to their new parent
+            check_indexes(f)
 
     def undo(f, mark):
         for fn, args in f.trail[mark:]:
@@ -894,7 +937,7 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     assert undone.pop("alternatives") > 500
     assert set(undone) == {
         "_unadd", "_unclear", "pop", "_restore_edge", "setattr.parent", "setattr.status",
-        "setattr.distinct", "setattr.merged_into", "setattr.dirty",
+        "setattr.distinct", "setattr.merged_into", "setattr.children", "setitem",
     }
 
 
