@@ -1,18 +1,98 @@
-"""Concept and role ASTs, inverse normalization, NNF, sub-concept closure."""
+"""Concept and role ASTs, inverse normalization, NNF, sub-concept closure.
+
+Roles and concepts are hash-consed: the process holds one instance per
+value, kept in a weak table keyed by (class, *fields), so a constructor
+called with the fields of a live instance hands back that instance.  The
+classes are frozen dataclasses with eq=False, so equality is identity and
+the hash is object's, and neither recurses into the fields.  Every way to
+make a value gives the shared instance: a positional or keyword call,
+dataclasses.replace, copy.copy, copy.deepcopy and a pickle round trip.  An
+instance no one references leaves the table.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Union
+from weakref import WeakValueDictionary
+
+# (class, *fields) -> the live instance with those fields
+_TABLE: WeakValueDictionary = WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Role:
+class _Shared:
+    """Copying gives the instance itself, and unpickling goes through the
+    constructor, so the table's instance stays the only one."""
+
+    __slots__ = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# one __new__ per field shape, each parameter named after its field, so
+# that keyword calls and dataclasses.replace work; the classes set
+# init=False, so a shared instance is never written again
+
+
+def _make(key: tuple, **values) -> object:
+    self = _TABLE[key] = object.__new__(key[0])
+    self.__dict__.update(values)
+    return self
+
+
+def _new_none(cls):
+    key = (cls,)
+    return _TABLE.get(key) or _make(key)
+
+
+def _new_name(cls, id):
+    key = (cls, id)
+    return _TABLE.get(key) or _make(key, id=id)
+
+
+def _new_not(cls, arg):
+    key = (cls, arg)
+    return _TABLE.get(key) or _make(key, arg=arg)
+
+
+def _new_pair(cls, left, right):
+    key = (cls, left, right)
+    return _TABLE.get(key) or _make(key, left=left, right=right)
+
+
+def _new_quantifier(cls, role, body):
+    key = (cls, role, body)
+    return _TABLE.get(key) or _make(key, role=role, body=body)
+
+
+def _new_count(cls, count, role):
+    key = (cls, count, role)
+    return _TABLE.get(key) or _make(key, count=count, role=role)
+
+
+def _new_role(cls, name, inverted=False):
+    key = (cls, name, inverted)
+    return _TABLE.get(key) or _make(key, name=name, inverted=inverted)
+
+
+_hash_consed = dataclass(frozen=True, eq=False, init=False)
+
+
+@_hash_consed
+class Role(_Shared):
     """A role name or its inverse.  Double inversion is never represented:
     use inv(), not nested constructors."""
 
     name: str
     inverted: bool = False
+    __new__ = _new_role
 
     def __str__(self) -> str:
         return self.name + "-" if self.inverted else self.name
@@ -22,8 +102,9 @@ def inv(r: Role) -> Role:
     return Role(r.name, not r.inverted)
 
 
-class Concept:
-    """Base class; all constructors are frozen dataclasses below."""
+class Concept(_Shared):
+    """Base class; all constructors are the hash-consed frozen dataclasses
+    below."""
 
     __slots__ = ()
 
@@ -31,60 +112,68 @@ class Concept:
         return concept_text(self)
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Top(Concept):
-    pass
+    __new__ = _new_none
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Bottom(Concept):
-    pass
+    __new__ = _new_none
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Name(Concept):
     id: str
+    __new__ = _new_name
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Not(Concept):
     arg: Concept
+    __new__ = _new_not
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class And(Concept):
     left: Concept
     right: Concept
+    __new__ = _new_pair
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Or(Concept):
     left: Concept
     right: Concept
+    __new__ = _new_pair
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Exists(Concept):
     role: Role
     body: Concept
+    __new__ = _new_quantifier
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Forall(Concept):
     role: Role
     body: Concept
+    __new__ = _new_quantifier
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class AtLeast(Concept):
     count: int
     role: Role
+    __new__ = _new_count
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class AtMost(Concept):
     count: int
     role: Role
+    __new__ = _new_count
 
 
 TOP = Top()

@@ -50,14 +50,21 @@ the newest node is ever removed, by undo.  clone copies the mutable
 indexes and shares the rest.  Forest.rbox, the role hierarchy, is closed
 once by prepare and only read.
 
-Derived triples are canonical: every triple a rule derives is the instance
-its source triple caches, never a fresh equal copy, so the caches above are
-filled once per triple, not once per node it reaches.  Triple.parts holds
-the pushed negation, the operands and the quantifier body; Triple.over(r)
-is self when r is the triple's own role, so the transitive propagations
-pass the one quantifier triple along a whole chain; Triple.inverse links
-back (t.inverse.inverse is t); and Triple.edge is the role triple of every
-witness edge the generators make for it.
+Triples are shared: a call Triple(subject, ineq, degree) hands back the
+instance that one process-wide table, _TRIPLES, holds for those fields, and
+the subjects are hash-consed (see syntax).  So every triple a rule derives
+or init_forest makes is one object per value, and the caches above are
+filled once per process, not once per node or forest the triple reaches.
+The table is a pure cache: equality and the hash stay structural, so a
+triple made after the table was emptied (past _TRIPLES_MAX entries) equals
+the one made before, and no result depends on which of the two a forest
+holds.  The hash of a concept or role is its id, so the order of a set of
+triples varies between runs, which nothing may follow either (below).
+Triple.parts holds the pushed negation, the operands and the quantifier
+body; Triple.over(r) is self when r is the triple's own role, so the
+transitive propagations pass the one quantifier triple along a whole
+chain; Triple.inverse links back (t.inverse.inverse is t); and Triple.edge
+is the role triple of every witness edge the generators make for it.
 
 Undo trail.  solve backtracks on one forest.  Once mark() has been called,
 each of those methods, blocking and _first append to Forest.trail a record
@@ -220,7 +227,13 @@ _AT_LEAST_0, _AT_MOST_0 = SignedBound(Ineq.GE, ZERO), SignedBound(Ineq.LE, ZERO)
 _AT_LEAST_1, _AT_MOST_1 = SignedBound(Ineq.GE, ONE), SignedBound(Ineq.LE, ONE)
 
 
-@dataclass(frozen=True)
+# (subject, ineq, degree) -> the Triple made for it; a pure cache, emptied
+# once it holds _TRIPLES_MAX triples
+_TRIPLES: dict[tuple, "Triple"] = {}
+_TRIPLES_MAX = 1 << 16
+
+
+@dataclass(frozen=True, init=False)
 class Triple:
     subject: Subject  # Concept in node labels, Role in edge labels
     ineq: Ineq
@@ -229,7 +242,23 @@ class Triple:
     # Derived values are cached on the instance the first time they are
     # read (cached_property writes the instance dict, which a frozen
     # dataclass allows); they are not fields, so equality, repr and the
-    # hash's value are those of (subject, ineq, degree).
+    # hash's value are those of (subject, ineq, degree).  A call hands back
+    # the instance _TRIPLES holds for its fields, so each cache is filled
+    # once per process.
+
+    def __new__(cls, subject: Subject, ineq: Ineq, degree: Degree) -> "Triple":
+        key = (subject, ineq, degree)
+        self = _TRIPLES.get(key)
+        if self is None:
+            if len(_TRIPLES) >= _TRIPLES_MAX:
+                _TRIPLES.clear()
+            self = _TRIPLES[key] = object.__new__(cls)
+            d = self.__dict__
+            d["subject"], d["ineq"], d["degree"] = subject, ineq, degree
+        return self
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.ineq, self.degree)
 
     def __hash__(self) -> int:
         return self._hash

@@ -1,6 +1,13 @@
+import copy
+import dataclasses
+import gc
+import pickle
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fshin import syntax
+from fshin.parser import parse_concept
 from fshin.syntax import (
     And,
     AtLeast,
@@ -16,6 +23,7 @@ from fshin.syntax import (
     concept_text,
     inv,
     nnf,
+    rebuild,
     subconcepts,
 )
 
@@ -93,3 +101,51 @@ def test_concept_text_examples():
 @given(concepts())
 def test_subconcepts_contains_self(c):
     assert c in set(subconcepts(c))
+
+
+def test_deep_chain_hashes_and_compares_without_recursion():
+    """Hashing and equality do not recurse into the fields: a 5,000-deep
+    chain built in a loop hashes, compares and joins sets and dicts."""
+    a = b = Name("A")
+    for _ in range(5_000):
+        a, b = Not(a), Not(b)
+    assert hash(a) == hash(b) and a == b
+    assert a in {b} and {b: 1}[a] == 1
+    assert a != Not(a) and a not in {a.arg}
+    assert a is b
+
+
+@given(concepts())
+def test_every_construction_path_gives_the_shared_instance(c):
+    assert rebuild(c, lambda d: d) is c
+    assert copy.copy(c) is c and copy.deepcopy(c) is c
+    assert pickle.loads(pickle.dumps(c)) is c
+    assert nnf(c) is nnf(c)
+    for f in dataclasses.fields(c):
+        assert dataclasses.replace(c, **{f.name: getattr(c, f.name)}) is c
+
+
+def test_construction_paths_meet():
+    r = Role("r")
+    assert Role("r", inverted=True) is Role(name="r", inverted=True) is inv(r)
+    assert inv(inv(r)) is r and dataclasses.replace(r, inverted=True) is inv(r)
+    c = And(Exists(inv(r), Name("A")), Not(Name("B")))
+    assert parse_concept("some r-.A and not B") is c
+    assert parse_concept("not (all r-.(not A) or B)") is not c
+    assert nnf(parse_concept("not (all r-.(not A) or B)")) is c
+    assert dataclasses.replace(c, right=Not(Name("B"))) is c
+    assert Exists(role=inv(r), body=Name("A")) is c.left
+    assert copy.deepcopy([c, {r: c}]) == [c, {r: c}]
+    assert copy.deepcopy([c])[0] is c and pickle.loads(pickle.dumps((r, c))) == (r, c)
+
+
+def test_a_dropped_concept_leaves_the_table():
+    c = Exists(Role("unseen-role"), Name("unseen-name"))
+    key = (Exists, c.role, c.body)
+    assert syntax._TABLE[key] is c
+    del c
+    gc.collect()
+    assert key not in syntax._TABLE
+    del key
+    gc.collect()
+    assert not [k for k in syntax._TABLE if isinstance(k, tuple) and {"unseen-name", "unseen-role"} & set(k)]

@@ -6,16 +6,17 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from weakref import WeakValueDictionary
 
 import pytest
 
-from fshin import tableau
+from fshin import syntax, tableau
 from fshin.degrees import INEQ_ORDER, ONE, Ineq, SignedBound, conjugates
 from fshin.kb import ABox, ConceptAssertion, FuzzyKB, RBox, hierarchy_closure
 from fshin.oracle import satisfies_kb, search_model
 from fshin.parser import parse_kb
 from fshin.services import consistency, entails, model_for, prepare
-from fshin.syntax import BOTTOM, TOP, AtLeast, Exists, Forall, Name, Not, Or, Role, inv
+from fshin.syntax import BOTTOM, TOP, AtLeast, Bottom, Exists, Forall, Name, Not, Or, Role, Top, inv
 from fshin.tableau import (
     Budget,
     Clash,
@@ -44,8 +45,8 @@ from fshin.tableau import (
 )
 
 from audit import audit_properties
-from genkb import dense_colouring_kb, random_tbox_kb
-from test_golden import EXTRA, corpus
+from genkb import dense_colouring_kb, random_shin_kb, random_tbox_kb
+from test_golden import EXTRA, corpus, render, sha
 
 
 def run(text, budget=10**6):
@@ -974,3 +975,72 @@ def test_no_forest_is_left_to_the_cycle_collector():
         assert not [ref for ref in refs if ref() is not None]
     finally:
         gc.enable()
+
+
+def solve_hashes(forests):
+    """(trace hash, dump hash of the final or first clashing forest) of a
+    solve of each forest, and the forests themselves."""
+    out, kept = [], []
+    for f in forests:
+        try:
+            result = solve(f)
+        except ResourceLimit:
+            dump = ""
+        else:
+            final = result.forest if result.consistent else result.first_clash_forest
+            dump = final.dump() if final is not None else ""
+        out.append((sha("\n".join(render(ev) for ev in f.trace)), sha(dump)))
+        kept.append(f)
+    return out, kept
+
+
+class _Forgetful(dict):
+    """A triple table that stores nothing."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def test_triple_table_is_a_pure_cache(monkeypatch):
+    """The golden_runs() solves trace and end alike with a triple table
+    that stores nothing, and with fresh concept and triple tables while the
+    first pass lives on, so that every concept, role and triple is a new
+    object with a new id, and sets of them iterate in another order."""
+    expected, kept = solve_hashes(golden_runs())
+    monkeypatch.setattr(syntax, "_TABLE", WeakValueDictionary({Top: TOP, Bottom: BOTTOM}))
+    monkeypatch.setattr(tableau, "_TRIPLES", {})
+    again, fresh = solve_hashes(golden_runs())
+    assert again == expected
+    old, new = kept[0].nodes[0].ordered[0], fresh[0].nodes[0].ordered[0]
+    assert str(old) == str(new) and old.subject is not new.subject and old != new
+    monkeypatch.setattr(tableau, "_TRIPLES", _Forgetful())
+    assert solve_hashes(golden_runs())[0] == expected
+    assert not tableau._TRIPLES
+
+
+def test_triple_table_stays_within_its_bound(monkeypatch):
+    """A stream of generated KBs keeps the triple table within its bound,
+    which it reaches many times over, emptied mid-solve among them, and
+    the solves trace and end as they do under the default bound."""
+
+    def stream():
+        rng = random.Random(27)
+        for i in range(120):
+            kb = random_shin_kb(rng) if i % 2 else random_tbox_kb(rng)
+            yield init_forest(prepare(kb), Budget(2_000))
+
+    expected, _ = solve_hashes(stream())
+    monkeypatch.setattr(tableau, "_TRIPLES", {})
+    monkeypatch.setattr(tableau, "_TRIPLES_MAX", 64)
+    sizes = []
+    make = Triple.__new__
+
+    def counted(cls, *fields):
+        t = make(cls, *fields)
+        sizes.append(len(tableau._TRIPLES))
+        return t
+
+    monkeypatch.setattr(Triple, "__new__", counted)
+    assert solve_hashes(stream())[0] == expected
+    assert max(sizes) == 64
+    assert sum(a > b for a, b in zip(sizes, sizes[1:])) >= 10
