@@ -119,6 +119,14 @@ class SignedBound:
     ineq: Ineq
     degree: Degree
 
+    def __post_init__(self) -> None:
+        # the tableau's triples are shared through a table keyed by ==, so
+        # a float degree equal to a Fraction would stand in for it
+        if not isinstance(self.degree, Fraction):
+            if not isinstance(self.degree, int):
+                raise TypeError(f"a degree is a Fraction or an int, not {self.degree!r}")
+            object.__setattr__(self, "degree", to_degree(self.degree))
+
     def __str__(self) -> str:
         return f"{self.ineq} {format_degree(self.degree)}"
 

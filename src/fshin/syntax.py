@@ -1,23 +1,33 @@
 """Concept and role ASTs, inverse normalization, NNF, sub-concept closure.
 
-Roles and concepts are hash-consed: the process holds one instance per
-value, kept in a weak table keyed by (class, *fields), so a constructor
-called with the fields of a live instance hands back that instance.  The
-classes are frozen dataclasses with eq=False, so equality is identity and
-the hash is object's, and neither recurses into the fields.  Every way to
-make a value gives the shared instance: a positional or keyword call,
-dataclasses.replace, copy.copy, copy.deepcopy and a pickle round trip.  An
-instance no one references leaves the table.
+Roles and concepts, and the tableau's membership triples, are hash-consed:
+the process holds one instance per value, kept in a weak table keyed by
+(class, *fields), so a constructor called with the fields of a live
+instance hands back that instance.  The classes are frozen dataclasses
+with eq=False, so equality is identity and the hash is object's, and
+neither recurses into the fields.  Every way to make a value gives the
+shared instance: a positional or keyword call, dataclasses.replace,
+copy.copy, copy.deepcopy and a pickle round trip.  An instance no one
+references leaves the table.  The table keys by ==, under which 2.0 equals
+2 and 0.5 equals Fraction(1, 2), so the constructors refuse such fields: a
+count is an int, never a bool or a float (and a bound's degree is a
+Fraction, see degrees.SignedBound).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Union
 from weakref import WeakValueDictionary
 
 # (class, *fields) -> the live instance with those fields
 _TABLE: WeakValueDictionary = WeakValueDictionary()
+
+# the triples made last, held so that a triple no forest holds any more
+# keeps its caches for the next task that derives it; dropping one from
+# here only drops that cache, since a triple still held stays in _TABLE
+_KEEP: deque = deque(maxlen=1 << 16)
 
 
 class _Shared:
@@ -73,6 +83,8 @@ def _new_quantifier(cls, role, body):
 
 
 def _new_count(cls, count, role):
+    if type(count) is not int:
+        raise TypeError(f"a count is an int, not {count!r}")
     key = (cls, count, role)
     return _TABLE.get(key) or _make(key, count=count, role=role)
 
@@ -80,6 +92,15 @@ def _new_count(cls, count, role):
 def _new_role(cls, name, inverted=False):
     key = (cls, name, inverted)
     return _TABLE.get(key) or _make(key, name=name, inverted=inverted)
+
+
+def _new_triple(cls, subject, ineq, degree):
+    key = (cls, subject, ineq, degree)
+    self = _TABLE.get(key)
+    if self is None:
+        self = _make(key, subject=subject, ineq=ineq, degree=degree)
+        _KEEP.append(self)
+    return self
 
 
 _hash_consed = dataclass(frozen=True, eq=False, init=False)

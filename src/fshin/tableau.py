@@ -34,8 +34,8 @@ at it; neighbours, its neighbour_bounds results; status, its blocking
 status, which starts unblocked; and children, the ids of its children
 (below).  Besides,
 
-- a Triple caches its order key, hash, bound, unary clash, rule kind and
-  the triples the rules derive from it (see below);
+- a Triple caches its order key, bound, unary clash, rule kind and the
+  triples the rules derive from it (see below);
 - a Forest keeps the first clash of each node pair whose edges clash, the
   set of nodes whose label holds a triple that clashes on its own or a
   conjugated pair, the least root the ABox makes distinct from itself, and
@@ -50,16 +50,16 @@ the newest node is ever removed, by undo.  clone copies the mutable
 indexes and shares the rest.  Forest.rbox, the role hierarchy, is closed
 once by prepare and only read.
 
-Triples are shared: a call Triple(subject, ineq, degree) hands back the
-instance that one process-wide table, _TRIPLES, holds for those fields, and
-the subjects are hash-consed (see syntax).  So every triple a rule derives
-or init_forest makes is one object per value, and the caches above are
-filled once per process, not once per node or forest the triple reaches.
-The table is a pure cache: equality and the hash stay structural, so a
-triple made after the table was emptied (past _TRIPLES_MAX entries) equals
-the one made before, and no result depends on which of the two a forest
-holds.  The hash of a concept or role is its id, so the order of a set of
-triples varies between runs, which nothing may follow either (below).
+Triples are shared: Triple is hash-consed through the one constructor
+table of syntax, like the concepts and roles it holds, so every triple a
+rule derives or init_forest makes is one object per value, equality is
+identity and the hash is object's.  The caches above are filled once per
+instance; the table is weak, so the newest 2^16 triples the process made
+are also held in syntax._KEEP, and a triple that no forest holds any more
+keeps its caches for the next task that derives it.  A triple dropped from
+the keep-alive that a forest still holds stays in the table, so two equal
+triples never exist at once.  Hashes are ids, so the order of a set of
+triples varies between runs, which nothing may follow (below).
 Triple.parts holds the pushed negation, the operands and the quantifier
 body; Triple.over(r) is self when r is the triple's own role, so the
 transitive propagations pass the one quantifier triple along a whole
@@ -160,6 +160,7 @@ from __future__ import annotations
 import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter, setitem
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
@@ -191,6 +192,9 @@ from .syntax import (
     Role,
     Subject,
     Top,
+    _hash_consed,
+    _new_triple,
+    _Shared,
     inv,
 )
 
@@ -203,69 +207,21 @@ class ResourceLimit(Exception):
     both verdicts."""
 
 
-class cached_property:
-    """functools.cached_property without its lock (which Python 3.11 takes
-    on every first read; the engine is single-threaded): the first read
-    writes the value into the instance dict, which later reads find before
-    this non-data descriptor."""
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 _AT_LEAST_0, _AT_MOST_0 = SignedBound(Ineq.GE, ZERO), SignedBound(Ineq.LE, ZERO)
 _AT_LEAST_1, _AT_MOST_1 = SignedBound(Ineq.GE, ONE), SignedBound(Ineq.LE, ONE)
 
 
-# (subject, ineq, degree) -> the Triple made for it; a pure cache, emptied
-# once it holds _TRIPLES_MAX triples
-_TRIPLES: dict[tuple, "Triple"] = {}
-_TRIPLES_MAX = 1 << 16
-
-
-@dataclass(frozen=True, init=False)
-class Triple:
+@_hash_consed
+class Triple(_Shared):
     subject: Subject  # Concept in node labels, Role in edge labels
     ineq: Ineq
     degree: Degree
+    __new__ = _new_triple
 
-    # Derived values are cached on the instance the first time they are
-    # read (cached_property writes the instance dict, which a frozen
-    # dataclass allows); they are not fields, so equality, repr and the
-    # hash's value are those of (subject, ineq, degree).  A call hands back
-    # the instance _TRIPLES holds for its fields, so each cache is filled
-    # once per process.
-
-    def __new__(cls, subject: Subject, ineq: Ineq, degree: Degree) -> "Triple":
-        key = (subject, ineq, degree)
-        self = _TRIPLES.get(key)
-        if self is None:
-            if len(_TRIPLES) >= _TRIPLES_MAX:
-                _TRIPLES.clear()
-            self = _TRIPLES[key] = object.__new__(cls)
-            d = self.__dict__
-            d["subject"], d["ineq"], d["degree"] = subject, ineq, degree
-        return self
-
-    def __reduce__(self):
-        return Triple, (self.subject, self.ineq, self.degree)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.subject, self.ineq, self.degree))
+    # Derived values are cached on the shared instance the first time they
+    # are read (cached_property writes the instance dict, which a frozen
+    # dataclass allows); they are not fields, so repr and the constructor
+    # table see (subject, ineq, degree) alone.
 
     @cached_property
     def key(self) -> tuple[str, int, Degree]:

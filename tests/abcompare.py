@@ -1,0 +1,114 @@
+"""In-process A/B comparison of two fshin source trees on a perfbench workload.
+
+    python tests/abcompare.py OLD_SRC NEW_SRC --workload W --seed N --reps R --blocks B
+
+OLD_SRC and NEW_SRC are directories that hold an `fshin` package (a
+checkout's `src/`).  Both packages are loaded into this one process, under
+the distinct names fshin_old and fshin_new, so that the two run on the same
+interpreter at the same moments.  Each of the R reps runs the first B
+blocks of perfbench/workloads.blocks(W, N) through both trees, the order
+alternating from rep to rep (old first, then new first), so that a drift
+in the host's speed falls on both alike.  A task goes from KB text to
+answer as in perfbench/run.py: parse, then one service call under the same
+work budget; every answer is checked against the one the generator
+planted.
+
+It prints one line per rep with each tree's task time (the sum over the
+rep's tasks) and the ratio new/old, then one JSON object with the median
+ratio (below 1 means NEW is faster) and wins, the number of reps in which
+NEW was faster.  Exits 1 if any answer is wrong or any task raises.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import itertools
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import ModuleType
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import BLOCKS, Task, blocks  # noqa: E402
+
+TASK_BUDGET = 5_000  # as perfbench/run.py
+
+
+def load(src: Path, name: str) -> ModuleType:
+    """The fshin package under src, imported as `name`."""
+    root = Path(src).resolve() / "fshin"
+    spec = importlib.util.spec_from_file_location(name, root / "__init__.py", submodule_search_locations=[str(root)])
+    if spec is None or spec.loader is None:
+        raise SystemExit(f"no fshin package in {src}")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def answer(fshin: ModuleType, task: Task):
+    kb = fshin.parser.parse_kb(task.kb_text)
+    if task.kind == "consistency":
+        return fshin.services.consistency(kb, budget=TASK_BUDGET).consistent
+    query, bound = fshin.parser.parse_query(task.query_text)
+    if task.kind == "entails":
+        return fshin.services.entails(kb, query, bound, budget=TASK_BUDGET)
+    return getattr(fshin.services, task.kind)(kb, query, budget=TASK_BUDGET)
+
+
+def task_time(fshin: ModuleType, tasks: list[Task]) -> tuple[float, int]:
+    """(seconds spent on the tasks, number of wrong or failed answers)."""
+    total, bad = 0.0, 0
+    for task in tasks:
+        start = time.perf_counter()
+        try:
+            got = answer(fshin, task)
+        except Exception as e:  # counted as a failed answer; the run goes on
+            print(f"{fshin.__name__}: {task.kind} task raised {type(e).__name__}: {e}", file=sys.stderr)
+            got = None
+        total += time.perf_counter() - start
+        bad += got != task.expected
+    return total, bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--workload", choices=sorted(BLOCKS), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--reps", type=int, required=True)
+    parser.add_argument("--blocks", type=int, required=True, help="blocks per rep")
+    args = parser.parse_args(argv)
+    if args.reps < 1 or args.blocks < 1:
+        parser.error("--reps and --blocks must be at least 1")
+    trees = {"old": load(args.old_src, "fshin_old"), "new": load(args.new_src, "fshin_new")}
+    tasks = [t for block in itertools.islice(blocks(args.workload, args.seed), args.blocks) for t in block]
+    ratios, bad = [], 0
+    for rep in range(args.reps):
+        order = ("old", "new") if rep % 2 == 0 else ("new", "old")
+        seconds = {}
+        for side in order:
+            seconds[side], wrong = task_time(trees[side], tasks)
+            bad += wrong
+        ratios.append(seconds["new"] / seconds["old"])
+        print(f"rep {rep}: old {seconds['old'] * 1e3:.1f} ms, new {seconds['new'] * 1e3:.1f} ms, ratio {ratios[-1]:.3f}")
+    summary = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "reps": args.reps,
+        "tasks_per_rep": len(tasks),
+        "median_ratio": round(statistics.median(ratios), 4),
+        "wins": sum(r < 1 for r in ratios),
+        "wrong_or_failed": bad,
+    }
+    print(json.dumps(summary))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from fshin.services import (
     satisfiable,
     subsumes,
 )
-from fshin.syntax import Forall, Name, Not, Role
+from fshin.syntax import AtLeast, AtMost, Forall, Name, Not, Role
 from fshin.tableau import ResourceLimit
 
 from genkb import (
@@ -639,3 +639,31 @@ def test_entailment_antitone_in_degree():
     verdicts = [entails(kb, q, SignedBound(Ineq.GE, n)) for n in grid]
     # once entailment fails at some degree it stays failed above it
     assert verdicts == sorted(verdicts, reverse=True)
+
+
+# Concepts and triples are shared through a table keyed by ==, under which
+# 0.5 equals 1/2 and 2.0 equals 2; so a bound's degree is a Fraction or an
+# int and a count an int, and no call with a float can hand a later correct
+# call a float-valued concept or triple.
+
+
+def test_a_float_degree_cannot_poison_later_queries():
+    kb = parse_kb("assert a : A >= 0.7.")
+    with pytest.raises(TypeError):
+        entails(kb, ("a", Name("A")), SignedBound(Ineq.GE, 0.5))
+    assert entails(kb, ("a", Name("A")), SignedBound(Ineq.GE, F(1, 2)))
+    assert type(SignedBound(Ineq.GE, 1).degree) is F and SignedBound(Ineq.GE, 1).degree == ONE
+
+
+def test_a_float_count_cannot_poison_later_parses():
+    for count in (2.0, True, F(2)):
+        with pytest.raises(TypeError):
+            AtLeast(count, Role("r"))
+        with pytest.raises(TypeError):
+            AtMost(count, Role("r"))
+    held = AtLeast(2, Role("r"))
+    kb = parse_kb("assert a : >= 2 r >= 1.")
+    assert kb.abox.concept_assertions[0].concept is held
+    assert serialize_kb(kb) == "assert a : >= 2 r >= 1.\n"
+    assert parse_kb(serialize_kb(kb)) == kb
+    assert consistency(kb).consistent

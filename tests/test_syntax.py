@@ -2,11 +2,14 @@ import copy
 import dataclasses
 import gc
 import pickle
+from collections import deque
+from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fshin import syntax
+from fshin.degrees import HALF, ONE, Ineq
 from fshin.parser import parse_concept
 from fshin.syntax import (
     And,
@@ -26,6 +29,7 @@ from fshin.syntax import (
     rebuild,
     subconcepts,
 )
+from fshin.tableau import Triple
 
 names = st.sampled_from(["A", "B", "C"])
 roles = st.builds(Role, st.sampled_from(["r", "s"]), st.booleans())
@@ -137,15 +141,29 @@ def test_construction_paths_meet():
     assert Exists(role=inv(r), body=Name("A")) is c.left
     assert copy.deepcopy([c, {r: c}]) == [c, {r: c}]
     assert copy.deepcopy([c])[0] is c and pickle.loads(pickle.dumps((r, c))) == (r, c)
+    t = Triple(c, Ineq.GE, HALF)
+    assert Triple(subject=c, ineq=Ineq.GE, degree=Fraction(1, 2)) is t
+    assert copy.copy(t) is t and copy.deepcopy({t: [t]}) == {t: [t]}
+    assert pickle.loads(pickle.dumps(t)) is t and pickle.loads(pickle.dumps(t.parts)) == t.parts
+    assert dataclasses.replace(t, degree=HALF) is t
+    assert dataclasses.replace(t, ineq=Ineq.LE) is Triple(c, Ineq.LE, HALF) is not t
+    assert t.parts[0] is Triple(c.left, Ineq.GE, HALF) and t != Triple(c, Ineq.GE, ONE)
 
 
-def test_a_dropped_concept_leaves_the_table():
+def test_a_dropped_concept_leaves_the_table(monkeypatch):
+    """With the keep-alive emptied, a concept, a role and every triple over
+    them leave the weak table once no one references them."""
+    monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=0))
     c = Exists(Role("unseen-role"), Name("unseen-name"))
     key = (Exists, c.role, c.body)
     assert syntax._TABLE[key] is c
-    del c
+    t = Triple(c, Ineq.LE, HALF)
+    assert t.edge.subject is c.role and t.parts[0].subject is c.body
+    assert syntax._TABLE[Triple, c, Ineq.LE, HALF] is t
+    del c, t
     gc.collect()
     assert key not in syntax._TABLE
     del key
     gc.collect()
     assert not [k for k in syntax._TABLE if isinstance(k, tuple) and {"unseen-name", "unseen-role"} & set(k)]
+    assert not [k for k in syntax._TABLE if k[0] is Triple and "unseen" in str(k[1])]

@@ -3,7 +3,7 @@ import itertools
 import random
 import time
 import weakref
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 from weakref import WeakValueDictionary
@@ -45,7 +45,7 @@ from fshin.tableau import (
 )
 
 from audit import audit_properties
-from genkb import dense_colouring_kb, random_shin_kb, random_tbox_kb
+from genkb import dense_colouring_kb, random_tbox_kb
 from test_golden import EXTRA, corpus, render, sha
 
 
@@ -977,10 +977,11 @@ def test_no_forest_is_left_to_the_cycle_collector():
         gc.enable()
 
 
-def solve_hashes(forests):
+def solve_hashes(forests, kept=None):
     """(trace hash, dump hash of the final or first clashing forest) of a
-    solve of each forest, and the forests themselves."""
-    out, kept = [], []
+    solve of each forest; each forest is appended to `kept` if one is
+    given, else dropped before the next is solved."""
+    out = []
     for f in forests:
         try:
             result = solve(f)
@@ -990,57 +991,54 @@ def solve_hashes(forests):
             final = result.forest if result.consistent else result.first_clash_forest
             dump = final.dump() if final is not None else ""
         out.append((sha("\n".join(render(ev) for ev in f.trace)), sha(dump)))
-        kept.append(f)
-    return out, kept
+        if kept is not None:
+            kept.append(f)
+    return out
 
 
-class _Forgetful(dict):
-    """A triple table that stores nothing."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
-def test_triple_table_is_a_pure_cache(monkeypatch):
-    """The golden_runs() solves trace and end alike with a triple table
-    that stores nothing, and with fresh concept and triple tables while the
+def test_no_result_follows_the_keep_alive_or_the_ids(monkeypatch):
+    """The golden_runs() solves trace and end alike with a keep-alive that
+    holds nothing, so that each task builds its triples and their caches
+    anew, with one that holds 64 triples, and with fresh tables while the
     first pass lives on, so that every concept, role and triple is a new
     object with a new id, and sets of them iterate in another order."""
-    expected, kept = solve_hashes(golden_runs())
-    monkeypatch.setattr(syntax, "_TABLE", WeakValueDictionary({Top: TOP, Bottom: BOTTOM}))
-    monkeypatch.setattr(tableau, "_TRIPLES", {})
-    again, fresh = solve_hashes(golden_runs())
-    assert again == expected
+    expected = solve_hashes(golden_runs())
+    # monkeypatch holds on to the deque it replaces, so empty it first
+    syntax._KEEP.clear()
+    for size in (0, 64):
+        monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=size))
+        gc.collect()
+        assert solve_hashes(golden_runs()) == expected
+    assert len(syntax._KEEP) == 64
+    monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=1 << 16))
+    kept = []
+    assert solve_hashes(golden_runs(), kept) == expected
+    monkeypatch.setattr(syntax, "_TABLE", WeakValueDictionary({(Top,): TOP, (Bottom,): BOTTOM}))
+    monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=1 << 16))
+    fresh = []
+    assert solve_hashes(golden_runs(), fresh) == expected
     old, new = kept[0].nodes[0].ordered[0], fresh[0].nodes[0].ordered[0]
-    assert str(old) == str(new) and old.subject is not new.subject and old != new
-    monkeypatch.setattr(tableau, "_TRIPLES", _Forgetful())
-    assert solve_hashes(golden_runs())[0] == expected
-    assert not tableau._TRIPLES
+    assert str(old) == str(new) and old.subject is not new.subject and old is not new
 
 
-def test_triple_table_stays_within_its_bound(monkeypatch):
-    """A stream of generated KBs keeps the triple table within its bound,
-    which it reaches many times over, emptied mid-solve among them, and
-    the solves trace and end as they do under the default bound."""
-
-    def stream():
-        rng = random.Random(27)
-        for i in range(120):
-            kb = random_shin_kb(rng) if i % 2 else random_tbox_kb(rng)
-            yield init_forest(prepare(kb), Budget(2_000))
-
-    expected, _ = solve_hashes(stream())
-    monkeypatch.setattr(tableau, "_TRIPLES", {})
-    monkeypatch.setattr(tableau, "_TRIPLES_MAX", 64)
-    sizes = []
-    make = Triple.__new__
-
-    def counted(cls, *fields):
-        t = make(cls, *fields)
-        sizes.append(len(tableau._TRIPLES))
-        return t
-
-    monkeypatch.setattr(Triple, "__new__", counted)
-    assert solve_hashes(stream())[0] == expected
-    assert max(sizes) == 64
-    assert sum(a > b for a, b in zip(sizes, sizes[1:])) >= 10
+def test_a_held_triple_evicted_from_the_keep_alive_stays_shared(monkeypatch):
+    """Eviction from the keep-alive only drops a cache entry: a triple still
+    held is the one a constructor call returns, and one no longer held
+    leaves the table."""
+    syntax._KEEP.clear()
+    monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=4))
+    c = Exists(Role("held-role"), Name("held-name"))
+    t = Triple(c, Ineq.GE, ONE)
+    parts = t.parts
+    for k in range(8):
+        Triple(c, Ineq.LE, Fraction(k, 8))
+    gc.collect()
+    assert t not in syntax._KEEP and "parts" in t.__dict__
+    assert Triple(c, Ineq.GE, ONE) is t and Triple(c.body, Ineq.GE, ONE) is parts[0]
+    assert (Triple, c, Ineq.LE, Fraction(0)) not in syntax._TABLE
+    forests = []
+    solve_hashes(golden_runs(), forests)
+    gc.collect()
+    held = {t for f in forests for node in f.nodes.values() for t in node.label}
+    assert len(held) > 100
+    assert all(Triple(t.subject, t.ineq, t.degree) is t for t in held)
