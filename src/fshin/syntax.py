@@ -9,15 +9,16 @@ neither recurses into the fields.  Every way to make a value gives the
 shared instance: a positional or keyword call, dataclasses.replace,
 copy.copy, copy.deepcopy and a pickle round trip.  An instance no one
 references leaves the table.  The table keys by ==, under which 2.0 equals
-2 and 0.5 equals Fraction(1, 2), so the constructors refuse such fields: a
-count is an int, never a bool or a float (and a bound's degree is a
-Fraction, see degrees.SignedBound).
+2, True equals 1 and 0.5 equals Fraction(1, 2), so the constructors refuse
+such fields: a count is an int, a role's inverted a bool and a triple's
+degree a Fraction (a degrees.SignedBound's is a Fraction or an int).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Callable, Iterator, Union
 from weakref import WeakValueDictionary
 
@@ -31,13 +32,8 @@ _KEEP: deque = deque(maxlen=1 << 16)
 
 
 class _Shared:
-    """Copying gives the instance itself, and unpickling goes through the
-    constructor, so the table's instance stays the only one."""
-
-    __slots__ = ()
-
-    def __copy__(self):
-        return self
+    """copy.copy and unpickling go through the constructor (__reduce__),
+    and a deep copy is the instance itself: the table's stays the only one."""
 
     def __deepcopy__(self, memo):
         return self
@@ -90,11 +86,15 @@ def _new_count(cls, count, role):
 
 
 def _new_role(cls, name, inverted=False):
+    if type(inverted) is not bool:
+        raise TypeError(f"inverted is a bool, not {inverted!r}")
     key = (cls, name, inverted)
     return _TABLE.get(key) or _make(key, name=name, inverted=inverted)
 
 
 def _new_triple(cls, subject, ineq, degree):
+    if type(degree) is not Fraction:
+        raise TypeError(f"a degree is a Fraction, not {degree!r}")
     key = (cls, subject, ineq, degree)
     self = _TABLE.get(key)
     if self is None:
@@ -126,8 +126,6 @@ def inv(r: Role) -> Role:
 class Concept(_Shared):
     """Base class; all constructors are the hash-consed frozen dataclasses
     below."""
-
-    __slots__ = ()
 
     def __str__(self) -> str:
         return concept_text(self)

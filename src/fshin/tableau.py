@@ -61,10 +61,10 @@ the keep-alive that a forest still holds stays in the table, so two equal
 triples never exist at once.  Hashes are ids, so the order of a set of
 triples varies between runs, which nothing may follow (below).
 Triple.parts holds the pushed negation, the operands and the quantifier
-body; Triple.over(r) is self when r is the triple's own role, so the
-transitive propagations pass the one quantifier triple along a whole
-chain; Triple.inverse links back (t.inverse.inverse is t); and Triple.edge
-is the role triple of every witness edge the generators make for it.
+body, and Triple.edge the role triple of every witness edge the generators
+make for it.  Triple.over and Triple.inverse build through the table on
+each call, so no cache of a triple refers back to it, and reference
+counting frees it once its last forest and the keep-alive let go.
 
 Undo trail.  solve backtracks on one forest.  Once mark() has been called,
 each of those methods, blocking and _first append to Forest.trail a record
@@ -274,26 +274,15 @@ class Triple(_Shared):
         return ()
 
     def over(self, r: Role) -> "Triple":
-        """This quantifier triple with its role replaced by r; self when r
-        is its own role."""
-        out = self._over.get(r)
-        if out is None:
-            c = self.subject
-            out = self._over[r] = Triple(type(c)(r, c.body), self.ineq, self.degree)
-        return out
+        """This quantifier triple over role r; self when r is its own role."""
+        c = self.subject
+        return self if r is c.role else Triple(type(c)(r, c.body), self.ineq, self.degree)
 
-    @cached_property
-    def _over(self) -> dict[Role, "Triple"]:
-        return {self.subject.role: self}
-
-    @cached_property
+    @property
     def inverse(self) -> "Triple":
-        """The same role triple read in the other direction; its inverse is
-        self."""
+        """This role triple read in the other direction."""
         assert isinstance(self.subject, Role)
-        out = Triple(inv(self.subject), self.ineq, self.degree)
-        out.__dict__["inverse"] = self
-        return out
+        return Triple(inv(self.subject), self.ineq, self.degree)
 
     @cached_property
     def edge(self) -> "Triple":

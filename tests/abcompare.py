@@ -1,6 +1,6 @@
 """In-process A/B comparison of two fshin source trees on a perfbench workload.
 
-    python tests/abcompare.py OLD_SRC NEW_SRC --workload W --seed N --reps R --blocks B
+    python tests/abcompare.py OLD_SRC NEW_SRC --workload W [--workload W2 ...] --seed N --reps R --blocks B
 
 OLD_SRC and NEW_SRC are directories that hold an `fshin` package (a
 checkout's `src/`).  Both packages are loaded into this one process, under
@@ -13,10 +13,14 @@ answer as in perfbench/run.py: parse, then one service call under the same
 work budget; every answer is checked against the one the generator
 planted.
 
-It prints one line per rep with each tree's task time (the sum over the
-rep's tasks) and the ratio new/old, then one JSON object with the median
-ratio (below 1 means NEW is faster) and wins, the number of reps in which
-NEW was faster.  Exits 1 if any answer is wrong or any task raises.
+For each workload in turn, it prints one line per rep with each tree's
+task time (the sum over the rep's tasks) and the ratio new/old, then one
+JSON object with the median ratio (below 1 means NEW is faster), wins, the
+number of reps in which NEW was faster, and old_iqr_frac, the
+interquartile range of the old tree's rep times over their median (0 for
+a single rep): the old tree's own spread, which a difference of medians
+must exceed to mean anything.  Exits 1 if any answer is wrong or any task
+raises.
 """
 
 from __future__ import annotations
@@ -75,11 +79,37 @@ def task_time(fshin: ModuleType, tasks: list[Task]) -> tuple[float, int]:
     return total, bad
 
 
+def compare(trees: dict[str, ModuleType], workload: str, seed: int, reps: int, n_blocks: int) -> dict:
+    """Run the reps of one workload, print a line per rep, and return the
+    summary."""
+    tasks = [t for block in itertools.islice(blocks(workload, seed), n_blocks) for t in block]
+    times, bad = {"old": [], "new": []}, 0
+    for rep in range(reps):
+        for side in ("old", "new") if rep % 2 == 0 else ("new", "old"):
+            seconds, wrong = task_time(trees[side], tasks)
+            times[side].append(seconds)
+            bad += wrong
+        old, new = times["old"][-1], times["new"][-1]
+        print(f"{workload} rep {rep}: old {old * 1e3:.1f} ms, new {new * 1e3:.1f} ms, ratio {new / old:.3f}")
+    ratios = [new / old for old, new in zip(times["old"], times["new"])]
+    quartiles = statistics.quantiles(times["old"], n=4) if reps > 1 else [0.0, 0.0, 0.0]
+    return {
+        "workload": workload,
+        "seed": seed,
+        "reps": reps,
+        "tasks_per_rep": len(tasks),
+        "median_ratio": round(statistics.median(ratios), 4),
+        "wins": sum(r < 1 for r in ratios),
+        "old_iqr_frac": round((quartiles[2] - quartiles[0]) / statistics.median(times["old"]), 4),
+        "wrong_or_failed": bad,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--workload", choices=sorted(BLOCKS), required=True)
+    parser.add_argument("--workload", choices=sorted(BLOCKS), action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--reps", type=int, required=True)
     parser.add_argument("--blocks", type=int, required=True, help="blocks per rep")
@@ -87,26 +117,11 @@ def main(argv=None) -> int:
     if args.reps < 1 or args.blocks < 1:
         parser.error("--reps and --blocks must be at least 1")
     trees = {"old": load(args.old_src, "fshin_old"), "new": load(args.new_src, "fshin_new")}
-    tasks = [t for block in itertools.islice(blocks(args.workload, args.seed), args.blocks) for t in block]
-    ratios, bad = [], 0
-    for rep in range(args.reps):
-        order = ("old", "new") if rep % 2 == 0 else ("new", "old")
-        seconds = {}
-        for side in order:
-            seconds[side], wrong = task_time(trees[side], tasks)
-            bad += wrong
-        ratios.append(seconds["new"] / seconds["old"])
-        print(f"rep {rep}: old {seconds['old'] * 1e3:.1f} ms, new {seconds['new'] * 1e3:.1f} ms, ratio {ratios[-1]:.3f}")
-    summary = {
-        "workload": args.workload,
-        "seed": args.seed,
-        "reps": args.reps,
-        "tasks_per_rep": len(tasks),
-        "median_ratio": round(statistics.median(ratios), 4),
-        "wins": sum(r < 1 for r in ratios),
-        "wrong_or_failed": bad,
-    }
-    print(json.dumps(summary))
+    bad = 0
+    for workload in args.workload:
+        summary = compare(trees, workload, args.seed, args.reps, args.blocks)
+        print(json.dumps(summary))
+        bad += summary["wrong_or_failed"]
     return 1 if bad else 0
 
 

@@ -23,8 +23,8 @@ from fshin.services import (
     satisfiable,
     subsumes,
 )
-from fshin.syntax import AtLeast, AtMost, Forall, Name, Not, Role
-from fshin.tableau import ResourceLimit
+from fshin.syntax import AtLeast, AtMost, Forall, Name, Not, Role, inv
+from fshin.tableau import ResourceLimit, Triple
 
 from genkb import (
     random_alc_concept,
@@ -642,9 +642,10 @@ def test_entailment_antitone_in_degree():
 
 
 # Concepts and triples are shared through a table keyed by ==, under which
-# 0.5 equals 1/2 and 2.0 equals 2; so a bound's degree is a Fraction or an
-# int and a count an int, and no call with a float can hand a later correct
-# call a float-valued concept or triple.
+# 0.5 equals 1/2, 2.0 equals 2 and 1 equals True; so a bound's degree is a
+# Fraction or an int, a triple's degree a Fraction, a count an int and a
+# role's inverted a bool, and no call with a stand-in can hand a later
+# correct call a wrong-typed concept, role or triple.
 
 
 def test_a_float_degree_cannot_poison_later_queries():
@@ -667,3 +668,22 @@ def test_a_float_count_cannot_poison_later_parses():
     assert serialize_kb(kb) == "assert a : >= 2 r >= 1.\n"
     assert parse_kb(serialize_kb(kb)) == kb
     assert consistency(kb).consistent
+
+
+def test_an_int_inverted_cannot_stand_in_for_a_bool():
+    held = []
+    for inverted in (1, 0, None):
+        with pytest.raises(TypeError):
+            held.append(Role("r", inverted))
+    role = parse_concept("some r-.A").role
+    assert role.inverted is True and repr(role) == "Role(name='r', inverted=True)"
+    assert Role("r") is inv(role) and Role("r").inverted is False
+
+
+def test_a_float_triple_degree_cannot_poison_later_checks():
+    held = []
+    for degree in (0.5, 1, True):
+        with pytest.raises(TypeError):
+            held.append(Triple(Name("A"), Ineq.GE, degree))
+    assert not consistency(parse_kb("assert a : A >= 0.5. assert a : A < 0.5.")).consistent
+    assert type(Triple(Name("A"), Ineq.GE, F(1, 2)).bound.degree) is F

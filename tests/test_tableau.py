@@ -192,6 +192,22 @@ def test_derived_triples_are_shared():
     assert edge.inverse.inverse.inverse is edge.inverse
 
 
+def test_over_and_inverse_build_through_the_table():
+    """A quantifier triple passed along a transitive sub-role other than
+    its own, and a role triple read backwards, are the instances the
+    constructor returns; no workload reaches the first."""
+    r, s = Role("over-r"), Role("over-s")
+    rbox = hierarchy_closure(RBox(transitive={"over-s"}, inclusions={(s, r)}))
+    assert rbox.transitive_subroles(r) == (s,)
+    t = Triple(Forall(r, Name("A")), Ineq.GE, Fraction(3, 4))
+    moved = t.over(s)
+    assert moved is Triple(Forall(s, Name("A")), Ineq.GE, Fraction(3, 4)) is not t
+    assert moved.over(s) is moved and moved.over(r) is t and t.over(r) is t
+    edge = Triple(r, Ineq.LT, Fraction(1, 3))
+    assert edge.inverse is Triple(inv(r), Ineq.LT, Fraction(1, 3))
+    assert edge.inverse.inverse is edge and "inverse" not in edge.__dict__
+
+
 def test_chain_solve_time_grows_with_the_chain(monkeypatch):
     """The benchmark's planted chain KB (seed 1) at n = 60 and n = 480, best
     of 5 each: the check takes at most 12 times as long for 8 times the
@@ -1019,6 +1035,23 @@ def test_no_result_follows_the_keep_alive_or_the_ids(monkeypatch):
     assert solve_hashes(golden_runs(), fresh) == expected
     old, new = kept[0].nodes[0].ordered[0], fresh[0].nodes[0].ordered[0]
     assert str(old) == str(new) and old.subject is not new.subject and old is not new
+
+
+def test_reference_counting_frees_every_triple(monkeypatch):
+    """With the keep-alive emptied and the cyclic collector off, solving
+    golden_runs() and dropping each forest leaves no triple in the table:
+    no cache of a triple refers back to it.  The table starts fresh, so
+    that no triple another test's forest holds caches one made here."""
+    monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=0))
+    monkeypatch.setattr(syntax, "_TABLE", WeakValueDictionary({(Top,): TOP, (Bottom,): BOTTOM}))
+    gc.collect()
+    gc.disable()
+    try:
+        solve_hashes(golden_runs())
+        left = [k for k in syntax._TABLE.keys() if k[0] is Triple]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_a_held_triple_evicted_from_the_keep_alive_stays_shared(monkeypatch):
