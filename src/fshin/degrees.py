@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -73,13 +73,13 @@ class Ineq(enum.Enum):
     LT = "<"
 
     def __init__(self, value: str) -> None:
-        # a plain attribute, not a property: conjugates and the rules read
-        # it on every bound they compare
+        # plain attributes, not properties: conjugates and the rules read
+        # them on every bound they compare
         self.positive = value[0] == ">"
+        self.negative = not self.positive
 
-    @property
-    def negative(self) -> bool:
-        return not self.positive
+    # members are singletons and == is identity: hash by identity, in C
+    __hash__ = object.__hash__
 
     def holds(self, lhs: Degree, rhs: Degree) -> bool:
         """Whether "lhs <self> rhs" is true."""
@@ -118,6 +118,7 @@ class SignedBound:
 
     ineq: Ineq
     degree: Degree
+    ratio: tuple[int, int] = field(init=False, repr=False, compare=False)  # for conjugates
 
     def __post_init__(self) -> None:
         # the tableau's triples are shared through a table keyed by ==, so
@@ -126,6 +127,7 @@ class SignedBound:
             if not isinstance(self.degree, int):
                 raise TypeError(f"a degree is a Fraction or an int, not {self.degree!r}")
             object.__setattr__(self, "degree", to_degree(self.degree))
+        object.__setattr__(self, "ratio", self.degree.as_integer_ratio())
 
     def __str__(self) -> str:
         return f"{self.ineq} {format_degree(self.degree)}"
@@ -139,17 +141,17 @@ def conjugates(b1: SignedBound, b2: SignedBound) -> bool:
       (>= n, <= m) iff n >  m      (>  n, <= m) iff n >= m
     Symmetric in argument order.
 
-    n and m are compared as n.numerator * m.denominator against
-    m.numerator * n.denominator, which is exact: a Fraction's denominator
-    is positive, so multiplying both sides of n >= m by the two
-    denominators keeps the order, and integer products never round.  It
-    skips the Fraction comparison's own dispatch.
+    n = p/q and m = r/s are compared as p * s against r * q, from the
+    ratios the bounds hold, which is exact: a Fraction's denominator is
+    positive, so multiplying both sides of n >= m by the two denominators
+    keeps the order, and integer products never round.  It skips the
+    Fraction comparison's own dispatch and reads no Fraction property.
     """
     if b1.ineq.positive == b2.ineq.positive:
         return False
     pos, neg = (b1, b2) if b1.ineq.positive else (b2, b1)
-    n, m = pos.degree, neg.degree
-    lhs, rhs = n.numerator * m.denominator, m.numerator * n.denominator
+    (p, q), (r, s) = pos.ratio, neg.ratio
+    lhs, rhs = p * s, r * q
     if pos.ineq is Ineq.GE and neg.ineq is Ineq.LE:
         return lhs > rhs
     return lhs >= rhs

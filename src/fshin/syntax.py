@@ -1,17 +1,18 @@
 """Concept and role ASTs, inverse normalization, NNF, sub-concept closure.
 
 Roles and concepts, and the tableau's membership triples, are hash-consed:
-the process holds one instance per value, kept in a weak table keyed by
-(class, *fields), so a constructor called with the fields of a live
-instance hands back that instance.  The classes are frozen dataclasses
-with eq=False, so equality is identity and the hash is object's, and
-neither recurses into the fields.  Every way to make a value gives the
-shared instance: a positional or keyword call, dataclasses.replace,
-copy.copy, copy.deepcopy and a pickle round trip.  An instance no one
-references leaves the table.  The table keys by ==, under which 2.0 equals
-2, True equals 1 and 0.5 equals Fraction(1, 2), so the constructors refuse
-such fields: a count is an int, a role's inverted a bool and a triple's
-degree a Fraction (a degrees.SignedBound's is a Fraction or an int).
+the process holds one instance per value, and a dict maps (class, *fields),
+a degree as its integer ratio, to a weak reference to it, so a constructor
+called with the fields of a live instance hands back that instance.  The
+classes are frozen dataclasses with eq=False, so equality is identity and
+the hash is object's, and neither recurses into the fields.  Every way to
+make a value gives the shared instance: a positional or keyword call,
+dataclasses.replace, copy.copy, copy.deepcopy and a pickle round trip.  An
+instance no one references leaves the table.  The table keys by ==, under
+which 2.0 equals 2, True equals 1 and 0.5 has Fraction(1, 2)'s ratio, so the
+constructors refuse such fields: a count is an int, a role's inverted a bool
+and a triple's degree a Fraction (a degrees.SignedBound's is a Fraction or
+an int).
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator, Union
-from weakref import WeakValueDictionary
+from weakref import KeyedRef
 
-# (class, *fields) -> the live instance with those fields
-_TABLE: WeakValueDictionary = WeakValueDictionary()
+# (class, *fields) -> a weak reference to the live instance with those
+# fields; a plain dict, so that a hit, _TABLE.get(key, _absent)(), runs in C
+_TABLE: dict[tuple, KeyedRef] = {}
+_absent = type(None)  # calling it gives None, as calling a dead reference does
 
 # the triples made last, held so that a triple no forest holds any more
 # keeps its caches for the next task that derives it; dropping one from
@@ -47,56 +50,62 @@ class _Shared:
 # init=False, so a shared instance is never written again
 
 
+def _drop(ref: KeyedRef) -> None:
+    if _TABLE.get(ref.key) is ref:  # else the key was made again since
+        del _TABLE[ref.key]
+
+
 def _make(key: tuple, **values) -> object:
-    self = _TABLE[key] = object.__new__(key[0])
+    self = object.__new__(key[0])
     self.__dict__.update(values)
+    _TABLE[key] = KeyedRef(self, _drop, key)
     return self
 
 
 def _new_none(cls):
     key = (cls,)
-    return _TABLE.get(key) or _make(key)
+    return _TABLE.get(key, _absent)() or _make(key)
 
 
 def _new_name(cls, id):
     key = (cls, id)
-    return _TABLE.get(key) or _make(key, id=id)
+    return _TABLE.get(key, _absent)() or _make(key, id=id)
 
 
 def _new_not(cls, arg):
     key = (cls, arg)
-    return _TABLE.get(key) or _make(key, arg=arg)
+    return _TABLE.get(key, _absent)() or _make(key, arg=arg)
 
 
 def _new_pair(cls, left, right):
     key = (cls, left, right)
-    return _TABLE.get(key) or _make(key, left=left, right=right)
+    return _TABLE.get(key, _absent)() or _make(key, left=left, right=right)
 
 
 def _new_quantifier(cls, role, body):
     key = (cls, role, body)
-    return _TABLE.get(key) or _make(key, role=role, body=body)
+    return _TABLE.get(key, _absent)() or _make(key, role=role, body=body)
 
 
 def _new_count(cls, count, role):
     if type(count) is not int:
         raise TypeError(f"a count is an int, not {count!r}")
     key = (cls, count, role)
-    return _TABLE.get(key) or _make(key, count=count, role=role)
+    return _TABLE.get(key, _absent)() or _make(key, count=count, role=role)
 
 
 def _new_role(cls, name, inverted=False):
     if type(inverted) is not bool:
         raise TypeError(f"inverted is a bool, not {inverted!r}")
     key = (cls, name, inverted)
-    return _TABLE.get(key) or _make(key, name=name, inverted=inverted)
+    return _TABLE.get(key, _absent)() or _make(key, name=name, inverted=inverted)
 
 
 def _new_triple(cls, subject, ineq, degree):
     if type(degree) is not Fraction:
         raise TypeError(f"a degree is a Fraction, not {degree!r}")
-    key = (cls, subject, ineq, degree)
-    self = _TABLE.get(key)
+    key = (cls, subject, ineq, *degree.as_integer_ratio())
+    self = _TABLE.get(key, _absent)()
     if self is None:
         self = _make(key, subject=subject, ineq=ineq, degree=degree)
         _KEEP.append(self)

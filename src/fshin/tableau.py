@@ -50,14 +50,15 @@ the newest node is ever removed, by undo.  clone copies the mutable
 indexes and shares the rest.  Forest.rbox, the role hierarchy, is closed
 once by prepare and only read.
 
-Triples are shared: Triple is hash-consed through the one constructor
-table of syntax, like the concepts and roles it holds, so every triple a
+Triples are shared: Triple is hash-consed through syntax's one constructor
+table, a dict of weak references, like the concepts and roles it holds,
+keyed by (Triple, subject, ineq, numerator, denominator), so every triple a
 rule derives or init_forest makes is one object per value, equality is
-identity and the hash is object's.  The caches above are filled once per
-instance; the table is weak, so the newest 2^16 triples the process made
-are also held in syntax._KEEP, and a triple that no forest holds any more
-keeps its caches for the next task that derives it.  A triple dropped from
-the keep-alive that a forest still holds stays in the table, so two equal
+identity and the hash is object's, as an Ineq's is.  The caches above are
+filled once per instance; the newest 2^16 triples the process made are also
+held in syntax._KEEP, so a triple that no forest holds any more keeps its
+caches for the next task that derives it.  A triple dropped from the
+keep-alive that a forest still holds stays in the table, so two equal
 triples never exist at once.  Hashes are ids, so the order of a set of
 triples varies between runs, which nothing may follow (below).
 Triple.parts holds the pushed negation, the operands and the quantifier
@@ -359,11 +360,11 @@ class Node:
     # (kind, blocker) as of the last Forest.blocking(); unblocked before it
     status: tuple[str, Optional[int]] = field(default=_UNBLOCKED_STATUS, compare=False)
     # the keys of the edges that start or end here, and role ->
-    # neighbour_bounds result, dropped when an edge here changes or is
+    # neighbour_bounds result, emptied when an edge here changes or is
     # undone; both are replaced, never changed in place, so copies share them
     adjacent: frozenset[tuple[int, int]] = field(default=frozenset(), repr=False, compare=False)
-    neighbours: Optional[dict[Role, list[tuple[int, SignedBound]]]] = field(
-        default=None, repr=False, compare=False
+    neighbours: dict[Role, list[tuple[int, SignedBound]]] = field(
+        default_factory=dict, repr=False, compare=False
     )
     # symmetric across nodes, and replaced, never changed in place
     distinct: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
@@ -373,8 +374,8 @@ class Node:
     def is_root(self) -> bool:
         return self.parent is None
 
-    def of_kind(self, kind: str) -> list[Triple]:
-        """The label's triples whose Triple.kind is `kind`, in canonical
+    def kinds(self) -> dict[str, list[Triple]]:
+        """Triple.kind -> the label's triples of that kind, in canonical
         order."""
         if self._kinds is None:
             kinds: dict[str, list[Triple]] = {}
@@ -382,7 +383,10 @@ class Node:
                 if t.kind:
                     kinds.setdefault(t.kind, []).append(t)
             self._kinds = kinds
-        return self._kinds.get(kind, [])
+        return self._kinds
+
+    def of_kind(self, kind: str) -> list[Triple]:
+        return self.kinds().get(kind, [])
 
     def add(self, t: Triple) -> int:
         """Add t, which the label lacks; returns its place in `ordered`."""
@@ -705,7 +709,7 @@ class Forest:
         na, nb = self.nodes[a], self.nodes[b]
         self._changed(na)
         self._changed(nb)
-        na.neighbours = nb.neighbours = None
+        na.neighbours = nb.neighbours = {}
         pair = (min(a, b), max(a, b))
         clash = _pair_clash(self, *pair)
         if clash:
@@ -730,7 +734,7 @@ class Forest:
         successor edges carry a sub-role of r, predecessor edges a sub-role
         of Inv(r).  The list is shared: callers must not change it."""
         node = self.nodes[x]
-        known = node.neighbours or {}
+        known = node.neighbours
         out = known.get(r)
         if out is not None:
             return out
@@ -867,8 +871,8 @@ def _restore_edge(edges, key, label, na, adjacent_a, nb, adjacent_b) -> None:
         del edges[key]
     else:
         edges[key] = label
-    nb.adjacent, nb.neighbours = adjacent_b, None
-    na.adjacent, na.neighbours = adjacent_a, None
+    nb.adjacent, nb.neighbours = adjacent_b, {}
+    na.adjacent, na.neighbours = adjacent_a, {}
 
 
 def init_forest(
@@ -948,6 +952,10 @@ def _directed_edge_triples(f: Forest, a: int, b: int) -> list[Triple]:
 
 def _pair_clash(f: Forest, a: int, b: int) -> Optional[Clash]:
     """The first clash among the role triples between a and b (a <= b)."""
+    # each clash needs a negative or unary-clash triple; an inverse keeps its bound
+    labels = f.edges.get((a, b), ()), f.edges.get((b, a), ())
+    if not any(t.ineq.negative or t.unary_clash for label in labels for t in label):
+        return None
     ts = _directed_edge_triples(f, a, b)
     for t in ts:
         if t.unary_clash:
@@ -1099,23 +1107,24 @@ _PROPAGATIONS = (
 def _propagate(f: Forest, node: Node) -> bool:
     """Apply the first deterministic rule that applies at the node:
     negation, then decomposition, then the propagations."""
-    for t in node.of_kind("not"):
+    kinds = node._kinds or node.kinds()
+    for t in kinds.get("not", ()):
         derived = t.parts[0]
         if derived not in node.label:
             return f.add_triple(node.id, derived, "negation")
     if node.status[0] == INDIRECT:
         return False
-    for t in node.of_kind("decompose"):
+    for t in kinds.get("decompose", ()):
         for derived in t.parts:
             if derived not in node.label:
                 rule = "and-pos" if isinstance(t.subject, And) else "or-neg"
                 return f.add_triple(node.id, derived, rule)
     for kind, probe_of, transitive, rule in _PROPAGATIONS:
-        for t in node.of_kind(kind):
+        for t in kinds.get(kind, ()):
             probe, role = probe_of(t), t.subject.role
             for r in f.rbox.transitive_subroles(role) if transitive else (role,):
                 derived = t.over(r) if transitive else t.parts[0]
-                for y, b in f.neighbour_bounds(node.id, r):
+                for y, b in node.neighbours.get(r) or f.neighbour_bounds(node.id, r):
                     if conjugates(b, probe) and derived not in f.nodes[y].label:
                         return f.add_triple(y, derived, rule)
     return False

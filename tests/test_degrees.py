@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import operator
 import sys
@@ -169,6 +170,26 @@ def test_conjugation_table(n, m):
         else:
             pos, neg = (b1, b2) if k1.positive else (b2, b1)
             assert got == CONJUGATION_TABLE[pos.ineq, neg.ineq](pos.degree, neg.degree)
+
+
+def test_a_bound_keeps_its_ratio_out_of_repr_eq_and_hash():
+    b = SignedBound(Ineq.GE, Fraction(2, 4))
+    assert b.ratio == (1, 2) and SignedBound(Ineq.LT, 1).ratio == (1, 1)
+    assert repr(b) == "SignedBound(ineq=<Ineq.GE: '>='>, degree=Fraction(1, 2))"
+    other = SignedBound(Ineq.GE, HALF)
+    object.__setattr__(other, "ratio", (3, 4))
+    assert other == b and hash(other) == hash(b)
+    moved = dataclasses.replace(b, degree=Fraction(3, 4))
+    assert moved.ratio == (3, 4) and moved != b
+    assert dataclasses.replace(b, ineq=Ineq.LT).ratio == (1, 2)
+
+
+def test_ineq_reads_and_hashes_without_python_code():
+    """positive and negative are plain attributes, and the hash is
+    object's, so the rules read and hash an Ineq in C."""
+    for k in Ineq:
+        assert vars(k)["positive"] is (k.value[0] == ">") is not vars(k)["negative"]
+        assert hash(k) == object.__hash__(k) and {k: 1}[k] == 1
 
 
 def test_conjugation_boundaries():

@@ -2,14 +2,16 @@ import copy
 import dataclasses
 import gc
 import pickle
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fshin import syntax
-from fshin.degrees import HALF, ONE, Ineq
+from fshin.degrees import HALF, ONE, Ineq, conjugates
 from fshin.parser import parse_concept
 from fshin.syntax import (
     And,
@@ -143,6 +145,7 @@ def test_construction_paths_meet():
     assert copy.deepcopy([c])[0] is c and pickle.loads(pickle.dumps((r, c))) == (r, c)
     t = Triple(c, Ineq.GE, HALF)
     assert Triple(subject=c, ineq=Ineq.GE, degree=Fraction(1, 2)) is t
+    assert Triple(c, Ineq.GE, Fraction(2, 4)) is t is syntax._TABLE[Triple, c, Ineq.GE, 1, 2]()
     assert copy.copy(t) is t and copy.deepcopy({t: [t]}) == {t: [t]}
     assert pickle.loads(pickle.dumps(t)) is t and pickle.loads(pickle.dumps(t.parts)) == t.parts
     assert dataclasses.replace(t, degree=HALF) is t
@@ -152,14 +155,15 @@ def test_construction_paths_meet():
 
 def test_a_dropped_concept_leaves_the_table(monkeypatch):
     """With the keep-alive emptied, a concept, a role and every triple over
-    them leave the weak table once no one references them."""
+    them leave the table once no one references them, and no dead weak
+    reference is left behind."""
     monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=0))
     c = Exists(Role("unseen-role"), Name("unseen-name"))
     key = (Exists, c.role, c.body)
-    assert syntax._TABLE[key] is c
+    assert syntax._TABLE[key]() is c
     t = Triple(c, Ineq.LE, HALF)
     assert t.edge.subject is c.role and t.parts[0].subject is c.body
-    assert syntax._TABLE[Triple, c, Ineq.LE, HALF] is t
+    assert syntax._TABLE[Triple, c, Ineq.LE, 1, 2]() is t
     del c, t
     gc.collect()
     assert key not in syntax._TABLE
@@ -167,3 +171,68 @@ def test_a_dropped_concept_leaves_the_table(monkeypatch):
     gc.collect()
     assert not [k for k in syntax._TABLE if isinstance(k, tuple) and {"unseen-name", "unseen-role"} & set(k)]
     assert not [k for k in syntax._TABLE if k[0] is Triple and "unseen" in str(k[1])]
+    assert all(ref() is not None for ref in syntax._TABLE.values())
+
+
+def test_a_dead_reference_leaves_the_table_and_no_other():
+    """An instance's entry leaves the table as its reference dies, with no
+    collection; a callback that comes late, once the key has been made
+    again, leaves the new entry in place."""
+    key = (Name, "dying-name")
+    a = Name("dying-name")
+    ref = syntax._TABLE[key]
+    del a
+    assert ref() is None and key not in syntax._TABLE
+    b = Name("dying-name")
+    syntax._drop(ref)
+    assert syntax._TABLE[key]() is b
+
+
+def python_calls(fn) -> set[tuple[str, str]]:
+    """(file name, qualified name) of each Python function fn() enters."""
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls.add((Path(code.co_filename).name, code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# what a table hit and conjugates ran in Python before they read the table
+# and the degrees in C
+SLOW = {
+    ("weakref.py", "WeakValueDictionary.get"),
+    ("fractions.py", "Fraction.__hash__"),
+    ("fractions.py", "Fraction.__eq__"),
+    ("enum.py", "Enum.__hash__"),
+    ("fractions.py", "Fraction.numerator"),
+    ("fractions.py", "Fraction.denominator"),
+}
+
+
+def test_a_table_hit_and_conjugates_run_no_python_dunder():
+    """A table hit on a live triple, role or name, and conjugates on two
+    cached bounds, enter no Python-level weak dict, Fraction or Enum hash,
+    Fraction equality or Fraction property."""
+    c = Exists(Role("r"), Name("A"))
+    t, u, r, a = Triple(c, Ineq.GE, HALF), Triple(c, Ineq.LT, HALF), Role("r", True), Name("A")
+    ge, lt = t.bound, u.bound
+    hits = {
+        "triple": (lambda: Triple(c, Ineq.GE, HALF) is t, "_new_triple"),
+        "role": (lambda: Role("r", True) is r, "_new_role"),
+        "name": (lambda: Name("A") is a, "_new_name"),
+        "conjugates": (lambda: conjugates(ge, lt), "conjugates"),
+    }
+    for what, (fn, entry) in hits.items():
+        assert fn(), what
+        calls = python_calls(fn)
+        assert any(name == entry for _, name in calls), (what, calls)
+        assert not calls & SLOW, (what, calls & SLOW)
+        assert not [call for call in calls if call[0] == "weakref.py"], (what, calls)

@@ -6,7 +6,6 @@ import weakref
 from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
-from weakref import WeakValueDictionary
 
 import pytest
 
@@ -1012,6 +1011,12 @@ def solve_hashes(forests, kept=None):
     return out
 
 
+def fresh_table() -> dict:
+    """A constructor table that holds TOP and BOTTOM alone, the instances
+    the package keeps as constants."""
+    return {key: syntax._TABLE[key] for key in ((Top,), (Bottom,))}
+
+
 def test_no_result_follows_the_keep_alive_or_the_ids(monkeypatch):
     """The golden_runs() solves trace and end alike with a keep-alive that
     holds nothing, so that each task builds its triples and their caches
@@ -1029,7 +1034,7 @@ def test_no_result_follows_the_keep_alive_or_the_ids(monkeypatch):
     monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=1 << 16))
     kept = []
     assert solve_hashes(golden_runs(), kept) == expected
-    monkeypatch.setattr(syntax, "_TABLE", WeakValueDictionary({(Top,): TOP, (Bottom,): BOTTOM}))
+    monkeypatch.setattr(syntax, "_TABLE", fresh_table())
     monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=1 << 16))
     fresh = []
     assert solve_hashes(golden_runs(), fresh) == expected
@@ -1043,15 +1048,16 @@ def test_reference_counting_frees_every_triple(monkeypatch):
     no cache of a triple refers back to it.  The table starts fresh, so
     that no triple another test's forest holds caches one made here."""
     monkeypatch.setattr(syntax, "_KEEP", deque(maxlen=0))
-    monkeypatch.setattr(syntax, "_TABLE", WeakValueDictionary({(Top,): TOP, (Bottom,): BOTTOM}))
+    monkeypatch.setattr(syntax, "_TABLE", fresh_table())
     gc.collect()
     gc.disable()
     try:
         solve_hashes(golden_runs())
         left = [k for k in syntax._TABLE.keys() if k[0] is Triple]
+        dead = [k for k, ref in syntax._TABLE.items() if ref() is None]
     finally:
         gc.enable()
-    assert left == []
+    assert left == [] and dead == []
 
 
 def test_a_held_triple_evicted_from_the_keep_alive_stays_shared(monkeypatch):
@@ -1068,7 +1074,8 @@ def test_a_held_triple_evicted_from_the_keep_alive_stays_shared(monkeypatch):
     gc.collect()
     assert t not in syntax._KEEP and "parts" in t.__dict__
     assert Triple(c, Ineq.GE, ONE) is t and Triple(c.body, Ineq.GE, ONE) is parts[0]
-    assert (Triple, c, Ineq.LE, Fraction(0)) not in syntax._TABLE
+    assert (Triple, c, Ineq.GE, 1, 1) in syntax._TABLE
+    assert (Triple, c, Ineq.LE, 0, 1) not in syntax._TABLE
     forests = []
     solve_hashes(golden_runs(), forests)
     gc.collect()
