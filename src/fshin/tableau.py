@@ -79,7 +79,10 @@ label, an adjacent or distinct set) is kept by reference, since none is
 changed in place.  A field write is one setattr record; a write to one
 dirty set or holder is one (setitem, (list, index, old int)) record, and
 a write to several dirty sets at once (Forest._spread) one record that
-puts back a copy of the whole list.  Derived state is reset, not saved.
+puts back a copy of the whole list.  _first drops nodes from its set one
+at a time and logs one such record, with the set it started from, at its
+first drop: a scan that finds nothing changes nothing else, so that one
+record undoes all its drops.  Derived state is reset, not saved.
 The caches, Node._kinds and both ends' neighbour tables, are dropped and
 rebuilt on the next read.  The clash indexes and the fresh set are emptied
 once the records have run, and the fresh set is never logged: solve marks
@@ -102,18 +105,24 @@ Dirty sets.  Forest.dirty holds one Python int per scan over the nodes,
 a bitset with bit x for node x: one per rule of Forest.rules (the
 deterministic rules as one group in node-major order, each generator, the
 two merge passes, the disjunction and inclusion splits), then the counting
-clash's, then blocking's, then the fresh set.  A node that is created, or
-whose label, parent or an edge at it changes (Forest._changed), only joins
-the fresh set, which costs one int.  blocking() folds the fresh set into
-every other set, once per expand iteration and before its own check, and
-empties it.  A set takes only the nodes that may enter it (Forest.holders):
-for a scan group that reads some kinds of triple (_READS), the nodes whose
-label holds one, since the group finds nothing at the others; every node
-for _gci_at and for blocking.  A node whose blocking status changes kind
-goes back into every scan set, and a grown distinct set puts every holder
-of a count triple into the counting clash's.
+clash's, then blocking's, then the fresh set.  A label add marks its node
+directly: add_label puts it into the sets of the groups that read the
+added triple's kind (Forest._wakes, from _READS) and into blocking's, one
+logged record for each set it was not in yet, and into no other set (see
+the argument below).  A node that is created, re-parented or cleared, or
+at which an edge changes (Forest._changed), joins the fresh set instead,
+which costs one int.  blocking() folds the fresh set into every other set,
+once per expand iteration and before its own check, and empties it.  A set
+takes only the nodes that may enter it (Forest.holders): for a scan group
+that reads some kinds of triple (_READS), the nodes whose label holds one,
+since the group finds nothing at the others; every node for _gci_at and
+for blocking.  A node whose blocking status changes kind goes back into
+every scan set, and a grown distinct set puts every holder of a count
+triple into the counting clash's.  expand and find_clash skip an empty set.
 Each scan goes through _first, which takes the lowest set bit,
-(v & -v).bit_length() - 1, and drops each node where it finds nothing.
+(v & -v).bit_length() - 1, and drops each node where it finds nothing as
+it goes; it never writes its set back at the end, since the rule that
+fires may mark a node the scan dropped before.
 Node ids are handed out in increasing order, so the lowest bit is the
 oldest node, the one a walk over Forest.nodes in id order would reach
 first, and the scans fire in the order that walk gives.  blocking()
@@ -138,9 +147,15 @@ holds, in the state the undo put back.
 
 A group's result at x depends on x's label, the edges at x, x's blocking
 status and, beyond those, only on the labels and parents of x's
-neighbours, the distinct sets and x's merged_into.  These others can only
-switch a group off at x, never on, except where x is put into the set for
-them:
+neighbours, the distinct sets and x's merged_into.  Of x's own label, a
+group reads the triples of the kinds in its _READS, and otherwise only
+tests whether a conclusion is there already: a derived triple, a split's
+alternative, an inclusion split's, or, through a self-loop, a witness.  So
+an add to x's label of a triple of another kind can only satisfy a
+conclusion that was missing, which switches the group off at x, never on;
+add_label wakes only the groups that read the added kind.  The others can
+only switch a group off at x, never on, except where x is put into the set
+for them:
 
 - a neighbour's label only grows, and a grown label only satisfies a
   propagation, a witness or a split that was missing; the one label that
@@ -403,15 +418,17 @@ class Node:
         t = ordered[i]
         # equal subjects have equal text, so the triples on t's subject lie
         # in the run of equal text around t in the canonical order
-        text, bound = t.key[0], t.bound
+        text, subject, bound = t.key[0], t.subject, t.bound
         lo, hi = i, i + 1
         while lo > 0 and ordered[lo - 1].key[0] == text:
             lo -= 1
         while hi < len(ordered) and ordered[hi].key[0] == text:
             hi += 1
-        return next(
-            (u for u in ordered[lo:hi] if u.subject == t.subject and conjugates(u.bound, bound)), None
-        )
+        # concepts are shared instances, so identity is equality
+        for u in ordered[lo:hi]:
+            if u.subject is subject and conjugates(u.bound, bound):
+                return u
+        return None
 
     def _unadd(self, t: Triple, i: int) -> None:
         """Undo the add() of t, which gave place i."""
@@ -487,7 +504,9 @@ class Forest:
         self.rules = tuple(r for r in _RULES if r not in skip and (gci_splits or r is not _gci_at))
         # the dirty sets, bitsets over node ids: one per rule of self.rules,
         # in that order, then the counting clash's (_COUNTING), blocking's
-        # (_BLOCKING), and the nodes changed since the last fold (_FRESH)
+        # (_BLOCKING), and the nodes made, re-parented, cleared or at a
+        # changed edge since the last fold (_FRESH); a label add marks its
+        # sets directly (add_label)
         self.dirty = [0] * (len(self.rules) + 3)
         # for each dirty set, at the same index, the nodes that may enter
         # it: those whose label holds a kind of triple the scan group reads
@@ -496,11 +515,15 @@ class Forest:
         # for the fresh set
         groups = (*self.rules, _counting_clash)
         self.holders = [-1 if _READS[at] is None else 0 for at in groups] + [-1, -1]
-        # kind of triple -> the indexes of the groups that read it
-        self._readers: dict[str, list[int]] = {}
+        # kind of triple (None for an atom) -> the indexes of the sets an add
+        # of that kind wakes: the groups that read it, then blocking's.  The
+        # groups every fragment runs read every kind between them.
+        self._wakes: dict[Optional[str], list[int]] = {None: []}
         for i, at in enumerate(groups):
             for kind in _READS[at] or ():
-                self._readers.setdefault(kind, []).append(i)
+                self._wakes.setdefault(kind, []).append(i)
+        for wakes in self._wakes.values():
+            wakes.append(len(groups))
         self.nodes: dict[int, Node] = {}
         # edge labels are replaced, never changed in place, so a clone or an
         # undo record may share them
@@ -574,8 +597,9 @@ class Forest:
     # --- dirty sets ---
 
     def _changed(self, node: Node) -> None:
-        """The node's label, its parent or an edge at it changed: every
-        scan group and blocking look at it again, from the next fold."""
+        """The node was cleared or re-parented, or an edge at it changed:
+        every scan group and blocking look at it again, from the next fold.
+        A label add marks its sets itself (add_label)."""
         self.dirty[_FRESH] |= 1 << node.id
 
     def _spread(self, ids: int, stop: int) -> None:
@@ -628,16 +652,21 @@ class Forest:
             trail.append((node._unadd, (t, i)))
         if node.id not in self.clashing_nodes and (t.unary_clash or node.conjugate_of(i)):
             self.clashing_nodes.add(node.id)
-        # the node may now enter the sets of the groups that read t's kind
+        # the node now holds for, and enters the sets of, the groups that
+        # read t's kind, and blocking's: no other group can find more at it
         bit = 1 << node.id
-        holders = self.holders
-        for j in self._readers.get(t.kind, ()):
+        holders, d = self.holders, self.dirty
+        for j in self._wakes[t.kind]:
             old = holders[j]
             if not old & bit:
                 if trail is not None:
                     trail.append((setitem, (holders, j, old)))
                 holders[j] = old | bit
-        self.dirty[_FRESH] |= bit
+            old = d[j]
+            if not old & bit:
+                if trail is not None:
+                    trail.append((setitem, (d, j, old)))
+                d[j] = old | bit
 
     def clear_label(self, node: Node) -> None:
         self._log(node._unclear, node.label, node.ordered)
@@ -763,8 +792,9 @@ class Forest:
         return sorted({y for y, b in self.neighbour_bounds(x, r) if conjugates(b, probe)})
 
     def has_exact_neighbour(self, x: int, r: Role, bound: SignedBound, required: Triple) -> bool:
+        ineq, ratio = bound.ineq, bound.ratio
         for y, b in self.neighbour_bounds(x, r):
-            if b == bound and required in self.nodes[y].label:
+            if b.ineq is ineq and b.ratio == ratio and required in self.nodes[y].label:
                 return True
         return False
 
@@ -772,8 +802,9 @@ class Forest:
 
     def blocking(self) -> None:
         """Fold the fresh nodes into every dirty set, then bring every
-        Node.status up to date.  Only the nodes of the blocking set, and
-        their descendants through Node.children, are checked again, in id
+        Node.status up to date.  Only the nodes of the blocking set (the
+        fresh ones, and those whose label grew, which add_label put there),
+        and their descendants through Node.children, are checked again, in id
         order, so top-down (parents have smaller ids than their children
         throughout); an empty set returns at once.  Traces a block event for
         each node newly directly blocked, or by a new blocker, in id order,
@@ -890,9 +921,9 @@ def init_forest(
     (a bound below 0 or above 1) and every degree meets the other, so the
     split asks nothing of a model.  xa holds 1/2, so inclusions still split."""
     splits = tuple(
-        (n, Triple(lhs, Ineq.LE, n - prepared.ell), Triple(rhs, Ineq.GE, n))
+        (n, Triple(lhs, Ineq.LE, cap), Triple(rhs, Ineq.GE, n))
         for n in prepared.xa
-        if n > 0 and n - prepared.ell < 1
+        if n > 0 and (cap := n - prepared.ell) < 1
         for lhs, rhs in prepared.gcis
     )
     f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)
@@ -1061,30 +1092,29 @@ def find_clash(f: Forest) -> Optional[Clash]:
         return _concept_clash(f, f.nodes[min(f.clashing_nodes)])
     if f.clashing_pairs:
         return f.clashing_pairs[min(f.clashing_pairs)]
-    return _first(f, _counting_clash, _COUNTING) if f.pairwise else None
+    return _first(f, _counting_clash, _COUNTING) if f.pairwise and f.dirty[_COUNTING] else None
 
 
 def _first(f: Forest, at, i: int):
     """The first truthy at(f, node) over the nodes of dirty set i, oldest
     (lowest id) first, or None.
 
-    Drops from the set each node where `at` gives nothing; `at` must change
-    nothing when it gives nothing."""
-    d, nodes = f.dirty, f.nodes
-    old = todo = d[i]
+    Drops from the set each node where `at` gives nothing, as it goes, and
+    logs the starting set once, at the first drop; `at` must change nothing
+    when it gives nothing.  The set is never written back at the end: the
+    rule that fires may mark a node dropped earlier in the same scan."""
+    d, nodes, trail = f.dirty, f.nodes, f.trail
+    start = todo = d[i]
     while todo:
         low = todo & -todo
         out = at(f, nodes[low.bit_length() - 1])
         if out:
-            break
+            return out
+        if trail is not None and todo == start:
+            trail.append((setitem, (d, i, start)))
         todo ^= low
-    else:
-        out = None
-    if todo != old:
-        if f.trail is not None:
-            f.trail.append((setitem, (d, i, old)))
         d[i] = todo
-    return out
+    return None
 
 
 # --- deterministic rules ---
@@ -1166,7 +1196,10 @@ def _rule_atleast(f: Forest, node: Node) -> bool:
     if node.status[0] != UNBLOCKED:
         return False
     for c, edge, rule in (t.atleast for t in node.of_kind("count") if t.atleast):
-        members = sorted({y for y, b in f.neighbour_bounds(node.id, c.role) if b == edge.bound})
+        ineq, ratio = edge.ineq, edge.bound.ratio
+        members = sorted(
+            {y for y, b in f.neighbour_bounds(node.id, c.role) if b.ineq is ineq and b.ratio == ratio}
+        )
         if _has_pairwise_distinct(f, members, c.count):
             continue
         created = []
@@ -1331,10 +1364,12 @@ def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
             return clash
         # the first rule that applies: a deterministic one (True) starts over,
         # a merge or a split returns its choice point, and None means complete
+        d, out = f.dirty, None
         for i, rule in enumerate(f.rules):
-            out = _first(f, rule, i)
-            if out:
-                break
+            if d[i]:
+                out = _first(f, rule, i)
+                if out:
+                    break
         if out is not True:
             return out
 

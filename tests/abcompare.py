@@ -1,6 +1,7 @@
 """In-process A/B comparison of two fshin source trees on a perfbench workload.
 
     python tests/abcompare.py OLD_SRC NEW_SRC --workload W [--workload W2 ...] --seed N --reps R --blocks B
+    python tests/abcompare.py OLD_SRC NEW_SRC --workload W [--workload W2 ...] --seed N --blocks B --calls
 
 OLD_SRC and NEW_SRC are directories that hold an `fshin` package (a
 checkout's `src/`).  Both packages are loaded into this one process, under
@@ -21,11 +22,23 @@ interquartile range of the old tree's rep times over their median (0 for
 a single rep): the old tree's own spread, which a difference of medians
 must exceed to mean anything.  Exits 1 if any answer is wrong or any task
 raises.
+
+With --calls it times nothing and counts calls instead, which do not
+depend on the host's speed.  For each workload, each tree makes one
+warm-up pass over the tasks, which fills the caches of the shared values,
+then one pass under sys.setprofile that counts the Python-level calls
+(generator resumptions included) and the calls of C functions.  It prints
+one line per tree with both counts, one line for each of the MOVED
+functions whose counts differ most between the trees, largest difference
+first, and one JSON object with the counts, the share of Python calls NEW
+saves and the moved functions.  A Python function is named by its file's
+name and qualified name, a C function by its qualified name.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib.util
 import itertools
 import json
@@ -40,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import BLOCKS, Task, blocks  # noqa: E402
 
 TASK_BUDGET = 5_000  # as perfbench/run.py
+MOVED = 12  # functions listed per workload by --calls
 
 
 def load(src: Path, name: str) -> ModuleType:
@@ -105,21 +119,79 @@ def compare(trees: dict[str, ModuleType], workload: str, seed: int, reps: int, n
     }
 
 
+def call_counts(fshin: ModuleType, tasks: list[Task]) -> tuple[collections.Counter, int]:
+    """(calls per function over one profiled pass, number of wrong or
+    failed answers).  Keys are "file:qualname" for Python functions and
+    "C qualname" for C functions."""
+    counts: collections.Counter = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            counts[f"{Path(code.co_filename).name}:{code.co_qualname}"] += 1
+        elif event == "c_call":
+            counts[f"C {getattr(arg, '__qualname__', type(arg).__name__)}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        bad = task_time(fshin, tasks)[1]
+    finally:
+        sys.setprofile(None)
+    return counts, bad
+
+
+def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_blocks: int) -> dict:
+    """Count the calls of one workload in each tree, print them, and return
+    the summary."""
+    tasks = [t for block in itertools.islice(blocks(workload, seed), n_blocks) for t in block]
+    counts, totals, bad = {}, {}, 0
+    for side in ("old", "new"):
+        bad += task_time(trees[side], tasks)[1]  # the warm-up pass
+        counts[side], wrong = call_counts(trees[side], tasks)
+        bad += wrong
+        python = sum(n for name, n in counts[side].items() if not name.startswith("C "))
+        totals[side] = {"python": python, "c": sum(counts[side].values()) - python}
+        print(f"{workload} {side}: {totals[side]['python']} Python calls, {totals[side]['c']} C calls")
+    names = counts["old"].keys() | counts["new"].keys()
+    moved = sorted(names, key=lambda name: (-abs(counts["new"][name] - counts["old"][name]), name))
+    moved = [[name, counts["old"][name], counts["new"][name]] for name in moved[:MOVED]]
+    for name, old, new in moved:
+        if old != new:
+            print(f"  {name}: {old} -> {new} ({new - old:+d})")
+    old_python = totals["old"]["python"]
+    return {
+        "workload": workload,
+        "seed": seed,
+        "tasks": len(tasks),
+        "python_calls": {side: totals[side]["python"] for side in totals},
+        "c_calls": {side: totals[side]["c"] for side in totals},
+        "python_saved_frac": round(1 - totals["new"]["python"] / old_python, 4) if old_python else 0.0,
+        "moved": [entry for entry in moved if entry[1] != entry[2]],
+        "wrong_or_failed": bad,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--workload", choices=sorted(BLOCKS), action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--reps", type=int, required=True)
+    parser.add_argument("--reps", type=int, help="timed reps; not taken with --calls")
     parser.add_argument("--blocks", type=int, required=True, help="blocks per rep")
+    parser.add_argument("--calls", action="store_true", help="count calls in one profiled pass, time nothing")
     args = parser.parse_args(argv)
-    if args.reps < 1 or args.blocks < 1:
+    if (args.reps is None) != args.calls:
+        parser.error("give either --reps or --calls")
+    if args.blocks < 1 or (args.reps is not None and args.reps < 1):
         parser.error("--reps and --blocks must be at least 1")
     trees = {"old": load(args.old_src, "fshin_old"), "new": load(args.new_src, "fshin_new")}
     bad = 0
     for workload in args.workload:
-        summary = compare(trees, workload, args.seed, args.reps, args.blocks)
+        if args.calls:
+            summary = compare_calls(trees, workload, args.seed, args.blocks)
+        else:
+            summary = compare(trees, workload, args.seed, args.reps, args.blocks)
         print(json.dumps(summary))
         bad += summary["wrong_or_failed"]
     return 1 if bad else 0

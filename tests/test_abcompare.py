@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import abcompare
 
@@ -35,3 +39,36 @@ def test_a_wrong_answer_exits_1(monkeypatch, capsys):
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["wrong_or_failed"] == 2 * summary["tasks_per_rep"] > 0
     assert summary["old_iqr_frac"] == 0  # one rep has no spread
+
+
+def test_call_counts_do_not_depend_on_the_hash_seed():
+    """--calls on the tree against itself, in two processes under
+    PYTHONHASHSEED 0 and 1: the same counts in both, and in each the same
+    counts for both trees, with every answer as planted."""
+    start = time.perf_counter()
+    script = Path(abcompare.__file__)
+    args = [sys.executable, str(script), str(SRC), str(SRC), "--workload", "gci-cycle", "--seed", "1"]
+    args += ["--blocks", "1", "--calls"]
+    summaries = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        run = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["gci-cycle old", "gci-cycle new"]
+        summaries.append(json.loads(lines[-1]))
+    assert time.perf_counter() - start < 5.0
+    assert summaries[0] == summaries[1]
+    summary = summaries[0]
+    assert summary["python_calls"]["old"] == summary["python_calls"]["new"] > 0
+    assert summary["c_calls"]["old"] == summary["c_calls"]["new"] > 0
+    assert summary["moved"] == [] and summary["python_saved_frac"] == 0
+    assert summary["wrong_or_failed"] == 0
+
+
+def test_calls_and_reps_exclude_each_other(capsys):
+    args = [str(SRC), str(SRC), "--workload", "abox-chain", "--seed", "1", "--blocks", "1"]
+    for extra in ([], ["--reps", "1", "--calls"]):
+        with pytest.raises(SystemExit):
+            abcompare.main(args + extra)
+    assert "either --reps or --calls" in capsys.readouterr().err

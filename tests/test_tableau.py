@@ -847,6 +847,42 @@ def test_settled_nodes_have_nothing_to_do(monkeypatch):
     assert set(checked) == {at.__name__ for at in SCAN_GROUPS}
 
 
+def test_a_label_add_wakes_the_groups_that_read_its_kind():
+    """On an initial forest with every dirty set emptied, add_label of a
+    triple of kind k puts its node into exactly the sets of the groups whose
+    _READS hold k, and blocking's, as a holder of each; an atom into
+    blocking's alone.  Nothing goes through the fresh set, and undo(mark)
+    gives back every set and holder as it was at the mark."""
+    f = init_forest(prepare(parse_kb(FRAGMENT_KBS["gci"])))
+    assert f.rules == tableau._RULES
+    f.blocking()
+    f.dirty[:] = [0] * len(f.dirty)
+    mark = f.mark()
+    dirty, holders = list(f.dirty), list(f.holders)
+    groups = (*f.rules, _counting_clash)
+    half, a = Fraction(1, 2), Name("A")
+    triples = [
+        Triple(a, Ineq.GE, half),
+        Triple(Not(a), Ineq.GE, half),
+        Triple(syntax.And(a, Name("B")), Ineq.GE, half),
+        Triple(Or(a, Name("B")), Ineq.GE, half),
+        *(Triple(q(R, a), k, half) for q in (Forall, Exists) for k in (Ineq.GE, Ineq.LE)),
+        Triple(AtLeast(2, R), Ineq.GE, half),
+    ]
+    assert [t.kind for t in triples] == [None, *KINDS[:3], "forall+", "forall-", "exists+", "exists-", "count"]
+    x = max(f.nodes)
+    bit = 1 << x
+    for t in triples:
+        assert t not in f.nodes[x].label
+        f.add_label(f.nodes[x], t)
+        woken = [j for j, at in enumerate(groups) if t.kind in (tableau._READS[at] or ())]
+        woken.append(len(groups))  # blocking's
+        assert f.dirty == [bit if j in woken else 0 for j in range(len(dirty))], t
+        assert f.holders == [h | bit if j in woken else h for j, h in enumerate(holders)], t
+        f.undo(mark)
+        assert f.dirty == dirty and f.holders == holders and t not in f.nodes[x].label
+
+
 def test_blocking_traces_each_status_change(monkeypatch):
     """Each blocking() call traces exactly the events that comparing the
     old and new status maps gives: each node newly directly blocked, or by
