@@ -68,28 +68,28 @@ each call, so no cache of a triple refers back to it, and reference
 counting frees it once its last forest and the keep-alive let go.
 
 Undo trail.  solve backtracks on one forest.  Once mark() has been called,
-each of those methods, blocking and _first append to Forest.trail a record
-(function, arguments) that reverses their change.  Each frame of solve's
-stack holds the trail length at its choice point, and each further
+each of those methods and blocking append to Forest.trail a record
+(function, arguments) that reverses their change, and each mark() appends
+one more, a snapshot of the dirty sets and holders (below).  Each frame of
+solve's stack holds the trail length at its choice point, and each further
 alternative starts with undo(mark), which runs the newer records newest
-first.  The records put back facts only (labels, edges, parents, children,
-distinct sets, merged_into, statuses, dirty sets and holders), as the
-change found them; a value a change replaces (a cleared label, an edge
-label, an adjacent or distinct set) is kept by reference, since none is
-changed in place.  A field write is one setattr record; a write to one
-dirty set or holder is one (setitem, (list, index, old int)) record, and
-a write to several dirty sets at once (Forest._spread) one record that
-puts back a copy of the whole list.  _first drops nodes from its set one
-at a time and logs one such record, with the set it started from, at its
-first drop: a scan that finds nothing changes nothing else, so that one
-record undoes all its drops.  Derived state is reset, not saved.
+first and then the mark's own snapshot.  The records put back facts only
+(labels, edges, parents, children, distinct sets, merged_into and
+statuses), as the change found them; a value a change replaces (a cleared
+label, an edge label, an adjacent or distinct set) is kept by reference,
+since none is changed in place.  A field write is one setattr record.  No
+write to a dirty set or a holder is logged: every label add, scan, fold
+and blocking pass writes them, and the mark's snapshot puts every set back
+at once, whatever the scans and folds since the mark did to them (the
+snapshot of a nested mark, which an outer undo pops and runs on its way,
+is overwritten by the outer one).  Derived state is reset, not saved.
 The caches, Node._kinds and both ends' neighbour tables, are dropped and
-rebuilt on the next read.  The clash indexes and the fresh set are emptied
-once the records have run, and the fresh set is never logged: solve marks
-only at a choice point, which expand returns right after find_clash found
-nothing, with no change since the fold, so they are empty at every mark
-(mark() asserts the first, and folds the fresh set for a caller that marks
-a forest before expanding it).  self_distinct is set once, by init_forest:
+rebuilt on the next read.  The clash indexes are emptied once the records
+have run: solve marks only at a choice point, which expand returns right
+after find_clash found nothing, with no change since the fold, so they are
+empty at every mark (mark() asserts it, and folds the fresh set first for a
+caller that marks a forest before expanding it, so the snapshot's fresh
+set is empty too).  self_distinct is set once, by init_forest:
 a merge never makes a node distinct from itself.  Undo does not restore set
 and dict order: a popped edge comes back at the end of Forest.edges.  So no
 result follows such an order: a root merge moves y's edges in key order,
@@ -107,22 +107,22 @@ deterministic rules as one group in node-major order, each generator, the
 two merge passes, the disjunction and inclusion splits), then the counting
 clash's, then blocking's, then the fresh set.  A label add marks its node
 directly: add_label puts it into the sets of the groups that read the
-added triple's kind (Forest._wakes, from _READS) and into blocking's, one
-logged record for each set it was not in yet, and into no other set (see
-the argument below).  A node that is created, re-parented or cleared, or
-at which an edge changes (Forest._changed), joins the fresh set instead,
-which costs one int.  blocking() folds the fresh set into every other set,
-once per expand iteration and before its own check, and empties it.  A set
-takes only the nodes that may enter it (Forest.holders): for a scan group
-that reads some kinds of triple (_READS), the nodes whose label holds one,
-since the group finds nothing at the others; every node for _gci_at and
-for blocking.  A node whose blocking status changes kind goes back into
-every scan set, and a grown distinct set puts every holder of a count
-triple into the counting clash's.  expand and find_clash skip an empty set.
-Each scan goes through _first, which takes the lowest set bit,
-(v & -v).bit_length() - 1, and drops each node where it finds nothing as
-it goes; it never writes its set back at the end, since the rule that
-fires may mark a node the scan dropped before.
+added triple's kind (Forest._wakes, from _READS) and into blocking's, and
+into no other set (see the argument below).  A node that is created,
+re-parented or cleared, or at which an edge changes (Forest._changed),
+joins the fresh set instead, which costs one int.  blocking() folds the
+fresh set into every other set, once per expand iteration and before its
+own check, and empties it.  A set takes only the nodes that may enter it
+(Forest.holders): for a scan group that reads some kinds of triple
+(_READS), the nodes whose label holds one, since the group finds nothing
+at the others; every node for _gci_at and for blocking.  A node whose
+blocking status changes kind goes back into every scan set, and a grown
+distinct set puts every holder of a count triple into the counting
+clash's.  expand and find_clash skip an empty set.  Each scan goes
+through _first, which takes the lowest set bit, (v & -v).bit_length() - 1,
+and drops each node where it finds nothing as it goes; it never writes its
+set back at the end, since the rule that fires may mark a node the scan
+dropped before.
 Node ids are handed out in increasing order, so the lowest bit is the
 oldest node, the one a walk over Forest.nodes in id order would reach
 first, and the scans fire in the order that walk gives.  blocking()
@@ -141,9 +141,9 @@ lies above the id being checked.  It traces the block events as the
 statuses change, oldest first, blocks before unblocks: the events a
 comparison of all the old and new statuses would give.  A node in a set
 without need is always safe: the scan or the check runs there and changes
-nothing.  The sets roll back with the trail, so after an undo a node
-outside a set still means that the scan finds nothing, or that the status
-holds, in the state the undo put back.
+nothing.  The sets roll back with the mark's snapshot, so after an undo a
+node outside a set still means that the scan finds nothing, or that the
+status holds, in the state the undo put back.
 
 A group's result at x depends on x's label, the edges at x, x's blocking
 status and, beyond those, only on the labels and parents of x's
@@ -177,7 +177,7 @@ import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter, setitem
+from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
 
 from .degrees import (
@@ -571,24 +571,26 @@ class Forest:
     # --- the undo trail ---
 
     def mark(self) -> int:
-        """Start recording undo records if not yet; undo(mark()) later puts
-        the forest back as it is now, which must be clash-free."""
+        """Start recording undo records if not yet, and append a snapshot of
+        the dirty sets and holders, with the fresh set folded; undo(mark())
+        later puts the forest back as it is now, which must be clash-free."""
         assert not self.clashing_nodes and not self.clashing_pairs
-        # undo empties the fresh set, so it must be empty at the mark
         self._fold()
         if self.trail is None:
             self.trail = []
+        d, h = self.dirty, self.holders
+        self.trail.append((_restore_sets, (d, d[:], h, h[:])))
         return len(self.trail)
 
     def undo(self, mark: int) -> None:
+        """Run the records since the mark, newest first, then its snapshot."""
         trail = self.trail
-        while len(trail) > mark:
-            fn, args = trail.pop()
+        for fn, args in reversed(trail[mark - 1:]):
             fn(*args)
+        del trail[mark:]
         # empty at every mark, so not restored record by record
         self.clashing_nodes.clear()
         self.clashing_pairs.clear()
-        self.dirty[_FRESH] = 0
 
     def _log(self, fn, *args) -> None:
         if self.trail is not None:
@@ -604,10 +606,9 @@ class Forest:
 
     def _spread(self, ids: int, stop: int) -> None:
         """Add the nodes of `ids` to the dirty sets before index `stop`, each
-        set the nodes that may enter it (Forest.holders)."""
+        set the nodes that may enter it (Forest.holders); not logged, since
+        undo puts back the sets of its mark's snapshot."""
         d = self.dirty
-        if self.trail is not None:
-            self.trail.append((setitem, (d, slice(None), d[:])))
         d[:stop] = [v | (ids & h) for v, h in zip(d[:stop], self.holders)]
 
     def _fold(self) -> None:
@@ -615,7 +616,6 @@ class Forest:
         fresh = self.dirty[_FRESH]
         if fresh:
             self._spread(fresh, _FRESH)
-            # not logged: _FRESH is empty at every mark, and undo empties it
             self.dirty[_FRESH] = 0
 
     # --- basic accessors ---
@@ -647,9 +647,8 @@ class Forest:
     def add_label(self, node: Node, t: Triple) -> None:
         """Add t, which the label lacks, to the node's label."""
         i = node.add(t)
-        trail = self.trail
-        if trail is not None:
-            trail.append((node._unadd, (t, i)))
+        if self.trail is not None:
+            self.trail.append((node._unadd, (t, i)))
         if node.id not in self.clashing_nodes and (t.unary_clash or node.conjugate_of(i)):
             self.clashing_nodes.add(node.id)
         # the node now holds for, and enters the sets of, the groups that
@@ -657,16 +656,8 @@ class Forest:
         bit = 1 << node.id
         holders, d = self.holders, self.dirty
         for j in self._wakes[t.kind]:
-            old = holders[j]
-            if not old & bit:
-                if trail is not None:
-                    trail.append((setitem, (holders, j, old)))
-                holders[j] = old | bit
-            old = d[j]
-            if not old & bit:
-                if trail is not None:
-                    trail.append((setitem, (d, j, old)))
-                d[j] = old | bit
+            holders[j] |= bit
+            d[j] |= bit
 
     def clear_label(self, node: Node) -> None:
         self._log(node._unclear, node.label, node.ordered)
@@ -704,9 +695,7 @@ class Forest:
         for x, distinct in new.items():
             self.set_field(nodes[x], "distinct", distinct)
         if new:
-            d = self.dirty
-            self._log(setitem, d, _COUNTING, d[_COUNTING])
-            d[_COUNTING] = self.holders[_COUNTING]
+            self.dirty[_COUNTING] = self.holders[_COUNTING]
 
     def set_edge(self, a: int, b: int, triples: Iterable[Triple]) -> None:
         """Create edge (a, b), or replace its label."""
@@ -815,9 +804,6 @@ class Forest:
         todo = d[_BLOCKING]
         if not todo:
             return
-        trail = self.trail
-        if trail is not None:
-            trail.append((setitem, (d, _BLOCKING, todo)))
         d[_BLOCKING] = 0
         nodes = self.nodes
         moved = 0
@@ -829,9 +815,7 @@ class Forest:
             todo |= node.children
             new, old = self._status_of(node), node.status
             if new != old:
-                if trail is not None:
-                    trail.append((setattr, (node, "status", old)))
-                node.status = new
+                self.set_field(node, "status", new)
                 if new[0] == DIRECT:
                     self.trace.append(("block", node.id, new[1]))
                 elif old[0] == DIRECT:
@@ -893,6 +877,12 @@ class Forest:
         for (a, b) in sorted(self.edges):
             lines.append(f"edge {a} -> {b} {{{text(sorted(self.edges[(a, b)], key=triple_key))}}}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _restore_sets(dirty, saved_dirty, holders, saved_holders) -> None:
+    """Put back a forest's dirty sets and holders as Forest.mark saved them."""
+    dirty[:] = saved_dirty
+    holders[:] = saved_holders
 
 
 def _restore_edge(edges, key, label, na, adjacent_a, nb, adjacent_b) -> None:
@@ -1100,18 +1090,17 @@ def _first(f: Forest, at, i: int):
     (lowest id) first, or None.
 
     Drops from the set each node where `at` gives nothing, as it goes, and
-    logs the starting set once, at the first drop; `at` must change nothing
-    when it gives nothing.  The set is never written back at the end: the
-    rule that fires may mark a node dropped earlier in the same scan."""
-    d, nodes, trail = f.dirty, f.nodes, f.trail
-    start = todo = d[i]
+    logs no drop: undo puts the set back from its mark's snapshot, and `at`
+    must change nothing when it gives nothing.  The set is never written
+    back at the end: the rule that fires may mark a node dropped earlier in
+    the same scan."""
+    d, nodes = f.dirty, f.nodes
+    todo = d[i]
     while todo:
         low = todo & -todo
         out = at(f, nodes[low.bit_length() - 1])
         if out:
             return out
-        if trail is not None and todo == start:
-            trail.append((setitem, (d, i, start)))
         todo ^= low
         d[i] = todo
     return None

@@ -20,6 +20,7 @@ moved and the summed budget_used before and after.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -34,7 +35,7 @@ from fshin.parser import parse_kb
 from fshin.services import prepare
 from fshin.tableau import Budget, ResourceLimit, init_forest, solve
 
-from genkb import random_alc_kb, random_shin_kb
+from genkb import dense_colouring_kb, random_alc_kb, random_shin_kb
 from test_acceptance import BLOCKING, EXAMPLE1, GCI
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
@@ -150,6 +151,22 @@ def gci_cells() -> dict[str, str]:
     return out
 
 
+# the counting clash's clique search past its greedy clique.  n named
+# r-successors of a under (<= cap r), pairwise distinct except within n/2
+# fixed pairs: the partner-count pruning and the colouring bound settle
+# each (the first two consistent, the last not).  Then genkb's
+# dense_colouring_kb(n, cap, seed, p), whose searches recurse, one
+# consistent and one not.
+DENSE_DISTINCT = ((20, 10), (26, 13), (20, 9))
+DENSE_COLOURINGS = ((7, 3, 1, 0.5), (9, 4, 2, 0.7))
+
+
+def dense_distinct_text(n: int, cap: int) -> str:
+    lines = [f"assert (a, b{i}): r >= 0.9." for i in range(n)]
+    lines += [f"distinct b{i} b{j}." for i, j in itertools.combinations(range(n), 2) if i // 2 != j // 2]
+    return "\n".join(lines) + f"\nassert a : <= {cap} r >= 0.9.\n"
+
+
 def corpus():
     """(name, FuzzyKB) pairs in a fixed order."""
     out = [("EXAMPLE1", parse_kb(EXAMPLE1)), ("BLOCKING", parse_kb(BLOCKING)), ("GCI", parse_kb(GCI))]
@@ -165,6 +182,10 @@ def corpus():
         for planted in (False, True)
     ]
     out += [(name, parse_kb(text)) for name, text in gci_cells().items()]
+    out += [(f"clique-{n}-{cap}", parse_kb(dense_distinct_text(n, cap))) for n, cap in DENSE_DISTINCT]
+    out += [
+        (f"colouring-{n}-{cap}", dense_colouring_kb(n, cap, seed, p)) for n, cap, seed, p in DENSE_COLOURINGS
+    ]
     return out
 
 

@@ -45,7 +45,7 @@ from fshin.tableau import (
 
 from audit import audit_properties
 from genkb import dense_colouring_kb, random_tbox_kb
-from test_golden import EXTRA, corpus, render, sha
+from test_golden import EXTRA, corpus, dense_distinct_text, render, sha
 
 
 def run(text, budget=10**6):
@@ -346,11 +346,7 @@ def test_dense_distinct_successors_answer_quickly(n, cap, consistent):
     # partner count keeps them all, and the largest distinct set has n/2
     # members, one of each pair, so trying every (cap + 1)-subset is
     # exponential in n.
-    lines = [f"assert (a, b{i}): r >= 0.9." for i in range(n)]
-    lines += [
-        f"distinct b{i} b{j}." for i, j in itertools.combinations(range(n), 2) if i // 2 != j // 2
-    ]
-    kb = parse_kb("\n".join(lines) + f"\nassert a : <= {cap} r >= 0.9.\n")
+    kb = parse_kb(dense_distinct_text(n, cap))
     start = time.perf_counter()
     r = consistency(kb, budget=2000)
     assert time.perf_counter() - start < 1.0
@@ -847,6 +843,21 @@ def test_settled_nodes_have_nothing_to_do(monkeypatch):
     assert set(checked) == {at.__name__ for at in SCAN_GROUPS}
 
 
+def one_triple_of_each_kind(a):
+    """An atom on a, then a triple of each kind in KINDS order, at 1/2."""
+    half = Fraction(1, 2)
+    triples = [
+        Triple(a, Ineq.GE, half),
+        Triple(Not(a), Ineq.GE, half),
+        Triple(syntax.And(a, Name("B")), Ineq.GE, half),
+        Triple(Or(a, Name("B")), Ineq.GE, half),
+        *(Triple(q(R, a), k, half) for q in (Forall, Exists) for k in (Ineq.GE, Ineq.LE)),
+        Triple(AtLeast(2, R), Ineq.GE, half),
+    ]
+    assert [t.kind for t in triples] == [None, *KINDS[:3], "forall+", "forall-", "exists+", "exists-", "count"]
+    return triples
+
+
 def test_a_label_add_wakes_the_groups_that_read_its_kind():
     """On an initial forest with every dirty set emptied, add_label of a
     triple of kind k puts its node into exactly the sets of the groups whose
@@ -860,19 +871,9 @@ def test_a_label_add_wakes_the_groups_that_read_its_kind():
     mark = f.mark()
     dirty, holders = list(f.dirty), list(f.holders)
     groups = (*f.rules, _counting_clash)
-    half, a = Fraction(1, 2), Name("A")
-    triples = [
-        Triple(a, Ineq.GE, half),
-        Triple(Not(a), Ineq.GE, half),
-        Triple(syntax.And(a, Name("B")), Ineq.GE, half),
-        Triple(Or(a, Name("B")), Ineq.GE, half),
-        *(Triple(q(R, a), k, half) for q in (Forall, Exists) for k in (Ineq.GE, Ineq.LE)),
-        Triple(AtLeast(2, R), Ineq.GE, half),
-    ]
-    assert [t.kind for t in triples] == [None, *KINDS[:3], "forall+", "forall-", "exists+", "exists-", "count"]
     x = max(f.nodes)
     bit = 1 << x
-    for t in triples:
+    for t in one_triple_of_each_kind(Name("A")):
         assert t not in f.nodes[x].label
         f.add_label(f.nodes[x], t)
         woken = [j for j, at in enumerate(groups) if t.kind in (tableau._READS[at] or ())]
@@ -881,6 +882,46 @@ def test_a_label_add_wakes_the_groups_that_read_its_kind():
         assert f.holders == [h | bit if j in woken else h for j, h in enumerate(holders)], t
         f.undo(mark)
         assert f.dirty == dirty and f.holders == holders and t not in f.nodes[x].label
+
+
+def test_only_a_mark_logs_the_dirty_sets():
+    """The dirty sets and holders roll back with the snapshot that each
+    mark() appends to the trail, and no other write to them is logged: on
+    a marked GCI forest, add_label appends one record whatever the kind of
+    its triple; a _first scan that drops nodes, a blocking() pass that
+    changes no status and add_neq, but for its distinct sets, append none;
+    and undo(outer), past a nested mark and more adds, gives back the outer
+    mark's sets and holders."""
+    f = init_forest(prepare(parse_kb(FRAGMENT_KBS["gci"])))
+    a, b = f.nodes
+    outer = f.mark()
+    dirty, holders = list(f.dirty), list(f.holders)
+    labels = [set(node.label) for node in f.nodes.values()]
+    for t in one_triple_of_each_kind(Name("A")):
+        start = len(f.trail)
+        f.add_label(f.nodes[b], t)
+        assert f.trail[start:] == [(f.nodes[b]._unadd, (t, f.nodes[b].ordered.index(t)))], t
+    start = len(f.trail)
+    i = f.rules.index(_split_at)
+    assert f.dirty[i] and f.dirty[tableau._BLOCKING]
+    assert tableau._first(f, lambda f, node: None, i) is None and f.dirty[i] == 0
+    statuses = [node.status for node in f.nodes.values()]
+    f.blocking()
+    assert f.dirty[tableau._BLOCKING] == 0 and [node.status for node in f.nodes.values()] == statuses
+    assert len(f.trail) == start
+    f.add_neq([(a, b)])
+    assert [(fn, args[1]) for fn, args in f.trail[start:]] == [(setattr, "distinct")] * 2
+    inner = f.mark()
+    sets = (list(f.dirty), list(f.holders))
+    assert sets != (dirty, holders)
+    for t in one_triple_of_each_kind(Name("C")):
+        f.add_label(f.nodes[a], t)
+    f.undo(inner)
+    assert (f.dirty, f.holders) == sets
+    f.add_label(f.nodes[a], Triple(Name("C"), Ineq.LE, Fraction(1, 4)))
+    f.undo(outer)
+    assert f.dirty == dirty and f.holders == holders
+    assert [node.label for node in f.nodes.values()] == labels
 
 
 def test_blocking_traces_each_status_change(monkeypatch):
@@ -989,7 +1030,7 @@ def test_undo_gives_back_each_choice_points_forest(monkeypatch):
     assert undone.pop("alternatives") > 500
     assert set(undone) == {
         "_unadd", "_unclear", "pop", "_restore_edge", "setattr.parent", "setattr.status",
-        "setattr.distinct", "setattr.merged_into", "setattr.children", "setitem",
+        "setattr.distinct", "setattr.merged_into", "setattr.children", "_restore_sets",
     }
 
 
