@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Optional, Union
 
-from .degrees import HALF, ONE, ZERO, Degree, Ineq, SignedBound, neg_lukasiewicz
+from .degrees import HALF, ONE, ZERO, Degree, Ineq, SignedBound
 from .syntax import (
     AtLeast,
     AtMost,
@@ -58,10 +60,9 @@ class ABox:
                 seen.setdefault(ind)
         return list(seen)
 
-    def degrees(self) -> set[Degree]:
-        out = {ca.bound.degree for ca in self.concept_assertions}
-        out |= {ra.bound.degree for ra in self.role_assertions}
-        return out
+    def degrees(self) -> list[Degree]:
+        """The asserted degrees, repeats kept: a Fraction hashes in Python."""
+        return [a.bound.degree for a in (*self.concept_assertions, *self.role_assertions)]
 
     def add(self, query: Query, bound: SignedBound) -> None:
         """Append the assertion that query meets bound."""
@@ -243,27 +244,42 @@ def detect_mode(kb: FuzzyKB) -> str:
     return "shin" if shin else "si"
 
 
-def relative_degrees(degrees: Iterable[Degree]) -> set[Degree]:
-    """{0, 1/2, 1} with every degree and its complement."""
-    pool = {ZERO, HALF, ONE}
-    for d in degrees:
-        pool.add(d)
-        pool.add(neg_lukasiewicz(d))
-    return pool
+def _rungs(degrees: Iterable[Degree]) -> tuple[int, dict[int, Optional[Degree]]]:
+    """(L, rungs): L is the least common multiple of 2 and the degrees'
+    denominators, and rungs maps k to the degree k/L for each relative
+    degree, {0, 1/2, 1} with every degree and its complement; a complement
+    not among the degrees maps to None.  An integer key compares and hashes
+    in C, where a Fraction's operators are Python calls."""
+    ratios = [(d, *d.as_integer_ratio()) for d in degrees]
+    scale = lcm(2, *[q for _, _, q in ratios])
+    rungs: dict[int, Optional[Degree]] = {0: ZERO, scale // 2: HALF, scale: ONE}
+    for d, n, q in ratios:
+        rungs.setdefault(n * (scale // q), d)
+    for k in list(rungs):
+        rungs.setdefault(scale - k, None)
+    return scale, rungs
+
+
+def relative_degrees(degrees: Iterable[Degree], unit: bool = False) -> tuple[Degree, ...]:
+    """The ladder: {0, 1/2, 1} with every degree and its complement, each
+    once, ascending; with unit, only those in [0, 1]."""
+    scale, rungs = _rungs(degrees)
+    keys = sorted([k for k in rungs if 0 <= k <= scale] if unit else rungs)
+    return tuple([Fraction(k, scale) if rungs[k] is None else rungs[k] for k in keys])
 
 
 def compute_ell(degrees: Iterable[Degree]) -> Degree:
-    """Half the minimum positive gap among the relative degrees; small
-    enough to preserve all strict/non-strict distinctions when strict
-    bounds are shifted by it."""
-    ordered = sorted(relative_degrees(degrees))
-    gap = min(b - a for a, b in zip(ordered, ordered[1:]) if b > a)
-    return gap / 2
+    """Half the least gap between adjacent rungs of the ladder
+    (relative_degrees); small enough to preserve all strict/non-strict
+    distinctions when strict bounds are shifted by it."""
+    scale, rungs = _rungs(degrees)
+    keys = sorted(rungs)
+    return Fraction(min(b - a for a, b in zip(keys, keys[1:])), 2 * scale)
 
 
 def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, tuple[Degree, ...]]:
     """Strict bounds become non-strict shifted by ell; also returns the
-    relative degrees of the normalized ABox, sorted."""
+    ladder of the normalized ABox (relative_degrees)."""
 
     def norm(b: SignedBound) -> SignedBound:
         if b.ineq is Ineq.GT:
@@ -277,4 +293,4 @@ def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, tuple[Degree, ...]
         [replace(ra, bound=norm(ra.bound)) for ra in abox.role_assertions],
         set(abox.inequalities),
     )
-    return out, tuple(sorted(relative_degrees(out.degrees())))
+    return out, relative_degrees(out.degrees())

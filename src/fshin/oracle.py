@@ -238,11 +238,9 @@ def default_grid(kb: FuzzyKB) -> tuple[Degree, ...]:
     model can be retracted onto the grid without changing the truth of any
     assertion: the retraction is order-preserving, fixes the base points,
     and commutes with min, max, and the complement."""
-    ordered = sorted(d for d in relative_degrees(kb.abox.degrees()) if ZERO <= d <= ONE)
-    out = set(ordered)
-    for a, b in zip(ordered, ordered[1:]):
-        out.add((a + b) / 2)
-    return tuple(sorted(out))
+    ladder = relative_degrees(kb.abox.degrees(), unit=True)
+    mids = [(a + b) / 2 for a, b in zip(ladder, ladder[1:])]
+    return tuple(x for pair in zip(ladder, mids) for x in pair) + ladder[-1:]
 
 
 def search_model(

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .degrees import Degree, Ineq, ONE, SignedBound, ZERO, format_degree
+from .degrees import Degree, Ineq, SignedBound, format_degree
 from .kb import FuzzyKB, Query
 from .syntax import (
     And,
@@ -201,7 +201,7 @@ class _Parser:
                     raise self.fail(_NUMERAL_ERROR) from None
             else:
                 raise self.fail("expected a degree")
-            if not ZERO <= value <= ONE:
+            if not 0 <= value.numerator <= value.denominator:
                 # a degree longer than the longest numeral int() reads is left out
                 shown = format_degree(value)
                 if len(shown) > sys.get_int_max_str_digits():

@@ -269,8 +269,8 @@ def _tightest_bound(kb: FuzzyKB, query: Query, ineq: Ineq, budget: int) -> Degre
     So a gap holding one value of the query holds them all, and neither
     the infimum of the values (the greatest n with KB |= q >= n) nor the
     supremum (the least n with KB |= q <= n) lies inside a gap."""
-    pool = relative_degrees(kb.abox.degrees())
-    candidates = sorted((d for d in pool if ZERO <= d <= ONE), reverse=ineq.positive)
+    ladder = relative_degrees(kb.abox.degrees(), unit=True)
+    candidates = ladder[::-1] if ineq.positive else ladder
     lo, hi = 0, len(candidates) - 1
     probes = Probes(kb, query, ineq, budget)
     while lo < hi:

@@ -39,7 +39,10 @@ status, which starts unblocked; and children, the ids of its children
 - a Forest keeps the first clash of each node pair whose edges clash, the
   set of nodes whose label holds a triple that clashes on its own or a
   conjugated pair, the least root the ABox makes distinct from itself, and
-  the dirty sets and their holders (below).
+  the dirty sets and their holders (below).  add_label looks for a
+  conjugated pair only when a neighbour of the added triple's place in
+  `ordered` has its subject text, since the triples on one subject lie
+  in a run of equal text.
 
 These hold because every change goes through the Forest methods that keep
 them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
@@ -129,7 +132,9 @@ first, and the scans fire in the order that walk gives.  blocking()
 empties its set and checks those nodes and their descendants again, in id
 order, and no others; it reaches the descendants through Node.children,
 which new_node and set_parent keep, and returns at once when its set is
-empty.  A node's status depends on its parent's status, its in-edge, and
+empty.  A root in the set is followed to its children but never checked
+itself: a root is unblocked for good, as no node gains or loses a parent
+of None.  A node's status depends on its parent's status, its in-edge, and
 the labels and in-edges of itself and its ancestors (the blocker
 candidates and their parents), all on its path to the root; so a change
 that can move it puts the node or an ancestor into the set.  Every parent
@@ -178,7 +183,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional, Union
 
 from .degrees import (
     Degree,
@@ -355,6 +360,7 @@ DIRECT = "direct"
 INDIRECT = "indirect"
 _UNBLOCKED_STATUS = (UNBLOCKED, None)
 _INDIRECT_STATUS = (INDIRECT, None)
+_NO_EDGE: frozenset = frozenset()  # a missing edge's label
 
 
 @dataclass(slots=True)
@@ -625,12 +631,6 @@ class Forest:
         across a change to the label."""
         return node.ordered
 
-    def ancestors(self, x: int) -> Iterator[int]:
-        cur = self.nodes[x].parent
-        while cur is not None:
-            yield cur
-            cur = self.nodes[cur].parent
-
     def add_triple(self, node_id: int, t: Triple, rule: str) -> bool:
         node = self.nodes[node_id]
         if t in node.label:
@@ -649,8 +649,13 @@ class Forest:
         i = node.add(t)
         if self.trail is not None:
             self.trail.append((node._unadd, (t, i)))
-        if node.id not in self.clashing_nodes and (t.unary_clash or node.conjugate_of(i)):
-            self.clashing_nodes.add(node.id)
+        if node.id not in self.clashing_nodes:
+            # a conjugated pair needs another triple on t's subject next to i
+            ordered, text = node.ordered, t.key[0]
+            paired = i and ordered[i - 1].key[0] == text or (
+                i + 1 < len(ordered) and ordered[i + 1].key[0] == text)
+            if t.unary_clash or paired and node.conjugate_of(i):
+                self.clashing_nodes.add(node.id)
         # the node now holds for, and enters the sets of, the groups that
         # read t's kind, and blocking's: no other group can find more at it
         bit = 1 << node.id
@@ -813,6 +818,8 @@ class Forest:
             todo ^= low
             node = nodes[low.bit_length() - 1]
             todo |= node.children
+            if node.parent is None:
+                continue  # a root is unblocked for good
             new, old = self._status_of(node), node.status
             if new != old:
                 self.set_field(node, "status", new)
@@ -828,9 +835,8 @@ class Forest:
             self._spread(moved, _BLOCKING)
 
     def _status_of(self, node: Node) -> tuple[str, Optional[int]]:
+        """The status of a node that has a parent, its parent's up to date."""
         parent = node.parent
-        if parent is None:
-            return _UNBLOCKED_STATUS
         if self.nodes[parent].status[0] != UNBLOCKED:
             return _INDIRECT_STATUS
         in_edge = self.edges.get((parent, node.id))
@@ -840,28 +846,25 @@ class Forest:
         return _UNBLOCKED_STATUS if blocker is None else (DIRECT, blocker)
 
     def _direct_blocker(self, node: Node) -> Optional[int]:
-        nodes = self.nodes
+        """The nearest ancestor that blocks the node, which has a parent,
+        directly, or None."""
+        nodes, edges, label, y = self.nodes, self.edges, node.label, node.parent
         if not self.pairwise:
-            for anc in self.ancestors(node.id):
-                if nodes[anc].label == node.label:
-                    return anc
+            while y is not None:
+                ynode = nodes[y]
+                if ynode.label == label:
+                    return y
+                y = ynode.parent
             return None
         # pair-wise blocking: equal labels, equal parent labels, equal
         # connecting edge labels; the blocker must not be a root
-        parent = node.parent
-        assert parent is not None
-        own_edge = self.edges.get((parent, node.id), set())
-        for y in self.ancestors(node.id):
-            ynode = nodes[y]
-            if ynode.is_root:
-                continue
-            if ynode.label != node.label:
-                continue
-            if nodes[ynode.parent].label != nodes[parent].label:
-                continue
-            if self.edges.get((ynode.parent, y), set()) != own_edge:
-                continue
-            return y
+        ynode, own_edge = nodes[y], edges.get((y, node.id), _NO_EDGE)
+        parent_label = ynode.label
+        while (yp := ynode.parent) is not None:
+            if ynode.label == label and nodes[yp].label == parent_label:
+                if edges.get((yp, y), _NO_EDGE) == own_edge:
+                    return y
+            y, ynode = yp, nodes[yp]
         return None
 
     # --- rendering ---
@@ -1440,12 +1443,8 @@ def extract_model(f: Forest) -> Optional[FuzzyInterpretation]:
     f.blocking()
     domain = tuple(i for i in sorted(f.nodes) if f.nodes[i].status[0] == UNBLOCKED)
 
-    pool: set[Degree] = set()
-    for node in f.nodes.values():
-        pool.update(t.degree for t in node.label)
-    for lab in f.edges.values():
-        pool.update(t.degree for t in lab)
-    eps = compute_ell(pool)
+    labels = [node.label for node in f.nodes.values()] + list(f.edges.values())
+    eps = compute_ell([t.degree for label in labels for t in label])
 
     concept_bounds: dict[tuple[str, int], list[SignedBound]] = {}
     for e in domain:

@@ -28,11 +28,13 @@ depend on the host's speed.  For each workload, each tree makes one
 warm-up pass over the tasks, which fills the caches of the shared values,
 then one pass under sys.setprofile that counts the Python-level calls
 (generator resumptions included) and the calls of C functions.  It prints
-one line per tree with both counts, one line for each of the MOVED
-functions whose counts differ most between the trees, largest difference
-first, and one JSON object with the counts, the share of Python calls NEW
-saves and the moved functions.  A Python function is named by its file's
-name and qualified name, a C function by its qualified name.
+one line per tree with both counts, then one per tree with each source
+file's share of its Python calls, largest first, then one line for each
+of the MOVED functions whose counts differ most between the trees,
+largest difference first, and one JSON object with the counts, the share
+of Python calls NEW saves, the shares by file and the moved functions.  A
+Python function is named by its file's name and qualified name, a C
+function by its qualified name.
 """
 
 from __future__ import annotations
@@ -140,11 +142,21 @@ def call_counts(fshin: ModuleType, tasks: list[Task]) -> tuple[collections.Count
     return counts, bad
 
 
+def file_shares(counts: collections.Counter, python: int) -> dict[str, float]:
+    """Each source file's share of the `python` Python-level calls in
+    counts, largest first, rounded to 4 places."""
+    by_file: collections.Counter = collections.Counter()
+    for name, n in counts.items():
+        if not name.startswith("C "):
+            by_file[name.split(":")[0]] += n
+    return {name: round(n / python, 4) for name, n in by_file.most_common()}
+
+
 def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_blocks: int) -> dict:
     """Count the calls of one workload in each tree, print them, and return
     the summary."""
     tasks = [t for block in itertools.islice(blocks(workload, seed), n_blocks) for t in block]
-    counts, totals, bad = {}, {}, 0
+    counts, totals, shares, bad = {}, {}, {}, 0
     for side in ("old", "new"):
         bad += task_time(trees[side], tasks)[1]  # the warm-up pass
         counts[side], wrong = call_counts(trees[side], tasks)
@@ -152,6 +164,9 @@ def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_bloc
         python = sum(n for name, n in counts[side].items() if not name.startswith("C "))
         totals[side] = {"python": python, "c": sum(counts[side].values()) - python}
         print(f"{workload} {side}: {totals[side]['python']} Python calls, {totals[side]['c']} C calls")
+        shares[side] = file_shares(counts[side], python)
+    for side, by_file in shares.items():
+        print(f"  {side} by file: " + ", ".join(f"{name} {share:.1%}" for name, share in by_file.items()))
     names = counts["old"].keys() | counts["new"].keys()
     moved = sorted(names, key=lambda name: (-abs(counts["new"][name] - counts["old"][name]), name))
     moved = [[name, counts["old"][name], counts["new"][name]] for name in moved[:MOVED]]
@@ -166,6 +181,7 @@ def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_bloc
         "python_calls": {side: totals[side]["python"] for side in totals},
         "c_calls": {side: totals[side]["c"] for side in totals},
         "python_saved_frac": round(1 - totals["new"]["python"] / old_python, 4) if old_python else 0.0,
+        "python_share_by_file": shares,
         "moved": [entry for entry in moved if entry[1] != entry[2]],
         "wrong_or_failed": bad,
     }

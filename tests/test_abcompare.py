@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,8 +44,8 @@ def test_a_wrong_answer_exits_1(monkeypatch, capsys):
 
 def test_call_counts_do_not_depend_on_the_hash_seed():
     """--calls on the tree against itself, in two processes under
-    PYTHONHASHSEED 0 and 1: the same counts in both, and in each the same
-    counts for both trees, with every answer as planted."""
+    PYTHONHASHSEED 0 and 1: the same counts and shares by file in both, and
+    in each the same for both trees, with every answer as planted."""
     start = time.perf_counter()
     script = Path(abcompare.__file__)
     args = [sys.executable, str(script), str(SRC), str(SRC), "--workload", "gci-cycle", "--seed", "1"]
@@ -55,7 +56,8 @@ def test_call_counts_do_not_depend_on_the_hash_seed():
         run = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert [line.split(":")[0] for line in lines[:2]] == ["gci-cycle old", "gci-cycle new"]
+        assert [line.split(":")[0] for line in lines[:4]] == [
+            "gci-cycle old", "gci-cycle new", "  old by file", "  new by file"]
         summaries.append(json.loads(lines[-1]))
     assert time.perf_counter() - start < 5.0
     assert summaries[0] == summaries[1]
@@ -63,7 +65,19 @@ def test_call_counts_do_not_depend_on_the_hash_seed():
     assert summary["python_calls"]["old"] == summary["python_calls"]["new"] > 0
     assert summary["c_calls"]["old"] == summary["c_calls"]["new"] > 0
     assert summary["moved"] == [] and summary["python_saved_frac"] == 0
+    shares = summary["python_share_by_file"]
+    assert shares["old"] == shares["new"] and next(iter(shares["old"])) == "tableau.py"
     assert summary["wrong_or_failed"] == 0
+
+
+def test_file_shares():
+    """Each file's share of the Python calls, largest first; C calls are
+    left out, and a Python function's file is its name's part before the
+    first colon."""
+    counts = Counter({"tableau.py:Forest.blocking": 6, "kb.py:_rungs": 1, "tableau.py:expand": 2,
+                      "<frozen abc>:ABCMeta.__instancecheck__": 1, "C isinstance": 40})
+    shares = abcompare.file_shares(counts, 10)
+    assert list(shares.items()) == [("tableau.py", 0.8), ("kb.py", 0.1), ("<frozen abc>", 0.1)]
 
 
 def test_calls_and_reps_exclude_each_other(capsys):

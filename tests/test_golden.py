@@ -42,9 +42,9 @@ GOLDEN = Path(__file__).with_name("golden_traces.json")
 BUDGET = 20_000
 RANDOM_KBS = 40
 
-# small KBs for what the random corpora rarely reach: pair-wise blocking
-# over cyclic inclusions, SI blocking, and merges of named, generated and
-# root successors
+# KBs for what the random corpora rarely reach: pair-wise blocking over
+# cyclic inclusions, SI blocking, merges of named, generated and root
+# successors, an undone edge and a run out of budget
 EXTRA = {
     "gci-exists": "implies C some r.C.\nassert a : C >= 0.5.\nassert a : some r.C <= 0.25.\n",
     "gci-back": (
@@ -94,6 +94,26 @@ EXTRA = {
     "si-new-blocker": (
         "trans r.\nassert a : some r.(all r.(all r-.B)) >= 0.6.\n"
         "assert a : all r.(some r.(some r.B)) >= 0.6.\nassert a : all r.(some r.(all r.B)) >= 0.6.\n"
+    ),
+    # the first alternative of the split at a generates node 1, whose edge
+    # the undo after its clash deletes
+    "undo-edge": "assert a : (some r.A) or B >= 0.6.\nassert a : all r.(not A) >= 0.6.\n",
+    # node 1 generates node 2, which node 1 blocks, before its split adds B
+    # and a blocks it: the split scan then meets node 2 indirectly blocked
+    "si-indirect-split": (
+        "trans r.\nassert a : A >= 0.6.\nassert a : B >= 0.6.\nassert a : B or C >= 0.6.\n"
+        "assert a : some r.A >= 0.6.\nassert a : all r.(some r.A) >= 0.6.\n"
+        "assert a : all r.(B or C) >= 0.6.\n"
+    ),
+    # node 4, node 1's s-successor, and node 1, a's r-successor, match in
+    # their labels and their parents' but not in their edges: pair-wise
+    # blocking must compare the edges
+    "gci-two-roles": "implies C (some r.C) and (some s.C).\nassert a : C >= 0.5.\n",
+    # a chain of 5,000 individuals with no choice point, which every search
+    # completes with 24,998 budget units, so it runs out of BUDGET
+    "chain-out-of-budget": (
+        "trans r.\n" + "".join(f"assert (a{i}, a{i + 1}): r >= 0.6.\n" for i in range(4999))
+        + "assert a0 : all r.A >= 0.6.\n"
     ),
 }
 

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from fshin.degrees import Ineq, SignedBound
 from fshin.kb import (
     ABox,
@@ -15,6 +18,7 @@ from fshin.kb import (
     expand_concept,
     hierarchy_closure,
     normalize_for_gci,
+    relative_degrees,
     unfold,
 )
 from fshin.syntax import And, AtLeast, Exists, Name, Not, Role, inv
@@ -133,6 +137,29 @@ def test_compute_ell_halves_min_gap():
     # pool {0, 0.4, 0.5, 0.6, 1}: min gap 0.1
     assert compute_ell([Fraction(2, 5)]) == Fraction(1, 20)
     assert compute_ell([]) == Fraction(1, 4)
+
+
+# degrees in [-1, 2], since normalize_for_gci shifts bounds by ell, and at
+# most one whose denominator 2**201 is past 2**200
+HUGE = 2**201
+ladder_degrees = st.tuples(
+    st.lists(st.fractions(-1, 2, max_denominator=10**6), max_size=8),
+    st.lists(st.integers(-HUGE // 2, HUGE - 1).map(lambda n: Fraction(2 * n + 1, HUGE)), max_size=1),
+).map(lambda drawn: drawn[0] + drawn[1] + drawn[0][:2])
+
+
+@given(ladder_degrees)
+def test_the_ladder_is_the_sorted_relative_degrees(degrees):
+    """relative_degrees, from its integer keys, is {0, 1/2, 1} with every
+    degree and its complement, sorted on Fractions, element for element;
+    with unit, the part in [0, 1]; and compute_ell is half the least gap
+    between adjacent rungs, taken on Fractions."""
+    ladder = sorted({Fraction(0), Fraction(1, 2), Fraction(1), *degrees, *(1 - d for d in degrees)})
+    got = relative_degrees(iter(degrees))
+    assert all(type(d) is Fraction for d in got)
+    assert got == tuple(ladder)
+    assert relative_degrees(degrees, unit=True) == tuple(d for d in ladder if 0 <= d <= 1)
+    assert compute_ell(iter(degrees)) == min(b - a for a, b in zip(ladder, ladder[1:])) / 2
 
 
 def test_normalize_for_gci():

@@ -194,7 +194,7 @@ def test_glb_lub_raise_on_unsatisfiable_tbox():
 
 def candidate_degrees(kb, ineq):
     # the GCI degree set too, which glb and lub leave out
-    pool = relative_degrees(kb.abox.degrees()) | set(prepare(kb).xa)
+    pool = {*relative_degrees(kb.abox.degrees()), *prepare(kb).xa}
     return sorted((d for d in pool if 0 <= d <= 1), reverse=ineq.positive)
 
 
@@ -414,7 +414,7 @@ def test_entailments_build_no_probes(monkeypatch):
             modes[detect_mode(kb)] += 1
             a = kb.abox.individuals()[0]
             c, d = random_alc_concept(rng, 2), random_alc_concept(rng, 2)
-            n = rng.choice(sorted(relative_degrees(kb.abox.degrees())))
+            n = rng.choice(relative_degrees(kb.abox.degrees()))
             for call in (
                 lambda: services.entails(kb, (a, c), SignedBound(rng.choice(list(Ineq)), n), 3000),
                 lambda: services.satisfiable(c, kb, 3000),
@@ -460,7 +460,7 @@ def assert_probes_match_fresh_checks(kb, query, ineqs, used, budget=2000) -> int
     plus the negated assertion, for every relative degree of kb and 1/3,
     and each inequality in ineqs.  Returns the number of checks made on a
     shared forest."""
-    degrees = sorted(relative_degrees(kb.abox.degrees()) | {F(1, 3)})
+    degrees = sorted({*relative_degrees(kb.abox.degrees()), F(1, 3)})
     shared = 0
     for ineq in ineqs:
         try:
