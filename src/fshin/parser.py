@@ -31,6 +31,15 @@ DIGITS are Unicode decimal digits (str.isdecimal), a letter is as
 str.isalpha, and whitespace is as str.isspace.  Offsets are not kept: a
 ParseError's span is found by running the scan again up to its token, and
 gives the line and column of its offset, where only "\n" starts a line.
+
+parse_kb's scan first tries a flat statement, "assert (a, b) : r[-] CMP
+DEGREE ." or "assert a : A CMP DEGREE ." with only whitespace between its
+parts, and matches it whole as one token, which no plain token is: longer
+than one character and ending in ".".  The parser reads its fields with
+one more match.  Any error in that parse, or a flat field that fails a
+check (a keyword for a name, a degree that degree() refuses), makes
+parse_kb parse the text again with the plain tokens, and that parse gives
+every error its message and span.
 """
 
 from __future__ import annotations
@@ -40,10 +49,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from .degrees import Degree, Ineq, SignedBound, format_degree
-from .kb import FuzzyKB, Query
+from .kb import ConceptAssertion, FuzzyKB, Query, RoleAssertion
 from .syntax import (
     And,
     AtLeast,
@@ -92,19 +102,42 @@ KEYWORDS = {
 }
 _SYMS = {">=", "<=", "⊑", "≡", "(", ")", ":", ",", ".", "-", ">", "<", "=", "/"}
 
+_BLANKS = r"(?: \s | \#[^\n]* )*"
+_DECIMAL = r"\d+ \. \d+"
+_INT = r"\d+"
 # \w is str.isalnum or "_", so a word may start with a numeral such as "½"
 # (tokenize refuses those); after blanks, the end is matched twice
-_TOKEN = re.compile(
-    r"""
-    (?: \s | \#[^\n]* )*
-    ( \d+ \. \d+ | \d+ | subsumed-by | [^\W\d]\w* | [<>]= | [⊑≡():,.\-<>=/] | \Z | . )
-    """,
-    re.X,
-)
+_PLAIN = rf"{_DECIMAL} | {_INT} | subsumed-by | [^\W\d]\w* | [<>]= | [⊑≡():,.\-<>=/] | \Z | ."
+_TOKEN = re.compile(rf"{_BLANKS} ( {_PLAIN} )", re.X)
+
+
+def _flat(field: str) -> str:
+    """The pattern of a flat assertion, "assert (a, b) : r[-] CMP DEGREE ."
+    or "assert a : A CMP DEGREE .", with only whitespace between its parts
+    and each field wrapped as field.format(pattern).  Where it matches, the
+    plain scan would split the same text into the same tokens: a name
+    starts with an ASCII letter or "_", a p/q has an integer numerator, and
+    no digit follows the final "."."""
+    name = field.format(r"[A-Za-z_]\w*")
+    return rf"""
+        assert (?: \s* \( \s* {name} \s* , \s* {name} \s* \) \s* : \s* {name} \s* {field.format("-")}?
+                 | \s+ {name} \s* : \s* {name} )
+        \s* {field.format("[<>]=?|=")} \s*
+        (?: {field.format(_DECIMAL)} | {field.format(_INT)} (?: \s* / \s* {field.format(_INT)} )? )
+        \s* \. (?!\d)
+    """
+
+
+# parse_kb's scan: a flat assertion is one token
+_FLAT_TOKEN = re.compile(rf"{_BLANKS} ( {_flat('(?:{})')} | {_PLAIN} )", re.X)
+# a flat token's fields: a, b, role, "-", individual, concept, CMP, decimal, p, q
+_FIELDS = re.compile(_flat("({})"), re.X)
 
 
 def _is_name(tok: str) -> bool:
-    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
+    """Whether tok is a name: not a keyword, and not a flat token (which
+    ends in ".")."""
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS and tok[-1] != "."
 
 
 def _is_bad(tok: str) -> bool:
@@ -112,11 +145,16 @@ def _is_bad(tok: str) -> bool:
     return not (c.isalpha() or c == "_" or c.isdecimal() or tok in _SYMS or not tok)
 
 
-def tokenize(text: str) -> list[str]:
-    toks = _TOKEN.findall(text)
+# a token is bad if and only if its first character is, since a token that
+# starts with a symbol's character is a symbol; tokenize tests those
+_first = itemgetter(slice(1))
+
+
+def tokenize(text: str, scan: re.Pattern = _TOKEN) -> list[str]:
+    toks = scan.findall(text)
     if len(toks) > 1 and toks[-2] == "":
         del toks[-1]
-    if any(map(_is_bad, set(toks))):
+    if any(map(_is_bad, set(map(_first, toks)))):
         i = next(i for i, tok in enumerate(toks) if _is_bad(tok))
         raise ParseError(f"unexpected character {toks[i][0]!r}", SourceSpan.of_token(text, i))
     return toks
@@ -128,12 +166,15 @@ _DEFINE_KINDS = {"subsumed-by": "sub", "⊑": "sub", "equiv": "equiv", "≡": "e
 # the only numerals that int() and Fraction() refuse once the tokenizer has
 # matched them
 _NUMERAL_ERROR = "numeral has more digits than sys.get_int_max_str_digits() allows"
+# what kb() raises for a flat field that fails a check; parse_kb reads the
+# text again, so this message is never shown
+_FLAT_REFUSED = "a flat field fails a check"
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, scan: re.Pattern = _TOKEN):
         self.text = text
-        self.toks = tokenize(text)
+        self.toks = tokenize(text, scan)
         self.pos = 0
         self.tok = self.toks[0]  # the next token
         self.degrees: dict[str, Degree] = {}  # each degree text read so far
@@ -277,10 +318,48 @@ class _Parser:
     # --- statements ---
 
     def kb(self) -> FuzzyKB:
+        """The statements up to the end of input; a flat token is read off
+        its fields, and its degree checked as degree() does."""
         out = FuzzyKB()
-        while self.tok:
-            self.statement(out)
-            self.expect(".")
+        concepts, roles = out.abox.concept_assertions, out.abox.role_assertions
+        degrees, bounds_of = self.degrees, {}  # (CMP, degree text) -> its bounds
+        while tok := self.tok:
+            if tok[-1] != "." or len(tok) == 1:
+                self.statement(out)
+                self.expect(".")
+                continue
+            fields = _FIELDS.fullmatch(tok).groups()
+            a, b, role, minus, ind, concept, cmp, decimal, p, q = fields
+            if not KEYWORDS.isdisjoint(fields):
+                raise ParseError(_FLAT_REFUSED)
+            text = decimal or (p + "/" + q if q else p)
+            bounds = bounds_of.get((cmp, text))
+            if bounds is None:
+                value = degrees.get(text)
+                if value is None:
+                    try:
+                        value = Fraction(decimal) if decimal else Fraction(int(p), int(q or 1))
+                    except (ValueError, ZeroDivisionError):
+                        raise ParseError(_FLAT_REFUSED) from None
+                    if not 0 <= value.numerator <= value.denominator:
+                        raise ParseError(_FLAT_REFUSED)
+                    degrees[text] = value
+                ineq = _CMP.get(cmp)
+                if ineq is not None:
+                    bounds = [SignedBound(ineq, value)]
+                else:
+                    bounds = [SignedBound(Ineq.GE, value), SignedBound(Ineq.LE, value)]
+                bounds_of[cmp, text] = bounds
+            if role:
+                r = Role(role, inverted=True) if minus else Role(role)
+                for bound in bounds:
+                    roles.append(RoleAssertion(a, b, r, bound))
+            else:
+                c = Name(concept)
+                for bound in bounds:
+                    concepts.append(ConceptAssertion(ind, c, bound))
+            self.pos += 1
+            self.tok = self.toks[self.pos]
         return out
 
     def statement(self, out: FuzzyKB) -> None:
@@ -342,7 +421,11 @@ class _Parser:
 
 
 def parse_kb(text: str) -> FuzzyKB:
-    return _Parser(text).kb()
+    try:
+        return _Parser(text, _FLAT_TOKEN).kb()
+    except ParseError:
+        # the plain tokens give every error its message and span
+        return _Parser(text).kb()
 
 
 def parse_degree(text: str) -> Degree:

@@ -912,14 +912,19 @@ def init_forest(
     each n in xa, into ⟨lhs ≤ n − ℓ⟩ or ⟨rhs ≥ n⟩.  Here n gets no split
     unless 0 < n and n − ℓ < 1.  Else one alternative clashes on its own
     (a bound below 0 or above 1) and every degree meets the other, so the
-    split asks nothing of a model.  xa holds 1/2, so inclusions still split."""
-    splits = tuple(
-        (n, Triple(lhs, Ineq.LE, cap), Triple(rhs, Ineq.GE, n))
-        for n in prepared.xa
-        if n > 0 and (cap := n - prepared.ell) < 1
-        for lhs, rhs in prepared.gcis
-    )
-    f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), splits)
+    split asks nothing of a model.  xa holds 1/2, so inclusions still split.
+    With n = p/q and ℓ = r/s, n − ℓ < 1 is tested as p·s − r·q < q·s on
+    integers, since a denominator is positive."""
+    splits = []
+    if prepared.gcis:  # else there is no split, and outside GCI mode no ℓ
+        ell = prepared.ell
+        r, s = ell.as_integer_ratio()
+        for n in prepared.xa:
+            p, q = n.as_integer_ratio()
+            if p > 0 and p * s - r * q < q * s:
+                cap = n - ell
+                splits += [(n, Triple(lhs, Ineq.LE, cap), Triple(rhs, Ineq.GE, n)) for lhs, rhs in prepared.gcis]
+    f = Forest(prepared.mode != "si", prepared.rbox, budget or Budget(DEFAULT_BUDGET), tuple(splits))
     abox = prepared.abox
     if individuals is None:
         individuals = abox.individuals()

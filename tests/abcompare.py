@@ -24,23 +24,26 @@ must exceed to mean anything.  Exits 1 if any answer is wrong or any task
 raises.
 
 With --calls it times nothing and counts calls instead, which do not
-depend on the host's speed.  For each workload, each tree makes one
-warm-up pass over the tasks, which fills the caches of the shared values,
-then one pass under sys.setprofile that counts the Python-level calls
-(generator resumptions included) and the calls of C functions.  It prints
-one line per tree with both counts, then one per tree with each source
-file's share of its Python calls, largest first, then one line for each
-of the MOVED functions whose counts differ most between the trees,
-largest difference first, and one JSON object with the counts, the share
-of Python calls NEW saves, the shares by file and the moved functions.  A
-Python function is named by its file's name and qualified name, a C
-function by its qualified name.
+depend on the host's speed.  Before each workload, both trees drop the
+triples they keep alive (syntax._KEEP) and the cyclic collector runs, so
+its counts do not depend on the workloads given before it.  Each tree
+then makes one warm-up pass over the tasks, which fills the caches of the
+shared values, then one pass under sys.setprofile that counts the
+Python-level calls (generator resumptions included) and the calls of C
+functions.  It prints one line per tree with both counts, then one per
+tree with each source file's share of its Python calls, largest first,
+then one line for each of the MOVED functions whose counts differ most
+between the trees, largest difference first, and one JSON object with the
+counts, the share of Python calls NEW saves, the shares by file and the
+moved functions.  A Python function is named by its file's name and
+qualified name, a C function by its qualified name.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import importlib.util
 import itertools
 import json
@@ -65,6 +68,8 @@ def load(src: Path, name: str) -> ModuleType:
     if spec is None or spec.loader is None:
         raise SystemExit(f"no fshin package in {src}")
     package = importlib.util.module_from_spec(spec)
+    for stale in [key for key in sys.modules if key.startswith(name + ".")]:
+        del sys.modules[stale]  # else a second load's package would lack its submodules
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
@@ -156,6 +161,9 @@ def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_bloc
     """Count the calls of one workload in each tree, print them, and return
     the summary."""
     tasks = [t for block in itertools.islice(blocks(workload, seed), n_blocks) for t in block]
+    for fshin in trees.values():  # an earlier workload's triples would keep their caches
+        fshin.syntax._KEEP.clear()
+    gc.collect()
     counts, totals, shares, bad = {}, {}, {}, 0
     for side in ("old", "new"):
         bad += task_time(trees[side], tasks)[1]  # the warm-up pass

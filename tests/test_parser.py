@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from fshin.degrees import Ineq, SignedBound
 from fshin.kb import ABox, ConceptAssertion, FuzzyKB, RBox, RoleAssertion, TBox
 from fshin.parser import (
+    _FLAT_TOKEN,
+    _Parser,
     ParseError,
     SourceSpan,
     parse_concept,
@@ -31,6 +34,7 @@ from fshin.syntax import (
 )
 
 import parsecorpus
+import workloads
 
 
 def test_role_assertion_example():
@@ -297,3 +301,89 @@ CORPUS_DIGEST = ("30264bb6ef7175327eaceabcf13a6cb1bb318e54d1ca60726614fc2849a613
 
 def test_parse_corpus_digest():
     assert parsecorpus.digest(1, 5000) == CORPUS_DIGEST
+
+
+# --- flat statements ---
+
+# texts a flat token could misread, each with what the parser made of it
+# before flat tokens: the (message, (line, column)) of its error, or None
+FLAT_TRAPS = [
+    # a flat name starts with an ASCII letter or "_": "½" is a bad character
+    ("assert a : ½x >= 1.", ("unexpected character '½'", (1, 12))),
+    ("assert (a, define) : r >= 1.", ("expected 'name', found 'define'", (1, 12))),
+    ("assert (a, b) : subsumed-by >= 1.", ("expected 'name', found 'subsumed-by'", (1, 17))),
+    ("asserta : A >= 1.", ("expected a statement, found 'asserta'", (1, 1))),
+    # a p/q has an integer numerator, and no digit follows the final "."
+    ("assert a : A >= 0.5/2.", ("expected '.', found '/'", (1, 20))),
+    ("assert a : A >= 1/2.5.", ("expected 'int', found '2.5'", (1, 19))),
+    ("assert a : A >= 1.5", ("degree 1.5 outside [0,1]", (1, 17))),
+    ("assert a : A >= 3/2.", ("degree 1.5 outside [0,1]", (1, 17))),
+    ("assert a : A >= 1/0.", ("degree has a zero denominator", (1, 17))),
+    # a flat token where a name or concept is read
+    ("define A equiv assert a : B >= 1. .", ("unexpected keyword 'assert' in concept", (1, 16))),
+    ("distinct assert a : B >= 1. .", ("expected 'name', found 'assert'", (1, 10))),
+    ("assert a : A >= 1 .", None),
+    ("assert a : A >= 3 / 10.", None),
+    ("assert a : A = 0.5.", None),
+    ("assert (a,b):r - >= 1.", None),
+    ("assert a : top >= 1.", None),
+    ("assert a : A # c\n >= 1.", None),
+    ("assert a : A >= ٣/٤.\nassert (a, b) : r < ٠.٥.", None),
+]
+
+
+def plain_tokens(text: str, scan=None) -> list[str] | None:
+    """The plain tokens of text, or None if the scan refuses a character.
+    With a scan, they are its tokens, each flat token split again."""
+    try:
+        if scan is None:
+            return tokenize(text)
+        toks = tokenize(text, scan)
+    except ParseError:
+        return None
+    return [t for tok in toks for t in (tokenize(tok)[:-1] if len(tok) > 1 and tok[-1] == "." else [tok])]
+
+
+def test_flat_statements_parse_as_plain_tokens():
+    """parse_kb, which reads a flat assertion as one token, makes of each
+    text what the plain tokens make of it: the same KB, or the same error
+    message and span.  Split into plain tokens, its scan's tokens are the
+    plain scan's."""
+    plain = lambda text: _Parser(text).kb()  # noqa: E731
+    for text, want in FLAT_TRAPS:
+        got = parsecorpus.outcome(parse_kb, text)
+        assert got == parsecorpus.outcome(plain, text), text
+        assert plain_tokens(text, _FLAT_TOKEN) == plain_tokens(text), text
+        if want is None:
+            assert not got.startswith("error "), text
+        else:
+            message, (line, column) = want
+            with pytest.raises(ParseError) as e:
+                parse_kb(text)
+            assert (e.value.message, e.value.span.line, e.value.span.column) == (message, line, column)
+    for text in parsecorpus.corpus(1, 5000):
+        assert parsecorpus.outcome(parse_kb, text) == parsecorpus.outcome(plain, text), text
+        assert plain_tokens(text, _FLAT_TOKEN) == plain_tokens(text), text
+
+
+def test_flat_statements_take_the_flat_path():
+    """A tripwire for flat tokens that all fall back to the plain parse:
+    the Python-level calls parse_kb makes over the first abox-chain block
+    at seed 5 (22 KBs), counted as tests/abcompare.py counts them.  The
+    plain parse made 31,547 and the flat one makes 7,396."""
+    texts = [task.kb_text for task in next(workloads.blocks("abox-chain", 5))]
+    for text in texts:  # fill the shared tables, as a warm-up pass does
+        parse_kb(text)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        for text in texts:
+            parse_kb(text)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls < 12_000
