@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .degrees import HALF, ONE, ZERO, Degree, Ineq, SignedBound
 from .syntax import (
@@ -152,19 +154,20 @@ class RBox:
 class RoleHierarchy:
     """An RBox's role hierarchy, closed reflexively, transitively and under
     inverses (R (= S gives Inv(R) (= Inv(S))); a role no axiom names is
-    below and above itself alone, and is not transitive."""
+    below and above itself alone, and is not transitive.  Shared by every
+    RBox of one value (hierarchy_closure), so its maps are read-only views."""
 
     transitive: frozenset[str]
     # each named role and its inverse -> its super-roles, itself included
-    supers: dict[Role, frozenset[Role]]
+    supers: Mapping[Role, frozenset[Role]]
     # each named role and its inverse -> the transitive roles at or below
     # it, ordered by str (transitivity of a relation and of its inverse
     # coincide)
-    transitive_below: dict[Role, tuple[Role, ...]]
+    transitive_below: Mapping[Role, tuple[Role, ...]]
 
     def includes(self, p: Role, r: Role) -> bool:
         """p is a sub-role of r."""
-        return p == r or r in self.supers.get(p, ())
+        return p is r or r in self.supers.get(p, ())
 
     def transitive_subroles(self, r: Role) -> tuple[Role, ...]:
         """The transitive roles at or below r, ordered by str."""
@@ -176,14 +179,22 @@ class RoleHierarchy:
 
 
 def hierarchy_closure(rbox: RBox) -> RoleHierarchy:
-    """The role hierarchy of rbox, closed in this one call."""
+    """The role hierarchy of rbox, closed once per RBox value and shared."""
+    return _closed(frozenset(rbox.inclusions), frozenset(map(Role, rbox.transitive)))
+
+
+@lru_cache(maxsize=64)
+def _closed(inclusions: frozenset[tuple[Role, Role]], transitive: frozenset[Role]) -> RoleHierarchy:
+    """The closed hierarchy of these axioms, the 64 used last kept.  Keyed by
+    the shared roles, not their names, so that a fresh syntax._TABLE, whose
+    roles are new objects, never gets a hierarchy of another table's."""
     roles: set[Role] = set()
-    for sub, sup in rbox.inclusions:
+    for sub, sup in inclusions:
         roles.update((sub, sup, inv(sub), inv(sup)))
-    for name in rbox.transitive:
-        roles.update((Role(name), inv(Role(name))))
+    for r in transitive:
+        roles.update((r, inv(r)))
     supers: dict[Role, set[Role]] = {r: {r} for r in roles}
-    for a, b in rbox.inclusions:
+    for a, b in inclusions:
         supers[a].add(b)
         supers[inv(a)].add(inv(b))
     changed = True
@@ -194,11 +205,11 @@ def hierarchy_closure(rbox: RBox) -> RoleHierarchy:
             if not extra <= supers[r]:
                 supers[r] |= extra
                 changed = True
-    trans = [p for p in roles if p.name in rbox.transitive]
+    names = frozenset(r.name for r in transitive)
+    trans = [p for p in roles if p.name in names]
     below = {r: tuple(sorted((p for p in trans if r in supers[p]), key=str)) for r in roles}
-    return RoleHierarchy(
-        frozenset(rbox.transitive), {r: frozenset(s) for r, s in supers.items()}, below
-    )
+    closed = {r: frozenset(s) for r, s in supers.items()}
+    return RoleHierarchy(names, MappingProxyType(closed), MappingProxyType(below))
 
 
 @dataclass

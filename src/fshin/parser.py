@@ -35,8 +35,8 @@ gives the line and column of its offset, where only "\n" starts a line.
 parse_kb's scan first tries a flat statement, "assert (a, b) : r[-] CMP
 DEGREE ." or "assert a : A CMP DEGREE ." with only whitespace between its
 parts, and matches it whole as one token, which no plain token is: longer
-than one character and ending in ".".  The parser reads its fields with
-one more match.  Any error in that parse, or a flat field that fails a
+than one character and ending in ".", and the groups of its match give
+its fields.  Any error in that parse, or a flat field that fails a
 check (a keyword for a name, a degree that degree() refuses), makes
 parse_kb parse the text again with the plain tokens, and that parse gives
 every error its message and span.
@@ -128,10 +128,10 @@ def _flat(field: str) -> str:
     """
 
 
-# parse_kb's scan: a flat assertion is one token
-_FLAT_TOKEN = re.compile(rf"{_BLANKS} ( {_flat('(?:{})')} | {_PLAIN} )", re.X)
-# a flat token's fields: a, b, role, "-", individual, concept, CMP, decimal, p, q
-_FIELDS = re.compile(_flat("({})"), re.X)
+# parse_kb's scan: a flat assertion is one token, and its groups after the
+# token's are its fields: a, b, role, "-", individual, concept, CMP,
+# decimal, p, q, each "" where it takes no part
+_FLAT_TOKEN = re.compile(rf"{_BLANKS} ( {_flat('({})')} | {_PLAIN} )", re.X)
 
 
 def _is_name(tok: str) -> bool:
@@ -151,13 +151,19 @@ _first = itemgetter(slice(1))
 
 
 def tokenize(text: str, scan: re.Pattern = _TOKEN) -> list[str]:
-    toks = scan.findall(text)
+    return _scan(text, scan)[0]
+
+
+def _scan(text: str, scan: re.Pattern) -> tuple[list[str], list]:
+    """(tokens, matches); a match of parse_kb's scan is its groups, the token first."""
+    found = scan.findall(text)
+    toks = list(map(itemgetter(0), found)) if scan.groups > 1 else found
     if len(toks) > 1 and toks[-2] == "":
         del toks[-1]
     if any(map(_is_bad, set(map(_first, toks)))):
         i = next(i for i, tok in enumerate(toks) if _is_bad(tok))
         raise ParseError(f"unexpected character {toks[i][0]!r}", SourceSpan.of_token(text, i))
-    return toks
+    return toks, found
 
 
 _CMP = {">=": Ineq.GE, ">": Ineq.GT, "<=": Ineq.LE, "<": Ineq.LT}
@@ -174,7 +180,7 @@ _FLAT_REFUSED = "a flat field fails a check"
 class _Parser:
     def __init__(self, text: str, scan: re.Pattern = _TOKEN):
         self.text = text
-        self.toks = tokenize(text, scan)
+        self.toks, self.found = _scan(text, scan)
         self.pos = 0
         self.tok = self.toks[0]  # the next token
         self.degrees: dict[str, Degree] = {}  # each degree text read so far
@@ -323,13 +329,13 @@ class _Parser:
         out = FuzzyKB()
         concepts, roles = out.abox.concept_assertions, out.abox.role_assertions
         degrees, bounds_of = self.degrees, {}  # (CMP, degree text) -> its bounds
+        roles_of: dict[tuple[str, str], Role] = {}  # (role, "-" or "") -> its Role
         while tok := self.tok:
             if tok[-1] != "." or len(tok) == 1:
                 self.statement(out)
                 self.expect(".")
                 continue
-            fields = _FIELDS.fullmatch(tok).groups()
-            a, b, role, minus, ind, concept, cmp, decimal, p, q = fields
+            _, a, b, role, minus, ind, concept, cmp, decimal, p, q = fields = self.found[self.pos]
             if not KEYWORDS.isdisjoint(fields):
                 raise ParseError(_FLAT_REFUSED)
             text = decimal or (p + "/" + q if q else p)
@@ -351,7 +357,9 @@ class _Parser:
                     bounds = [SignedBound(Ineq.GE, value), SignedBound(Ineq.LE, value)]
                 bounds_of[cmp, text] = bounds
             if role:
-                r = Role(role, inverted=True) if minus else Role(role)
+                r = roles_of.get((role, minus))
+                if r is None:
+                    r = roles_of[role, minus] = Role(role, inverted=True) if minus else Role(role)
                 for bound in bounds:
                     roles.append(RoleAssertion(a, b, r, bound))
             else:

@@ -106,8 +106,10 @@ def _tableau_abox(abox: ABox, rbox: RoleHierarchy, fn) -> ABox:
     and never tests a negative role bound against a chain of edges; the
     ∀-transitive rule carries ∀R.¬{b} along every such chain to b.  The
     rewrite is equisatisfiable: with {b} of degree 1 at b and 0 elsewhere,
-    (∀R.¬{b})(a) is 1 − R(a, b)."""
-    cas = [ConceptAssertion(a.individual, fn(a.concept), a.bound) for a in abox.concept_assertions]
+    (∀R.¬{b})(a) is 1 − R(a, b).  A concept assertion that fn leaves as it is
+    is kept."""
+    cas = [a if (c := fn(a.concept)) is a.concept else ConceptAssertion(a.individual, c, a.bound)
+           for a in abox.concept_assertions]
     ras = []
     for ra in abox.role_assertions:
         if not _through_nominal(ra, rbox):

@@ -42,7 +42,12 @@ status, which starts unblocked; and children, the ids of its children
   the dirty sets and their holders (below).  add_label looks for a
   conjugated pair only when a neighbour of the added triple's place in
   `ordered` has its subject text, since the triples on one subject lie
-  in a run of equal text.
+  in a run of equal text.  set_edge recomputes a pair's clash only when
+  the pair may hold one: a clash is stored for it, an edge runs the other
+  way, or the new label has a triple that is negative or clashes on its
+  own (Triple.may_clash).  Every edge clash needs such a triple, and with
+  no reverse edge the new label is all the pair has, so a pair that
+  passes none of the three tests has no clash, and none stored to drop.
 
 These hold because every change goes through the Forest methods that keep
 them (new_node, add_label, clear_label, set_edge, pop_edge, union_edge,
@@ -50,8 +55,8 @@ set_parent, add_neq, set_field); labels only grow, except that a root
 merge empties the merged node and undo takes triples back; distinct sets
 are symmetric; and node ids are handed out in increasing order and only
 the newest node is ever removed, by undo.  clone copies the mutable
-indexes and shares the rest.  Forest.rbox, the role hierarchy, is closed
-once by prepare and only read.
+indexes and shares the rest.  Forest.rbox, the role hierarchy, is shared
+by every KB with the same RBox (kb.hierarchy_closure) and only read.
 
 Triples are shared: Triple is hash-consed through syntax's one constructor
 table, a dict of weak references, like the concepts and roles it holds,
@@ -112,10 +117,10 @@ clash's, then blocking's, then the fresh set.  A label add marks its node
 directly: add_label puts it into the sets of the groups that read the
 added triple's kind (Forest._wakes, from _READS) and into blocking's, and
 into no other set (see the argument below).  A node that is created,
-re-parented or cleared, or at which an edge changes (Forest._changed),
-joins the fresh set instead, which costs one int.  blocking() folds the
-fresh set into every other set, once per expand iteration and before its
-own check, and empties it.  A set takes only the nodes that may enter it
+re-parented or cleared, or at which an edge changes, joins the fresh set
+instead, which costs one int.  blocking() folds the fresh set into every
+other set, once per expand iteration and before its own check, and
+empties it.  A set takes only the nodes that may enter it
 (Forest.holders): for a scan group that reads some kinds of triple
 (_READS), the nodes whose label holds one, since the group finds nothing
 at the others; every node for _gci_at and for blocking.  A node whose
@@ -182,7 +187,7 @@ import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional, Union
 
 from .degrees import (
@@ -339,6 +344,12 @@ class Triple(_Shared):
         return None
 
     @cached_property
+    def may_clash(self) -> bool:
+        """Whether this role triple can take part in an edge clash: it is
+        negative, or a clash on its own (Forest.set_edge)."""
+        return self.ineq.negative or self.unary_clash is not None
+
+    @cached_property
     def bound(self) -> SignedBound:
         return SignedBound(self.ineq, self.degree)
 
@@ -354,6 +365,8 @@ class Triple(_Shared):
 
 
 triple_key = attrgetter("key")
+_may_clash = attrgetter("may_clash")
+_y_and_bound = itemgetter(0, 3)
 
 UNBLOCKED = "unblocked"
 DIRECT = "direct"
@@ -551,12 +564,15 @@ class Forest:
         self.budget.charge()
         # ids are handed out in increasing order and only the newest node is
         # ever removed (by undo), so the next id is the number of nodes
-        x = len(self.nodes)
-        node = self.nodes[x] = Node(x, parent, root_name)
-        self._log(self.nodes.pop, x)
+        nodes, trail = self.nodes, self.trail
+        x = len(nodes)
+        node = nodes[x] = Node(x, parent, root_name)
+        if trail is not None:
+            trail.append((nodes.pop, (x,)))
         if parent is not None:
-            up = self.nodes[parent]
-            self._log(setattr, up, "children", up.children)
+            up = nodes[parent]
+            if trail is not None:
+                trail.append((setattr, (up, "children", up.children)))
             up.children |= 1 << x
         self.dirty[_FRESH] |= 1 << x
         return node
@@ -598,17 +614,7 @@ class Forest:
         self.clashing_nodes.clear()
         self.clashing_pairs.clear()
 
-    def _log(self, fn, *args) -> None:
-        if self.trail is not None:
-            self.trail.append((fn, args))
-
     # --- dirty sets ---
-
-    def _changed(self, node: Node) -> None:
-        """The node was cleared or re-parented, or an edge at it changed:
-        every scan group and blocking look at it again, from the next fold.
-        A label add marks its sets itself (add_label)."""
-        self.dirty[_FRESH] |= 1 << node.id
 
     def _spread(self, ids: int, stop: int) -> None:
         """Add the nodes of `ids` to the dirty sets before index `stop`, each
@@ -665,14 +671,16 @@ class Forest:
             d[j] |= bit
 
     def clear_label(self, node: Node) -> None:
-        self._log(node._unclear, node.label, node.ordered)
+        if self.trail is not None:
+            self.trail.append((node._unclear, (node.label, node.ordered)))
         node.clear()
         self.clashing_nodes.discard(node.id)
-        self._changed(node)
+        self.dirty[_FRESH] |= 1 << node.id
 
     def set_field(self, obj, name: str, value) -> None:
         """Set obj.name to value, logging the old value."""
-        self._log(setattr, obj, name, getattr(obj, name))
+        if self.trail is not None:
+            self.trail.append((setattr, (obj, name, getattr(obj, name))))
         setattr(obj, name, value)
 
     def set_parent(self, node: Node, parent: int) -> None:
@@ -682,7 +690,7 @@ class Forest:
         self.set_field(old, "children", old.children & ~bit)
         self.set_field(new, "children", new.children | bit)
         self.set_field(node, "parent", parent)
-        self._changed(node)
+        self.dirty[_FRESH] |= bit
 
     def add_neq(self, groups: Iterable[Iterable[int]]) -> None:
         """Make the members of each group pairwise distinct.  Each node
@@ -704,41 +712,33 @@ class Forest:
 
     def set_edge(self, a: int, b: int, triples: Iterable[Triple]) -> None:
         """Create edge (a, b), or replace its label."""
-        key = (a, b)
-        self._save_edge(key)
-        self.edges[key] = frozenset(triples)
-        for end in key:
-            node = self.nodes[end]
-            if key not in node.adjacent:
-                node.adjacent = node.adjacent | {key}
-        self._edge_changed(a, b)
+        key, edges = (a, b), self.edges
+        na, nb = self.nodes[a], self.nodes[b]
+        if self.trail is not None:
+            self.trail.append((_restore_edge, (edges, key, edges.get(key), na, na.adjacent, nb, nb.adjacent)))
+        label = edges[key] = frozenset(triples)
+        if key not in na.adjacent:  # nor at nb, the edge's other end
+            na.adjacent = na.adjacent | {key}
+            nb.adjacent = nb.adjacent | {key}
+        na.neighbours = nb.neighbours = {}
+        self.dirty[_FRESH] |= 1 << a | 1 << b
+        pair = key if a <= b else (b, a)
+        if pair in self.clashing_pairs or (b, a) in edges or any(map(_may_clash, label)):
+            if clash := _pair_clash(self, *pair):
+                self.clashing_pairs[pair] = clash
+            else:
+                self.clashing_pairs.pop(pair, None)
 
     def pop_edge(self, key: tuple[int, int]) -> frozenset[Triple]:
-        self._save_edge(key)
+        """Remove edge key, first emptied by set_edge, which logs the undo
+        and drops a clash the edge made."""
+        triples = self.edges[key]
+        self.set_edge(*key, ())
+        del self.edges[key]
         for end in key:
             node = self.nodes[end]
             node.adjacent = node.adjacent - {key}
-        triples = self.edges.pop(key)
-        self._edge_changed(*key)
         return triples
-
-    def _save_edge(self, key: tuple[int, int]) -> None:
-        if self.trail is not None:
-            na, nb = (self.nodes[end] for end in key)
-            edges = self.edges
-            self._log(_restore_edge, edges, key, edges.get(key), na, na.adjacent, nb, nb.adjacent)
-
-    def _edge_changed(self, a: int, b: int) -> None:
-        na, nb = self.nodes[a], self.nodes[b]
-        self._changed(na)
-        self._changed(nb)
-        na.neighbours = nb.neighbours = {}
-        pair = (min(a, b), max(a, b))
-        clash = _pair_clash(self, *pair)
-        if clash:
-            self.clashing_pairs[pair] = clash
-        else:
-            self.clashing_pairs.pop(pair, None)
 
     def union_edge(self, a: int, b: int, triples: AbstractSet[Triple]) -> None:
         """Add role triples between a and b, reusing an existing edge in
@@ -761,20 +761,20 @@ class Forest:
         out = known.get(r)
         if out is not None:
             return out
-        out = []
-        rinv = inv(r)
-        includes = self.rbox.includes
+        # (y, INEQ_ORDER, degree, bound), sorted as plain tuples: a tie in
+        # the first three is a tie in the bound, which == settles
+        rows = []
+        rinv, supers, edges = inv(r), self.rbox.supers, self.edges
         for a, b in node.adjacent:
-            lab = self.edges[(a, b)]
-            if a == x:
-                for t in lab:
-                    if includes(t.subject, r):
-                        out.append((b, t.bound))
-            if b == x:
-                for t in lab:
-                    if includes(t.subject, rinv):
-                        out.append((a, t.bound))
-        out.sort(key=lambda p: (p[0], INEQ_ORDER[p[1].ineq], p[1].degree))
+            lab = edges[(a, b)]
+            for end, y, role in ((a, b, r), (b, a, rinv)):
+                if end == x:
+                    for t in lab:
+                        p = t.subject  # a sub-role of role (RoleHierarchy.includes)
+                        if p is role or role in supers.get(p, ()):
+                            rows.append((y, INEQ_ORDER[t.ineq], t.degree, t.bound))
+        rows.sort()
+        out = list(map(_y_and_bound, rows))
         # not logged: the table holds for as long as the edges at x do, and
         # a change to those edges, or its undo, drops it
         node.neighbours = {**known, r: out}
@@ -981,10 +981,6 @@ def _directed_edge_triples(f: Forest, a: int, b: int) -> list[Triple]:
 
 def _pair_clash(f: Forest, a: int, b: int) -> Optional[Clash]:
     """The first clash among the role triples between a and b (a <= b)."""
-    # each clash needs a negative or unary-clash triple; an inverse keeps its bound
-    labels = f.edges.get((a, b), ()), f.edges.get((b, a), ())
-    if not any(t.ineq.negative or t.unary_clash for label in labels for t in label):
-        return None
     ts = _directed_edge_triples(f, a, b)
     for t in ts:
         if t.unary_clash:

@@ -25,17 +25,20 @@ raises.
 
 With --calls it times nothing and counts calls instead, which do not
 depend on the host's speed.  Before each workload, both trees drop the
-triples they keep alive (syntax._KEEP) and the cyclic collector runs, so
-its counts do not depend on the workloads given before it.  Each tree
+triples they keep alive (syntax._KEEP) and the role hierarchies they
+keep (kb._closed, where the tree has it), and the cyclic collector runs,
+so its counts do not depend on the workloads given before it.  Each tree
 then makes one warm-up pass over the tasks, which fills the caches of the
 shared values, then one pass under sys.setprofile that counts the
 Python-level calls (generator resumptions included) and the calls of C
 functions.  It prints one line per tree with both counts, then one per
 tree with each source file's share of its Python calls, largest first,
-then one line for each of the MOVED functions whose counts differ most
-between the trees, largest difference first, and one JSON object with the
-counts, the share of Python calls NEW saves, the shares by file and the
-moved functions.  A Python function is named by its file's name and
+then one per tree with its Python calls per layer (LAYERS: a call counts
+in the layer of the innermost layer entry it runs under, else in
+"other"), then one line for each of the MOVED functions whose counts
+differ most between the trees, largest difference first, and one JSON
+object with the counts, the share of Python calls NEW saves, the shares
+by file, the calls by layer and the moved functions.  A Python function is named by its file's name and
 qualified name, a C function by its qualified name.
 """
 
@@ -59,6 +62,13 @@ from workloads import BLOCKS, Task, blocks  # noqa: E402
 
 TASK_BUDGET = 5_000  # as perfbench/run.py
 MOVED = 12  # functions listed per workload by --calls
+# layer -> its entry points, (module, function) in the fshin package
+LAYERS = {
+    "parse": (("parser", "parse_kb"), ("parser", "parse_query")),
+    "prepare": (("services", "prepare"),),
+    "init": (("tableau", "init_forest"),),
+    "solve": (("tableau", "solve"),),
+}
 
 
 def load(src: Path, name: str) -> ModuleType:
@@ -126,16 +136,26 @@ def compare(trees: dict[str, ModuleType], workload: str, seed: int, reps: int, n
     }
 
 
-def call_counts(fshin: ModuleType, tasks: list[Task]) -> tuple[collections.Counter, int]:
-    """(calls per function over one profiled pass, number of wrong or
-    failed answers).  Keys are "file:qualname" for Python functions and
-    "C qualname" for C functions."""
+def call_counts(fshin: ModuleType, tasks: list[Task]) -> tuple[collections.Counter, collections.Counter, int]:
+    """(calls per function over one profiled pass, Python calls per layer,
+    number of wrong or failed answers).  Keys are "file:qualname" for Python
+    functions and "C qualname" for C functions."""
     counts: collections.Counter = collections.Counter()
+    by_layer = collections.Counter({layer: 0 for layer in (*LAYERS, "other")})
+    entries = {getattr(getattr(fshin, module), name).__code__: layer
+               for layer, points in LAYERS.items() for module, name in points}
+    inside: list[tuple] = [(None, "other")]  # (frame, layer) of each layer entered
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
             counts[f"{Path(code.co_filename).name}:{code.co_qualname}"] += 1
+            if code in entries:
+                inside.append((frame, entries[code]))
+            by_layer[inside[-1][1]] += 1
+        elif event == "return":
+            if frame is inside[-1][0]:
+                inside.pop()
         elif event == "c_call":
             counts[f"C {getattr(arg, '__qualname__', type(arg).__name__)}"] += 1
 
@@ -144,7 +164,7 @@ def call_counts(fshin: ModuleType, tasks: list[Task]) -> tuple[collections.Count
         bad = task_time(fshin, tasks)[1]
     finally:
         sys.setprofile(None)
-    return counts, bad
+    return counts, by_layer, bad
 
 
 def file_shares(counts: collections.Counter, python: int) -> dict[str, float]:
@@ -163,11 +183,13 @@ def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_bloc
     tasks = [t for block in itertools.islice(blocks(workload, seed), n_blocks) for t in block]
     for fshin in trees.values():  # an earlier workload's triples would keep their caches
         fshin.syntax._KEEP.clear()
+        if hasattr(fshin.kb, "_closed"):  # and its role hierarchies would stay closed
+            fshin.kb._closed.cache_clear()
     gc.collect()
-    counts, totals, shares, bad = {}, {}, {}, 0
+    counts, totals, shares, layers, bad = {}, {}, {}, {}, 0
     for side in ("old", "new"):
         bad += task_time(trees[side], tasks)[1]  # the warm-up pass
-        counts[side], wrong = call_counts(trees[side], tasks)
+        counts[side], layers[side], wrong = call_counts(trees[side], tasks)
         bad += wrong
         python = sum(n for name, n in counts[side].items() if not name.startswith("C "))
         totals[side] = {"python": python, "c": sum(counts[side].values()) - python}
@@ -175,6 +197,8 @@ def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_bloc
         shares[side] = file_shares(counts[side], python)
     for side, by_file in shares.items():
         print(f"  {side} by file: " + ", ".join(f"{name} {share:.1%}" for name, share in by_file.items()))
+    for side, by_layer in layers.items():
+        print(f"  {side} by layer: " + ", ".join(f"{layer} {n}" for layer, n in by_layer.items()))
     names = counts["old"].keys() | counts["new"].keys()
     moved = sorted(names, key=lambda name: (-abs(counts["new"][name] - counts["old"][name]), name))
     moved = [[name, counts["old"][name], counts["new"][name]] for name in moved[:MOVED]]
@@ -190,6 +214,7 @@ def compare_calls(trees: dict[str, ModuleType], workload: str, seed: int, n_bloc
         "c_calls": {side: totals[side]["c"] for side in totals},
         "python_saved_frac": round(1 - totals["new"]["python"] / old_python, 4) if old_python else 0.0,
         "python_share_by_file": shares,
+        "python_calls_by_layer": {side: dict(by_layer) for side, by_layer in layers.items()},
         "moved": [entry for entry in moved if entry[1] != entry[2]],
         "wrong_or_failed": bad,
     }

@@ -44,8 +44,9 @@ def test_a_wrong_answer_exits_1(monkeypatch, capsys):
 
 def test_call_counts_do_not_depend_on_the_hash_seed():
     """--calls on the tree against itself, in two processes under
-    PYTHONHASHSEED 0 and 1: the same counts and shares by file in both, and
-    in each the same for both trees, with every answer as planted."""
+    PYTHONHASHSEED 0 and 1: the same counts, shares by file and calls by
+    layer in both, and in each the same for both trees, with every answer
+    as planted; the layers' calls sum to the Python calls."""
     start = time.perf_counter()
     script = Path(abcompare.__file__)
     args = [sys.executable, str(script), str(SRC), str(SRC), "--workload", "gci-cycle", "--seed", "1"]
@@ -56,8 +57,9 @@ def test_call_counts_do_not_depend_on_the_hash_seed():
         run = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert [line.split(":")[0] for line in lines[:4]] == [
-            "gci-cycle old", "gci-cycle new", "  old by file", "  new by file"]
+        assert [line.split(":")[0] for line in lines[:6]] == [
+            "gci-cycle old", "gci-cycle new", "  old by file", "  new by file", "  old by layer",
+            "  new by layer"]
         summaries.append(json.loads(lines[-1]))
     assert time.perf_counter() - start < 5.0
     assert summaries[0] == summaries[1]
@@ -67,6 +69,10 @@ def test_call_counts_do_not_depend_on_the_hash_seed():
     assert summary["moved"] == [] and summary["python_saved_frac"] == 0
     shares = summary["python_share_by_file"]
     assert shares["old"] == shares["new"] and next(iter(shares["old"])) == "tableau.py"
+    layers = summary["python_calls_by_layer"]
+    assert layers["old"] == layers["new"] and list(layers["old"]) == ["parse", "prepare", "init", "solve", "other"]
+    assert sum(layers["old"].values()) == summary["python_calls"]["old"]
+    assert all(layers["old"].values())
     assert summary["wrong_or_failed"] == 0
 
 

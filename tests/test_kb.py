@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from fshin.kb import (
     RBox,
     RoleAssertion,
     TBox,
+    _closed,
     _definition_order,
     compute_ell,
     detect_mode,
@@ -107,6 +109,27 @@ def test_hierarchy_matches_reachability():
             assert h.simple(r) == (not trans)
             for p in roles:
                 assert h.includes(p, r) == (p in below)
+
+
+def test_cached_hierarchy_equals_a_fresh_closure():
+    """hierarchy_closure gives every RBox of one value the same shared
+    hierarchy, equal to one closed afresh, on random RBoxes with inverses,
+    chains, cycles and transitive sub-roles; the cache stays bounded."""
+    rng = random.Random(29)
+    names = "pqrs"
+    named = [Role(n, i) for n in names for i in (False, True)]
+    for _ in range(300):
+        inclusions = {(rng.choice(named), rng.choice(named)) for _ in range(rng.randint(0, 5))}
+        chain = rng.sample(named, rng.randint(0, 4))
+        inclusions |= set(zip(chain, chain[1:] + chain[:1] * (rng.random() < 0.5)))
+        transitive = {n for n in names if rng.random() < 0.3}
+        h = hierarchy_closure(RBox(transitive, inclusions))
+        assert hierarchy_closure(RBox(set(transitive), set(inclusions))) is h
+        fresh = _closed.__wrapped__(frozenset(inclusions), frozenset(map(Role, transitive)))
+        assert fresh is not h and fresh == h
+    assert 0 < _closed.cache_info().currsize <= _closed.cache_info().maxsize == 64
+    with pytest.raises(TypeError):  # shared, so read only
+        h.supers[Role("p")] = frozenset()
 
 
 def test_detect_mode():

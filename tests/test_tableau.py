@@ -623,6 +623,38 @@ def test_index_invariants_under_every_mutation():
     check_indexes(f)
     check_indexes(g)
 
+    # edge clashes that set_edge and pop_edge test only when the pair may
+    # hold one: one that only the reverse edge makes, one on a self-loop,
+    # and stored ones that a replacement or a removal takes away
+    f, a, b, c = small_forest()
+    f.set_edge(b, a, {Triple(inv(S), Ineq.LT, F(1, 2))})
+    assert not f.clashing_pairs
+    f.set_edge(a, b, {Triple(S, Ineq.GE, F(9, 10))})  # positive, against (b, a)
+    assert f.clashing_pairs[(a, b)].kind == "edge"
+    check_indexes(f)
+    f.set_edge(c, c, {Triple(S, Ineq.GE, F(9, 10))})
+    f.union_edge(c, c, {Triple(inv(S), Ineq.LT, F(1, 2))})  # read back, S < 1/2
+    assert f.clashing_pairs[(c, c)].kind == "edge"
+    check_indexes(f)
+    f.set_edge(a, c, {Triple(R, Ineq.GT, ONE)})
+    assert f.clashing_pairs[(a, c)].kind == "interval"
+    f.set_edge(a, c, {Triple(R, Ineq.GE, F(1, 2))})  # positive, no reverse edge
+    assert (a, c) not in f.clashing_pairs
+    check_indexes(f)
+    f.pop_edge((b, a))
+    assert list(f.clashing_pairs) == [(c, c)]
+    check_indexes(f)
+
+
+def test_initial_forests_are_indexed():
+    """The indexes hold on init_forest's forest of every golden_runs() KB,
+    made before any rule runs."""
+    n = 0
+    for f in golden_runs():
+        check_indexes(f)
+        n += 1
+    assert n >= 140
+
 
 def test_node_built_with_a_label_is_indexed():
     label = [
@@ -1177,6 +1209,22 @@ def test_no_result_follows_the_keep_alive_or_the_ids(monkeypatch):
     assert solve_hashes(golden_runs(), fresh) == expected
     old, new = kept[0].nodes[0].ordered[0], fresh[0].nodes[0].ordered[0]
     assert str(old) == str(new) and old.subject is not new.subject and old is not new
+
+
+def test_a_fresh_table_gets_no_hierarchy_of_other_roles(monkeypatch):
+    """hierarchy_closure's cache is keyed by the shared roles, not their
+    names: after the constructor table is replaced, an RBox of the same
+    text gets a hierarchy of the new table's roles, never the one closed
+    over the old table's."""
+    texts = ["trans r.", "trans r.\nsubrole s r.", "subrole s- r."]
+    before = [prepare(parse_kb(text)).rbox for text in texts]
+    assert [prepare(parse_kb(text)).rbox for text in texts] == before
+    monkeypatch.setattr(syntax, "_TABLE", fresh_table())
+    for text, old in zip(texts, before):
+        h = prepare(parse_kb(text)).rbox
+        assert h is not old and h.supers and not set(h.supers) & set(old.supers)
+        assert all(Role(r.name, r.inverted) is r for r in h.supers)
+    assert prepare(parse_kb(texts[0])).rbox.transitive_subroles(Role("r")) == (Role("r"),)
 
 
 def test_reference_counting_frees_every_triple(monkeypatch):
