@@ -81,10 +81,16 @@ class TBox:
     gcis: list[tuple[Concept, Concept]] = field(default_factory=list)
 
 
-def _definition_order(tbox: TBox) -> Optional[list[str]]:
-    """The defined names, each after those its body uses, or None when tbox
-    does not unfold: it has inclusions, or its definitions are cyclic."""
+def unfold(tbox: TBox) -> Optional[dict[str, Concept]]:
+    """Each defined name -> the definition-free concept it is equivalent
+    to, in the post-order of one depth-first walk over sorted(definitions);
+    or None when tbox has inclusions or cyclic definitions.  An inclusion
+    A (= C becomes A = A' n C, its fresh primitive A' named after the walk
+    has seen every name the TBox uses."""
     defs = tbox.definitions
+    if tbox.gcis:
+        return None
+    taken = set(defs)
     order: list[str] = []
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
 
@@ -92,39 +98,24 @@ def _definition_order(tbox: TBox) -> Optional[list[str]]:
         if name in state:
             return state[name] == 2  # False on a cycle
         state[name] = 1
-        _, body = defs[name]
-        for sub in subconcepts(body):
-            if isinstance(sub, Name) and sub.id in defs and not visit(sub.id):
-                return False
+        for sub in subconcepts(defs[name][1]):
+            if isinstance(sub, Name):
+                taken.add(sub.id)
+                if sub.id in defs and not visit(sub.id):
+                    return False
         state[name] = 2
         order.append(name)
         return True
 
-    return None if tbox.gcis or not all(visit(name) for name in sorted(defs)) else order
-
-
-def _fresh_primitive(base: str, taken: set[str]) -> str:
-    cand = base + "_prim"
-    while cand in taken:
-        cand += "_"
-    return cand
-
-
-def unfold(tbox: TBox) -> dict[str, Concept]:
-    """The unfolding of a TBox that unfolds (detect_mode is not "gci"):
-    each defined name maps to the definition-free concept it is equivalent
-    to.  An inclusion A (= C becomes the equivalence A = A' n C with a
-    fresh primitive A'."""
-    taken = set(tbox.definitions)
-    for _, body in tbox.definitions.values():
-        for sub in subconcepts(body):
-            if isinstance(sub, Name):
-                taken.add(sub.id)
+    if not all(visit(name) for name in sorted(defs)):
+        return None
     expanded: dict[str, Concept] = {}
-    for name in _definition_order(tbox):
-        kind, body = tbox.definitions[name]
+    for name in order:
+        kind, body = defs[name]
         if kind == "sub":
-            prim = _fresh_primitive(name, taken)
+            prim = name + "_prim"
+            while prim in taken:
+                prim += "_"
             taken.add(prim)
             body = And(Name(prim), body)
         expanded[name] = _substitute(body, expanded)
@@ -164,6 +155,8 @@ class RoleHierarchy:
     # it, ordered by str (transitivity of a relation and of its inverse
     # coincide)
     transitive_below: Mapping[Role, tuple[Role, ...]]
+    # each named role and its inverse -> its inverse (syntax.inv), built once
+    inverse: Mapping[Role, Role]
 
     def includes(self, p: Role, r: Role) -> bool:
         """p is a sub-role of r."""
@@ -209,7 +202,8 @@ def _closed(inclusions: frozenset[tuple[Role, Role]], transitive: frozenset[Role
     trans = [p for p in roles if p.name in names]
     below = {r: tuple(sorted((p for p in trans if r in supers[p]), key=str)) for r in roles}
     closed = {r: frozenset(s) for r, s in supers.items()}
-    return RoleHierarchy(names, MappingProxyType(closed), MappingProxyType(below))
+    inverse = MappingProxyType({r: inv(r) for r in roles})
+    return RoleHierarchy(names, MappingProxyType(closed), MappingProxyType(below), inverse)
 
 
 @dataclass
@@ -246,13 +240,16 @@ class FuzzyKB:
 
 
 def detect_mode(kb: FuzzyKB) -> str:
-    """The fragment whose procedure decides kb: "gci" when its TBox does not
-    unfold (it has inclusions or cyclic definitions), else "shin" when it has
-    role inclusions, inequalities or number restrictions, else "si"."""
-    if _definition_order(kb.tbox) is None:
+    """The fragment whose procedure decides kb."""
+    return fragment(kb, unfold(kb.tbox) is not None, any(kb.number_restrictions()))
+
+
+def fragment(kb: FuzzyKB, unfolds: bool, restricted: bool) -> str:
+    """"gci" when kb's TBox does not unfold, else "shin" when kb has role
+    inclusions, inequalities or number restrictions (restricted), else "si"."""
+    if not unfolds:
         return "gci"
-    shin = kb.rbox.inclusions or kb.abox.inequalities or any(kb.number_restrictions())
-    return "shin" if shin else "si"
+    return "shin" if kb.rbox.inclusions or kb.abox.inequalities or restricted else "si"
 
 
 def _rungs(degrees: Iterable[Degree]) -> tuple[int, dict[int, Optional[Degree]]]:
@@ -292,16 +289,14 @@ def normalize_for_gci(abox: ABox, ell: Degree) -> tuple[ABox, tuple[Degree, ...]
     """Strict bounds become non-strict shifted by ell; also returns the
     ladder of the normalized ABox (relative_degrees)."""
 
-    def norm(b: SignedBound) -> SignedBound:
-        if b.ineq is Ineq.GT:
-            return SignedBound(Ineq.GE, b.degree + ell)
-        if b.ineq is Ineq.LT:
-            return SignedBound(Ineq.LE, b.degree - ell)
-        return b
+    def norm(a):
+        """The assertion a, or a copy with its strict bound shifted by ell."""
+        if a.bound.ineq is Ineq.GT:
+            return replace(a, bound=SignedBound(Ineq.GE, a.bound.degree + ell))
+        if a.bound.ineq is Ineq.LT:
+            return replace(a, bound=SignedBound(Ineq.LE, a.bound.degree - ell))
+        return a
 
-    out = ABox(
-        [replace(ca, bound=norm(ca.bound)) for ca in abox.concept_assertions],
-        [replace(ra, bound=norm(ra.bound)) for ra in abox.role_assertions],
-        set(abox.inequalities),
-    )
+    out = ABox(list(map(norm, abox.concept_assertions)), list(map(norm, abox.role_assertions)),
+               set(abox.inequalities))
     return out, relative_degrees(out.degrees())

@@ -24,11 +24,10 @@ from .kb import (
     ConceptAssertion,
     FuzzyKB,
     Query,
-    RoleAssertion,
     RoleHierarchy,
     compute_ell,
-    detect_mode,
     expand_concept,
+    fragment,
     hierarchy_closure,
     normalize_for_gci,
     relative_degrees,
@@ -65,17 +64,17 @@ class Prepared:
 
 def prepare(kb: FuzzyKB) -> Prepared:
     """The KB made ready for the tableau, in the fragment its constructors
-    need (detect_mode)."""
-    mode = detect_mode(kb)
+    need (fragment, as detect_mode): one walk for number restrictions, then
+    ModeError for one over a role that is not simple, then one unfolding."""
     rbox = hierarchy_closure(kb.rbox)
-    bad = next((d for d in kb.number_restrictions() if not rbox.simple(d.role)), None)
-    if bad is not None:
-        raise ModeError(
-            f"number restriction {bad} is over the non-simple role "
-            f"{bad.role}; f-SHIN allows only simple roles there"
-        )
-    if mode != "gci":
-        unfolded = unfold(kb.tbox)
+    restrictions = list(kb.number_restrictions())
+    for d in restrictions:
+        if not rbox.simple(d.role):
+            raise ModeError(f"number restriction {d} is over the non-simple role {d.role}; "
+                            "f-SHIN allows only simple roles there")
+    unfolded = unfold(kb.tbox)
+    mode = fragment(kb, unfolded is not None, bool(restrictions))
+    if unfolded is not None:
         abox = _tableau_abox(kb.abox, rbox, partial(expand_concept, unfolded=unfolded))
         return Prepared(mode, abox, rbox, unfolded, (), (), None)
     gcis: list[tuple[Concept, Concept]] = []
@@ -90,17 +89,11 @@ def prepare(kb: FuzzyKB) -> Prepared:
     return Prepared(mode, abox, rbox, {}, tuple(gcis), xa, ell)
 
 
-def _through_nominal(ra: RoleAssertion, rbox: RoleHierarchy) -> bool:
-    """Whether prepare rewrites the role assertion into concept assertions:
-    its bound is negative and its role is not simple."""
-    return ra.bound.ineq.negative and not rbox.simple(ra.role)
-
-
 def _tableau_abox(abox: ABox, rbox: RoleHierarchy, fn) -> ABox:
     """A copy of abox with fn applied to each asserted concept, and each
-    role assertion ⟨(a, b) : R ◁ n⟩ that _through_nominal picks rewritten,
-    after the concept assertions, into ⟨a : ∀R.¬{b} reflect(◁) 1 − n⟩ and
-    ⟨b : {b} ≥ 1⟩.  {b} is a Name that the parser cannot produce.
+    role assertion ⟨(a, b) : R ◁ n⟩ with ◁ negative and R not simple
+    rewritten, after the concept assertions, into ⟨a : ∀R.¬{b} reflect(◁)
+    1 − n⟩ and ⟨b : {b} ≥ 1⟩.  {b} is a Name that the parser cannot produce.
 
     The tableau closes edges under transitivity only through the ∀-rules,
     and never tests a negative role bound against a chain of edges; the
@@ -112,7 +105,7 @@ def _tableau_abox(abox: ABox, rbox: RoleHierarchy, fn) -> ABox:
            for a in abox.concept_assertions]
     ras = []
     for ra in abox.role_assertions:
-        if not _through_nominal(ra, rbox):
+        if ra.bound.ineq.positive or rbox.simple(ra.role):
             ras.append(ra)
             continue
         nominal = Name("{" + ra.object + "}")
@@ -122,18 +115,11 @@ def _tableau_abox(abox: ABox, rbox: RoleHierarchy, fn) -> ABox:
     return ABox(cas, ras, set(abox.inequalities))
 
 
-@dataclass
-class ConsistencyResult(SolveResult):
-    """The engine's result, with the KB as prepare made it ready for the
-    tableau."""
-
-    prepared: Prepared
-
-
-def consistency(kb: FuzzyKB, budget: int = DEFAULT_BUDGET) -> ConsistencyResult:
+def consistency(kb: FuzzyKB, budget: int = DEFAULT_BUDGET) -> SolveResult:
     prepared = prepare(kb)
     result = solve(init_forest(prepared, Budget(budget)))
-    return ConsistencyResult(**vars(result), prepared=prepared)
+    result.prepared = prepared
+    return result
 
 
 def _fresh_individual(kb: FuzzyKB) -> str:
@@ -184,7 +170,9 @@ class Probes:
     bound by ell, so that each degree brings splits of its own; when the
     forest clashes at init, since a mark needs a clash-free forest; and for
     a concept query on a KB with a role assertion that prepare rewrites,
-    whose concept assertions init adds after the query's."""
+    whose concept assertions init adds after the query's.  The prepared KB
+    shows that case: its concept assertions are the KB's, the query's, and
+    two per rewrite."""
 
     def __init__(self, kb: FuzzyKB, query: Query, ineq: Ineq, budget: int = DEFAULT_BUDGET):
         self.kb, self.query, self.ineq, self.budget = kb, query, ineq, budget
@@ -193,7 +181,7 @@ class Probes:
         # except in the query's own assertion
         prepared = prepare(_with_negated(kb, query, SignedBound(ineq, ONE)))
         self.rbox, self.expand = prepared.rbox, partial(expand_concept, unfolded=prepared.unfolded)
-        rewritten = any(_through_nominal(ra, self.rbox) for ra in kb.abox.role_assertions)
+        rewritten = len(prepared.abox.concept_assertions) > len(kb.abox.concept_assertions) + 1
         if prepared.mode == "gci" or (len(query) == 2 and rewritten):
             return
         base = _tableau_abox(kb.abox, self.rbox, self.expand)
@@ -300,7 +288,7 @@ def subsumes(
     return True
 
 
-def model_for(result: ConsistencyResult) -> Optional[oracle.FuzzyInterpretation]:
+def model_for(result: SolveResult) -> Optional[oracle.FuzzyInterpretation]:
     """The finite model read off a consistent verdict's forest, the KB's
     defined names read through their unfoldings (a name no label bounds reads
     0), or None where extract_model reads none (f-SHIN and GCI verdicts)."""
@@ -315,7 +303,7 @@ def model_for(result: ConsistencyResult) -> Optional[oracle.FuzzyInterpretation]
     return model
 
 
-def cross_check(kb: FuzzyKB, result: ConsistencyResult) -> Optional[str]:
+def cross_check(kb: FuzzyKB, result: SolveResult) -> Optional[str]:
     """What fails when the oracle checks the verdict on kb, or None: the
     model_for model of a consistent verdict, if any, must satisfy kb, and an
     inconsistent kb must have no model of at most two elements.  Raises

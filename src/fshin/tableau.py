@@ -764,7 +764,7 @@ class Forest:
         # (y, INEQ_ORDER, degree, bound), sorted as plain tuples: a tie in
         # the first three is a tie in the bound, which == settles
         rows = []
-        rinv, supers, edges = inv(r), self.rbox.supers, self.edges
+        rinv, supers, edges = self.rbox.inverse.get(r) or inv(r), self.rbox.supers, self.edges
         for a, b in node.adjacent:
             lab = edges[(a, b)]
             for end, y, role in ((a, b, r), (b, a, rinv)):
@@ -1383,10 +1383,14 @@ def apply_alternative(f: Forest, alt: tuple) -> None:
 
 @dataclass
 class SolveResult:
+    """What solve found; services.consistency also sets prepared, the KB as
+    prepare made it ready for the tableau, which is None elsewhere."""
+
     consistent: bool
     forest: Optional[Forest]  # complete clash-free forest when consistent
     first_clash_forest: Optional[Forest]
     trace: list
+    prepared: Optional[Prepared]
 
 
 def solve(f: Forest) -> SolveResult:
@@ -1400,7 +1404,7 @@ def solve(f: Forest) -> SolveResult:
     while True:
         result = expand(f)
         if result is None:
-            return SolveResult(True, f, first_clash, f.trace)
+            return SolveResult(True, f, first_clash, f.trace, None)
         if isinstance(result, ChoicePoint):
             stack.append([f.mark(), result, 0])
         else:  # clash
@@ -1411,7 +1415,7 @@ def solve(f: Forest) -> SolveResult:
                 stack.pop()
             if not stack:
                 f.trace.append(("exhausted",))
-                return SolveResult(False, None, first_clash, f.trace)
+                return SolveResult(False, None, first_clash, f.trace, None)
         mark, cp, idx = stack[-1]
         stack[-1][2] = idx + 1
         f.undo(mark)

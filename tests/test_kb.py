@@ -14,7 +14,6 @@ from fshin.kb import (
     RoleAssertion,
     TBox,
     _closed,
-    _definition_order,
     compute_ell,
     detect_mode,
     expand_concept,
@@ -23,7 +22,9 @@ from fshin.kb import (
     relative_degrees,
     unfold,
 )
-from fshin.syntax import And, AtLeast, Exists, Name, Not, Role, inv
+from fshin.syntax import And, AtLeast, Exists, Name, Not, Role, inv, rebuild, subconcepts
+
+from genkb import random_tbox_kb
 
 
 def bound(op, d):
@@ -52,8 +53,86 @@ def test_unfold_inclusion_gets_fresh_primitive():
 
 def test_cyclic_tbox_not_unfoldable():
     tbox = TBox(definitions={"A": ("equiv", Exists(Role("r"), Name("A")))})
-    assert _definition_order(tbox) is None
+    assert unfold(tbox) is None
     assert detect_mode(FuzzyKB(tbox=tbox)) == "gci"
+
+
+def two_step_unfold(tbox):
+    """The unfolding in two steps, as kb.unfold once made it: the defined
+    names in the post-order of a depth-first walk over sorted(definitions),
+    or None; then, in that order, each inclusion's fresh primitive, named
+    after every name the TBox uses, and the substitution."""
+    defs, order, state = tbox.definitions, [], {}
+
+    def visit(name):
+        if name in state:
+            return state[name] == 2
+        state[name] = 1
+        for sub in subconcepts(defs[name][1]):
+            if isinstance(sub, Name) and sub.id in defs and not visit(sub.id):
+                return False
+        state[name] = 2
+        order.append(name)
+        return True
+
+    if tbox.gcis or not all(visit(name) for name in sorted(defs)):
+        return None
+
+    def substitute(c, expanded):
+        if isinstance(c, Name):
+            return expanded.get(c.id, c)
+        return rebuild(c, lambda d: substitute(d, expanded))
+
+    taken = set(defs) | {
+        sub.id for _, body in defs.values() for sub in subconcepts(body) if isinstance(sub, Name)
+    }
+    expanded = {}
+    for name in order:
+        kind, body = defs[name]
+        if kind == "sub":
+            prim = name + "_prim"
+            while prim in taken:
+                prim += "_"
+            taken.add(prim)
+            body = And(Name(prim), body)
+        expanded[name] = substitute(body, expanded)
+    return expanded
+
+
+def unfold_variants(tbox):
+    """tbox; its definitions alone; the first one also naming the last (a
+    cycle, or a self-reference with one definition); and each body also
+    naming the fresh primitive of another definition, which the walk may
+    not have reached when it names that primitive."""
+    defs = tbox.definitions
+    first, last = sorted(defs)[0], sorted(defs)[-1]
+    kind, body = defs[first]
+    back = {**defs, first: (kind, And(body, Exists(Role("r"), Name(last))))}
+    names = sorted(defs)
+    clashing = {
+        name: (kind, And(body, Name(names[(i + 1) % len(names)] + "_prim")))
+        for i, (name, (kind, body)) in enumerate(sorted(defs.items()))
+    }
+    return [tbox, TBox(dict(defs)), TBox(back), TBox(clashing), TBox(back, list(tbox.gcis))]
+
+
+def test_unfold_equals_the_two_step_unfolding():
+    """unfold's one walk gives the maps of the two-step algorithm, entry for
+    entry and in the same order, or None where it gives None."""
+    rng = random.Random(36)
+    seen = {"none": 0, "map": 0, "cycle": 0, "prim_": 0}
+    for _ in range(200):
+        for tbox in unfold_variants(random_tbox_kb(rng).tbox):
+            got, want = unfold(tbox), two_step_unfold(tbox)
+            if want is None:
+                assert got is None
+                seen["none"] += 1
+                seen["cycle"] += not tbox.gcis
+                continue
+            assert got is not None and list(got.items()) == list(want.items())
+            seen["map"] += 1
+            seen["prim_"] += any("_prim_" in str(c) for c in got.values())
+    assert all(seen.values()), seen
 
 
 def test_expand_concept_produces_nnf():
@@ -194,6 +273,11 @@ def test_normalize_for_gci():
     out, xa = normalize_for_gci(abox, ell)
     assert out.concept_assertions[0].bound == bound(Ineq.LE, Fraction(11, 20))
     assert out.role_assertions[0].bound == bound(Ineq.GE, Fraction(9, 20))
+    # a non-strict bound keeps its assertion, the object itself
+    ca = ConceptAssertion("b", Name("C"), bound(Ineq.GE, "1/2"))
+    ra = RoleAssertion("a", "b", Role("r"), bound(Ineq.LE, "1/4"))
+    kept, _ = normalize_for_gci(ABox([ca], [ra]), ell)
+    assert kept.concept_assertions[0] is ca and kept.role_assertions[0] is ra
     expected = {
         Fraction(0), Fraction(9, 20), Fraction(11, 20), Fraction(1, 2), Fraction(1)
     }

@@ -1,13 +1,15 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from fshin import services
 from fshin.degrees import Ineq, ONE, SignedBound
-from fshin.kb import ABox, FuzzyKB, detect_mode, relative_degrees
+from fshin.kb import ABox, FuzzyKB, detect_mode, expand_concept, hierarchy_closure, relative_degrees
 from fshin.oracle import satisfies_kb, search_model
 from fshin.parser import parse_concept, parse_kb, parse_query, serialize_kb
 from fshin.services import (
@@ -24,16 +26,18 @@ from fshin.services import (
     subsumes,
 )
 from fshin.syntax import AtLeast, AtMost, Forall, Name, Not, Role, inv
-from fshin.tableau import ResourceLimit, Triple
+from fshin.tableau import Budget, ResourceLimit, Triple, init_forest
 
 from genkb import (
     random_alc_concept,
     random_alc_kb,
+    random_colouring_kb,
     random_shin_concept,
     random_shin_kb,
     random_tbox_kb,
     random_transitive_kb,
 )
+from test_golden import corpus
 
 F = Fraction
 EXAMPLES = Path(__file__).parent.parent / "examples"
@@ -48,14 +52,28 @@ assert o2 : Body >= 0.85.
 
 
 def test_prepare_picks_the_fragment():
-    """prepare runs the procedure of the fragment detect_mode gives."""
+    """prepare runs the procedure of the fragment detect_mode gives, on the
+    examples, the KBs of every genkb generator and every golden KB; where
+    prepare refuses a KB, detect_mode still answers."""
     kb = parse_kb("implies A B.\nassert a : A >= 0.5.")
     assert prepare(kb).mode == "gci"
     paths = sorted(EXAMPLES.glob("*.fkb"))
     assert paths
-    for path in paths:
-        kb = parse_kb(path.read_text(encoding="utf-8"))
-        assert prepare(kb).mode == detect_mode(kb), path.name
+    kbs = [(path.name, parse_kb(path.read_text(encoding="utf-8"))) for path in paths] + corpus()
+    rng = random.Random(36)
+    for generate in (random_alc_kb, random_shin_kb, random_transitive_kb, random_tbox_kb):
+        kbs += [(f"{generate.__name__}-{i}", generate(rng)) for i in range(40)]
+    kbs += [(f"random_colouring_kb-{i}", random_colouring_kb(rng)[0]) for i in range(40)]
+    kbs.append(("non-simple", parse_kb("trans r.\nassert a : >= 2 r >= 0.5.")))
+    modes = Counter()
+    for name, kb in kbs:
+        mode = detect_mode(kb)
+        try:
+            assert prepare(kb).mode == mode, name
+        except ModeError:
+            mode = "refused"
+        modes[mode] += 1
+    assert set(modes) == {"si", "shin", "gci", "refused"}, modes
 
 
 def test_prepare_refuses_non_simple_number_restriction():
@@ -518,6 +536,46 @@ def test_shared_probes_match_fresh_checks_on_degree_queries(budgets_used, monkey
         query, _ = parse_query(task.query_text)
         ineq = Ineq.LE if task.kind == "lub" else Ineq.GE
         assert assert_probes_match_fresh_checks(kb, query, [ineq], budgets_used, 5000)
+
+
+def shares_by_role_test(kb, query, ineq, budget) -> bool:
+    """Whether Probes(kb, query, ineq, budget) takes one shared forest, by
+    the rule it had when it tested each of the KB's role assertions for
+    prepare's rewrite itself."""
+    prepared = prepare(services._with_negated(kb, query, SignedBound(ineq, ONE)))
+    rbox = prepared.rbox
+    rewritten = any(ra.bound.ineq.negative and not rbox.simple(ra.role) for ra in kb.abox.role_assertions)
+    if prepared.mode == "gci" or (len(query) == 2 and rewritten):
+        return False
+    base = services._tableau_abox(kb.abox, rbox, partial(expand_concept, unfolded=prepared.unfolded))
+    f = init_forest(replace(prepared, abox=base), Budget(budget), prepared.abox.individuals())
+    return not (f.clashing_nodes or f.clashing_pairs)
+
+
+def test_probes_share_a_forest_where_they_did():
+    """Probes takes the shared forest on exactly the KBs where testing each
+    role assertion for the rewrite took it: concept and role queries, with
+    every inequality, over random_transitive_kb's KBs, whose negative role
+    bounds over its transitive roles are rewritten, and over
+    random_alc_kb's, which have no rewrite."""
+    rng = random.Random(36)
+    seen = Counter()
+    for i in range(80):
+        kb = (random_transitive_kb if i % 2 else random_alc_kb)(rng)
+        rbox = hierarchy_closure(kb.rbox)
+        rewritten = any(ra.bound.ineq.negative and not rbox.simple(ra.role) for ra in kb.abox.role_assertions)
+        a, b = kb.abox.individuals()[0], kb.abox.individuals()[-1]
+        for query in ((a, random_alc_concept(rng, 2)), (b, a, Role("r", rng.random() < 0.5))):
+            for ineq in Ineq:
+                shared = shares_by_role_test(kb, query, ineq, 2000)
+                assert (services.Probes(kb, query, ineq, 2000).forest is not None) == shared, (
+                    serialize_kb(kb), query, ineq
+                )
+                seen[rewritten, len(query), shared] += 1
+    # each kind of query over KBs with and without a rewrite; a concept
+    # query over a KB with a rewrite never shares
+    assert {(True, 2, False), (False, 2, True), (True, 3, True), (False, 3, True)} <= set(seen), seen
+    assert (True, 2, True) not in seen
 
 
 def test_duality_random():
