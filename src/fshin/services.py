@@ -24,6 +24,7 @@ from .kb import (
     ConceptAssertion,
     FuzzyKB,
     Query,
+    RoleAssertion,
     RoleHierarchy,
     compute_ell,
     expand_concept,
@@ -184,8 +185,16 @@ class Probes:
         rewritten = len(prepared.abox.concept_assertions) > len(kb.abox.concept_assertions) + 1
         if prepared.mode == "gci" or (len(query) == 2 and rewritten):
             return
-        base = _tableau_abox(kb.abox, self.rbox, self.expand)
-        f = init_forest(replace(prepared, abox=base), Budget(budget), prepared.abox.individuals())
+        # the prepared ABox less the query's assertion or its rewrite's two,
+        # which end it (a KB role assertion equal to the query's shares its rewrite)
+        abox = prepared.abox
+        cas, ras = abox.concept_assertions, abox.role_assertions
+        if len(query) == 3 and ras[-1:] == [RoleAssertion(*query, SignedBound(negate(ineq), ONE))]:
+            ras = ras[:-1]
+        else:
+            cas = cas[:len(cas) + 1 - len(query)]
+        base = ABox(cas, ras, abox.inequalities)
+        f = init_forest(replace(prepared, abox=base), Budget(budget), abox.individuals())
         if f.clashing_nodes or f.clashing_pairs:
             return
         self.roots = {n.root_name: n.id for n in f.nodes.values() if n.root_name is not None}

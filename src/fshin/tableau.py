@@ -12,11 +12,13 @@ then deterministic decompositions, then propagations, then merges, then
 generators, then the remaining nondeterministic splits.  _RULES lists the
 rules in that order; Forest.rules keeps those the forest's fragment runs,
 and expand walks it: f-SI leaves out both merges, the at-least generator
-and the inclusion split, f-SHIN the inclusion split.  Nodes are always
-scanned oldest-first and label sets in a canonical order, so identical
-input yields identical behaviour.  Each rule is written once: _propagate
-holds negation, decomposition and the table _PROPAGATIONS (universal,
-negated existential, and their transitive forms), _generate both witness
+and the inclusion split, f-SHIN the inclusion split.  _propagate runs a
+scan of a node on past its adds, with expand's checks after each, so the
+priority holds add by add.  Nodes are always scanned oldest-first and
+label sets in a canonical order, so identical input yields identical
+behaviour.  Each rule is written once: _adds holds negation,
+decomposition and the table _PROPAGATIONS (universal, negated
+existential, and their transitive forms), _generate both witness
 generators, and Triple.atmost and Triple.atleast the views of a count
 triple that the merges, the counting clash, the at-least generator and the
 property audit of the tests (tests/audit.py) read.
@@ -128,9 +130,9 @@ blocking status changes kind goes back into every scan set, and a grown
 distinct set puts every holder of a count triple into the counting
 clash's.  expand and find_clash skip an empty set.  Each scan goes
 through _first, which takes the lowest set bit, (v & -v).bit_length() - 1,
-and drops each node where it finds nothing as it goes; it never writes its
-set back at the end, since the rule that fires may mark a node the scan
-dropped before.
+and drops each node where it finds nothing as it goes, reading its set
+again after each call, since the rule may mark a node above or below the
+one it scans.
 Node ids are handed out in increasing order, so the lowest bit is the
 oldest node, the one a walk over Forest.nodes in id order would reach
 first, and the scans fire in the order that walk gives.  blocking()
@@ -513,6 +515,7 @@ class Forest:
         # counting clash: the f-SHIN procedure, which GCI KBs use as well
         self.pairwise = pairwise
         self.rbox = rbox
+        self.inverse = dict(rbox.inverse)  # role -> inverse, others added as asked
         self.budget = budget
         self.trace: list = []
         # init_forest's (n, lhs <= n - ell, rhs >= n) for each degree n that
@@ -764,7 +767,8 @@ class Forest:
         # (y, INEQ_ORDER, degree, bound), sorted as plain tuples: a tie in
         # the first three is a tie in the bound, which == settles
         rows = []
-        rinv, supers, edges = self.rbox.inverse.get(r) or inv(r), self.rbox.supers, self.edges
+        rinv = self.inverse.get(r) or self.inverse.setdefault(r, inv(r))
+        supers, edges = self.rbox.supers, self.edges
         for a, b in node.adjacent:
             lab = edges[(a, b)]
             for end, y, role in ((a, b, r), (b, a, rinv)):
@@ -1091,22 +1095,20 @@ def find_clash(f: Forest) -> Optional[Clash]:
 
 def _first(f: Forest, at, i: int):
     """The first truthy at(f, node) over the nodes of dirty set i, oldest
-    (lowest id) first, or None.
+    (lowest id) first, or None; _RESCAN starts the scan over.
 
     Drops from the set each node where `at` gives nothing, as it goes, and
     logs no drop: undo puts the set back from its mark's snapshot, and `at`
-    must change nothing when it gives nothing.  The set is never written
-    back at the end: the rule that fires may mark a node dropped earlier in
-    the same scan."""
+    gives nothing only where its group has nothing left to do.  The set is
+    read again after each call: `at` may wake nodes above the current one."""
     d, nodes = f.dirty, f.nodes
-    todo = d[i]
-    while todo:
+    while todo := d[i]:
         low = todo & -todo
         out = at(f, nodes[low.bit_length() - 1])
-        if out:
+        if not out:
+            d[i] &= ~low
+        elif out is not _RESCAN:
             return out
-        todo ^= low
-        d[i] = todo
     return None
 
 
@@ -1125,31 +1127,55 @@ _PROPAGATIONS = (
     ("forall+", _reflected, True, "forall-trans"),
     ("exists-", _bound, True, "exists-trans"),
 )
+_RESCAN = "rescan"  # _propagate's call for a scan from the lowest node
 
 
-def _propagate(f: Forest, node: Node) -> bool:
-    """Apply the first deterministic rule that applies at the node:
-    negation, then decomposition, then the propagations."""
-    kinds = node._kinds or node.kinds()
+def _adds(f: Forest, node: Node):
+    """Each add the deterministic rules ask at the node, (node id, triple,
+    rule), in priority order, each item tested when it is reached."""
+    kinds, label, x = node._kinds or node.kinds(), node.label, node.id
     for t in kinds.get("not", ()):
         derived = t.parts[0]
-        if derived not in node.label:
-            return f.add_triple(node.id, derived, "negation")
+        if derived not in label:
+            yield x, derived, "negation"
     if node.status[0] == INDIRECT:
-        return False
+        return
     for t in kinds.get("decompose", ()):
         for derived in t.parts:
-            if derived not in node.label:
-                rule = "and-pos" if isinstance(t.subject, And) else "or-neg"
-                return f.add_triple(node.id, derived, rule)
+            if derived not in label:
+                yield x, derived, "and-pos" if isinstance(t.subject, And) else "or-neg"
     for kind, probe_of, transitive, rule in _PROPAGATIONS:
         for t in kinds.get(kind, ()):
             probe, role = probe_of(t), t.subject.role
             for r in f.rbox.transitive_subroles(role) if transitive else (role,):
                 derived = t.over(r) if transitive else t.parts[0]
-                for y, b in node.neighbours.get(r) or f.neighbour_bounds(node.id, r):
+                for y, b in node.neighbours.get(r) or f.neighbour_bounds(x, r):
                     if conjugates(b, probe) and derived not in f.nodes[y].label:
-                        return f.add_triple(y, derived, rule)
+                        yield y, derived, rule
+
+
+def _propagate(f: Forest, node: Node):
+    """Apply the deterministic rules at the node while they apply; False
+    once none does.  After each add, what expand's next iteration would do
+    first: charge, blocking() and find_clash(), returning a clash traced.
+    Then _RESCAN, for the scan from the lowest node that iteration makes,
+    if a node below this one is in the propagation set, or the add was at
+    this node or changed its status; else it carries on, as no add changes
+    an edge and labels only grow.  A status change matters only where an
+    add blocks the parent and leaves it out of that set, which needs GCI
+    mode (elsewhere every triple below a node that holds none of the kinds
+    read here is shallower than its deepest) and no KB of the tests does."""
+    x, status = node.id, node.status
+    for y, derived, rule in _adds(f, node):
+        f.add_triple(y, derived, rule)
+        f.budget.charge()
+        f.blocking()
+        clash = find_clash(f)
+        if clash:
+            f.trace.append(("clash", clash))
+            return clash
+        if y == x or node.status is not status or f.dirty[0] & ((1 << x) - 1):
+            return _RESCAN
     return False
 
 
@@ -1347,7 +1373,7 @@ _READS = {
 def expand(f: Forest) -> Union[Clash, ChoicePoint, None]:
     """Run deterministic rules to fixpoint; stop at a clash or at the first
     nondeterministic choice in priority order.  None means the forest is
-    complete."""
+    complete; _propagate makes an iteration's checks after each add."""
     while True:
         f.budget.charge()
         f.blocking()

@@ -109,6 +109,21 @@ EXTRA = {
     # their labels and their parents' but not in their edges: pair-wise
     # blocking must compare the edges
     "gci-two-roles": "implies C (some r.C) and (some s.C).\nassert a : C >= 0.5.\n",
+    # an add that wakes a node older than the one whose rules made it: the
+    # deterministic rules must start again from that node, not carry on at
+    # the younger one (the smallest differential KBs that show it)
+    "propagate-back-split": (
+        "trans r.\nassert a : (some r.B or not A) >= 0.75.\n"
+        "assert (b,a) : r >= 0.75.\nassert (b,b) : r < 0.5.\n"
+    ),
+    "propagate-back-inverse": (
+        "trans r.\nassert c : some r-.(all r.(B and top)) > 0.75.\n"
+        "assert a : B < 0.25.\nassert (b,a) : r >= 0.25.\n"
+    ),
+    "propagate-back-budget": (
+        "trans r.\nassert b : all r.A >= 0.5.\nassert a : some r.B > 0.75.\n"
+        "assert (b,a) : r >= 0.5.\nassert (a,b) : r- <= 0.\n"
+    ),
     # a chain of 5,000 individuals with no choice point, which every search
     # completes with 24,998 budget units, so it runs out of BUDGET
     "chain-out-of-budget": (

@@ -25,9 +25,10 @@ at call time:
   clash.calls and clash.self_s.
 - Forest.clone, Forest.blocking, Forest.sorted_label and
   Forest.neighbour_bounds: search.clones and search.clone_s, blocking.calls
-  and blocking.self_s (expand.iterations counts the blocking calls made
-  directly inside expand), and the counters expand.label_sorts and
-  expand.neighbour_scans.
+  and blocking.self_s (expand.iterations counts the blocking calls whose
+  nearest enclosing span is expand's: those expand makes, and those that
+  tableau._propagate, which is no span, makes after each add of a run),
+  and the counters expand.label_sorts and expand.neighbour_scans.
 
 So a refactor must keep each of these a module or class attribute of that
 name, called through that attribute: a renamed, inlined or locally bound one

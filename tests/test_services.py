@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -538,26 +539,27 @@ def test_shared_probes_match_fresh_checks_on_degree_queries(budgets_used, monkey
         assert assert_probes_match_fresh_checks(kb, query, [ineq], budgets_used, 5000)
 
 
-def shares_by_role_test(kb, query, ineq, budget) -> bool:
-    """Whether Probes(kb, query, ineq, budget) takes one shared forest, by
-    the rule it had when it tested each of the KB's role assertions for
-    prepare's rewrite itself."""
+def shares_by_role_test(kb, query, ineq, budget) -> Optional[str]:
+    """The dump of the forest Probes(kb, query, ineq, budget) shares, or
+    None where it shares none, by the rule it had when it tested each of the
+    KB's role assertions for prepare's rewrite itself and prepared the KB's
+    assertions a second time."""
     prepared = prepare(services._with_negated(kb, query, SignedBound(ineq, ONE)))
     rbox = prepared.rbox
     rewritten = any(ra.bound.ineq.negative and not rbox.simple(ra.role) for ra in kb.abox.role_assertions)
     if prepared.mode == "gci" or (len(query) == 2 and rewritten):
-        return False
+        return None
     base = services._tableau_abox(kb.abox, rbox, partial(expand_concept, unfolded=prepared.unfolded))
     f = init_forest(replace(prepared, abox=base), Budget(budget), prepared.abox.individuals())
-    return not (f.clashing_nodes or f.clashing_pairs)
+    return None if f.clashing_nodes or f.clashing_pairs else f.dump()
 
 
 def test_probes_share_a_forest_where_they_did():
     """Probes takes the shared forest on exactly the KBs where testing each
-    role assertion for the rewrite took it: concept and role queries, with
-    every inequality, over random_transitive_kb's KBs, whose negative role
-    bounds over its transitive roles are rewritten, and over
-    random_alc_kb's, which have no rewrite."""
+    role assertion for the rewrite took it, and the same forest: concept and
+    role queries, with every inequality, over random_transitive_kb's KBs,
+    whose negative role bounds over its transitive roles are rewritten, and
+    over random_alc_kb's, which have no rewrite."""
     rng = random.Random(36)
     seen = Counter()
     for i in range(80):
@@ -567,10 +569,10 @@ def test_probes_share_a_forest_where_they_did():
         a, b = kb.abox.individuals()[0], kb.abox.individuals()[-1]
         for query in ((a, random_alc_concept(rng, 2)), (b, a, Role("r", rng.random() < 0.5))):
             for ineq in Ineq:
-                shared = shares_by_role_test(kb, query, ineq, 2000)
-                assert (services.Probes(kb, query, ineq, 2000).forest is not None) == shared, (
-                    serialize_kb(kb), query, ineq
-                )
+                dump = shares_by_role_test(kb, query, ineq, 2000)
+                forest = services.Probes(kb, query, ineq, 2000).forest
+                assert (forest and forest.dump()) == dump, (serialize_kb(kb), query, ineq)
+                shared = dump is not None
                 seen[rewritten, len(query), shared] += 1
     # each kind of query over KBs with and without a rewrite; a concept
     # query over a KB with a rewrite never shares

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 import time
 import weakref
 from collections import Counter, deque
@@ -1267,3 +1268,153 @@ def test_a_held_triple_evicted_from_the_keep_alive_stays_shared(monkeypatch):
     held = {t for f in forests for node in f.nodes.values() for t in node.label}
     assert len(held) > 100
     assert all(Triple(t.subject, t.ineq, t.degree) is t for t in held)
+
+
+# --- one scan per run of deterministic adds ---
+
+
+def reference_propagate(f, node):
+    """_propagate as it was when every add ended the call: the first add
+    the deterministic rules ask at the node, made, and True; else False."""
+    kinds = node.kinds()
+    for t in kinds.get("not", ()):
+        derived = t.parts[0]
+        if derived not in node.label:
+            return f.add_triple(node.id, derived, "negation")
+    if node.status[0] == tableau.INDIRECT:
+        return False
+    for t in kinds.get("decompose", ()):
+        for derived in t.parts:
+            if derived not in node.label:
+                rule = "and-pos" if isinstance(t.subject, syntax.And) else "or-neg"
+                return f.add_triple(node.id, derived, rule)
+    for kind, probe_of, transitive, rule in tableau._PROPAGATIONS:
+        for t in kinds.get(kind, ()):
+            probe, role = probe_of(t), t.subject.role
+            for r in f.rbox.transitive_subroles(role) if transitive else (role,):
+                derived = t.over(r) if transitive else t.parts[0]
+                for y, b in f.neighbour_bounds(node.id, r):
+                    if conjugates(b, probe) and derived not in f.nodes[y].label:
+                        return f.add_triple(y, derived, rule)
+    return False
+
+
+def reference_first(f, at, i):
+    """_first as it was then: the set read once, each node where `at` gives
+    nothing dropped, the first truthy result returned."""
+    d, nodes = f.dirty, f.nodes
+    todo = d[i]
+    while todo:
+        low = todo & -todo
+        out = at(f, nodes[low.bit_length() - 1])
+        if out:
+            return out
+        todo ^= low
+        d[i] = todo
+    return None
+
+
+def reference_expand(f):
+    """expand as it was then: after every add, charge, blocking() and
+    find_clash(), and every scan again from its set's lowest node."""
+    while True:
+        f.budget.charge()
+        f.blocking()
+        clash = tableau.find_clash(f)
+        if clash:
+            f.trace.append(("clash", clash))
+            return clash
+        d, out = f.dirty, None
+        for i, rule in enumerate(f.rules):
+            if d[i]:
+                out = reference_first(f, reference_propagate if rule is _propagate else rule, i)
+                if out:
+                    break
+        if out is not True:
+            return out
+
+
+def search_outcome(f):
+    """(verdict, budget used, trace text, dump of the final or first
+    clashing forest) of solving f."""
+    try:
+        result = solve(f)
+    except ResourceLimit:
+        return "ResourceLimit", f.budget.used, [render(ev) for ev in f.trace], ""
+    final = result.forest if result.consistent else result.first_clash_forest
+    return result.consistent, f.budget.used, [render(ev) for ev in result.trace], final and final.dump()
+
+
+def test_runs_of_adds_search_as_one_add_per_scan(monkeypatch):
+    """The engine's _propagate, which carries on past its adds, searches as
+    one add per expand iteration did: equal verdicts, budgets, traces and
+    dumps on the golden runs and on 30 KBs of each differential generator."""
+    import differential
+
+    kbs = []
+    for generate in differential.GENERATORS.values():
+        rng = random.Random(37)
+        kbs += [generate(rng)[0] for _ in range(30)]
+
+    def runs():
+        yield from golden_runs()
+        for kb in kbs:
+            yield init_forest(prepare(kb), Budget(20_000))
+
+    engine = [search_outcome(f) for f in runs()]
+    monkeypatch.setattr(tableau, "expand", reference_expand)
+    reference = [search_outcome(f) for f in runs()]
+    assert len(engine) > 250
+    for i, (got, want) in enumerate(zip(engine, reference)):
+        assert got == want, i
+
+
+def test_a_run_of_adds_costs_one_scan(monkeypatch):
+    """A tripwire for a _propagate that scans its node again after each
+    add: the Python-level calls that solve makes over the first abox-chain
+    block at seed 5 (22 consistency tasks), counted after a warm-up pass.
+    One scan per add made 25,106 and one scan per run of adds makes 20,948."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import blocks
+
+    texts = [task.kb_text for task in next(blocks("abox-chain", 5))]
+
+    def forests():
+        return [init_forest(prepare(parse_kb(text)), Budget(5000)) for text in texts]
+
+    for f in forests():
+        solve(f)
+    todo = forests()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        for f in todo:
+            solve(f)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls < 23_000
+
+
+def test_each_inverse_is_built_once_per_forest(monkeypatch):
+    """neighbour_bounds reads a role's inverse off the hierarchy, or builds
+    it once per forest: over the golden GCI cells, whose KBs have no RBox,
+    inv runs at most once per forest and role."""
+    built = Counter()
+    real_inv = tableau.inv
+
+    def counting_inv(r):
+        built[r] += 1
+        return real_inv(r)
+
+    monkeypatch.setattr(tableau, "inv", counting_inv)
+    for name, kb in corpus():
+        if name.startswith("cycle-"):
+            f = init_forest(prepare(kb), Budget(20_000))
+            built.clear()
+            solve(f)
+            assert built and max(built.values()) == 1, name
